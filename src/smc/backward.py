@@ -98,8 +98,7 @@ class BackwardSpec:
                     f"singular control shape {control.cumulative.shape} != {expected}"
                 )
         if self.obstacle is not None and not self.allow_terminal_violation:
-            barrier = np.asarray(self.obstacle(self.horizon, self.grid.nodes), dtype=float)[1:-1]
-            gap = self.terminal.interior - barrier
+            gap = self.terminal.interior - self.obstacle_interior(self.horizon)
             if self.reflection_side == UPPER:
                 gap = -gap
             if np.min(gap) < -1e-12:
@@ -158,9 +157,8 @@ class _Normalized:
         return self.sign * self.spec.terminal.values
 
     def obstacle_interior(self, t: float) -> np.ndarray:
-        if self.spec.obstacle is None:
-            return np.full(self.spec.grid.n_cells, _INACTIVE)
-        return self.sign * np.asarray(self.spec.obstacle(t, self.spec.grid.nodes), dtype=float)[1:-1]
+        barrier = self.spec.obstacle_interior(t)
+        return barrier if self.spec.obstacle is None else self.sign * barrier
 
     def driver(self, t, x, y, ybar, z, zbar):
         if self.spec.driver is None:
@@ -276,20 +274,16 @@ def _violation(spec: BackwardSpec, y_path: FieldPath) -> np.ndarray:
     """
     if spec.obstacle is None:
         return np.zeros((spec.n_steps + 1, spec.grid.n_cells))
-    sign = 1.0 if spec.reflection_side == LOWER else -1.0
-    out = np.empty((spec.n_steps + 1, spec.grid.n_cells))
-    for k, t in enumerate(spec.times):
-        gap = sign * (y_path.values[k, 1:-1] - spec.obstacle_interior(t))
-        out[k] = np.maximum(-gap, 0.0)
-    return out
+    gaps = np.array([_gap_field(spec, y_path, k, t) for k, t in enumerate(spec.times)])
+    return np.maximum(-gaps, 0.0)
 
 
-def _gap_field(spec: BackwardSpec, y_path: FieldPath, k: int) -> np.ndarray:
-    sign = 1.0 if spec.reflection_side == LOWER else -1.0
+def _gap_field(spec: BackwardSpec, y_path: FieldPath, k: int, t: float) -> np.ndarray:
+    """Side-signed gap Y - L at time node k (time t); +inf without an obstacle."""
     if spec.obstacle is None:
         return np.full(spec.grid.n_cells, np.inf)
-    barrier = np.asarray(spec.obstacle(spec.times[k], spec.grid.nodes), dtype=float)[1:-1]
-    return sign * (y_path.values[k, 1:-1] - barrier)
+    sign = 1.0 if spec.reflection_side == LOWER else -1.0
+    return sign * (y_path.values[k, 1:-1] - spec.obstacle_interior(t))
 
 
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
@@ -330,7 +324,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         y_path, spec.obstacle, eta_path, side=spec.reflection_side, with_scale=True
     )
     min_gap = float(
-        np.min([np.min(_gap_field(spec, y_path, k)) for k in range(spec.n_steps)])
+        np.min([np.min(_gap_field(spec, y_path, k, t)) for k, t in enumerate(spec.times[:-1])])
     )
     diag = SolutionDiagnostics(
         skorokhod_residual=residual,
@@ -385,6 +379,15 @@ class RateStudy:
     slope: float
 
 
+def rate_levels_problem(levels: list[int]) -> str | None:
+    """Why ``levels`` cannot carry a penalization-rate study, or None if they can."""
+    if len(levels) < 4 or max(levels) < 4 * min(levels):
+        return "rate study needs >= 4 levels spanning at least two octaves"
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        return "levels must be strictly increasing"
+    return None
+
+
 def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     """Squared-violation energies E_n per level and their log-log slope.
 
@@ -393,10 +396,9 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     DegenerateFitError when every energy sits below the 1e-24 floor.
     """
     levels = [int(n) for n in levels]
-    if len(levels) < 4 or max(levels) < 4 * min(levels):
-        raise ValueError("rate study needs >= 4 levels spanning at least two octaves")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    problem = rate_levels_problem(levels)
+    if problem is not None:
+        raise ValueError(problem)
     energies = []
     for n in levels:
         y_path, _ = solve_penalized(spec, n)
@@ -483,8 +485,9 @@ def solve_penalized_regression(
     z_sum = np.zeros((n_times, n_total))
     y_sum[-1] = y.sum(axis=1)
     energy = 0.0
+    times = spec.times
     for k in range(spec.n_steps - 1, -1, -1):
-        t = spec.times[k]
+        t = times[k]
         barrier = norm.obstacle_interior(t)
         state = forward_values[:, k, :].T  # (n_total, n_paths)
         state_mean = mean_op.apply(state)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .backward import penalization_rate, solve_penalized
+from .backward import penalization_rate, rate_levels_problem, solve_penalized
 from .config import RunConfig, load_config
 from .control import assemble_adjoint, directional_derivative_J, extract_policy
 from .errors import ConfigError, ToolkitError
@@ -78,8 +78,8 @@ def _parse_levels(raw: str) -> list[int]:
         levels = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError("levels must be comma-separated integers", "--levels")
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("levels must be strictly increasing", "--levels")
+    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("levels must be strictly increasing positive integers", "--levels")
     return levels
 
 
@@ -87,8 +87,14 @@ def _apply_overrides(config: RunConfig, args) -> tuple[RunConfig, list[int], int
     levels = list(config.backward.levels)
     if args.levels:
         levels = _parse_levels(args.levels)
+    if args.command == "rate" and (problem := rate_levels_problem(levels)):
+        raise ConfigError(problem, "--levels" if args.levels else "backward.levels")
     seed = args.seed if args.seed is not None else config.mc.seed
+    if seed < 0:
+        raise ConfigError("seed must be >= 0", "--seed")
     n_paths = args.paths if args.paths is not None else config.mc.n_paths
+    if n_paths < 1:
+        raise ConfigError("path count must be >= 1", "--paths")
     out_dir = args.out if args.out is not None else config.outputs.directory
     return config, levels, seed, n_paths, out_dir
 

@@ -23,14 +23,10 @@ from .operators import OperatorSpec
 
 SCHEMA_VERSION = 1
 
-DETERMINISTIC_BACKEND = "deterministic"
-REGRESSION_BACKEND = "regression"
-
 
 @dataclass(frozen=True)
 class BackwardConfig:
     levels: tuple[int, ...]
-    backend: str
     tolerances: Tolerances
 
 
@@ -312,7 +308,6 @@ def parse_config(raw: dict) -> RunConfig:
 
     backward_node = root.sub("backward")
     levels = (4, 16, 64, 256)
-    backend = DETERMINISTIC_BACKEND
     tolerances = Tolerances()
     if backward_node is not None:
         raw_levels = backward_node.get("levels", list, default=list(levels))
@@ -323,9 +318,6 @@ def parse_config(raw: dict) -> RunConfig:
         if any(b <= a for a, b in zip(raw_levels, raw_levels[1:])):
             raise ValidationError("levels must be strictly increasing", "backward.levels")
         levels = tuple(raw_levels)
-        backend = backward_node.get("backend", str, default=backend)
-        if backend not in (DETERMINISTIC_BACKEND, REGRESSION_BACKEND):
-            raise ValidationError(f"unknown backend {backend!r}", "backward.backend")
         tol_node = backward_node.sub("tolerances")
         if tol_node is not None:
             thr = _positive(
@@ -364,6 +356,8 @@ def parse_config(raw: dict) -> RunConfig:
         mc_node.reject_unknown()
         if n_paths < 1:
             raise ValidationError("n_paths must be >= 1", "mc.n_paths")
+        if seed < 0:
+            raise ValidationError("seed must be >= 0", "mc.seed")
 
     out_node = root.sub("outputs")
     directory, formats = "out", ("csv", "json")
@@ -381,7 +375,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     return RunConfig(
         problem=spec,
-        backward=BackwardConfig(levels=levels, backend=backend, tolerances=tolerances),
+        backward=BackwardConfig(levels=levels, tolerances=tolerances),
         control=ControlConfig(
             convention=convention, max_rate=max_rate, coefficient_floor=coefficient_floor
         ),

@@ -45,10 +45,8 @@ from .forward import (
     ProblemSpec,
     SingularControl,
     _as_tx_function,
-    _ensemble_increments,
+    _monte_carlo,
     check_admissible_direction,
-    iterate_states,
-    map_ordered,
     perturbed_control,
 )
 from .grid import Field, FieldPath
@@ -223,28 +221,52 @@ class JEstimate:
     seed: int
 
 
-def _path_rewards(
-    spec: ProblemSpec, control: SingularControl, dw: np.ndarray
-) -> np.ndarray:
-    """Per-path value of the performance functional for given increments."""
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of per-path values and its standard error (0 for one path)."""
+    n = values.size
+    err = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), err
+
+
+def _rewards_pass(
+    spec: ProblemSpec,
+    control: SingularControl,
+    p: np.ndarray | None = None,
+    dzeta: np.ndarray | None = None,
+):
+    """Engine pass reducing a bundle to the per-path value of J.
+
+    Given adjoint values ``p`` and direction increments ``dzeta``, the same
+    pass also sums the adjoint-formula derivative sum_k h (gain * p + h1)
+    dzeta_k per path, returned as the second row after the rewards.
+    """
     h = spec.grid.h
+    times = spec.times
     increments = control.increments
-    n_paths = dw.shape[1]
-    total = np.zeros(n_paths)
+    g0 = spec._g0_values()[1:-1][:, None]
     mean_op = SpaceMeanOperator(spec.grid, spec.op.theta) if spec.h0 is not None else None
-    for k, u in iterate_states(spec, control, dw):
-        if k < spec.n_steps:
-            t = spec.times[k]
-            h1 = spec.h1_values(t, u[1:-1])
+
+    def reduce(_first: int, states) -> np.ndarray:
+        total = derivative = 0.0
+        for k, u in states:
+            if k == spec.n_steps:
+                break
+            t = times[k]
+            u_int = u[1:-1]
+            h1 = spec.h1_values(t, u_int)
             total += h * (h1 * increments[k][:, None]).sum(axis=0)
-            if spec.h0 is not None:
+            if mean_op is not None:
                 x = spec.grid.interior[:, None]
                 ubar = mean_op.apply(u)
-                total += spec.dt * h * np.sum(spec.h0(t, x, u[1:-1], ubar[1:-1]), axis=0)
-        else:
-            g0 = spec._g0_values()[1:-1][:, None]
-            total += h * (g0 * u[1:-1]).sum(axis=0)
-    return total
+                total += spec.dt * h * np.sum(spec.h0(t, x, u_int, ubar[1:-1]), axis=0)
+            if p is not None:
+                gain = spec.gain_values(u_int)
+                p_int = p[k, 1:-1][:, None]
+                derivative += h * ((gain * p_int + h1) * dzeta[k][:, None]).sum(axis=0)
+        total += h * (g0 * u[1:-1]).sum(axis=0)
+        return total if p is None else np.stack([total, derivative])
+
+    return control, reduce
 
 
 def performance_J(
@@ -255,18 +277,8 @@ def performance_J(
     The singular reward pairs each control increment with the pre-jump state
     at the step's left endpoint; the terminal reward prices the final state.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    starts = [
-        (seed + off, min(chunk_size, n_paths - off)) for off in range(0, n_paths, chunk_size)
-    ]
-    parts = map_ordered(
-        lambda sc: _path_rewards(spec, xi, _ensemble_increments(sc[0], sc[1], spec.n_steps, spec.dt)),
-        starts,
-    )
-    rewards = np.concatenate(parts)
-    est = float(np.mean(rewards))
-    err = float(np.std(rewards, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    (chunks,) = _monte_carlo(spec, [_rewards_pass(spec, xi)], n_paths, seed, chunk_size)
+    est, err = _mean_stderr(np.concatenate(chunks))
     return JEstimate(estimate=est, stderr=err, n_paths=n_paths, seed=seed)
 
 
@@ -340,8 +352,7 @@ def check_necessary(
     worst_general = -np.inf
     comp = 0.0
     vi = 0.0
-    for k in range(spec.n_steps):
-        t = spec.times[k]
+    for k, t in enumerate(spec.times[:-1]):
         price = spec._h10_values(t)[1:-1]
         p_int = p.values[k, 1:-1]
         u_int = u.values[k, 1:-1]
@@ -428,8 +439,7 @@ def extract_policy(
     inc = np.zeros((n_steps, grid.n_cells))
     eta = solution.eta.values
     degenerate = False
-    for k in range(n_steps):
-        t = spec.times[k]
+    for k, t in enumerate(spec.times[:-1]):
         barrier = spec._h10_values(t)[1:-1] / spec.lambda0
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         charged = deta > 0.0
@@ -496,30 +506,13 @@ def directional_derivative_J(
     increments for base and perturbed controls.
     """
     check_admissible_direction(xi, zeta)
-    h = spec.grid.h
-    dzeta = zeta.increments
-    dw = _ensemble_increments(seed, n_paths, spec.n_steps, spec.dt)
-
-    per_path = np.zeros(n_paths)
-    for k, u in iterate_states(spec, xi, dw):
-        if k == spec.n_steps:
-            break
-        t = spec.times[k]
-        u_int = u[1:-1]
-        gain = spec.gain_values(u_int)
-        h1 = spec.h1_values(t, u_int)
-        p_int = p.values[k, 1:-1][:, None]
-        per_path += h * ((gain * p_int + h1) * dzeta[k][:, None]).sum(axis=0)
-    adj = float(np.mean(per_path))
-    adj_err = float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-
-    base_rewards = _path_rewards(spec, xi, dw)
-    fd: dict[float, tuple[float, float]] = {}
-    for eps in epsilons:
-        shifted = perturbed_control(xi, zeta, eps)
-        rewards = _path_rewards(spec, shifted, dw)
-        diff = (rewards - base_rewards) / eps
-        est = float(np.mean(diff))
-        err = float(np.std(diff, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-        fd[eps] = (est, err)
+    passes = [_rewards_pass(spec, xi, p.values, zeta.increments)]
+    passes += [_rewards_pass(spec, perturbed_control(xi, zeta, eps)) for eps in epsilons]
+    base, *perturbed = _monte_carlo(spec, passes, n_paths, seed)
+    base_rewards, per_path = np.concatenate(base, axis=1)
+    adj, adj_err = _mean_stderr(per_path)
+    fd = {
+        eps: _mean_stderr((np.concatenate(chunks) - base_rewards) / eps)
+        for eps, chunks in zip(epsilons, perturbed)
+    }
     return DerivativeComparison(adjoint_formula=adj, adjoint_stderr=adj_err, finite_difference=fd)

@@ -21,6 +21,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -60,12 +61,12 @@ def worker_count() -> int:
         return 1
 
 
-def map_ordered(fn: Callable, items: Sequence, max_workers: int | None = None) -> list:
-    """Apply ``fn`` to items on a small thread pool, collecting in input order."""
-    workers = max_workers if max_workers is not None else worker_count()
-    if workers <= 1 or len(items) <= 1:
+def map_ordered(fn: Callable, items: Sequence) -> list:
+    """Apply ``fn`` to items on up to ``worker_count()`` threads, collecting in input order."""
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -337,15 +338,6 @@ class NoisePath:
         return cls(rng.standard_normal(n_steps) * np.sqrt(dt), int(seed), float(dt))
 
 
-def _ensemble_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
-    """Stack per-path increments, path p in column p, seeds seed + p."""
-    out = np.empty((n_steps, n_paths))
-    root = np.sqrt(dt)
-    for p in range(n_paths):
-        out[:, p] = np.random.default_rng(seed + p).standard_normal(n_steps) * root
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Stepping kernel
 # ---------------------------------------------------------------------------
@@ -359,6 +351,7 @@ class _Kernel:
         grid = spec.grid
         self.h = grid.h
         self.dt = spec.dt
+        self.times = spec.times
         a, b = spec.op.resolve(grid)
         self.a = a
         self.b = b
@@ -418,7 +411,7 @@ class _Kernel:
         gain = spec.gain_values(u[1:-1])
         forcing = self.dt * self.drift(u, ubar) + self.vol(u, ubar) * db + gain * dxi
         out = np.empty_like(u)
-        left, right = spec.boundary_at(spec.times[k + 1])
+        left, right = spec.boundary_at(self.times[k + 1])
         if spec.stepping == EXPLICIT:
             out[1:-1] = u[1:-1] + self.dt * self.apply_generator(u) + forcing
         else:
@@ -541,31 +534,49 @@ class EnsembleSummary:
         return Field(self.mean_path.grid, self.terminal_values[path_index], DIRICHLET_DATA)
 
 
-@dataclass
-class _ChunkResult:
-    state_sum: np.ndarray
-    terminal: np.ndarray
-    min_value: float
-    min_location: tuple[int, int, int]
+def _monte_carlo(
+    spec: ProblemSpec,
+    passes: Sequence[tuple[SingularControl, Callable[[int, Iterator], object]]],
+    n_paths: int,
+    seed: int,
+    chunk_size: int = _DEFAULT_CHUNK,
+) -> list[tuple]:
+    """Run every (control, reduce) pass over shared noise, one path chunk at a time.
+
+    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  A
+    chunk of at most ``chunk_size`` paths draws its noise once, and each pass
+    reduces ``iterate_states`` over that bundle to ``reduce(first_seed, states)``.
+    Chunks may run on parallel workers; the result holds, per pass, its chunk
+    reductions in seed order.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    root = np.sqrt(spec.dt)
+
+    def run(first: int) -> list:
+        count = min(chunk_size, seed + n_paths - first)
+        dw = np.empty((spec.n_steps, count))
+        for p in range(count):
+            dw[:, p] = np.random.default_rng(first + p).standard_normal(spec.n_steps) * root
+        return [reduce(first, iterate_states(spec, xi, dw, first)) for xi, reduce in passes]
+
+    return list(zip(*map_ordered(run, range(seed, seed + n_paths, chunk_size))))
 
 
-def _run_chunk(spec: ProblemSpec, control: SingularControl, seed: int, count: int) -> _ChunkResult:
-    dw = _ensemble_increments(seed, count, spec.n_steps, spec.dt)
+def _summarize_chunk(spec: ProblemSpec, first: int, states: Iterator) -> tuple:
+    """Sum of the chunk's states per time, its terminal states, and (minimum, location)."""
     state_sum = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     min_value = np.inf
-    min_location = (seed, 0, 1)
-    terminal = None
-    for k, u in iterate_states(spec, control, dw, seed=seed):
+    min_location = (first, 0, 1)
+    for k, u in states:
         state_sum[k] = u.sum(axis=1)
         interior = u[1:-1]
         m = float(interior.min())
         if m < min_value:
             node, path = np.unravel_index(int(np.argmin(interior)), interior.shape)
             min_value = m
-            min_location = (seed + int(path), k, int(node) + 1)
-        if k == spec.n_steps:
-            terminal = u.T.copy()
-    return _ChunkResult(state_sum, terminal, min_value, min_location)
+            min_location = (first + int(path), k, int(node) + 1)
+    return state_sum, u.T.copy(), (min_value, min_location)
 
 
 def simulate_ensemble(
@@ -583,23 +594,16 @@ def simulate_ensemble(
     run on parallel workers; reduction happens in seed order, so results are
     deterministic for a fixed chunk size.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    _check_control(spec, control)
-    starts = [(seed + off, min(chunk_size, n_paths - off)) for off in range(0, n_paths, chunk_size)]
-    chunks = map_ordered(lambda sc: _run_chunk(spec, control, sc[0], sc[1]), starts)
-
-    state_sum = chunks[0].state_sum.copy()
-    for chunk in chunks[1:]:
-        state_sum += chunk.state_sum
-    terminal = np.vstack([chunk.terminal for chunk in chunks])
-    best = min(range(len(chunks)), key=lambda i: chunks[i].min_value)
-    min_value = chunks[best].min_value
-    min_location = chunks[best].min_location
-    mean_path = FieldPath(spec.grid, spec.times, state_sum / n_paths)
+    passes = [(control, partial(_summarize_chunk, spec))]
+    (chunks,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
+    sums, terminals, minima = zip(*chunks)
+    state_sum = sums[0].copy()
+    for part in sums[1:]:
+        state_sum += part
+    min_value, min_location = min(minima, key=lambda m: m[0])
     return EnsembleSummary(
-        mean_path=mean_path,
-        terminal_values=terminal,
+        mean_path=FieldPath(spec.grid, spec.times, state_sum / n_paths),
+        terminal_values=np.vstack(terminals),
         positivity=bool(min_value > 0.0),
         min_value=min_value,
         min_location=min_location,

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from smc.control import _rewards_pass, directional_derivative_J, performance_J
 from smc.errors import CflWarning, InadmissiblePerturbationError, NanDetectedError
 from smc.forward import (
     ControlPerturbation,
     NoisePath,
     ProblemSpec,
     SingularControl,
+    _monte_carlo,
     derivative_process,
     simulate_ensemble,
     simulate_path,
 )
-from smc.grid import Field, build_grid
+from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec
 
 
@@ -216,16 +218,52 @@ def test_positivity_flag_and_location():
     assert 7 <= seed < 23 and 0 <= k <= 40 and 1 <= node <= 30
 
 
-def test_ensemble_worker_count_does_not_change_results(monkeypatch):
+def _ensemble_outputs(spec, control, n_paths, chunk_size):
+    summary = simulate_ensemble(spec, control, n_paths=n_paths, seed=11, chunk_size=chunk_size)
+    return [summary.mean_path.values, summary.terminal_values, summary.min_location]
+
+
+def _performance_outputs(spec, control, n_paths, chunk_size):
+    estimate = performance_J(spec, control, n_paths, seed=11, chunk_size=chunk_size)
+    return [estimate.estimate, estimate.stderr]
+
+
+def _derivative_outputs(spec, control, n_paths, chunk_size):
+    # chunk_size is not a parameter here: 4100 paths make a 4096-path chunk and a 4-path one
+    zeta = ControlPerturbation.from_control(control)
+    p = FieldPath(spec.grid, spec.times, np.ones((spec.n_steps + 1, spec.grid.n_total)))
+    cmp = directional_derivative_J(spec, control, zeta, p, n_paths, seed=11, epsilons=(1e-2,))
+    return [cmp.adjoint_formula, cmp.adjoint_stderr, *cmp.finite_difference[1e-2]]
+
+
+def _engine_per_path_outputs(spec, control, n_paths, chunk_size):
+    (chunks,) = _monte_carlo(spec, [_rewards_pass(spec, control)], n_paths, 11, chunk_size)
+    return [np.concatenate(chunks)]
+
+
+@pytest.mark.parametrize(
+    "outputs, n_paths, chunk_sizes",
+    [
+        (_ensemble_outputs, 6, (2,)),
+        (_performance_outputs, 6, (2, 4096)),
+        (_derivative_outputs, 4100, (None,)),
+        # a one-path chunk sums its nodes in numpy's pairwise order, so widths >= 2 only
+        (_engine_per_path_outputs, 6, (2, 4, 4096)),
+    ],
+    ids=["simulate_ensemble", "performance_J", "directional_derivative_J", "engine"],
+)
+def test_ensemble_worker_count_does_not_change_results(monkeypatch, outputs, n_paths, chunk_sizes):
     spec = make_spec(beta=0.2, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
-    control = zero_control(spec)
-    monkeypatch.setenv("SMC_WORKERS", "1")
-    one = simulate_ensemble(spec, control, n_paths=6, seed=11, chunk_size=2)
-    monkeypatch.setenv("SMC_WORKERS", "3")
-    many = simulate_ensemble(spec, control, n_paths=6, seed=11, chunk_size=2)
-    np.testing.assert_array_equal(one.mean_path.values, many.mean_path.values)
-    np.testing.assert_array_equal(one.terminal_values, many.terminal_values)
-    assert one.min_location == many.min_location
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    runs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        runs += [outputs(spec, control, n_paths, chunk) for chunk in chunk_sizes]
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError):
+        outputs(spec, control, 0, chunk_sizes[0])
 
 
 def test_ensemble_nan_reports_offending_seed():

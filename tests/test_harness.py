@@ -162,6 +162,27 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "problem.operator.theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, sections, field",
+    [
+        (["simulate", "--paths", "0"], {}, "--paths"),
+        (["simulate", "--seed", "-1"], {}, "--seed"),
+        (["rate", "--levels", "4,8"], {}, "--levels"),
+        (["adjoint", "--levels", "0,4"], {}, "--levels"),
+        (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
+        (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
+    ],
+    ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
+         "backward-backend"],
+)
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
+    code = main([*argv, "--config", _write_config(tmp_path, minimal_config(**sections))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_cli_simulate_writes_outputs(tmp_path):
     raw = minimal_config()
     raw["outputs"]["directory"] = str(tmp_path / "runout")
