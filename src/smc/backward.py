@@ -30,19 +30,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BasisDegenerateError,
     DegenerateFitError,
     GridMismatchError,
+    NanDetectedError,
     NoConvergenceError,
     NonCauchyError,
     TerminalConsistencyError,
 )
 from .forward import SingularControl, map_ordered
 from .grid import Field, FieldPath, Grid
-from .operators import OperatorSpec, SpaceMeanOperator, operator_tridiagonal
+from .operators import OperatorSpec, SpaceMeanOperator, TridiagonalStepper, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
@@ -195,16 +195,11 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     dt = spec.dt
     times = spec.times
     x_int = grid.interior
-    n_int = grid.n_cells
 
     crank = spec.time_scheme == CRANK_NICOLSON
     implicit_weight = 0.5 if crank else 1.0
     lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=spec.use_adjoint_operator)
-    c = implicit_weight * dt
-    ab_base = np.zeros((3, n_int))
-    ab_base[0, 1:] = -c * up_a[:-1]
-    ab_base[1, :] = 1.0 - c * di_a
-    ab_base[2, :-1] = -c * lo_a[1:]
+    stepper = TridiagonalStepper(spec.op, grid, implicit_weight * dt, spec.use_adjoint_operator)
 
     def explicit_half(y_int: np.ndarray) -> np.ndarray:
         out = di_a * y_int
@@ -215,7 +210,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     use_mean = spec.driver is not None
     mean_op = SpaceMeanOperator(grid, spec.op.theta) if use_mean else None
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
-    zeros = np.zeros(n_int)
+    zeros = np.zeros(grid.n_cells)
 
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = norm.terminal_values()
@@ -240,9 +235,9 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             if sing is not None:
                 rhs += sing
             rhs += dt * n * np.where(active, barrier, 0.0)
-            ab = ab_base.copy()
-            ab[1, :] += dt * n * active
-            y_new = solve_banded((1, 1), ab, rhs)
+            y_new = stepper.solve(rhs, dt * n * active)
+            if not np.all(np.isfinite(y_new)):
+                raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
             active_new = y_new < barrier
             stable = np.array_equal(active_new, active)
             close = np.max(np.abs(y_new - y)) <= spec.fixed_point_tol * max(
@@ -459,12 +454,7 @@ def solve_penalized_regression(
             f"{n_paths} paths cannot identify {n_features} regression coefficients"
         )
 
-    lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=spec.use_adjoint_operator)
-    ab_base = np.zeros((3, grid.n_cells))
-    ab_base[0, 1:] = -dt * up_a[:-1]
-    ab_base[1, :] = 1.0 - dt * di_a
-    ab_base[2, :-1] = -dt * lo_a[1:]
-
+    stepper = TridiagonalStepper(spec.op, grid, dt, spec.use_adjoint_operator)
     mean_op = SpaceMeanOperator(grid, spec.op.theta)
     x_int = grid.interior
     zeros = np.zeros(grid.n_cells)
@@ -515,9 +505,7 @@ def solve_penalized_regression(
             col = rhs
             active = np.zeros(grid.n_cells, dtype=bool)
             for _ in range(spec.max_fixed_point_iters):
-                ab = ab_base.copy()
-                ab[1, :] += dt * n * active
-                sol = solve_banded((1, 1), ab, col + dt * n * np.where(active, barrier, 0.0))
+                sol = stepper.solve(col + dt * n * np.where(active, barrier, 0.0), dt * n * active)
                 active_new = sol < barrier
                 if np.array_equal(active_new, active):
                     break
@@ -525,6 +513,8 @@ def solve_penalized_regression(
             else:
                 raise NoConvergenceError(f"active-set iteration stalled at step {k}, path {p}")
             y_new[1:-1, p] = sol
+        if not np.all(np.isfinite(y_new)):
+            raise NanDetectedError(f"non-finite regression solution at step {k}", step=k)
         y = y_new
         energy += dt * grid.h * float(
             np.mean(np.sum(np.maximum(barrier[:, None] - y[1:-1], 0.0) ** 2, axis=0))

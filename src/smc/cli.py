@@ -140,7 +140,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
             summary.terminal_values[p][None, :],
         )
         paths[f"terminal_seed{seed + p}"] = terminal
-    persist(report, paths, out_dir)
+    persist(report, paths, out_dir, config.outputs.formats)
     print(f"simulated {n_paths} paths; positivity={summary.positivity}; outputs in {out_dir}")
     return 0 if report.all_passed else 1
 
@@ -167,7 +167,8 @@ def _cmd_adjoint(config: RunConfig, args) -> int:
             detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
         )
     )
-    persist(report, {"adjoint_p": policy.p, "reflection_eta": policy.eta}, out_dir)
+    paths = {"adjoint_p": policy.p, "reflection_eta": policy.eta}
+    persist(report, paths, out_dir, config.outputs.formats)
     print(f"adjoint solved at levels {levels}; outputs in {out_dir}")
     return 0 if report.all_passed else 1
 
@@ -211,6 +212,7 @@ def _cmd_policy(config: RunConfig, args) -> int:
             "reflection_eta": policy.eta,
         },
         out_dir,
+        config.outputs.formats,
     )
     for check in report.checks:
         print(check.line())
@@ -241,7 +243,7 @@ def _cmd_rate(config: RunConfig, args) -> int:
             detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(study.levels, study.energies)),
         )
     )
-    persist(report, {}, out_dir)
+    persist(report, {}, out_dir, config.outputs.formats)
     print(f"levels {list(study.levels)}")
     print(f"energies {[f'{e:.4e}' for e in study.energies]}")
     print(f"log-log slope {study.slope:.4f}")
@@ -288,7 +290,7 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
             f"adjoint {cmp.adjoint_formula:.6f}, finite difference {est:.6f}",
         )
     )
-    persist(report, {}, out_dir)
+    persist(report, {}, out_dir, config.outputs.formats)
     for check in report.checks:
         print(check.line())
     return 0 if report.all_passed else 1
@@ -315,6 +317,7 @@ def _cmd_verify(config: RunConfig | None, args) -> int:
             seeds={"root": config.mc.seed},
         )
         out_dir = args.out if args.out is not None else config.outputs.directory
+        formats = config.outputs.formats
     else:
         report = RunReport(
             config_echo={"suite": name},
@@ -324,8 +327,9 @@ def _cmd_verify(config: RunConfig | None, args) -> int:
             seeds={"builtin-benchmarks": "fixed in smc.suites"},
         )
         out_dir = args.out or "out"
+        formats = ("csv", "json")
     report.timings = timer.phases
-    persist(report, {}, out_dir)
+    persist(report, {}, out_dir, formats)
     failed = [c.name for c in results if not c.passed]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}")

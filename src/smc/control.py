@@ -228,6 +228,17 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), err
 
 
+def _node_sum(values: np.ndarray) -> np.ndarray:
+    """Per-path sum over the node axis, adding nodes in order at every bundle width.
+
+    numpy reduces a wide bundle's axis 0 row by row but a one-column bundle
+    pairwise; the running sum keeps a path's bits independent of its chunk.
+    """
+    if values.shape[1] == 1:
+        return np.cumsum(values, axis=0)[-1]
+    return values.sum(axis=0)
+
+
 def _rewards_pass(
     spec: ProblemSpec,
     control: SingularControl,
@@ -254,16 +265,16 @@ def _rewards_pass(
             t = times[k]
             u_int = u[1:-1]
             h1 = spec.h1_values(t, u_int)
-            total += h * (h1 * increments[k][:, None]).sum(axis=0)
+            total += h * _node_sum(h1 * increments[k][:, None])
             if mean_op is not None:
                 x = spec.grid.interior[:, None]
                 ubar = mean_op.apply(u)
-                total += spec.dt * h * np.sum(spec.h0(t, x, u_int, ubar[1:-1]), axis=0)
+                total += spec.dt * h * _node_sum(spec.h0(t, x, u_int, ubar[1:-1]))
             if p is not None:
                 gain = spec.gain_values(u_int)
                 p_int = p[k, 1:-1][:, None]
-                derivative += h * ((gain * p_int + h1) * dzeta[k][:, None]).sum(axis=0)
-        total += h * (g0 * u[1:-1]).sum(axis=0)
+                derivative += h * _node_sum((gain * p_int + h1) * dzeta[k][:, None])
+        total += h * _node_sum(g0 * u[1:-1])
         return total if p is None else np.stack([total, derivative])
 
     return control, reduce

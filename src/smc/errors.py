@@ -46,6 +46,10 @@ class NoConvergenceError(ToolkitError):
     """Semi-smooth fixed-point iteration exceeded its iteration cap."""
 
 
+class SingularSystemError(ToolkitError):
+    """An implicit step's tridiagonal system is singular."""
+
+
 class BasisDegenerateError(ToolkitError):
     """Regression normal equations are singular beyond repair."""
 

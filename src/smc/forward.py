@@ -25,7 +25,6 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     CflWarning,
@@ -34,7 +33,7 @@ from .errors import (
     NanDetectedError,
 )
 from .grid import DIRICHLET_DATA, Field, FieldPath, Grid
-from .operators import OperatorSpec, SpaceMeanOperator, boundary_coupling, operator_tridiagonal
+from .operators import OperatorSpec, SpaceMeanOperator, TridiagonalStepper, boundary_coupling
 
 MEAN_DRIFT = "mean-drift"
 POINTWISE_DRIFT = "pointwise-drift"
@@ -357,16 +356,8 @@ class _Kernel:
         self.b = b
         self.mean_op = SpaceMeanOperator(grid, spec.op.theta) if spec.uses_space_mean() else None
         if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
-            implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
-            self.implicit_weight = implicit_weight
-            lower, diag, upper = operator_tridiagonal(spec.op, grid)
-            n = grid.n_cells
-            ab = np.zeros((3, n))
-            c = implicit_weight * self.dt
-            ab[0, 1:] = -c * upper[:-1]
-            ab[1, :] = 1.0 - c * diag
-            ab[2, :-1] = -c * lower[1:]
-            self.ab = ab
+            self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
+            self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
             self.w_left, self.w_right = boundary_coupling(spec.op, grid)
         elif spec.cfl_number() > 0.5:
             warnings.warn(
@@ -421,7 +412,7 @@ class _Kernel:
             c = self.implicit_weight * self.dt
             rhs[0] = rhs[0] + c * self.w_left * left
             rhs[-1] = rhs[-1] + c * self.w_right * right
-            out[1:-1] = solve_banded((1, 1), self.ab, rhs)
+            out[1:-1] = self.stepper.solve(rhs)
         out[0] = left
         out[-1] = right
         return out
@@ -453,7 +444,7 @@ class _Kernel:
             rhs = z[1:-1] + forcing
             if spec.stepping == CRANK_NICOLSON:
                 rhs = rhs + 0.5 * self.dt * self.apply_generator(z)
-            out[1:-1] = solve_banded((1, 1), self.ab, rhs)
+            out[1:-1] = self.stepper.solve(rhs)
         out[0] = 0.0
         out[-1] = 0.0
         return out

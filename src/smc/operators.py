@@ -22,8 +22,10 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import dgtsv
 
-from .errors import InvalidThetaError
+from .errors import InvalidThetaError, SingularSystemError
 from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, Grid
 
 ArrayLike = Union[float, np.ndarray]
@@ -88,6 +90,29 @@ def operator_tridiagonal(
     lower[0] = direct_upper[0]
     upper[-1] = direct_lower[-1]
     return lower, diag, upper
+
+
+class TridiagonalStepper:
+    """Solver for the implicit step (I - c A) y = rhs on interior nodes (A* if ``adjoint``).
+
+    Calls LAPACK ``gtsv``, the routine behind ``scipy.linalg.solve_banded``
+    for one sub- and one super-diagonal, so the bits are the same without the
+    wrapper's checks and copies.  Callers check results for non-finite values.
+    """
+
+    def __init__(self, op: OperatorSpec, grid: Grid, c: float, adjoint: bool = False):
+        lower, diag, upper = operator_tridiagonal(op, grid, adjoint)
+        self.lower = -c * lower[1:]
+        self.diag = 1.0 - c * diag
+        self.upper = -c * upper[:-1]
+
+    def solve(self, rhs: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
+        """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``, ``penalty`` added to the diagonal."""
+        diag = self.diag if penalty is None else self.diag + penalty
+        *_, solution, info = dgtsv(self.lower, diag, self.upper, rhs)
+        if info > 0:
+            raise SingularSystemError(f"implicit step matrix is singular (zero pivot {info})")
+        return solution
 
 
 def operator_matrix(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> np.ndarray:
@@ -163,13 +188,32 @@ def apply_a_star(field: Field, op: OperatorSpec) -> Field:
 # ---------------------------------------------------------------------------
 
 
+def _window_averages(grid: Grid, theta: float, values: np.ndarray) -> np.ndarray:
+    """Window average of the piecewise-linear interpolant of each column of ``values``."""
+    h = grid.h
+    cell = 0.5 * h * (values[:-1] + values[1:])
+    cum = np.concatenate([np.zeros((1, values.shape[1])), np.cumsum(cell, axis=0)], axis=0)
+
+    def antiderivative(y: np.ndarray) -> np.ndarray:
+        j = np.clip(np.floor((y - grid.x_min) / h).astype(int), 0, grid.n_total - 2)
+        s = np.clip(y - grid.nodes[j], 0.0, h)[:, None]
+        return cum[j] + s * values[j] + s**2 * (values[j + 1] - values[j]) / (2.0 * h)
+
+    upper = antiderivative(np.minimum(grid.nodes + theta, grid.x_max))
+    lower = antiderivative(np.maximum(grid.nodes - theta, grid.x_min))
+    return (upper - lower) / (2.0 * theta)
+
+
 class SpaceMeanOperator:
     """Windowed average over (x - theta, x + theta) with zero extension.
 
     The operator integrates the piecewise-linear interpolant of the nodal
     values over the window clipped to the domain and divides by the full
     window volume 2*theta, so partially covered windows are sub-averages.
-    Application is vectorized over a trailing path axis.
+    The weights are assembled once into a CSR matrix.  Application is
+    vectorized over a trailing path axis and sums each row's window weights
+    in a fixed order, so a column's result does not depend on how many
+    columns are averaged together.
     """
 
     def __init__(self, grid: Grid, theta: float):
@@ -177,47 +221,17 @@ class SpaceMeanOperator:
             raise InvalidThetaError(f"theta must be positive, got {theta}")
         self.grid = grid
         self.theta = float(theta)
-        nodes = grid.nodes
-        h = grid.h
-        lo = np.maximum(nodes - theta, grid.x_min)
-        hi = np.minimum(nodes + theta, grid.x_max)
-        self._j_lo, self._s_lo = self._locate(lo)
-        self._j_hi, self._s_hi = self._locate(hi)
-        self._matrix: np.ndarray | None = None
-        self._h = h
-
-    def _locate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = self.grid.h
-        j = np.clip(np.floor((y - self.grid.x_min) / h).astype(int), 0, self.grid.n_total - 2)
-        s = np.clip(y - self.grid.nodes[j], 0.0, h)
-        return j, s
+        # dense matrix over all nodes; column j is the image of the j-th hat value
+        self.matrix = _window_averages(grid, self.theta, np.eye(grid.n_total))
+        self.matrix.setflags(write=False)
+        self._csr = scipy.sparse.csr_array(self.matrix)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Average nodal values; works on (n_total,) or (n_total, n_paths) arrays."""
-        h = self._h
-        cell = 0.5 * h * (values[:-1] + values[1:])
-        cum = np.concatenate(
-            [np.zeros((1,) + values.shape[1:]), np.cumsum(cell, axis=0)], axis=0
-        )
-
-        def antiderivative(j, s):
-            sl = s if values.ndim == 1 else s[:, None]
-            return cum[j] + sl * values[j] + sl**2 * (values[j + 1] - values[j]) / (2.0 * h)
-
-        upper = antiderivative(self._j_hi, self._s_hi)
-        lower = antiderivative(self._j_lo, self._s_lo)
-        return (upper - lower) / (2.0 * self.theta)
+        return self._csr @ values
 
     def __call__(self, field: Field) -> Field:
         return Field(self.grid, self.apply(field.values), DIRICHLET_DATA)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense matrix over all nodes; column j is the image of the j-th hat value."""
-        if self._matrix is None:
-            self._matrix = self.apply(np.eye(self.grid.n_total))
-            self._matrix.setflags(write=False)
-        return self._matrix
 
     def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
         """Exact adjoint under the interior h-weighted inner product.

@@ -2,10 +2,11 @@
 
 ``persist`` writes, into one directory:
 
-* ``report.json``: the deterministic record (config echo and hash, version,
-  checks, seeds); byte-identical across reruns of the same configuration;
-* one CSV per named field path, header ``t,x,value``, floats at 17
-  significant digits so values round-trip exactly;
+* ``report.json`` (format "json"): the deterministic record (config echo
+  and hash, version, checks, seeds); byte-identical across reruns of the
+  same configuration;
+* one CSV per named field path (format "csv"), header ``t,x,value``,
+  floats at 17 significant digits so values round-trip exactly;
 * ``manifest.json`` listing every deterministic artifact with its SHA-256
   digest;
 * ``runmeta.json`` with wall-clock timings, deliberately excluded from the
@@ -20,6 +21,7 @@ import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .grid import FieldPath
@@ -130,9 +132,16 @@ def write_field_path_csv(path: Path, field_path: FieldPath) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def persist(report: RunReport, paths: dict[str, FieldPath], directory: str) -> Path:
+def persist(
+    report: RunReport,
+    paths: dict[str, FieldPath],
+    directory: str,
+    formats: Sequence[str] = ("csv", "json"),
+) -> Path:
     """Write the report, the named field paths, and the digest manifest.
 
+    ``report.json`` is written when ``formats`` lists "json", the field-path
+    CSVs when it lists "csv"; the manifest lists exactly the files written.
     Returns the manifest path.  Rerunning an identical configuration
     overwrites every artifact with byte-identical content.
     """
@@ -140,14 +149,16 @@ def persist(report: RunReport, paths: dict[str, FieldPath], directory: str) -> P
     out.mkdir(parents=True, exist_ok=True)
 
     artifacts: list[Path] = []
-    report_path = out / "report.json"
-    _write_json(report_path, report.deterministic_payload())
-    artifacts.append(report_path)
+    if "json" in formats:
+        report_path = out / "report.json"
+        _write_json(report_path, report.deterministic_payload())
+        artifacts.append(report_path)
 
-    for name, field_path in sorted(paths.items()):
-        csv_path = out / f"{name}.csv"
-        write_field_path_csv(csv_path, field_path)
-        artifacts.append(csv_path)
+    if "csv" in formats:
+        for name, field_path in sorted(paths.items()):
+            csv_path = out / f"{name}.csv"
+            write_field_path_csv(csv_path, field_path)
+            artifacts.append(csv_path)
 
     manifest = {
         "config_hash": report.config_hash,

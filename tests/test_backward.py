@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,15 @@ from smc.backward import (
     solve_penalized_regression,
     solve_reflected,
 )
-from smc.errors import DegenerateFitError, TerminalConsistencyError
+from smc import operators
+from smc.cli import main
+from smc.errors import (
+    DegenerateFitError,
+    NanDetectedError,
+    SingularSystemError,
+    TerminalConsistencyError,
+    ToolkitError,
+)
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec
 from smc.psor import solve_obstacle_psor
@@ -123,6 +133,63 @@ def test_reflected_deterministic_bitwise():
     np.testing.assert_array_equal(a.y.values, b.y.values)
     np.testing.assert_array_equal(a.eta.values, b.eta.values)
     assert a.diagnostics == b.diagnostics
+
+
+def _singular_bands(monkeypatch, dt):
+    """Make every implicit step matrix I - dt A the zero matrix (dt a power of two)."""
+
+    def bands(op, grid, adjoint=False):
+        zero = np.zeros(grid.n_cells)
+        return zero, np.full(grid.n_cells, 1.0 / dt), zero
+
+    monkeypatch.setattr(operators, "operator_tridiagonal", bands)
+
+
+def test_singular_step_is_typed_error_and_exit_1(monkeypatch, tmp_path, capsys):
+    spec = active_spec(n_cells=20, n_steps=4, horizon=0.5)
+    _singular_bands(monkeypatch, spec.dt)
+    with pytest.raises(ToolkitError) as err:
+        solve_penalized(spec, 8)
+    assert isinstance(err.value, SingularSystemError)
+    assert not isinstance(err.value, (np.linalg.LinAlgError, ValueError))
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "problem": {
+            "grid": {"x_min": 0.0, "x_max": 1.0, "n_cells": 20},
+            "operator": {"second_order": 0.5, "first_order": 0.0, "theta": 0.1},
+            "time": {"horizon": 0.5, "n_steps": 4},
+            "model": {"alpha": 0.2, "beta": 0.1, "lambda0": 1.0},
+            "modes": {"stepping": "implicit"},
+            "prices": {"h10": 1.0, "g0": 1.0},
+        },
+        "backward": {"levels": [4, 8]},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }))
+    assert main(["adjoint", "--config", str(config)]) == 1
+    assert "\nerror: implicit step matrix is singular" in capsys.readouterr().err
+
+
+def test_non_finite_driver_is_typed_error():
+    base = active_spec(n_cells=20, n_steps=10)
+    spec = BackwardSpec(
+        grid=base.grid,
+        op=OP,
+        horizon=base.horizon,
+        n_steps=base.n_steps,
+        terminal=base.terminal,
+        obstacle=base.obstacle,
+        driver=lambda t, x, y, ybar, z, zbar: np.full_like(y, np.nan),
+    )
+    with pytest.raises(NanDetectedError) as err:
+        solve_penalized(spec, 8)
+    assert err.value.step == spec.n_steps - 1
+    paths, db = _bm_paths(16, spec.n_steps, spec.grid.n_total, spec.dt, seed=5)
+    terminal = np.tile(spec.terminal.values, (16, 1))
+    with pytest.raises(NanDetectedError) as err:
+        solve_penalized_regression(spec, 8, paths, db, terminal)
+    assert err.value.step == spec.n_steps - 1
 
 
 def test_terminal_consistency_guard():

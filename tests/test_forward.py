@@ -247,8 +247,7 @@ def _engine_per_path_outputs(spec, control, n_paths, chunk_size):
         (_ensemble_outputs, 6, (2,)),
         (_performance_outputs, 6, (2, 4096)),
         (_derivative_outputs, 4100, (None,)),
-        # a one-path chunk sums its nodes in numpy's pairwise order, so widths >= 2 only
-        (_engine_per_path_outputs, 6, (2, 4, 4096)),
+        (_engine_per_path_outputs, 6, (1, 2, 4, 4096)),
     ],
     ids=["simulate_ensemble", "performance_J", "directional_derivative_J", "engine"],
 )

@@ -196,6 +196,19 @@ def test_cli_simulate_writes_outputs(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("formats", [["json"], ["csv"], []])
+def test_cli_simulate_honours_output_formats(tmp_path, formats):
+    raw = minimal_config()
+    raw["outputs"] = {"directory": str(tmp_path / "runout"), "formats": formats}
+    assert main(["simulate", "--config", _write_config(tmp_path, raw), "--paths", "2"]) == 0
+    out = tmp_path / "runout"
+    written = {p.name for p in out.iterdir()} - {"manifest.json", "runmeta.json"}
+    assert bool(list(out.glob("*.csv"))) == ("csv" in formats)
+    assert (out / "report.json").exists() == ("json" in formats)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {f["name"] for f in manifest["files"]} == written
+
+
 def test_cli_determinism_two_runs_identical(tmp_path):
     raw = minimal_config()
     raw["outputs"]["directory"] = str(tmp_path / "o1")

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from smc.errors import InvalidThetaError
 from smc.grid import Field, build_grid, inner_product, norm_h
 from smc.operators import (
     OperatorSpec,
     SpaceMeanOperator,
+    TridiagonalStepper,
+    _window_averages,
     apply_a,
     apply_a_star,
     check_garding,
     operator_matrix,
+    operator_tridiagonal,
     space_mean,
     space_mean_adjoint,
     space_mean_dual_weight,
@@ -81,6 +85,55 @@ def test_space_mean_matrix_matches_apply():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(g.n_total)
     np.testing.assert_allclose(op.matrix @ v, op.apply(v), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4097])
+def test_space_mean_bundle_columns_match_vector_apply(width):
+    g = build_grid(0.0, 1.0, 60)
+    op = SpaceMeanOperator(g, 0.1)
+    bundle = np.random.default_rng(width).standard_normal((g.n_total, width))
+    averaged = op.apply(bundle)
+    for j in range(width):
+        np.testing.assert_array_equal(averaged[:, j], op.apply(bundle[:, j].copy()))
+
+
+@pytest.mark.parametrize("n_cells, theta", [(60, 0.1), (61, 0.05), (200, 0.13), (30, 0.9)])
+def test_space_mean_apply_matches_window_formula(n_cells, theta):
+    g = build_grid(-0.5, 1.5, n_cells)
+    op = SpaceMeanOperator(g, theta)
+    bundle = np.random.default_rng(n_cells).standard_normal((g.n_total, 7))
+    formula = _window_averages(g, theta, bundle)
+    np.testing.assert_allclose(op.apply(bundle), formula, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(op.apply(bundle[:, 0].copy()), formula[:, 0], rtol=0.0, atol=1e-14)
+
+
+def _hand_bands(op, grid, c, adjoint=False, penalty=None):
+    lower, diag, upper = operator_tridiagonal(op, grid, adjoint)
+    ab = np.zeros((3, grid.n_cells))
+    ab[0, 1:] = -c * upper[:-1]
+    ab[1, :] = 1.0 - c * diag
+    ab[2, :-1] = -c * lower[1:]
+    if penalty is not None:
+        ab[1, :] += penalty
+    return ab
+
+
+@pytest.mark.parametrize("bands", ["forward", "adjoint", "penalized"])
+@pytest.mark.parametrize("width", [None, 1, 5])
+def test_stepper_matches_solve_banded_bitwise(bands, width):
+    g = build_grid(0.0, 1.0, 50)
+    op = OperatorSpec(second_order=0.3 + 0.2 * np.sin(g.interior), first_order=0.7, theta=0.1)
+    c = 0.7e-3
+    adjoint = bands != "forward"
+    rng = np.random.default_rng(3)
+    shape = (g.n_cells,) if width is None else (g.n_cells, width)
+    rhs = rng.standard_normal(shape)
+    penalty = c * 4096.0 * (rng.uniform(size=g.n_cells) < 0.4) if bands == "penalized" else None
+    stepper = TridiagonalStepper(op, g, c, adjoint)
+    want = scipy.linalg.solve_banded((1, 1), _hand_bands(op, g, c, adjoint, penalty), rhs)
+    got = stepper.solve(rhs, penalty)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
 
 
 def test_space_mean_contraction_random_fields():
