@@ -478,7 +478,7 @@ def solve_penalized_regression(
     times = spec.times
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
-        barrier = norm.obstacle_interior(t)
+        barrier = norm.obstacle_interior(t)[:, None]
         state = forward_values[:, k, :].T  # (n_total, n_paths)
         state_mean = mean_op.apply(state)
         db = noise_increments[:, k]
@@ -495,29 +495,29 @@ def solve_penalized_regression(
         ce_bar = mean_op.apply(ce)
         z_bar = mean_op.apply(z)
 
-        y_new = np.zeros_like(y)
-        for p in range(n_paths):
-            rhs = ce[1:-1, p].copy()
-            if spec.driver is not None:
-                rhs += dt * norm.driver(
+        rhs = ce[1:-1].copy()
+        if spec.driver is not None:
+            for p in range(n_paths):
+                rhs[:, p] += dt * norm.driver(
                     t, x_int, ce[1:-1, p], ce_bar[1:-1, p], z[1:-1, p], z_bar[1:-1, p]
                 )
-            col = rhs
-            active = np.zeros(grid.n_cells, dtype=bool)
-            for _ in range(spec.max_fixed_point_iters):
-                sol = stepper.solve(col + dt * n * np.where(active, barrier, 0.0), dt * n * active)
-                active_new = sol < barrier
-                if np.array_equal(active_new, active):
-                    break
-                active = active_new
-            else:
-                raise NoConvergenceError(f"active-set iteration stalled at step {k}, path {p}")
-            y_new[1:-1, p] = sol
-        if not np.all(np.isfinite(y_new)):
+        # each path iterates its own active set; re-solving a path whose set
+        # is already stable reproduces its bits, so all paths step together
+        active = np.zeros((grid.n_cells, n_paths), dtype=bool)
+        for _ in range(spec.max_fixed_point_iters):
+            sol = stepper.solve(rhs + dt * n * np.where(active, barrier, 0.0), dt * n * active)
+            moved = np.any((sol < barrier) != active, axis=0)
+            if not moved.any():
+                break
+            active = sol < barrier
+        else:
+            p = np.flatnonzero(moved)[0]
+            raise NoConvergenceError(f"active-set iteration stalled at step {k}, path {p}")
+        y = np.pad(sol, ((1, 1), (0, 0)))  # zero boundary rows
+        if not np.all(np.isfinite(y)):
             raise NanDetectedError(f"non-finite regression solution at step {k}", step=k)
-        y = y_new
         energy += dt * grid.h * float(
-            np.mean(np.sum(np.maximum(barrier[:, None] - y[1:-1], 0.0) ** 2, axis=0))
+            np.mean(np.sum(np.maximum(barrier - y[1:-1], 0.0) ** 2, axis=0))
         )
         y_sum[k] = y.sum(axis=1)
         z_sum[k] = (norm.sign * z).sum(axis=1)

@@ -30,6 +30,7 @@ from .forward import (
     derivative_process,
     simulate_ensemble,
     simulate_path,
+    worker_count,
 )
 from .grid import FieldPath
 from .report import CheckResult, PhaseTimer, RunReport, describe_version, persist
@@ -342,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        worker_count()  # a malformed SMC_WORKERS fails here, before any work
         config = None
         if args.config is not None:
             config = load_config(args.config)

@@ -264,16 +264,19 @@ def _rewards_pass(
                 break
             t = times[k]
             u_int = u[1:-1]
-            h1 = spec.h1_values(t, u_int)
-            total += h * _node_sum(h1 * increments[k][:, None])
+            if k == 0:  # this call's buffers: chunks may reduce on parallel workers
+                h1, term = np.empty_like(u_int), np.empty_like(u_int)
+            spec.h1_values(t, u_int, out=h1)
+            total += h * _node_sum(np.multiply(h1, increments[k][:, None], out=term))
             if mean_op is not None:
                 x = spec.grid.interior[:, None]
                 ubar = mean_op.apply(u)
                 total += spec.dt * h * _node_sum(spec.h0(t, x, u_int, ubar[1:-1]))
             if p is not None:
-                gain = spec.gain_values(u_int)
-                p_int = p[k, 1:-1][:, None]
-                derivative += h * _node_sum((gain * p_int + h1) * dzeta[k][:, None])
+                spec.gain_values(u_int, out=term)
+                np.multiply(term, p[k, 1:-1][:, None], out=term)
+                np.add(term, h1, out=term)
+                derivative += h * _node_sum(np.multiply(term, dzeta[k][:, None], out=term))
         total += h * _node_sum(g0 * u[1:-1])
         return total if p is None else np.stack([total, derivative])
 

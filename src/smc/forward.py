@@ -28,12 +28,19 @@ import numpy as np
 
 from .errors import (
     CflWarning,
+    ConfigError,
     GridMismatchError,
     InadmissiblePerturbationError,
     NanDetectedError,
 )
 from .grid import DIRICHLET_DATA, Field, FieldPath, Grid
-from .operators import OperatorSpec, SpaceMeanOperator, TridiagonalStepper, boundary_coupling
+from .operators import (
+    OperatorSpec,
+    SpaceMeanOperator,
+    TridiagonalStepper,
+    apply_a_values,
+    boundary_coupling,
+)
 
 MEAN_DRIFT = "mean-drift"
 POINTWISE_DRIFT = "pointwise-drift"
@@ -52,12 +59,11 @@ _DEFAULT_CHUNK = 4096
 
 
 def worker_count() -> int:
-    """Worker cap from the SMC_WORKERS environment variable (default 1)."""
-    raw = os.environ.get(ENV_WORKERS, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker cap from SMC_WORKERS: 1 if unset or empty, else a positive integer."""
+    raw = os.environ.get(ENV_WORKERS, "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"must be a positive integer, got {raw!r}", ENV_WORKERS)
+    return int(raw)
 
 
 def map_ordered(fn: Callable, items: Sequence) -> list:
@@ -182,7 +188,7 @@ class ProblemSpec:
     def _cost_values(self, t: float) -> np.ndarray:
         return _as_tx_function(self.cost)(t, self.grid.nodes)
 
-    def h1_values(self, t: float, u_interior: np.ndarray) -> np.ndarray:
+    def h1_values(self, t: float, u_interior: np.ndarray, out=None) -> np.ndarray:
         """Singular reward density h1 at interior nodes, broadcast over paths."""
         price = self._h10_values(t)[1:-1]
         cost = self._cost_values(t)[1:-1]
@@ -190,14 +196,14 @@ class ProblemSpec:
             price = price[:, None]
             cost = cost[:, None]
         if self.revenue_mode == PROPORTIONAL_REVENUE:
-            return price * u_interior - cost
-        return price - cost + 0.0 * u_interior
+            return np.subtract(np.multiply(price, u_interior, out=out), cost, out=out)
+        return np.add(price - cost, np.multiply(0.0, u_interior, out=out), out=out)
 
-    def gain_values(self, u_interior: np.ndarray) -> np.ndarray:
+    def gain_values(self, u_interior: np.ndarray, out=None) -> np.ndarray:
         """Control gain f at interior nodes (state jump per unit of control)."""
         if self.control_gain_mode == MULTIPLICATIVE_GAIN:
-            return -self.lambda0 * u_interior
-        return -self.lambda0 + 0.0 * u_interior
+            return np.multiply(-self.lambda0, u_interior, out=out)
+        return np.add(-self.lambda0, np.multiply(0.0, u_interior, out=out), out=out)
 
     def uses_space_mean(self) -> bool:
         return (self.alpha != 0.0 and self.drift_mode == MEAN_DRIFT) or (
@@ -343,18 +349,19 @@ class NoisePath:
 
 
 class _Kernel:
-    """Precomputed stencils for one problem; operates on (n_total, ...) arrays."""
+    """One problem's step operators and step buffers, on (n_total,) or (n_total, n_paths) states.
 
-    def __init__(self, spec: ProblemSpec):
+    A kernel serves one state sequence, so sequences on parallel workers share no buffer.
+    """
+
+    def __init__(self, spec: ProblemSpec, n_paths: int | None = None):
         self.spec = spec
         grid = spec.grid
-        self.h = grid.h
         self.dt = spec.dt
         self.times = spec.times
-        a, b = spec.op.resolve(grid)
-        self.a = a
-        self.b = b
         self.mean_op = SpaceMeanOperator(grid, spec.op.theta) if spec.uses_space_mean() else None
+        shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
+        self.forcing, self.scratch = np.empty(shape), np.empty(shape)
         if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
             self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
             self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
@@ -367,87 +374,61 @@ class _Kernel:
                 stacklevel=3,
             )
 
-    def _col(self, arr: np.ndarray, like: np.ndarray) -> np.ndarray:
-        return arr[:, None] if like.ndim == 2 else arr
+    def _forcing(self, x: np.ndarray, db, *jumps) -> np.ndarray:
+        """dt * drift(x) + vol(x) * db + factor * increment per jump, in the forcing buffer.
 
-    def apply_generator(self, u: np.ndarray) -> np.ndarray:
-        a = self._col(self.a, u)
-        b = self._col(self.b, u)
-        return (
-            a * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / self.h**2
-            + b * (u[2:] - u[:-2]) / (2.0 * self.h)
-        )
+        A jump is (factor, increment), where ``factor(out)`` writes into ``out``.
+        """
+        spec, forcing, scratch = self.spec, self.forcing, self.scratch
+        xbar = self.mean_op.apply(x) if self.mean_op is not None else None
+        drift = (spec.alpha, xbar if spec.drift_mode == MEAN_DRIFT else x, forcing)
+        vol = (spec.beta, x if spec.noise_mode == POINTWISE_NOISE else xbar, scratch)
+        for coef, src, out in (drift, vol):
+            if coef == 0.0:
+                out.fill(0.0)
+            else:
+                np.multiply(coef, src[1:-1], out=out)
+        np.multiply(self.dt, forcing, out=forcing)
+        np.add(forcing, np.multiply(scratch, db, out=scratch), out=forcing)
+        for factor, increment in jumps:
+            np.add(forcing, np.multiply(factor(scratch), increment, out=scratch), out=forcing)
+        return forcing
 
-    def drift(self, u: np.ndarray, ubar: np.ndarray | None) -> np.ndarray:
+    def _advance(self, x: np.ndarray, forcing: np.ndarray, boundary=None) -> np.ndarray:
+        """Fresh state one step after ``x`` under ``forcing`` (zero boundary values if None).
+
+        An implicit step builds its right-hand side in the new interior and solves it in place.
+        """
         spec = self.spec
-        if spec.alpha == 0.0:
-            return np.zeros_like(u[1:-1])
-        src = ubar if spec.drift_mode == MEAN_DRIFT else u
-        return spec.alpha * src[1:-1]
-
-    def vol(self, u: np.ndarray, ubar: np.ndarray | None) -> np.ndarray:
-        spec = self.spec
-        if spec.beta == 0.0:
-            return np.zeros_like(u[1:-1])
-        src = u if spec.noise_mode == POINTWISE_NOISE else ubar
-        return spec.beta * src[1:-1]
-
-    def mean(self, u: np.ndarray) -> np.ndarray | None:
-        return self.mean_op.apply(u) if self.mean_op is not None else None
+        out = np.empty_like(x)
+        new = out[1:-1]
+        if spec.stepping == EXPLICIT:
+            generator = apply_a_values(x, spec.op, spec.grid)[1:-1]
+            np.add(np.add(x[1:-1], self.dt * generator, out=new), forcing, out=new)
+        else:
+            np.add(x[1:-1], forcing, out=new)
+            if spec.stepping == CRANK_NICOLSON:
+                half_step = 0.5 * self.dt * apply_a_values(x, spec.op, spec.grid)[1:-1]
+                np.add(new, half_step, out=new)
+            if boundary is not None:
+                c = self.implicit_weight * self.dt
+                new[0] += c * self.w_left * boundary[0]
+                new[-1] += c * self.w_right * boundary[1]
+            self.stepper.solve_in_place(new)
+        out[0], out[-1] = boundary or (0.0, 0.0)
+        return out
 
     def step(self, k: int, u: np.ndarray, db, dxi: np.ndarray) -> np.ndarray:
         """One Euler-Maruyama step from t_k; ``db`` is scalar or (n_paths,)."""
-        spec = self.spec
-        ubar = self.mean(u)
-        gain = spec.gain_values(u[1:-1])
-        forcing = self.dt * self.drift(u, ubar) + self.vol(u, ubar) * db + gain * dxi
-        out = np.empty_like(u)
-        left, right = spec.boundary_at(self.times[k + 1])
-        if spec.stepping == EXPLICIT:
-            out[1:-1] = u[1:-1] + self.dt * self.apply_generator(u) + forcing
-        else:
-            rhs = u[1:-1] + forcing
-            if spec.stepping == CRANK_NICOLSON:
-                rhs = rhs + 0.5 * self.dt * self.apply_generator(u)
-            c = self.implicit_weight * self.dt
-            rhs[0] = rhs[0] + c * self.w_left * left
-            rhs[-1] = rhs[-1] + c * self.w_right * right
-            out[1:-1] = self.stepper.solve(rhs)
-        out[0] = left
-        out[-1] = right
-        return out
+        forcing = self._forcing(u, db, (partial(self.spec.gain_values, u[1:-1]), dxi))
+        return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]))
 
-    def tangent_step(
-        self,
-        k: int,
-        u: np.ndarray,
-        z: np.ndarray,
-        db,
-        dxi: np.ndarray,
-        dzeta: np.ndarray,
-    ) -> np.ndarray:
+    def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
         """Exact linearization of :meth:`step` in the direction (z, dzeta)."""
         spec = self.spec
-        zbar = self.mean(z)
-        gain = spec.gain_values(u[1:-1])
         dgain = -spec.lambda0 if spec.control_gain_mode == MULTIPLICATIVE_GAIN else 0.0
-        forcing = (
-            self.dt * self.drift(z, zbar)
-            + self.vol(z, zbar) * db
-            + gain * dzeta
-            + dgain * z[1:-1] * dxi
-        )
-        out = np.empty_like(z)
-        if spec.stepping == EXPLICIT:
-            out[1:-1] = z[1:-1] + self.dt * self.apply_generator(z) + forcing
-        else:
-            rhs = z[1:-1] + forcing
-            if spec.stepping == CRANK_NICOLSON:
-                rhs = rhs + 0.5 * self.dt * self.apply_generator(z)
-            out[1:-1] = self.stepper.solve(rhs)
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+        gain, jump = partial(spec.gain_values, u[1:-1]), partial(np.multiply, dgain, z[1:-1])
+        return self._advance(z, self._forcing(z, db, (gain, dzeta), (jump, dxi)))
 
 
 def _initial_state(spec: ProblemSpec, n_paths: int | None) -> np.ndarray:
@@ -485,8 +466,8 @@ def iterate_states(
     vectorized bundle; each yielded state is a fresh array.
     """
     _check_control(spec, control)
-    kernel = _Kernel(spec)
     n_paths = dw.shape[1] if dw.ndim == 2 else None
+    kernel = _Kernel(spec, n_paths)
     u = _initial_state(spec, n_paths)
     increments = control.increments
     yield 0, u
@@ -520,9 +501,6 @@ class EnsembleSummary:
     min_location: tuple[int, int, int]  # (path seed, time index, node index)
     n_paths: int
     seed: int
-
-    def terminal_field(self, path_index: int) -> Field:
-        return Field(self.mean_path.grid, self.terminal_values[path_index], DIRICHLET_DATA)
 
 
 def _monte_carlo(

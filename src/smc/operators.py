@@ -17,13 +17,14 @@ Three operator families live here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import InvalidThetaError, SingularSystemError
 from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, Grid
@@ -95,24 +96,77 @@ def operator_tridiagonal(
 class TridiagonalStepper:
     """Solver for the implicit step (I - c A) y = rhs on interior nodes (A* if ``adjoint``).
 
-    Calls LAPACK ``gtsv``, the routine behind ``scipy.linalg.solve_banded``
-    for one sub- and one super-diagonal, so the bits are the same without the
-    wrapper's checks and copies.  Callers check results for non-finite values.
+    The matrix is factored once with LAPACK ``gttrf``.  If no rows were
+    interchanged, unpenalized solves reuse the factors: a numpy row sweep for
+    bundles of ``SWEEP_MIN_PATHS`` columns or more, ``gttrs`` otherwise.  Both
+    repeat ``gtsv``'s elimination step for step, so the bits equal a fresh
+    ``gtsv`` solve, which every other solve calls.  Callers check for non-finite values.
     """
+
+    # the sweep's few numpy calls per row cost more than gttrs below this
+    # width (measured at 60 rows on a 2-core host)
+    SWEEP_MIN_PATHS = 512
 
     def __init__(self, op: OperatorSpec, grid: Grid, c: float, adjoint: bool = False):
         lower, diag, upper = operator_tridiagonal(op, grid, adjoint)
         self.lower = -c * lower[1:]
         self.diag = 1.0 - c * diag
         self.upper = -c * upper[:-1]
+        *factors, info = dgttrf(self.lower, self.diag, self.upper)
+        pivoted = np.any(factors[4] != np.arange(1, grid.n_cells + 1)) or factors[3].any()
+        self._factors = None if info or pivoted else factors
 
     def solve(self, rhs: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
-        """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``, ``penalty`` added to the diagonal."""
-        diag = self.diag if penalty is None else self.diag + penalty
+        """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``.
+
+        ``penalty`` adds to the diagonal: one for all columns, or one per column.
+        """
+        if penalty is None:
+            return self.solve_in_place(np.array(rhs))
+        if penalty.ndim == 1:
+            return self._gtsv(self.diag + penalty, rhs)
+        # per-column diagonals: gtsv's elimination on all columns at once, and
+        # gtsv itself for a column where it would interchange rows or hit zero
+        pivots = self.diag[:, None] + penalty
+        multipliers, by_gtsv = [], np.zeros(rhs.shape[1], dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, (low, up) in enumerate(zip(self.lower, self.upper)):
+                by_gtsv |= ~(np.abs(pivots[i]) >= abs(low)) | (pivots[i] == 0.0)
+                multipliers.append(low / pivots[i])
+                pivots[i + 1] -= multipliers[-1] * up
+            by_gtsv |= pivots[-1] == 0.0
+            solution = _substitute(np.array(rhs), multipliers, pivots, self.upper)
+        for p in np.flatnonzero(by_gtsv):
+            solution[:, p] = self._gtsv(self.diag + penalty[:, p], rhs[:, p])
+        return solution
+
+    def solve_in_place(self, b: np.ndarray) -> np.ndarray:
+        """Overwrite (n_cells,) or (n_cells, n_paths) ``b`` with the unpenalized solution."""
+        if self._factors is None:
+            b[...] = self._gtsv(self.diag, b)
+        elif b.ndim == 1 or b.shape[1] < self.SWEEP_MIN_PATHS:
+            b[...] = dgttrs(*self._factors, b, overwrite_b=1)[0]
+        else:
+            _substitute(b, *self._factors[:3])
+        return b
+
+    def _gtsv(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         *_, solution, info = dgtsv(self.lower, diag, self.upper, rhs)
         if info > 0:
             raise SingularSystemError(f"implicit step matrix is singular (zero pivot {info})")
         return solution
+
+
+def _substitute(b: np.ndarray, multipliers, pivots, upper) -> np.ndarray:
+    """Forward and back substitution on the rows of ``b`` in place, with scalar or row factors."""
+    row = np.empty_like(b[0])
+    for i, m in enumerate(multipliers):
+        np.subtract(b[i + 1], np.multiply(m, b[i], out=row), out=b[i + 1])
+    np.divide(b[-1], pivots[-1], out=b[-1])
+    for i in range(len(upper) - 1, -1, -1):
+        np.subtract(b[i], np.multiply(upper[i], b[i + 1], out=row), out=row)
+        np.divide(row, pivots[i], out=b[i])
+    return b
 
 
 def operator_matrix(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> np.ndarray:
@@ -126,18 +180,12 @@ def operator_matrix(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> np.n
 
 
 def boundary_coupling(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> tuple[float, float]:
-    """Stencil weights tying the first/last interior row to the boundary nodes."""
-    a, b = op.resolve(grid)
-    h = grid.h
-    if not adjoint:
-        left = a[0] / h**2 - b[0] / (2.0 * h)
-        right = a[-1] / h**2 + b[-1] / (2.0 * h)
-    else:
-        # Adjoint reads (a u) and (b u) at the boundary; coefficients are
-        # extended there by edge replication.
-        left = a[0] / h**2 + b[0] / (2.0 * h)
-        right = a[-1] / h**2 - b[-1] / (2.0 * h)
-    return float(left), float(right)
+    """Stencil weights tying the first/last interior row to the boundary nodes.
+
+    They are the band entries ``lower[0]`` and ``upper[-1]``, outside the interior block.
+    """
+    lower, _, upper = operator_tridiagonal(op, grid, adjoint)
+    return float(lower[0]), float(upper[-1])
 
 
 def apply_a_values(values: np.ndarray, op: OperatorSpec, grid: Grid) -> np.ndarray:
@@ -245,14 +293,18 @@ class SpaceMeanOperator:
         return out
 
 
+# one shared operator per (grid, theta); its weights are read-only after construction
+_space_mean_operator = functools.lru_cache(maxsize=8)(SpaceMeanOperator)
+
+
 def space_mean(field: Field, theta: float) -> Field:
     """Windowed spatial average of ``field`` (zero extension outside D)."""
-    return SpaceMeanOperator(field.grid, theta)(field)
+    return _space_mean_operator(field.grid, theta)(field)
 
 
 def space_mean_adjoint(field: Field, theta: float) -> Field:
     """Adjoint of :func:`space_mean` under the discrete inner product."""
-    op = SpaceMeanOperator(field.grid, theta)
+    op = _space_mean_operator(field.grid, theta)
     return Field(field.grid, op.apply_adjoint(field.values), DIRICHLET_ZERO)
 
 

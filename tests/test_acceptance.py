@@ -9,7 +9,12 @@ penalized violation amplitude on the pinned benchmark scales like
 4..256 sits near -1.5, outside the stated band [-2.3, -1.7].  The same
 study over an asymptotic window (levels 256..4096) lands on the proven
 1/n^2 rate; that diagnostic is included in the check detail.
+
+Criteria 08-10 also compare the figures behind their values with
+``golden_values.json`` (see ``golden.py``).
 """
+
+import golden
 
 from smc import suites
 
@@ -19,6 +24,15 @@ def _run(check):
     print()
     print(result.line())
     return result
+
+
+def _run_golden(key):
+    check, call, _ = golden.CHECKS[key]
+    with golden.recording(call) as calls:
+        result = _run(check)
+    assert result.passed, result.detail
+    mismatches = golden.mismatches(key, golden.figures(key, result, calls))
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_criterion_01_penalization_rate():
@@ -57,18 +71,15 @@ def test_criterion_07_derivative_process():
 
 
 def test_criterion_08_directional_derivative():
-    result = _run(suites.check_directional_derivative)
-    assert result.passed, result.detail
+    _run_golden("criterion_08")
 
 
 def test_criterion_09_policy_optimality():
-    result = _run(suites.check_policy_optimality)
-    assert result.passed, result.detail
+    _run_golden("criterion_09")
 
 
 def test_criterion_10_state_positivity():
-    result = _run(suites.check_positivity)
-    assert result.passed, result.detail
+    _run_golden("criterion_10")
 
 
 def test_criterion_11_coercivity():

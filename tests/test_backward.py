@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from smc import backward
 from smc.backward import (
     BackwardSpec,
     penalization_rate,
@@ -16,12 +18,13 @@ from smc.cli import main
 from smc.errors import (
     DegenerateFitError,
     NanDetectedError,
+    NoConvergenceError,
     SingularSystemError,
     TerminalConsistencyError,
     ToolkitError,
 )
 from smc.grid import Field, FieldPath, build_grid
-from smc.operators import OperatorSpec
+from smc.operators import OperatorSpec, TridiagonalStepper
 from smc.psor import solve_obstacle_psor
 
 OP = OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1)
@@ -429,6 +432,52 @@ def test_regression_conditional_expectation_and_z():
     assert np.max(np.abs(result.y_mean.values[0, 1:-1] - 1.0)) <= 0.05
     z_avg = result.z_mean.values[: spec.n_steps, 1:-1].mean()
     assert z_avg == pytest.approx(vol, abs=0.1)
+
+
+class _PerPathStepper(TridiagonalStepper):
+    """Solves per-column penalties one path at a time through gtsv, as the old loop did."""
+
+    def solve(self, rhs, penalty=None):
+        if penalty is None or penalty.ndim == 1:
+            return super().solve(rhs, penalty)
+        solve = super().solve
+        columns = [solve(rhs[:, p].copy(), penalty[:, p]) for p in range(rhs.shape[1])]
+        return np.column_stack(columns)
+
+
+def _regression_obstacle_case(n_paths=40):
+    grid = build_grid(0.0, 1.0, 12)
+    spec = BackwardSpec(
+        grid=grid,
+        op=OP,
+        horizon=0.1,
+        n_steps=8,
+        terminal=sine_terminal(grid),
+        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
+    )
+    paths, db = _bm_paths(n_paths, spec.n_steps, grid.n_total, spec.dt, seed=8, vol=0.5)
+    # per-path terminal data: some paths end below the obstacle, so active sets differ
+    terminal = np.sin(np.pi * grid.nodes) * paths[:, -1, :]
+    return spec, paths, db, terminal
+
+
+def test_regression_batched_sweep_matches_per_path_solves(monkeypatch):
+    spec, paths, db, terminal = _regression_obstacle_case()
+    batched = solve_penalized_regression(spec, 64, paths, db, terminal)
+    monkeypatch.setattr(backward, "TridiagonalStepper", _PerPathStepper)
+    looped = solve_penalized_regression(spec, 64, paths, db, terminal)
+    assert batched.energy > 0.0
+    assert batched.energy == looped.energy
+    np.testing.assert_array_equal(batched.y0, looped.y0)
+    np.testing.assert_array_equal(batched.y_mean.values, looped.y_mean.values)
+    np.testing.assert_array_equal(batched.z_mean.values, looped.z_mean.values)
+
+
+def test_regression_stalled_active_set_names_a_path():
+    spec, paths, db, terminal = _regression_obstacle_case()
+    spec = dataclasses.replace(spec, max_fixed_point_iters=1)
+    with pytest.raises(NoConvergenceError, match=r"at step 7, path \d+"):
+        solve_penalized_regression(spec, 64, paths, db, terminal)
 
 
 def test_regression_with_too_few_paths_degenerate():

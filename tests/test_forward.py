@@ -10,11 +10,12 @@ from smc.forward import (
     SingularControl,
     _monte_carlo,
     derivative_process,
+    iterate_states,
     simulate_ensemble,
     simulate_path,
 )
 from smc.grid import Field, FieldPath, build_grid
-from smc.operators import OperatorSpec
+from smc.operators import OperatorSpec, TridiagonalStepper
 
 
 def make_spec(**kw):
@@ -184,6 +185,24 @@ def test_ensemble_columns_match_per_path_runs():
     for p in range(5):
         path = simulate_path(spec, control, NoisePath.generate(40 + p, spec.n_steps, spec.dt))
         np.testing.assert_array_equal(summary.terminal_values[p], path.values[-1])
+
+
+@pytest.mark.parametrize("n_paths", [None, 3, TridiagonalStepper.SWEEP_MIN_PATHS])
+@pytest.mark.parametrize("stepping", ["explicit", "implicit", "crank-nicolson"])
+def test_iterate_states_yields_states_later_steps_leave_alone(stepping, n_paths):
+    spec = make_spec(
+        beta=0.25, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping=stepping, n_steps=200
+    )
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    shape = (spec.n_steps,) if n_paths is None else (spec.n_steps, n_paths)
+    dw = np.random.default_rng(2).standard_normal(shape) * np.sqrt(spec.dt)
+    kept = [u for _, u in iterate_states(spec, control, dw)]
+    copied = [u.copy() for _, u in iterate_states(spec, control, dw)]
+    assert len(kept) == spec.n_steps + 1
+    for k, (u, want) in enumerate(zip(kept, copied)):
+        np.testing.assert_array_equal(u, want)
+        if k:
+            assert not np.shares_memory(u, kept[k - 1])
 
 
 def test_ensemble_no_noise_identical_paths():

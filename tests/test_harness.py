@@ -5,7 +5,8 @@ import pytest
 
 from smc.cli import main
 from smc.config import load_config, parse_config
-from smc.errors import ParseError, ValidationError
+from smc.errors import ConfigError, ParseError, ValidationError
+from smc.forward import worker_count
 from smc.grid import FieldPath, build_grid
 from smc.report import CheckResult, RunReport, persist, write_field_path_csv
 
@@ -181,6 +182,24 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+def test_malformed_smc_workers_is_config_error_exit_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("SMC_WORKERS", value)
+    with pytest.raises(ConfigError, match="SMC_WORKERS"):
+        worker_count()
+    assert main(["verify", "operators"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: SMC_WORKERS") and err.count("\n") == 1
+
+
+def test_smc_workers_default_and_parsed(monkeypatch):
+    monkeypatch.delenv("SMC_WORKERS", raising=False)
+    assert worker_count() == 1
+    for value, expected in [("", 1), ("3", 3), (" 2 ", 2)]:
+        monkeypatch.setenv("SMC_WORKERS", value)
+        assert worker_count() == expected
 
 
 def test_cli_simulate_writes_outputs(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
-from smc.errors import InvalidThetaError
+from smc import operators
+from smc.errors import InvalidThetaError, SingularSystemError
 from smc.grid import Field, build_grid, inner_product, norm_h
 from smc.operators import (
     OperatorSpec,
@@ -134,6 +136,97 @@ def test_stepper_matches_solve_banded_bitwise(bands, width):
     got = stepper.solve(rhs, penalty)
     assert got.shape == shape
     np.testing.assert_array_equal(got, want)
+
+
+def _gtsv_columns(stepper, rhs, penalty):
+    """Reference: one LAPACK gtsv call per column, as the per-path loops made them."""
+    diag = stepper.diag[:, None] + penalty
+    cols = [
+        dgtsv(stepper.lower, diag[:, p], stepper.upper, rhs[:, p])[3] for p in range(rhs.shape[1])
+    ]
+    return np.column_stack(cols)
+
+
+# (second_order, first_order, c): the derivative benchmark's forward band, the
+# adjoint band with drift, and Crank-Nicolson's half weight c = dt/2
+STEP_BANDS = {
+    "forward": (0.5, 0.0, 1e-3, False),
+    "adjoint": (0.3, 0.7, 0.7e-3, True),
+    "crank-nicolson": (0.5, 0.0, 0.5 * 1e-3, False),
+}
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, TridiagonalStepper.SWEEP_MIN_PATHS, 4097])
+@pytest.mark.parametrize("bands", sorted(STEP_BANDS))
+def test_stepper_factored_and_column_solves_match_gtsv_bitwise(bands, width):
+    g = build_grid(0.0, 1.0, 60)
+    second, first, c, adjoint = STEP_BANDS[bands]
+    op = OperatorSpec(second_order=second + 0.1 * np.sin(g.interior), first_order=first)
+    stepper = TridiagonalStepper(op, g, c, adjoint)
+    rng = np.random.default_rng(width or 0)
+    shape = (g.n_cells,) if width is None else (g.n_cells, width)
+    rhs = rng.standard_normal(shape)
+    want = dgtsv(stepper.lower, stepper.diag, stepper.upper, rhs)[3]
+    np.testing.assert_array_equal(stepper.solve(rhs), want)
+    in_place = rhs.copy()
+    assert stepper.solve_in_place(in_place) is in_place
+    np.testing.assert_array_equal(in_place, want)
+    shared = c * 4096.0 * (rng.uniform(size=g.n_cells) < 0.4)
+    shared_want = dgtsv(stepper.lower, stepper.diag + shared, stepper.upper, rhs)[3]
+    np.testing.assert_array_equal(stepper.solve(rhs, shared), shared_want)
+    if width is not None:
+        per_column = c * 4096.0 * (rng.uniform(size=shape) < 0.4)
+        got = stepper.solve(rhs, per_column)
+        np.testing.assert_array_equal(got, _gtsv_columns(stepper, rhs, per_column))
+
+
+def test_stepper_pivoting_band_falls_back_to_gtsv():
+    # pure transport with c b / 2h >> 1: gtsv interchanges rows at every step
+    g = build_grid(0.0, 1.0, 40)
+    stepper = TridiagonalStepper(OperatorSpec(second_order=0.0, first_order=50.0), g, 0.1)
+    rng = np.random.default_rng(5)
+    for shape in [(g.n_cells,), (g.n_cells, 1), (g.n_cells, TridiagonalStepper.SWEEP_MIN_PATHS)]:
+        rhs = rng.standard_normal(shape)
+        want = dgtsv(stepper.lower, stepper.diag, stepper.upper, rhs)[3]
+        np.testing.assert_array_equal(stepper.solve(rhs), want)
+        np.testing.assert_array_equal(stepper.solve_in_place(rhs.copy()), want)
+    # a large penalty makes some columns dominant: those sweep, the rest pivot
+    rhs = rng.standard_normal((g.n_cells, 6))
+    penalty = np.zeros_like(rhs)
+    penalty[:, ::2] = 1e3
+    want = _gtsv_columns(stepper, rhs, penalty)
+    np.testing.assert_array_equal(stepper.solve(rhs, penalty), want)
+
+
+def test_stepper_singular_band_raises_typed_error(monkeypatch):
+    g = build_grid(0.0, 1.0, 12)
+
+    def bands(op, grid, adjoint=False):
+        zero = np.zeros(grid.n_cells)
+        return zero, np.full(grid.n_cells, 2.0), zero
+
+    monkeypatch.setattr(operators, "operator_tridiagonal", bands)
+    stepper = TridiagonalStepper(OperatorSpec(0.5, 0.0), g, 0.5)  # I - 0.5 * 2 I = 0
+    solves = [
+        lambda: stepper.solve(np.ones(g.n_cells)),
+        lambda: stepper.solve_in_place(np.ones((g.n_cells, 3))),
+        lambda: stepper.solve(np.ones(g.n_cells), np.zeros(g.n_cells)),
+        lambda: stepper.solve(np.ones((g.n_cells, 3)), np.zeros((g.n_cells, 3))),
+    ]
+    for solve in solves:
+        with pytest.raises(SingularSystemError):
+            solve()
+
+
+def test_space_mean_operator_shared_per_grid_and_theta():
+    g = build_grid(0.0, 1.0, 40)
+    f = Field.from_interior(g, np.random.default_rng(1).standard_normal(g.n_cells))
+    shared = operators._space_mean_operator(build_grid(0.0, 1.0, 40), 0.1)
+    assert shared is operators._space_mean_operator(g, 0.1)
+    assert shared is not operators._space_mean_operator(g, 0.2)
+    assert not shared.matrix.flags.writeable
+    want = SpaceMeanOperator(g, 0.1).apply(f.values)
+    np.testing.assert_array_equal(space_mean(f, 0.1).values, want)
 
 
 def test_space_mean_contraction_random_fields():
