@@ -38,6 +38,7 @@ from .control import (
     extract_policy,
     hamiltonian,
     performance_J,
+    performance_Js,
 )
 from .forward import (
     ControlPerturbation,

@@ -41,6 +41,7 @@ from .forward import (
     MEAN_NOISE,
     MULTIPLICATIVE_GAIN,
     POINTWISE_NOISE,
+    _DEFAULT_CHUNK,
     ControlPerturbation,
     ProblemSpec,
     SingularControl,
@@ -283,17 +284,30 @@ def _rewards_pass(
     return control, reduce
 
 
+def performance_Js(
+    spec: ProblemSpec,
+    controls: list[SingularControl],
+    n_paths: int,
+    seed: int,
+    chunk_size: int = _DEFAULT_CHUNK,
+) -> list[JEstimate]:
+    """:func:`performance_J` of every control on common paths, drawing their noise once."""
+    passes = [_rewards_pass(spec, xi) for xi in controls]
+    return [
+        JEstimate(*_mean_stderr(np.concatenate(chunks)), n_paths=n_paths, seed=seed)
+        for chunks in _monte_carlo(spec, passes, n_paths, seed, chunk_size)
+    ]
+
+
 def performance_J(
-    spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: int, chunk_size: int = 4096
+    spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: int, chunk_size=_DEFAULT_CHUNK
 ) -> JEstimate:
     """Monte Carlo estimate of the harvest-plus-terminal reward functional.
 
     The singular reward pairs each control increment with the pre-jump state
     at the step's left endpoint; the terminal reward prices the final state.
     """
-    (chunks,) = _monte_carlo(spec, [_rewards_pass(spec, xi)], n_paths, seed, chunk_size)
-    est, err = _mean_stderr(np.concatenate(chunks))
-    return JEstimate(estimate=est, stderr=err, n_paths=n_paths, seed=seed)
+    return performance_Js(spec, [xi], n_paths, seed, chunk_size)[0]
 
 
 # ---------------------------------------------------------------------------

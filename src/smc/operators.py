@@ -115,6 +115,8 @@ class TridiagonalStepper:
         *factors, info = dgttrf(self.lower, self.diag, self.upper)
         pivoted = np.any(factors[4] != np.arange(1, grid.n_cells + 1)) or factors[3].any()
         self._factors = None if info or pivoted else factors
+        # the sweep's scalar factors as Python floats: cheaper ufunc dispatch, same bits
+        self._sweep_factors = [f.tolist() for f in factors[:3]]
 
     def solve(self, rhs: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
         """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``.
@@ -147,7 +149,7 @@ class TridiagonalStepper:
         elif b.ndim == 1 or b.shape[1] < self.SWEEP_MIN_PATHS:
             b[...] = dgttrs(*self._factors, b, overwrite_b=1)[0]
         else:
-            _substitute(b, *self._factors[:3])
+            _substitute(b, *self._sweep_factors)
         return b
 
     def _gtsv(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,13 +161,16 @@ class TridiagonalStepper:
 
 def _substitute(b: np.ndarray, multipliers, pivots, upper) -> np.ndarray:
     """Forward and back substitution on the rows of ``b`` in place, with scalar or row factors."""
-    row = np.empty_like(b[0])
-    for i, m in enumerate(multipliers):
-        np.subtract(b[i + 1], np.multiply(m, b[i], out=row), out=b[i + 1])
-    np.divide(b[-1], pivots[-1], out=b[-1])
-    for i in range(len(upper) - 1, -1, -1):
-        np.subtract(b[i], np.multiply(upper[i], b[i + 1], out=row), out=row)
-        np.divide(row, pivots[i], out=b[i])
+    # dispatch holds the GIL that parallel chunks share: row views once, ``out`` positional
+    rows = list(b)
+    row = np.empty_like(rows[0])
+    for m, prev, cur in zip(multipliers, rows, rows[1:]):
+        np.subtract(cur, np.multiply(m, prev, row), cur)
+    np.divide(rows[-1], pivots[-1], rows[-1])
+    # rows n-2 .. 0, each with the row below it
+    for up, pivot, cur, below in zip(upper[::-1], pivots[-2::-1], rows[-2::-1], rows[:0:-1]):
+        np.subtract(cur, np.multiply(up, below, row), row)
+        np.divide(row, pivot, cur)
     return b
 
 

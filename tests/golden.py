@@ -64,8 +64,9 @@ def derivative_figures(calls) -> dict:
 
 
 def policy_figures(calls) -> dict:
-    assert len(calls) == len(POLICY_CONTROLS)
-    return {f"J[{name}]": est.estimate for name, est in zip(POLICY_CONTROLS, calls)}
+    (estimates,) = calls
+    assert len(estimates) == len(POLICY_CONTROLS)
+    return {f"J[{name}]": est.estimate for name, est in zip(POLICY_CONTROLS, estimates)}
 
 
 def positivity_figures(calls) -> dict:
@@ -80,7 +81,7 @@ CHECKS = {
         "directional_derivative_J",
         derivative_figures,
     ),
-    "criterion_09": (suites.check_policy_optimality, "performance_J", policy_figures),
+    "criterion_09": (suites.check_policy_optimality, "performance_Js", policy_figures),
     "criterion_10": (suites.check_positivity, "simulate_ensemble", positivity_figures),
 }
 

@@ -1,6 +1,12 @@
+import tracemalloc
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from smc import control as control_module
+from smc import forward, suites
 from smc.control import _rewards_pass, directional_derivative_J, performance_J
 from smc.errors import CflWarning, InadmissiblePerturbationError, NanDetectedError
 from smc.forward import (
@@ -243,15 +249,18 @@ def _ensemble_outputs(spec, control, n_paths, chunk_size):
 
 
 def _performance_outputs(spec, control, n_paths, chunk_size):
-    estimate = performance_J(spec, control, n_paths, seed=11, chunk_size=chunk_size)
+    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}  # None: the default
+    estimate = performance_J(spec, control, n_paths, seed=11, **chunking)
     return [estimate.estimate, estimate.stderr]
 
 
 def _derivative_outputs(spec, control, n_paths, chunk_size):
-    # chunk_size is not a parameter here: 4100 paths make a 4096-path chunk and a 4-path one
+    # directional_derivative_J has no chunk_size: a size other than None is given to its engine
     zeta = ControlPerturbation.from_control(control)
     p = FieldPath(spec.grid, spec.times, np.ones((spec.n_steps + 1, spec.grid.n_total)))
-    cmp = directional_derivative_J(spec, control, zeta, p, n_paths, seed=11, epsilons=(1e-2,))
+    engine = _monte_carlo if chunk_size is None else partial(_monte_carlo, chunk_size=chunk_size)
+    with mock.patch.object(control_module, "_monte_carlo", engine):
+        cmp = directional_derivative_J(spec, control, zeta, p, n_paths, seed=11, epsilons=(1e-2,))
     return [cmp.adjoint_formula, cmp.adjoint_stderr, *cmp.finite_difference[1e-2]]
 
 
@@ -265,23 +274,55 @@ def _engine_per_path_outputs(spec, control, n_paths, chunk_size):
     [
         (_ensemble_outputs, 6, (2,)),
         (_performance_outputs, 6, (2, 4096)),
-        (_derivative_outputs, 4100, (None,)),
+        # 4100 paths: three default chunks, or a 4096-path chunk and a 4-path one
+        (_performance_outputs, 4100, (None, 4096)),
+        (_derivative_outputs, 4100, (None, 4096)),
         (_engine_per_path_outputs, 6, (1, 2, 4, 4096)),
     ],
-    ids=["simulate_ensemble", "performance_J", "directional_derivative_J", "engine"],
+    ids=[
+        "simulate_ensemble",
+        "performance_J",
+        "performance_J-default-chunks",
+        "directional_derivative_J",
+        "engine",
+    ],
 )
 def test_ensemble_worker_count_does_not_change_results(monkeypatch, outputs, n_paths, chunk_sizes):
     spec = make_spec(beta=0.2, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
     control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     runs = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("SMC_WORKERS", workers)
+    for workers in ("1", "3", None):  # None: unset, one worker per allowed CPU
+        if workers is None:
+            monkeypatch.delenv("SMC_WORKERS")
+        else:
+            monkeypatch.setenv("SMC_WORKERS", workers)
         runs += [outputs(spec, control, n_paths, chunk) for chunk in chunk_sizes]
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
         outputs(spec, control, 0, chunk_sizes[0])
+
+
+def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch):
+    # mirrors the benchmark's peak-RSS bound: using every core must not cost memory.  The
+    # parallel run has three default chunks, so two are in flight and a larger default
+    # chunk (up to the whole run) would show.
+    spec = suites.harvesting_benchmark()
+    control = SingularControl.constant_rate(1.0, spec.times, spec.grid.n_cells)
+
+    def traced_peak(workers, n_paths, **chunking):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            performance_J(spec, control, n_paths, seed=3, **chunking)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    serial = traced_peak("1", 4096, chunk_size=4096)
+    parallel = traced_peak("2", 3 * forward._DEFAULT_CHUNK)
+    assert parallel <= 1.15 * serial, (parallel, serial)
 
 
 def test_ensemble_nan_reports_offending_seed():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -195,9 +196,13 @@ def test_malformed_smc_workers_is_config_error_exit_2(monkeypatch, capsys, value
 
 
 def test_smc_workers_default_and_parsed(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        allowed = len(os.sched_getaffinity(0))
+    else:
+        allowed = os.cpu_count() or 1
     monkeypatch.delenv("SMC_WORKERS", raising=False)
-    assert worker_count() == 1
-    for value, expected in [("", 1), ("3", 3), (" 2 ", 2)]:
+    assert worker_count() == allowed
+    for value, expected in [("", allowed), ("3", 3), (" 2 ", 2)]:
         monkeypatch.setenv("SMC_WORKERS", value)
         assert worker_count() == expected
 

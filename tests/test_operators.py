@@ -218,6 +218,37 @@ def test_stepper_singular_band_raises_typed_error(monkeypatch):
             solve()
 
 
+def _reference_sweep(b, multipliers, pivots, upper):
+    """The row sweep as first written: indexed rows, keyword ``out``, numpy scalar factors."""
+    row = np.empty_like(b[0])
+    for i, m in enumerate(multipliers):
+        np.subtract(b[i + 1], np.multiply(m, b[i], out=row), out=b[i + 1])
+    np.divide(b[-1], pivots[-1], out=b[-1])
+    for i in range(len(upper) - 1, -1, -1):
+        np.subtract(b[i], np.multiply(upper[i], b[i + 1], out=row), out=row)
+        np.divide(row, pivots[i], out=b[i])
+    return b
+
+
+@pytest.mark.parametrize("width", [512, 2048, 4097])
+def test_substitute_matches_reference_sweep_bitwise(width):
+    g = build_grid(0.0, 1.0, 60)
+    op = OperatorSpec(second_order=0.5 + 0.1 * np.sin(g.interior), first_order=0.3)
+    stepper = TridiagonalStepper(op, g, 1e-3)
+    rng = np.random.default_rng(width)
+    rhs = rng.standard_normal((g.n_cells, width))
+    # shared factors: the stepper's own, as stored arrays and as the sweep's floats
+    want = _reference_sweep(rhs.copy(), *stepper._factors[:3])
+    np.testing.assert_array_equal(operators._substitute(rhs.copy(), *stepper._sweep_factors), want)
+    np.testing.assert_array_equal(stepper.solve_in_place(rhs.copy()), want)
+    # per-column factors: one multiplier row and one pivot row per node
+    pivots = 2.0 + rng.uniform(size=rhs.shape)
+    multipliers = list(-0.5 * rng.uniform(size=(g.n_cells - 1, width)))
+    args = (multipliers, pivots, stepper.upper)
+    want = _reference_sweep(rhs.copy(), *args)
+    np.testing.assert_array_equal(operators._substitute(rhs.copy(), *args), want)
+
+
 def test_space_mean_operator_shared_per_grid_and_theta():
     g = build_grid(0.0, 1.0, 40)
     f = Field.from_interior(g, np.random.default_rng(1).standard_normal(g.n_cells))
