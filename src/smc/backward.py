@@ -42,7 +42,7 @@ from .errors import (
 )
 from .forward import SingularControl, map_ordered
 from .grid import Field, FieldPath, Grid
-from .operators import OperatorSpec, SpaceMeanOperator, TridiagonalStepper, operator_tridiagonal
+from .operators import OperatorSpec, TridiagonalStepper, _space_mean_operator, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
@@ -208,54 +208,52 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         return 0.5 * dt * out
 
     use_mean = spec.driver is not None
-    mean_op = SpaceMeanOperator(grid, spec.op.theta) if use_mean else None
+    mean_op = _space_mean_operator(grid, spec.op.theta) if use_mean else None
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     zeros = np.zeros(grid.n_cells)
+    depends_on_y = spec.driver is not None or spec.singular is not None
+    barrier = norm.obstacle_interior(0.0)  # an unconstrained solve keeps this stand-in
 
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = norm.terminal_values()
-    y_full = values[-1].copy()
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
-        barrier = norm.obstacle_interior(t)
-        ybar = mean_op.apply(y_full)[1:-1] if use_mean else None
-        y_prev_int = y_full[1:-1]
-        y = y_prev_int.copy()
+        if spec.obstacle is not None:
+            barrier = norm.obstacle_interior(t)
+        ybar = mean_op.apply(values[k + 1])[1:-1] if use_mean else None
+        y = y_prev_int = values[k + 1, 1:-1]
+        known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
         active = y < barrier
-        depends_on_y = spec.driver is not None or spec.singular is not None
-        converged = False
         for _ in range(spec.max_fixed_point_iters):
-            rhs = y_prev_int.copy()
-            if crank:
-                rhs += explicit_half(y_prev_int)
+            rhs = known.copy()
             forcing = norm.driver(t, x_int, y, ybar, zeros, zeros)
             if forcing is not None:
                 rhs += dt * forcing
             sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
             if sing is not None:
                 rhs += sing
-            rhs += dt * n * np.where(active, barrier, 0.0)
-            y_new = stepper.solve(rhs, dt * n * active)
+            if active.any():
+                rhs += dt * n * np.where(active, barrier, 0.0)
+                y_new = stepper.solve(rhs, dt * n * active)
+            else:  # a zero penalty: the factored matrix gives gtsv's bits
+                y_new = stepper.solve_in_place(rhs)
             if not np.all(np.isfinite(y_new)):
                 raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
             active_new = y_new < barrier
             stable = np.array_equal(active_new, active)
-            close = np.max(np.abs(y_new - y)) <= spec.fixed_point_tol * max(
+            close = not depends_on_y or np.max(np.abs(y_new - y)) <= spec.fixed_point_tol * max(
                 1.0, float(np.max(np.abs(y_new)))
             )
             y = y_new
             active = active_new
-            if stable and (close or not depends_on_y):
-                converged = True
+            if stable and close:
                 break
-        if not converged:
+        else:
             raise NoConvergenceError(
                 f"semi-smooth iteration stalled at step {k} (level {n}, "
                 f"cap {spec.max_fixed_point_iters})"
             )
-        y_full = np.zeros(grid.n_total)
-        y_full[1:-1] = y
-        values[k] = y_full
+        values[k, 1:-1] = y
 
     y_path = FieldPath(grid, times, norm.sign * values)
     z_path = FieldPath(grid, times, np.zeros_like(values))
@@ -455,7 +453,7 @@ def solve_penalized_regression(
         )
 
     stepper = TridiagonalStepper(spec.op, grid, dt, spec.use_adjoint_operator)
-    mean_op = SpaceMeanOperator(grid, spec.op.theta)
+    mean_op = _space_mean_operator(grid, spec.op.theta)
     x_int = grid.interior
     zeros = np.zeros(grid.n_cells)
 

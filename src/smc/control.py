@@ -51,7 +51,7 @@ from .forward import (
     perturbed_control,
 )
 from .grid import Field, FieldPath
-from .operators import SpaceMeanOperator, space_mean_dual_weight
+from .operators import _space_mean_operator, space_mean_dual_weight
 
 PRICE_FLOOR = "price-floor"  # admissible region p >= h10/lambda0, general condition
 PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example condition
@@ -251,12 +251,15 @@ def _rewards_pass(
     Given adjoint values ``p`` and direction increments ``dzeta``, the same
     pass also sums the adjoint-formula derivative sum_k h (gain * p + h1)
     dzeta_k per path, returned as the second row after the rewards.
+
+    The harvest reward h1 * dxi_k sums over the control's span of step k only:
+    states are checked finite, so other rows would add +-0 to the node sum.
     """
     h = spec.grid.h
     times = spec.times
-    increments = control.increments
+    increments, spans = control.increments, control.spans
     g0 = spec._g0_values()[1:-1][:, None]
-    mean_op = SpaceMeanOperator(spec.grid, spec.op.theta) if spec.h0 is not None else None
+    mean_op = _space_mean_operator(spec.grid, spec.op.theta) if spec.h0 is not None else None
 
     def reduce(_first: int, states) -> np.ndarray:
         total = derivative = 0.0
@@ -267,8 +270,12 @@ def _rewards_pass(
             u_int = u[1:-1]
             if k == 0:  # this call's buffers: chunks may reduce on parallel workers
                 h1, term = np.empty_like(u_int), np.empty_like(u_int)
-            spec.h1_values(t, u_int, out=h1)
-            total += h * _node_sum(np.multiply(h1, increments[k][:, None], out=term))
+            span = spans[k]
+            rows = slice(None) if p is not None else span  # the derivative needs every row
+            spec.h1_values(t, u_int[rows], out=h1[rows], rows=rows)
+            if span.start < span.stop:
+                dxi = increments[k][span, None]
+                total += h * _node_sum(np.multiply(h1[span], dxi, out=term[span]))
             if mean_op is not None:
                 x = spec.grid.interior[:, None]
                 ubar = mean_op.apply(u)

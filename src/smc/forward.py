@@ -21,7 +21,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -36,10 +36,10 @@ from .errors import (
 from .grid import DIRICHLET_DATA, Field, FieldPath, Grid
 from .operators import (
     OperatorSpec,
-    SpaceMeanOperator,
     TridiagonalStepper,
-    apply_a_values,
+    _space_mean_operator,
     boundary_coupling,
+    interior_generator,
 )
 
 MEAN_DRIFT = "mean-drift"
@@ -190,16 +190,16 @@ class ProblemSpec:
     def _g0_values(self) -> np.ndarray:
         return _as_x_function(self.g0)(self.grid.nodes)
 
-    def _cost_values(self, t: float) -> np.ndarray:
-        return _as_tx_function(self.cost)(t, self.grid.nodes)
+    def _coefficient(self, value, t: float, rows: slice, u: np.ndarray):
+        """A price of (t, x) at interior ``rows``: a float if constant, else shaped to meet u."""
+        if not callable(value):
+            return float(value)
+        values = _as_tx_function(value)(t, self.grid.nodes)[1:-1][rows]
+        return values[:, None] if u.ndim == 2 else values
 
-    def h1_values(self, t: float, u_interior: np.ndarray, out=None) -> np.ndarray:
-        """Singular reward density h1 at interior nodes, broadcast over paths."""
-        price = self._h10_values(t)[1:-1]
-        cost = self._cost_values(t)[1:-1]
-        if u_interior.ndim == 2:
-            price = price[:, None]
-            cost = cost[:, None]
+    def h1_values(self, t: float, u_interior: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+        """Singular reward density h1 at the interior nodes ``rows``, broadcast over paths."""
+        price, cost = (self._coefficient(c, t, rows, u_interior) for c in (self.h10, self.cost))
         if self.revenue_mode == PROPORTIONAL_REVENUE:
             return np.subtract(np.multiply(price, u_interior, out=out), cost, out=out)
         return np.add(price - cost, np.multiply(0.0, u_interior, out=out), out=out)
@@ -254,6 +254,15 @@ class SingularControl:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.cumulative, axis=0)
+
+    @cached_property
+    def spans(self) -> list[slice]:
+        """Per step, the interior rows [lo, hi) from its first to its last nonzero increment."""
+        charged = self.cumulative[1:] != self.cumulative[:-1]  # finite: a - b == 0 iff a == b
+        lo = np.argmax(charged, axis=1)
+        hi = charged.shape[1] - np.argmax(charged[:, ::-1], axis=1)
+        rows = zip(lo.tolist(), hi.tolist(), charged.any(axis=1).tolist())
+        return [slice(a, b) if any_ else slice(0, 0) for a, b, any_ in rows]
 
     @classmethod
     def zeros(cls, n_times: int, n_interior: int) -> "SingularControl":
@@ -364,7 +373,9 @@ class _Kernel:
         grid = spec.grid
         self.dt = spec.dt
         self.times = spec.times
-        self.mean_op = SpaceMeanOperator(grid, spec.op.theta) if spec.uses_space_mean() else None
+        self.mean_op = _space_mean_operator(grid, spec.op.theta) if spec.uses_space_mean() else None
+        a, b = (c if n_paths is None else c[:, None] for c in spec.op.resolve(grid))
+        self.generator = (a, b, grid.h**2, 2.0 * grid.h)
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
         if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
@@ -382,7 +393,8 @@ class _Kernel:
     def _forcing(self, x: np.ndarray, db, *jumps) -> np.ndarray:
         """dt * drift(x) + vol(x) * db + factor * increment per jump, in the forcing buffer.
 
-        A jump is (factor, increment), where ``factor(out)`` writes into ``out``.
+        A jump is (factor, increment, rows): it adds into the interior ``rows`` only, where
+        ``factor(out)`` writes its values.
         """
         spec, forcing, scratch = self.spec, self.forcing, self.scratch
         xbar = self.mean_op.apply(x) if self.mean_op is not None else None
@@ -395,8 +407,9 @@ class _Kernel:
                 np.multiply(coef, src[1:-1], out=out)
         np.multiply(self.dt, forcing, out=forcing)
         np.add(forcing, np.multiply(scratch, db, out=scratch), out=forcing)
-        for factor, increment in jumps:
-            np.add(forcing, np.multiply(factor(scratch), increment, out=scratch), out=forcing)
+        for factor, increment, rows in jumps:
+            out, target = scratch[rows], forcing[rows]
+            np.add(target, np.multiply(factor(out), increment[rows], out=out), out=target)
         return forcing
 
     def _advance(self, x: np.ndarray, forcing: np.ndarray, boundary=None) -> np.ndarray:
@@ -408,12 +421,12 @@ class _Kernel:
         out = np.empty_like(x)
         new = out[1:-1]
         if spec.stepping == EXPLICIT:
-            generator = apply_a_values(x, spec.op, spec.grid)[1:-1]
+            generator = interior_generator(x, *self.generator)
             np.add(np.add(x[1:-1], self.dt * generator, out=new), forcing, out=new)
         else:
             np.add(x[1:-1], forcing, out=new)
             if spec.stepping == CRANK_NICOLSON:
-                half_step = 0.5 * self.dt * apply_a_values(x, spec.op, spec.grid)[1:-1]
+                half_step = 0.5 * self.dt * interior_generator(x, *self.generator)
                 np.add(new, half_step, out=new)
             if boundary is not None:
                 c = self.implicit_weight * self.dt
@@ -423,9 +436,10 @@ class _Kernel:
         out[0], out[-1] = boundary or (0.0, 0.0)
         return out
 
-    def step(self, k: int, u: np.ndarray, db, dxi: np.ndarray) -> np.ndarray:
-        """One Euler-Maruyama step from t_k; ``db`` is scalar or (n_paths,)."""
-        forcing = self._forcing(u, db, (partial(self.spec.gain_values, u[1:-1]), dxi))
+    def step(self, k: int, u: np.ndarray, db, dxi: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Euler-Maruyama step from t_k; ``db`` is scalar or (n_paths,), ``dxi`` 0 off ``rows``."""
+        gain = partial(self.spec.gain_values, u[1:-1][rows])
+        forcing = self._forcing(u, db, (gain, dxi, rows))
         return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]))
 
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
@@ -433,7 +447,8 @@ class _Kernel:
         spec = self.spec
         dgain = -spec.lambda0 if spec.control_gain_mode == MULTIPLICATIVE_GAIN else 0.0
         gain, jump = partial(spec.gain_values, u[1:-1]), partial(np.multiply, dgain, z[1:-1])
-        return self._advance(z, self._forcing(z, db, (gain, dzeta), (jump, dxi)))
+        every = slice(None)  # z is not checked for finite values, so 0 * z may not vanish
+        return self._advance(z, self._forcing(z, db, (gain, dzeta, every), (jump, dxi, every)))
 
 
 def _initial_state(spec: ProblemSpec, n_paths: int | None) -> np.ndarray:
@@ -475,11 +490,11 @@ def iterate_states(
     n_paths = dw.shape[1] if dw.ndim == 2 else None
     kernel = _Kernel(spec, n_paths)
     u = _initial_state(spec, n_paths)
-    increments = control.increments
+    increments, spans = control.increments, control.spans
     yield 0, u
     for k in range(spec.n_steps):
         dxi = increments[k][:, None] if u.ndim == 2 else increments[k]
-        u = kernel.step(k, u, dw[k], dxi)
+        u = kernel.step(k, u, dw[k], dxi, spans[k])
         _check_finite(u, k + 1, seed)
         yield k + 1, u
 
@@ -526,6 +541,8 @@ def _monte_carlo(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     root = np.sqrt(spec.dt)
 
     def run(first: int) -> list:

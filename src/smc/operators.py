@@ -199,16 +199,22 @@ def apply_a_values(values: np.ndarray, op: OperatorSpec, grid: Grid) -> np.ndarr
     ``values`` may be shape (n_total,) or (n_total, n_paths).
     """
     a, b = op.resolve(grid)
-    h = grid.h
     if values.ndim == 2:
         a = a[:, None]
         b = b[:, None]
     out = np.zeros_like(values)
-    out[1:-1] = (
-        a * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
-        + b * (values[2:] - values[:-2]) / (2.0 * h)
-    )
+    out[1:-1] = interior_generator(values, a, b, grid.h**2, 2.0 * grid.h)
     return out
+
+
+def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float) -> np.ndarray:
+    """Interior rows of A applied to nodal values, from resolved coefficients, h**2 and 2h.
+
+    For a (n_total, n_paths) bundle, ``a`` and ``b`` are (n_cells, 1) columns.
+    """
+    return a * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h2 + b * (
+        values[2:] - values[:-2]
+    ) / two_h
 
 
 def apply_a(field: Field, op: OperatorSpec) -> Field:

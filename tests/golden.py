@@ -1,16 +1,18 @@
-"""Golden figures of the Monte Carlo acceptance checks.
+"""Golden figures of the acceptance checks.
 
-Criteria 08-10 report one derived value each, but they compute more: the
-adjoint-formula derivative and its three finite differences, six J
-estimates, and the minimum state with its location.  The acceptance tests
-record those figures from the library calls each check makes and compare
-them, with the check's value, to ``golden_values.json`` at a relative
-1e-12.  Criterion 08's value divides a last-bit shift of its estimates by
-their 9e-5 gap, so a change that reorders the forward arithmetic fails
-there even when every estimate stays within 1e-12.
+Every check's value is pinned.  Criteria 08-10 report one derived value
+each, but they compute more: the adjoint-formula derivative and its three
+finite differences, six J estimates, and the minimum state with its
+location.  The acceptance tests record those figures from the library calls
+each check makes and compare them, with the check's value, to
+``golden_values.json`` at a relative 1e-12.  Criterion 08's value divides a
+last-bit shift of its estimates by their 9e-5 gap, so a change that
+reorders the forward arithmetic fails there even when every estimate stays
+within 1e-12.
 
 Regenerate the file only for a change that is meant to move the numbers,
-and say so in CHANGES.md::
+and say so in CHANGES.md; the script prints the old and new value of every
+figure that moved::
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -39,10 +41,13 @@ POLICY_CONTROLS = (
 
 
 @contextlib.contextmanager
-def recording(name: str):
+def recording(name: str | None):
     """Collect the return value of every ``suites.<name>`` call made inside the block."""
-    original = getattr(suites, name)
     calls = []
+    if name is None:
+        yield calls
+        return
+    original = getattr(suites, name)
 
     def wrapper(*args, **kwargs):
         calls.append(original(*args, **kwargs))
@@ -74,8 +79,16 @@ def positivity_figures(calls) -> dict:
     return {"min_value": summary.min_value, "min_location": list(summary.min_location)}
 
 
-# criterion key -> (check, the suites call it records, the figures taken from its results)
+# criterion key -> (check, the suites call it records, the figures taken from its results);
+# a check without a recorded call pins its value only
 CHECKS = {
+    "criterion_01": (suites.check_penalization_rate, None, None),
+    "criterion_02": (suites.check_skorokhod, None, None),
+    "criterion_03": (suites.check_contraction, None, None),
+    "criterion_04": (suites.check_dualities, None, None),
+    "criterion_05": (suites.check_analytic_oracle, None, None),
+    "criterion_06": (suites.check_psor_equivalence, None, None),
+    "criterion_07": (suites.check_derivative_process, None, None),
     "criterion_08": (
         suites.check_directional_derivative,
         "directional_derivative_J",
@@ -83,12 +96,14 @@ CHECKS = {
     ),
     "criterion_09": (suites.check_policy_optimality, "performance_Js", policy_figures),
     "criterion_10": (suites.check_positivity, "simulate_ensemble", positivity_figures),
+    "criterion_11": (suites.check_coercivity, None, None),
 }
 
 
 def figures(key: str, result, calls) -> dict:
     """The check's value and the figures taken from its recorded calls."""
-    return {"value": result.value, **CHECKS[key][2](calls)}
+    extra = CHECKS[key][2]
+    return {"value": result.value, **(extra(calls) if extra else {})}
 
 
 def ulps(a: float, b: float) -> int:
@@ -116,14 +131,20 @@ def mismatches(key: str, observed: dict) -> list[str]:
 
 
 def regenerate() -> dict:
+    """Rerun every check, rewrite the file, and print each figure that moved."""
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     values = {}
     for key, (check, call, _) in CHECKS.items():
         with recording(call) as calls:
             result = check()
         values[key] = figures(key, result, calls)
+        for name, new in values[key].items():
+            before = old.get(key, {}).get(name)
+            if before != new:
+                print(f"{key}.{name}: {json.dumps(before)} -> {json.dumps(new)}")
     GOLDEN_PATH.write_text(json.dumps(values, indent=2) + "\n")
     return values
 
 
 if __name__ == "__main__":
-    print(json.dumps(regenerate(), indent=2))
+    regenerate()

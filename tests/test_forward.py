@@ -7,7 +7,7 @@ import pytest
 
 from smc import control as control_module
 from smc import forward, suites
-from smc.control import _rewards_pass, directional_derivative_J, performance_J
+from smc.control import _rewards_pass, directional_derivative_J, performance_J, performance_Js
 from smc.errors import CflWarning, InadmissiblePerturbationError, NanDetectedError
 from smc.forward import (
     ControlPerturbation,
@@ -302,6 +302,85 @@ def test_ensemble_worker_count_does_not_change_results(monkeypatch, outputs, n_p
             np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
         outputs(spec, control, 0, chunk_sizes[0])
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, xi, chunk: performance_J(spec, xi, 4, 11, chunk_size=chunk),
+        lambda spec, xi, chunk: performance_Js(spec, [xi, xi], 4, 11, chunk_size=chunk),
+        lambda spec, xi, chunk: simulate_ensemble(spec, xi, 4, 11, chunk_size=chunk),
+    ],
+    ids=["performance_J", "performance_Js", "simulate_ensemble"],
+)
+def test_nonpositive_chunk_size_is_rejected(run, chunk_size):
+    spec = make_spec()
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        run(spec, zero_control(spec), chunk_size)
+
+
+def _reference_states(spec, control, dw):
+    """iterate_states with the jump added on every interior row."""
+    n_paths = dw.shape[1] if dw.ndim == 2 else None
+    kernel, u = forward._Kernel(spec, n_paths), forward._initial_state(spec, n_paths)
+    yield 0, u
+    for k, inc in enumerate(control.increments):
+        u = kernel.step(k, u, dw[k], inc[:, None] if u.ndim == 2 else inc, slice(None))
+        yield k + 1, u
+
+
+def _reference_rewards(spec, control, states):
+    """Per-path J with h1 from full price and cost columns and its reward on every row."""
+    h, nodes, total = spec.grid.h, spec.grid.nodes, 0.0
+    for k, u in states:
+        if k == spec.n_steps:
+            break
+        t, u_int = spec.times[k], u[1:-1]
+        price, cost = (forward._as_tx_function(f)(t, nodes) for f in (spec.h10, spec.cost))
+        h1 = price[1:-1, None] * u_int - cost[1:-1, None]
+        total += h * control_module._node_sum(h1 * control.increments[k][:, None])
+    return total + h * control_module._node_sum(spec._g0_values()[1:-1][:, None] * u[1:-1])
+
+
+def _span_controls(spec):
+    n, steps = spec.grid.n_cells, spec.n_steps
+    cluster, first, last = (np.zeros((steps, n)) for _ in range(3))
+    cluster[::3, [20, 22, 23, 27]] = [0.05, 0.02, 0.0, 0.04]  # a zero inside the span
+    first[1::2, 0] = 0.03
+    last[::2, -1] = 0.03
+    return {
+        "cluster": (SingularControl.from_increments(cluster), slice(20, 28)),
+        "row-0": (SingularControl.from_increments(first), slice(0, 1)),
+        "row-last": (SingularControl.from_increments(last), slice(n - 1, n)),
+        "zero": (SingularControl.zeros(steps + 1, n), slice(0, 0)),
+        "dense": (SingularControl.constant_rate(0.5, spec.times, n), slice(0, n)),
+    }
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 512])
+@pytest.mark.parametrize("name", ["cluster", "row-0", "row-last", "zero", "dense"])
+@pytest.mark.parametrize("problem", ["harvest", "constant-price"])
+def test_charged_span_matches_every_row_bitwise(problem, name, width):
+    # harvest: a price of (t, x) and a zero cost; constant-price: float price and cost
+    spec = suites.harvesting_benchmark()
+    changes = {"horizon": spec.horizon / 4, "n_steps": spec.n_steps // 4}
+    if problem == "constant-price":
+        changes.update(h10=1.5, cost=0.25, stepping="crank-nicolson")
+    spec = ProblemSpec(**{**vars(spec), **changes})
+    control, span = _span_controls(spec)[name]
+    charged = control.increments.any(axis=1)
+    assert all(s == (span if c else slice(0, 0)) for s, c in zip(control.spans, charged))
+    rng = np.random.default_rng(5)
+    shape = (spec.n_steps,) if width is None else (spec.n_steps, width)
+    dw = rng.standard_normal(shape) * np.sqrt(spec.dt)
+    states = [u for _, u in iterate_states(spec, control, dw)]
+    want = [u for _, u in _reference_states(spec, control, dw)]
+    np.testing.assert_array_equal(states, want)
+    if width is not None:
+        _, reduce = _rewards_pass(spec, control)
+        rewards = reduce(0, enumerate(states))
+        np.testing.assert_array_equal(rewards, _reference_rewards(spec, control, enumerate(want)))
 
 
 def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch):
