@@ -4,6 +4,9 @@
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
+    def __reduce__(self):  # through __new__, not __init__: keeps step, seed and field
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class InvalidBoundsError(ToolkitError):
     """Domain endpoints are not ordered (x_max <= x_min)."""

@@ -18,8 +18,8 @@ and the vectorized ensemble kernel reproduces single-path runs bit for bit.
 from __future__ import annotations
 
 import os
+import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
@@ -71,13 +71,38 @@ def worker_count() -> int:
     return int(raw)
 
 
+_task: Callable | None = None  # in a forked pool worker, what ``_apply`` applies to an item
+
+
+def _install(fn: Callable) -> None:
+    globals()["_task"] = fn
+
+
+def _apply(item) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = (_task(item), None, None)
+        except Exception as exc:  # sent back, with its traceback, for the caller to raise
+            outcome = (None, exc, traceback.format_exc())
+    return (*outcome, [w.message for w in caught])
+
+
 def map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply ``fn`` to items on up to ``worker_count()`` threads, collecting in input order."""
+    """Apply ``fn`` to items on up to ``worker_count()`` forked processes, in input order."""
     workers = min(worker_count(), len(items))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: not for serial
+    from multiprocessing import get_context
+    # forked per call: workers inherit fn as it is now, lambdas and all, which spawn cannot pickle
+    with ProcessPoolExecutor(workers, get_context("fork"), _install, (fn,)) as pool:
+        outcomes = list(pool.map(_apply, items))
+    for _, error, trace, caught in outcomes:
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        if error is not None:
+            raise error from RuntimeError(f"in a worker process:\n{trace}")
+    return [result for result, *_ in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +268,19 @@ class SingularControl:
             raise ValueError("control must be finite")
         if np.any(cum[0] != 0.0):
             raise ValueError("control must start at zero")
-        if np.any(np.diff(cum, axis=0) < 0.0):
-            raise ValueError("control must be nondecreasing in time")
         object.__setattr__(self, "cumulative", cum)
+        if np.any(self.increments < 0.0):
+            raise ValueError("control must be nondecreasing in time")
 
     @property
     def n_times(self) -> int:
         return self.cumulative.shape[0]
 
-    @property
+    @cached_property
     def increments(self) -> np.ndarray:
-        return np.diff(self.cumulative, axis=0)
+        increments = np.diff(self.cumulative, axis=0)
+        increments.flags.writeable = False
+        return increments
 
     @cached_property
     def spans(self) -> list[slice]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from smc import backward
+from smc import backward, suites
 from smc.backward import (
     BackwardSpec,
     penalization_rate,
@@ -112,6 +112,29 @@ def test_zero_terminal_above_obstacle_stays_zero():
     )
     y, _ = solve_penalized(spec, 64)
     assert np.max(np.abs(y.values)) == 0.0
+
+
+def test_reflected_levels_same_bytes_on_two_workers(monkeypatch):
+    spec = suites.active_obstacle_spec()
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        runs.append(solve_reflected(spec, [1024, 4096, 16384]))
+    serial, parallel = runs
+    assert parallel.y.values.tobytes() == serial.y.values.tobytes()
+    assert parallel.eta.values.tobytes() == serial.eta.values.tobytes()
+    assert parallel.diagnostics == serial.diagnostics
+
+
+def test_stalled_level_error_crosses_from_workers_unchanged(monkeypatch):
+    spec = dataclasses.replace(suites.active_obstacle_spec(30, 40), max_fixed_point_iters=1)
+    messages = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with pytest.raises(NoConvergenceError) as err:
+            solve_reflected(spec, [16, 64])
+        messages.append(str(err.value))
+    assert messages[1] == messages[0]
 
 
 def test_terminal_stored_exactly():

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -383,12 +384,29 @@ def test_charged_span_matches_every_row_bitwise(problem, name, width):
         np.testing.assert_array_equal(rewards, _reference_rewards(spec, control, enumerate(want)))
 
 
-def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch):
+def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch, tmp_path):
     # mirrors the benchmark's peak-RSS bound: using every core must not cost memory.  The
     # parallel run has three default chunks, so two are in flight and a larger default
-    # chunk (up to the whole run) would show.
+    # chunk (up to the whole run) would show.  Chunks run in forked workers, which inherit
+    # this wrapper: each one traces its own peak into tmp_path, and the bound covers the
+    # caller plus every worker.
     spec = suites.harvesting_benchmark()
     control = SingularControl.constant_rate(1.0, spec.times, spec.grid.n_cells)
+    install = forward._install
+
+    def install_traced(fn):
+        tracemalloc.stop()  # in the worker: forget what the caller traced before the fork
+        tracemalloc.start()
+
+        def traced(item):
+            try:
+                return fn(item)
+            finally:
+                (tmp_path / str(os.getpid())).write_text(str(tracemalloc.get_traced_memory()[1]))
+
+        install(traced)
+
+    monkeypatch.setattr(forward, "_install", install_traced)
 
     def traced_peak(workers, n_paths, **chunking):
         monkeypatch.setenv("SMC_WORKERS", workers)
@@ -400,13 +418,15 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
             tracemalloc.stop()
 
     serial = traced_peak("1", 4096, chunk_size=4096)
-    parallel = traced_peak("2", 3 * forward._DEFAULT_CHUNK)
-    assert parallel <= 1.15 * serial, (parallel, serial)
+    caller = traced_peak("2", 3 * forward._DEFAULT_CHUNK)
+    workers = [int(path.read_text()) for path in tmp_path.iterdir()]
+    assert len(workers) == 2
+    assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
 
 
-def test_ensemble_nan_reports_offending_seed():
+def _exploding_spec():
     grid = build_grid(0.0, 1.0, 40)
-    spec = make_spec(
+    return make_spec(
         grid=grid,
         op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
         horizon=10.0,
@@ -415,10 +435,44 @@ def test_ensemble_nan_reports_offending_seed():
         initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
         boundary=(1.0, 1.0),
     )
+
+
+def test_ensemble_nan_reports_offending_seed():
+    spec = _exploding_spec()
     with pytest.warns(CflWarning):
         with pytest.raises(NanDetectedError) as err:
             simulate_ensemble(spec, zero_control(spec), n_paths=3, seed=100)
     assert err.value.seed in (100, 101, 102)
+
+
+def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
+    # every one-path chunk fails; as in a serial run, the first chunk in seed order wins
+    spec = _exploding_spec()
+    errors = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with pytest.warns(CflWarning), pytest.raises(NanDetectedError) as err:
+            simulate_ensemble(spec, zero_control(spec), n_paths=3, seed=100, chunk_size=1)
+        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
+    assert errors[1] == errors[0]
+    assert errors[0][3] == 100
+
+
+def test_worker_cfl_warning_reaches_the_caller(monkeypatch):
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    grid = build_grid(0.0, 1.0, 200)
+    spec = make_spec(
+        grid=grid,
+        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
+        horizon=0.1 * 10 / 4000,
+        n_steps=10,
+        stepping="explicit",
+        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
+        boundary=(0.0, 0.0),
+    )
+    with pytest.warns(CflWarning):
+        summary = simulate_ensemble(spec, zero_control(spec), n_paths=2, seed=0, chunk_size=1)
+    assert np.isfinite(summary.min_value)
 
 
 def test_monotone_harvest_damage():

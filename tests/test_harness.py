@@ -1,12 +1,14 @@
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from smc.cli import main
 from smc.config import load_config, parse_config
-from smc.errors import ConfigError, ParseError, ValidationError
+from smc import errors
+from smc.errors import ConfigError, NanDetectedError, ParseError, ValidationError
 from smc.forward import worker_count
 from smc.grid import FieldPath, build_grid
 from smc.report import CheckResult, RunReport, persist, write_field_path_csv
@@ -193,6 +195,25 @@ def test_malformed_smc_workers_is_config_error_exit_2(monkeypatch, capsys, value
     assert main(["verify", "operators"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: SMC_WORKERS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ToolkitError)],
+    ids=lambda c: c.__name__,
+)
+def test_toolkit_errors_survive_pickling(cls):
+    # errors raised in worker processes reach the caller pickled
+    if cls is NanDetectedError:
+        args = ("non-finite state", 12, 104)
+    elif issubclass(cls, ConfigError):
+        args = ("must be positive", "mc.n_paths")
+    else:
+        args = ("failed",)
+    error = cls(*args)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
 
 
 def test_smc_workers_default_and_parsed(monkeypatch):
