@@ -440,7 +440,7 @@ class _Kernel:
         return forcing
 
     def _advance(self, x: np.ndarray, forcing: np.ndarray, boundary=None) -> np.ndarray:
-        """Fresh state one step after ``x`` under ``forcing`` (zero boundary values if None).
+        """Fresh state one step after ``x`` under ``forcing``, an array or 0.0 (boundary 0 if None).
 
         An implicit step builds its right-hand side in the new interior and solves it in place.
         """
@@ -465,8 +465,11 @@ class _Kernel:
 
     def step(self, k: int, u: np.ndarray, db, dxi: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Euler-Maruyama step from t_k; ``db`` is scalar or (n_paths,), ``dxi`` 0 off ``rows``."""
-        gain = partial(self.spec.gain_values, u[1:-1][rows])
-        forcing = self._forcing(u, db, (gain, dxi, rows))
+        if self.spec.alpha == 0.0 and self.spec.beta == 0.0 and rows == slice(0, 0):
+            forcing = 0.0  # identically +0.0: adding it still turns a -0.0 state into +0.0
+        else:
+            gain = partial(self.spec.gain_values, u[1:-1][rows])
+            forcing = self._forcing(u, db, (gain, dxi, rows))
         return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]))
 
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
@@ -558,13 +561,16 @@ def _monte_carlo(
     seed: int,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> list[tuple]:
-    """Run every (control, reduce) pass over shared noise, one path chunk at a time.
+    """Run every (control, reduce) pass over shared noise, one path bundle at a time.
 
-    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  A
-    chunk of at most ``chunk_size`` paths draws its noise once, and each pass
-    reduces ``iterate_states`` over that bundle to ``reduce(first_seed, states)``.
-    Chunks may run on parallel workers; the result holds, per pass, its chunk
-    reductions in seed order.
+    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  Paths are cut
+    into chunks of at most ``chunk_size``.  A bundle draws its noise once, and each pass
+    reduces ``iterate_states`` over it to ``reduce(first_seed, states)``; bundles may run on
+    parallel workers.  A chunk is one bundle, but when the chunks do not share evenly among
+    the workers, each of the last ``len(chunks) % workers`` chunks of more than 128 paths
+    runs as two, cut where numpy's pairwise sum halves a row of that length: a reduction
+    that sums over paths rebuilds the chunk's sum bit for bit by adding the two.  The result
+    holds, per pass, its bundle reductions in seed order.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -572,18 +578,37 @@ def _monte_carlo(
         raise ValueError("chunk_size must be >= 1")
     root = np.sqrt(spec.dt)
 
-    def run(first: int) -> list:
-        count = min(chunk_size, seed + n_paths - first)
+    def run(bundle: tuple[int, int]) -> list:
+        first, count = bundle
         dw = np.empty((spec.n_steps, count))
         for p in range(count):
             dw[:, p] = np.random.default_rng(first + p).standard_normal(spec.n_steps) * root
         return [reduce(first, iterate_states(spec, xi, dw, first)) for xi, reduce in passes]
 
-    return list(zip(*map_ordered(run, range(seed, seed + n_paths, chunk_size))))
+    firsts = range(seed, seed + n_paths, chunk_size)
+    chunks = [(first, min(chunk_size, seed + n_paths - first)) for first in firsts]
+    workers = worker_count() if hasattr(os, "fork") else 1
+    bundles = chunks[: len(chunks) - len(chunks) % workers]
+    for first, n in chunks[len(bundles) :]:
+        half = n // 2 - n // 2 % 8  # where numpy's pairwise sum halves a row of more than 128
+        bundles += [(first, half), (first + half, n - half)] if n > 128 else [(first, n)]
+    if len(bundles) == len(chunks):
+        return list(zip(*map_ordered(run, chunks)))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = map_ordered(run, bundles)
+    except NanDetectedError:  # a half can blow up before its chunk does: fail as serial runs do
+        caught = []  # the serial rerun warns for itself
+        results = [run(chunk) for chunk in chunks]
+    finally:
+        for warning in caught:
+            warnings.warn(warning.message, stacklevel=2)
+    return list(zip(*results))
 
 
 def _summarize_chunk(spec: ProblemSpec, first: int, states: Iterator) -> tuple:
-    """Sum of the chunk's states per time, its terminal states, and (minimum, location)."""
+    """First seed, sum of the states per time, terminal states, and (minimum, location)."""
     state_sum = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     min_value = np.inf
     min_location = (first, 0, 1)
@@ -595,7 +620,7 @@ def _summarize_chunk(spec: ProblemSpec, first: int, states: Iterator) -> tuple:
             node, path = np.unravel_index(int(np.argmin(interior)), interior.shape)
             min_value = m
             min_location = (first + int(path), k, int(node) + 1)
-    return state_sum, u.T.copy(), (min_value, min_location)
+    return first, state_sum, u.T.copy(), (min_value, min_location)
 
 
 def simulate_ensemble(
@@ -614,15 +639,22 @@ def simulate_ensemble(
     deterministic for a fixed chunk size.
     """
     passes = [(control, partial(_summarize_chunk, spec))]
-    (chunks,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
-    sums, terminals, minima = zip(*chunks)
+    (bundles,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
+    chunks: dict[int, list] = {}  # a chunk split over two workers returns two bundles
+    for bundle in bundles:
+        chunks.setdefault((bundle[0] - seed) // chunk_size, []).append(bundle)
+    sums, minima = [], []
+    for _, halves, _, mins in (zip(*parts) for parts in chunks.values()):
+        sums.append(sum(halves[1:], halves[0]))
+        # the chunk's own choice: its first step at the minimum, then the node-major argmin
+        minima.append(min(mins, key=lambda m: (m[0], m[1][1], m[1][2], m[1][0])))
     state_sum = sums[0].copy()
     for part in sums[1:]:
         state_sum += part
     min_value, min_location = min(minima, key=lambda m: m[0])
     return EnsembleSummary(
         mean_path=FieldPath(spec.grid, spec.times, state_sum / n_paths),
-        terminal_values=np.vstack(terminals),
+        terminal_values=np.vstack([terminal for *_, terminal, _ in bundles]),
         positivity=bool(min_value > 0.0),
         min_value=min_value,
         min_location=min_location,

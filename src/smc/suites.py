@@ -485,16 +485,3 @@ SUITES["all"] = [
     check_positivity,
     check_coercivity,
 ]
-
-
-def run_suite(name: str, echo: Callable[[str], None] | None = print) -> list[CheckResult]:
-    """Execute a named suite, echoing one line per check."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results = []
-    for fn in SUITES[name]:
-        result = fn()
-        results.append(result)
-        if echo is not None:
-            echo(result.line())
-    return results

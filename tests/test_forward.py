@@ -1,10 +1,13 @@
 import os
 import tracemalloc
+import warnings
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smc import control as control_module
 from smc import forward, suites
@@ -424,7 +427,7 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
     assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
 
 
-def _exploding_spec():
+def _exploding_spec(**kw):
     grid = build_grid(0.0, 1.0, 40)
     return make_spec(
         grid=grid,
@@ -434,6 +437,7 @@ def _exploding_spec():
         stepping="explicit",
         initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
         boundary=(1.0, 1.0),
+        **kw,
     )
 
 
@@ -458,6 +462,29 @@ def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
     assert errors[0][3] == 100
 
 
+@pytest.mark.parametrize(
+    "beta, n_paths, seed, offender",
+    [
+        (0.0, 900, 100, 100),  # three chunks: the last splits at two workers
+        # one chunk, split at two and three workers: seed 1150 blows up first, at a lower
+        # node than seed 1010, the first to blow up in the chunk's first half
+        (0.5, 300, 1000, 1150),
+    ],
+)
+def test_split_chunk_nan_error_is_the_serial_one(monkeypatch, beta, n_paths, seed, offender):
+    spec = _exploding_spec(beta=beta)
+    errors = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
+            warnings.simplefilter("always")
+            simulate_ensemble(spec, zero_control(spec), n_paths, seed, chunk_size=300)
+        cfl = sum(issubclass(w.category, CflWarning) for w in caught)
+        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed, cfl))
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+    assert errors[0][3] == offender and errors[0][4] >= 1
+
+
 def test_worker_cfl_warning_reaches_the_caller(monkeypatch):
     monkeypatch.setenv("SMC_WORKERS", "2")
     grid = build_grid(0.0, 1.0, 200)
@@ -473,6 +500,182 @@ def test_worker_cfl_warning_reaches_the_caller(monkeypatch):
     with pytest.warns(CflWarning):
         summary = simulate_ensemble(spec, zero_control(spec), n_paths=2, seed=0, chunk_size=1)
     assert np.isfinite(summary.min_value)
+
+
+def test_split_run_error_keeps_the_warnings_before_it(monkeypatch):
+    # a pass that fails after its kernel warned: a split run warns as a serial run does
+    spec = _exploding_spec()
+
+    def reduce(first, states):
+        next(states)  # the bundle's kernel is built, and warns, on the first state
+        raise ArithmeticError(f"bundle from seed {first}")
+
+    outcomes = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ArithmeticError) as err:
+            warnings.simplefilter("always")
+            _monte_carlo(spec, [(zero_control(spec), reduce)], 300, 0, 300)
+        outcomes.append((str(err.value), [type(w.message) for w in caught]))
+    assert outcomes[1] == outcomes[0] == ("bundle from seed 0", [CflWarning])
+
+
+def _record_bundles(monkeypatch) -> list:
+    """Let map_ordered run as before, recording the (first seed, paths) bundles it is given."""
+    seen, map_ordered = [], forward.map_ordered
+
+    def recording(fn, items):
+        seen.append(list(items))
+        return map_ordered(fn, items)
+
+    monkeypatch.setattr(forward, "map_ordered", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [129, 136, 300, 904, 1808, 2048, 4096, 16384])
+def test_numpy_sums_a_row_as_its_two_pairwise_halves(n):
+    # a chunk split over two workers rebuilds its per-node path sums from its two bundles;
+    # a numpy that cut its pairwise sum elsewhere would move ensemble mean paths silently
+    half = n // 2 - n // 2 % 8
+    rows = np.random.default_rng(n).standard_normal((62, n))
+    left, right = np.ascontiguousarray(rows[:, :half]), np.ascontiguousarray(rows[:, half:])
+    assert rows.sum(axis=1).tobytes() == (left.sum(axis=1) + right.sum(axis=1)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "workers, n_paths, chunk_size, bundles",
+    [
+        ("1", 300, 300, [(0, 300)]),
+        ("2", 300, 300, [(0, 144), (144, 156)]),
+        ("2", 600, 300, [(0, 300), (300, 300)]),
+        ("3", 600, 300, [(0, 144), (144, 156), (300, 144), (444, 156)]),
+        ("2", 387, 129, [(0, 129), (129, 129), (258, 64), (322, 65)]),
+        ("2", 384, 128, [(0, 128), (128, 128), (256, 128)]),  # 128 paths: never split
+        ("3", 400, 100, [(0, 100), (100, 100), (200, 100), (300, 100)]),
+    ],
+)
+def test_only_tail_chunks_of_more_than_128_paths_split(
+    monkeypatch, workers, n_paths, chunk_size, bundles
+):
+    monkeypatch.setenv("SMC_WORKERS", workers)
+    seen = _record_bundles(monkeypatch)
+    spec = make_spec(n_steps=2)
+    performance_J(spec, zero_control(spec), n_paths, seed=0, chunk_size=chunk_size)
+    assert seen == [bundles]
+
+
+@pytest.mark.parametrize(
+    "beta, n_paths, chunking, bundle_counts",
+    [
+        (0.2, 900, {"chunk_size": 300}, [3, 4, 3]),
+        (0.2, 2048, {}, [1, 2, 2]),  # one default chunk
+        (0.0, 900, {"chunk_size": 300}, [3, 4, 3]),  # identical paths: the minimum ties
+    ],
+    ids=["900-by-300", "one-default-chunk", "no-noise"],
+)
+def test_split_chunks_keep_ensembles_byte_identical(
+    monkeypatch, beta, n_paths, chunking, bundle_counts
+):
+    spec = make_spec(beta=beta, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    seen = _record_bundles(monkeypatch)
+    runs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        summary = simulate_ensemble(spec, control, n_paths, seed=11, **chunking)
+        arrays = (summary.mean_path.values, summary.terminal_values, summary.min_value)
+        runs.append(([np.asarray(a).tobytes() for a in arrays], summary.min_location))
+    assert [len(items) for items in seen] == bundle_counts
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "lows, location",
+    [
+        ({(5, 2): 4, (200, 1): 9}, (200, 1, 9)),  # the second half reaches it a step earlier
+        ({(5, 1): 9, (200, 1): 4}, (200, 1, 4)),  # the same step, at a lower node
+        ({(5, 1): 4, (200, 1): 4}, (5, 1, 4)),  # the same step and node: the lower seed
+    ],
+)
+def test_split_chunk_minimum_is_the_whole_chunks_choice(monkeypatch, lows, location):
+    # two paths, one in each half of a 300-path chunk, reach the same minimum 0.5 at
+    # (path seed, step) -> node; every other state is 1.  A whole chunk reports the first
+    # step at its minimum, then the node-major argmin, which the merged halves must match.
+    spec = make_spec(n_steps=3)
+
+    def states(spec, control, dw, first):
+        for k in range(spec.n_steps + 1):
+            u = np.ones((spec.grid.n_total, dw.shape[1]))
+            for (path_seed, step), node in lows.items():
+                if step == k and first <= path_seed < first + dw.shape[1]:
+                    u[node, path_seed - first] = 0.5
+            yield k, u
+
+    monkeypatch.setattr(forward, "iterate_states", states)
+    locations = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        summary = simulate_ensemble(spec, zero_control(spec), 300, 0, chunk_size=300)
+        locations.append((summary.min_value, summary.min_location))
+    assert locations == [(0.5, location)] * 3
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    n_paths=st.integers(1, 700), chunk_size=st.integers(1, 400), workers=st.integers(1, 3)
+)
+@example(n_paths=700, chunk_size=300, workers=2)  # a 100-path tail chunk: not split
+@example(n_paths=700, chunk_size=240, workers=2)  # a 220-path tail chunk splits
+@example(n_paths=400, chunk_size=400, workers=3)  # one chunk, split in two
+def test_worker_count_never_moves_a_monte_carlo_bit(n_paths, chunk_size, workers):
+    grid = build_grid(0.0, 1.0, 8)
+    spec = make_spec(
+        grid=grid,
+        beta=0.2,
+        alpha=0.3,
+        op=OperatorSpec(0.1, 0.0, 0.2),
+        stepping="implicit",
+        n_steps=4,
+        initial=Field.from_function(grid, lambda x: 1.0 + x),
+    )
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+
+    def outputs():
+        (rewards,) = _monte_carlo(spec, [_rewards_pass(spec, control)], n_paths, 5, chunk_size)
+        j = performance_J(spec, control, n_paths, 5, chunk_size)
+        summary = simulate_ensemble(spec, control, n_paths, 5, chunk_size)
+        arrays = (np.concatenate(rewards), j.estimate, j.stderr, summary.mean_path.values)
+        arrays += (summary.terminal_values, summary.min_value, summary.min_location)
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    with mock.patch.dict(os.environ, {"SMC_WORKERS": "1"}):
+        serial = outputs()
+    with mock.patch.dict(os.environ, {"SMC_WORKERS": str(workers)}):
+        assert outputs() == serial
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("stepping", ["explicit", "implicit", "crank-nicolson"])
+def test_unforced_step_matches_a_full_forcing_to_the_sign_of_zero(stepping, width):
+    # alpha = beta = 0 and no charged row: the step skips its forcing, which is +0.0 on every
+    # row, so a -0.0 state must still step to +0.0.  Beside -0.0 boundary data, an implicit
+    # solve keeps the sign of an all -0.0 right-hand side: it shows a missing +0.0.
+    op = OperatorSpec(0.5, 0.1, 0.1)
+    spec = make_spec(op=op, horizon=0.01, stepping=stepping, boundary=(-0.0, -0.0))
+    kernel = forward._Kernel(spec, width)
+    u = np.full((spec.grid.n_total,) if width is None else (spec.grid.n_total, width), -0.0)
+    if width is not None:
+        u[20:24, 1] = 1.0  # one path with mass, solved beside two without
+    db = -0.7 if width is None else -np.linspace(0.1, 0.3, width)
+    dxi = np.zeros(spec.grid.n_cells) if width is None else np.zeros((spec.grid.n_cells, 1))
+    unforced = slice(0, 0)
+    gain = partial(spec.gain_values, u[1:-1][unforced])
+    full = kernel._forcing(u, db, (gain, dxi, unforced))
+    want = kernel._advance(u, full, spec.boundary_at(spec.times[1]))
+    with mock.patch.object(kernel, "_forcing", side_effect=AssertionError("forcing built")):
+        got = kernel.step(0, u, db, dxi, unforced)
+    assert not np.signbit(full).any() and np.signbit(u).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_monotone_harvest_damage():
