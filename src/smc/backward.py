@@ -260,23 +260,18 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     return y_path, z_path
 
 
-def _violation(spec: BackwardSpec, y_path: FieldPath) -> np.ndarray:
-    """Side-signed constraint violation per (time node, interior node).
+def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.ndarray | None:
+    """Side-signed gap Y - L per (time node, interior node); None without an obstacle.
 
-    Lower side: (Y - L)^-; upper side: (Y - L)^+.
+    The constraint violation is its negative part: (Y - L)^- on the lower
+    side, (Y - L)^+ on the upper side.
     """
-    if spec.obstacle is None:
-        return np.zeros((spec.n_steps + 1, spec.grid.n_cells))
-    gaps = np.array([_gap_field(spec, y_path, k, t) for k, t in enumerate(spec.times)])
-    return np.maximum(-gaps, 0.0)
-
-
-def _gap_field(spec: BackwardSpec, y_path: FieldPath, k: int, t: float) -> np.ndarray:
-    """Side-signed gap Y - L at time node k (time t); +inf without an obstacle."""
-    if spec.obstacle is None:
-        return np.full(spec.grid.n_cells, np.inf)
-    sign = 1.0 if spec.reflection_side == LOWER else -1.0
-    return sign * (y_path.values[k, 1:-1] - spec.obstacle_interior(t))
+    if obstacle is None:
+        return None
+    nodes = y_path.grid.nodes
+    barrier = np.array([np.asarray(obstacle(t, nodes), dtype=float)[1:-1] for t in y_path.times])
+    sign = 1.0 if side == LOWER else -1.0
+    return sign * (y_path.values[:, 1:-1] - barrier)
 
 
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
@@ -307,22 +302,17 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
 
     n_top = levels[-1]
     y_path, z_path = solutions[-1]
-    violation = _violation(spec, y_path)
-    eta_inc = spec.dt * n_top * violation[:-1]
+    gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
     eta_values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
-    eta_values[1:, 1:-1] = np.cumsum(eta_inc, axis=0)
+    if gap is not None:
+        eta_values[1:, 1:-1] = np.cumsum(spec.dt * n_top * np.maximum(-gap[:-1], 0.0), axis=0)
     eta_path = FieldPath(spec.grid, spec.times, eta_values)
 
-    residual, res_scale = skorokhod_residual(
-        y_path, spec.obstacle, eta_path, side=spec.reflection_side, with_scale=True
-    )
-    min_gap = float(
-        np.min([np.min(_gap_field(spec, y_path, k, t)) for k, t in enumerate(spec.times[:-1])])
-    )
+    residual, res_scale = _pairing(gap, y_path, eta_path, with_scale=True)
     diag = SolutionDiagnostics(
         skorokhod_residual=residual,
         skorokhod_scale=res_scale,
-        min_gap=min_gap,
+        min_gap=np.inf if gap is None else float(np.min(gap[:-1])),
         penalization_level=n_top,
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
@@ -341,25 +331,26 @@ def skorokhod_residual(
 
     Signed so that an exact solution gives 0: the gap is side-signed, and eta
     charges only where the penalized solution violates the constraint, so the
-    value is <= 0 and its magnitude is the complementarity defect.  The scale
+    value is <= 0 and its magnitude is the complementarity defect.  The gap is
+    the field :func:`solve_reflected` builds for eta and ``min_gap``, summed
+    one time step at a time, so the solver's diagnostic equals this value bit
+    for bit; without an obstacle the value is exactly 0.0.  The scale
     sup_t ||Y||_H * ||eta(T)||_H is returned on request for relative checks.
     """
     if y_path.values.shape != eta_path.values.shape:
         raise GridMismatchError("Y and eta paths have different shapes")
-    grid = y_path.grid
-    sign = 1.0 if side == LOWER else -1.0
+    return _pairing(_gap_field(y_path, obstacle, side), y_path, eta_path, with_scale)
+
+
+def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath, with_scale: bool):
+    """sum_k h gap_k . deta_k, one dot per step; exactly 0.0 without an obstacle."""
+    h = y_path.grid.h
     total = 0.0
-    for k in range(y_path.n_times - 1):
-        if obstacle is None:
-            gap = np.zeros(grid.n_cells)
-        else:
-            barrier = np.asarray(obstacle(y_path.times[k], grid.nodes), dtype=float)[1:-1]
-            gap = sign * (y_path.values[k, 1:-1] - barrier)
-        deta = eta_path.values[k + 1, 1:-1] - eta_path.values[k, 1:-1]
-        total += float(np.dot(gap, deta)) * grid.h
+    if gap is not None:
+        for gap_k, deta_k in zip(gap, np.diff(eta_path.values[:, 1:-1], axis=0)):
+            total += float(np.dot(gap_k, deta_k)) * h
     if not with_scale:
         return total
-    h = grid.h
     y_norm = float(np.max(np.sqrt(h * np.sum(y_path.values[:, 1:-1] ** 2, axis=1))))
     eta_norm = float(np.sqrt(h * np.sum(eta_path.values[-1, 1:-1] ** 2)))
     return total, y_norm * eta_norm
@@ -395,8 +386,9 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     energies = []
     for n in levels:
         y_path, _ = solve_penalized(spec, n)
-        violation = _violation(spec, y_path)
-        energies.append(float(spec.dt * spec.grid.h * np.sum(violation[:-1] ** 2)))
+        gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
+        violation = 0.0 if gap is None else np.maximum(-gap[:-1], 0.0)
+        energies.append(float(spec.dt * spec.grid.h * np.sum(violation**2)))
     if max(energies) < 1e-24:
         raise DegenerateFitError("all penalization energies below floor (obstacle inactive)")
     slope = float(np.polyfit(np.log(np.asarray(levels, float)), np.log(energies), 1)[0])

@@ -19,22 +19,20 @@ import sys
 
 import numpy as np
 
-from .backward import penalization_rate, rate_levels_problem, solve_penalized
+from .backward import penalization_rate, rate_levels_problem
 from .config import RunConfig, load_config
-from .control import assemble_adjoint, directional_derivative_J, extract_policy
+from .control import extract_policy, policy_adjoint
 from .errors import ConfigError, ToolkitError
 from .forward import (
     ControlPerturbation,
     NoisePath,
     SingularControl,
-    derivative_process,
     simulate_ensemble,
-    simulate_path,
     worker_count,
 )
 from .grid import FieldPath
 from .report import CheckResult, PhaseTimer, RunReport, describe_version, persist
-from .suites import SUITES
+from .suites import SUITES, derivative_process_errors, directional_derivative_gap
 
 _MAX_PER_PATH_CSV = 20
 
@@ -84,7 +82,7 @@ def _parse_levels(raw: str) -> list[int]:
     return levels
 
 
-def _apply_overrides(config: RunConfig, args) -> tuple[RunConfig, list[int], int, int, str]:
+def _apply_overrides(config: RunConfig, args) -> tuple[list[int], int, int, str]:
     levels = list(config.backward.levels)
     if args.levels:
         levels = _parse_levels(args.levels)
@@ -97,7 +95,7 @@ def _apply_overrides(config: RunConfig, args) -> tuple[RunConfig, list[int], int
     if n_paths < 1:
         raise ConfigError("path count must be >= 1", "--paths")
     out_dir = args.out if args.out is not None else config.outputs.directory
-    return config, levels, seed, n_paths, out_dir
+    return levels, seed, n_paths, out_dir
 
 
 def _new_report(config: RunConfig, seed: int) -> RunReport:
@@ -109,6 +107,17 @@ def _new_report(config: RunConfig, seed: int) -> RunReport:
     )
 
 
+def _extract_policy(config: RunConfig, levels: list[int]):
+    return extract_policy(
+        config.problem,
+        levels,
+        convention=config.control.convention,
+        tolerances=config.backward.tolerances,
+        coefficient_floor=config.control.coefficient_floor,
+        max_rate=config.control.max_rate,
+    )
+
+
 def _control_path(spec, control: SingularControl) -> FieldPath:
     values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     values[:, 1:-1] = control.cumulative
@@ -116,7 +125,7 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
-    _, _, seed, n_paths, out_dir = _apply_overrides(config, args)
+    _, seed, n_paths, out_dir = _apply_overrides(config, args)
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     timer = PhaseTimer()
@@ -147,16 +156,8 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 
 
 def _cmd_adjoint(config: RunConfig, args) -> int:
-    _, levels, seed, _, out_dir = _apply_overrides(config, args)
-    spec = config.problem
-    policy = extract_policy(
-        spec,
-        levels,
-        convention=config.control.convention,
-        tolerances=config.backward.tolerances,
-        coefficient_floor=config.control.coefficient_floor,
-        max_rate=config.control.max_rate,
-    )
+    levels, seed, _, out_dir = _apply_overrides(config, args)
+    policy = _extract_policy(config, levels)
     diag = policy.solution.diagnostics
     report = _new_report(config, seed)
     report.add(
@@ -175,16 +176,8 @@ def _cmd_adjoint(config: RunConfig, args) -> int:
 
 
 def _cmd_policy(config: RunConfig, args) -> int:
-    _, levels, seed, _, out_dir = _apply_overrides(config, args)
-    spec = config.problem
-    policy = extract_policy(
-        spec,
-        levels,
-        convention=config.control.convention,
-        tolerances=config.backward.tolerances,
-        coefficient_floor=config.control.coefficient_floor,
-        max_rate=config.control.max_rate,
-    )
+    levels, seed, _, out_dir = _apply_overrides(config, args)
+    policy = _extract_policy(config, levels)
     rep = policy.report
     report = _new_report(config, seed)
     report.add(
@@ -208,7 +201,7 @@ def _cmd_policy(config: RunConfig, args) -> int:
     persist(
         report,
         {
-            "policy_xi": _control_path(spec, policy.xi_hat),
+            "policy_xi": _control_path(config.problem, policy.xi_hat),
             "adjoint_p": policy.p,
             "reflection_eta": policy.eta,
         },
@@ -221,18 +214,8 @@ def _cmd_policy(config: RunConfig, args) -> int:
 
 
 def _cmd_rate(config: RunConfig, args) -> int:
-    _, levels, seed, _, out_dir = _apply_overrides(config, args)
-    spec = config.problem
-
-    def obstacle(t, nodes):
-        return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
-
-    adjoint = assemble_adjoint(
-        spec,
-        obstacle=obstacle,
-        reflection_side="lower" if config.control.convention == "price-floor" else "upper",
-        allow_terminal_violation=True,
-    )
+    levels, seed, _, out_dir = _apply_overrides(config, args)
+    adjoint = policy_adjoint(config.problem, config.control.convention)
     study = penalization_rate(adjoint.backward, levels)
     report = _new_report(config, seed)
     report.add(
@@ -252,7 +235,7 @@ def _cmd_rate(config: RunConfig, args) -> int:
 
 
 def _cmd_derivcheck(config: RunConfig, args) -> int:
-    _, _, seed, n_paths, out_dir = _apply_overrides(config, args)
+    _, seed, n_paths, out_dir = _apply_overrides(config, args)
     spec = config.problem
     rng = np.random.default_rng(seed)
     base = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)
@@ -260,20 +243,9 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
         rng.uniform(0.0, 1.0, (spec.n_steps, spec.grid.n_cells)) * spec.dt
     )
     noise = NoisePath.generate(seed, spec.n_steps, spec.dt)
-    base_path = simulate_path(spec, base, noise)
-    tangent = derivative_process(spec, base, zeta, noise)
-    errors = {}
-    for eps in (1e-2, 1e-3):
-        bumped = simulate_path(spec, SingularControl(base.cumulative + eps * zeta.cumulative), noise)
-        diff = (bumped.values - base_path.values) / eps - tangent.values
-        errors[eps] = float(np.max(np.sqrt(spec.grid.h * np.sum(diff[:, 1:-1] ** 2, axis=1))))
+    errors = derivative_process_errors(spec, base, zeta, noise)
     ratio = errors[1e-2] / max(errors[1e-3], 1e-300)
-
-    adjoint = assemble_adjoint(spec, xi=base)
-    p_path, _ = solve_penalized(adjoint.backward, 1)
-    cmp = directional_derivative_J(spec, base, zeta, p_path, n_paths=n_paths, seed=seed)
-    est, err = cmp.finite_difference[1e-3]
-    comb = float(np.sqrt(cmp.adjoint_stderr**2 + err**2))
+    cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, seed)
 
     report = _new_report(config, seed)
     report.add(
@@ -285,10 +257,11 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
     report.add(
         CheckResult(
             "directional-derivative-gap",
-            abs(cmp.adjoint_formula - est),
+            gap,
             3.0 * comb,
-            abs(cmp.adjoint_formula - est) <= 3.0 * comb,
-            f"adjoint {cmp.adjoint_formula:.6f}, finite difference {est:.6f}",
+            gap <= 3.0 * comb,
+            f"adjoint {cmp.adjoint_formula:.6f}, "
+            f"finite difference {cmp.finite_difference[1e-3][0]:.6f}",
         )
     )
     persist(report, {}, out_dir, config.outputs.formats)
@@ -302,21 +275,8 @@ def _cmd_verify(config: RunConfig | None, args) -> int:
     if name not in SUITES:
         print(f"unknown suite {name!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 2
-    timer = PhaseTimer()
-    results = []
-    for fn in SUITES[name]:
-        with timer.time(fn.__name__):
-            result = fn()
-        results.append(result)
-        print(result.line())
     if config is not None:
-        report = RunReport(
-            config_echo=config.raw,
-            config_hash=config.config_hash,
-            version=describe_version(),
-            checks=results,
-            seeds={"root": config.mc.seed},
-        )
+        report = _new_report(config, config.mc.seed)
         out_dir = args.out if args.out is not None else config.outputs.directory
         formats = config.outputs.formats
     else:
@@ -324,18 +284,22 @@ def _cmd_verify(config: RunConfig | None, args) -> int:
             config_echo={"suite": name},
             config_hash="builtin",
             version=describe_version(),
-            checks=results,
             seeds={"builtin-benchmarks": "fixed in smc.suites"},
         )
         out_dir = args.out or "out"
         formats = ("csv", "json")
+    timer = PhaseTimer()
+    for fn in SUITES[name]:
+        with timer.time(fn.__name__):
+            check = report.add(fn())
+        print(check.line())
     report.timings = timer.phases
     persist(report, {}, out_dir, formats)
-    failed = [c.name for c in results if not c.passed]
+    failed = [c.name for c in report.checks if not c.passed]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}")
         return 1
-    print(f"suite {name!r}: all {len(results)} checks passed")
+    print(f"suite {name!r}: all {len(report.checks)} checks passed")
     return 0
 
 

@@ -29,6 +29,7 @@ policy harvests value-destroying regions, so price-floor is the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,7 +37,6 @@ import numpy as np
 from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, solve_reflected
 from .errors import NonlinearModelError
 from .forward import (
-    CONSTANT_GAIN,
     MEAN_DRIFT,
     MEAN_NOISE,
     MULTIPLICATIVE_GAIN,
@@ -119,22 +119,30 @@ def hamiltonian(
 # ---------------------------------------------------------------------------
 
 
+def _dh1_du(spec: ProblemSpec, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dH1/du on the interior nodes: h10 (proportional revenue, else 0), minus
+    lambda0 p under the multiplicative gain.  The adjoint differential carries
+    -(dH1/du) xi(dt, x), so each backward step ADDS (dH1/du) dxi.
+    """
+    if spec.revenue_mode == "proportional":
+        revenue = spec._h10_values(t)[1:-1]
+    else:
+        revenue = np.zeros(spec.grid.n_cells)
+    if spec.control_gain_mode == MULTIPLICATIVE_GAIN:
+        return revenue - spec.lambda0 * p
+    return revenue
+
+
 @dataclass(frozen=True)
 class AdjointSpec:
     """Backward problem for the adjoint plus the singular coupling data."""
 
     backward: BackwardSpec
     problem: ProblemSpec
-    dual_weight: np.ndarray  # interior values of the space-mean dual weight
 
     def singular_coefficient(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Backward-step coefficient (dH1/du) multiplying the control increment."""
-        price = self.problem._h10_values(t)[1:-1]
-        if self.problem.control_gain_mode == CONSTANT_GAIN:
-            if self.problem.revenue_mode == "proportional":
-                return price + 0.0 * p
-            return np.zeros_like(p)
-        return price - self.problem.lambda0 * p
+        return _dh1_du(self.problem, t, x, p)
 
 
 def assemble_adjoint(
@@ -162,11 +170,6 @@ def assemble_adjoint(
     drift_w = weight if spec.drift_mode == MEAN_DRIFT else np.ones_like(weight)
     vol_w = weight if spec.noise_mode == MEAN_NOISE else np.ones_like(weight)
 
-    def h1_du(t: float) -> np.ndarray:
-        if spec.revenue_mode == "proportional":
-            return spec._h10_values(t)[1:-1]
-        return np.zeros(grid.n_cells)
-
     def driver(t, x, p, pbar, q, qbar):
         return alpha * drift_w * p + beta * vol_w * q
 
@@ -174,24 +177,11 @@ def assemble_adjoint(
     terminal_values[1:-1] = spec._g0_values()[1:-1]
     terminal = Field(grid, terminal_values)
 
-    # The control-coupled drift in the adjoint differential is
-    # -(dH1/du) xi(dt, x); stepping backward in time therefore ADDS
-    # (dH1/du) dxi to each step.  For the multiplicative gain
-    # dH1/du = h10 - lambda0 p; for the constant gain with proportional
-    # revenue it is h10; for flat revenue it vanishes.
     singular = None
-    if xi is not None and spec.control_gain_mode == MULTIPLICATIVE_GAIN:
-
-        def coefficient(t, x, p):
-            return h1_du(t) - spec.lambda0 * p
-
-        singular = (xi, coefficient)
-    elif xi is not None and spec.revenue_mode == "proportional":
-
-        def coefficient(t, x, p):
-            return h1_du(t)
-
-        singular = (xi, coefficient)
+    if xi is not None and (
+        spec.control_gain_mode == MULTIPLICATIVE_GAIN or spec.revenue_mode == "proportional"
+    ):  # otherwise dH1/du vanishes
+        singular = (xi, partial(_dh1_du, spec))
 
     backward = BackwardSpec(
         grid=grid,
@@ -206,7 +196,7 @@ def assemble_adjoint(
         use_adjoint_operator=True,
         allow_terminal_violation=allow_terminal_violation,
     )
-    return AdjointSpec(backward=backward, problem=spec, dual_weight=weight)
+    return AdjointSpec(backward=backward, problem=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +416,20 @@ class PolicyResult:
     convention: str
 
 
+def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
+    """The adjoint reflected at h10/lambda0 on the convention's side, from any terminal price."""
+
+    def obstacle(t, nodes):
+        return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
+
+    return assemble_adjoint(
+        spec,
+        obstacle=obstacle,
+        reflection_side=LOWER if convention == PRICE_FLOOR else UPPER,
+        allow_terminal_violation=True,
+    )
+
+
 def extract_policy(
     spec: ProblemSpec,
     levels: list[int],
@@ -453,19 +457,8 @@ def extract_policy(
         raise NonlinearModelError(
             "policy extraction expects the multiplicative-gain harvesting model"
         )
-    side = LOWER if convention == PRICE_FLOOR else UPPER
-
-    def obstacle(t, nodes):
-        return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
-
-    adjoint = assemble_adjoint(
-        spec,
-        xi=None,
-        obstacle=obstacle,
-        reflection_side=side,
-        allow_terminal_violation=True,
-    )
-    solution = solve_reflected(adjoint.backward, levels)
+    reflected = policy_adjoint(spec, convention).backward
+    solution = solve_reflected(reflected, levels)
 
     grid = spec.grid
     n_steps = spec.n_steps
@@ -474,8 +467,9 @@ def extract_policy(
     inc = np.zeros((n_steps, grid.n_cells))
     eta = solution.eta.values
     degenerate = False
+    clip = np.maximum if convention == PRICE_FLOOR else np.minimum
     for k, t in enumerate(spec.times[:-1]):
-        barrier = spec._h10_values(t)[1:-1] / spec.lambda0
+        barrier = reflected.obstacle_interior(t)
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         charged = deta > 0.0
         coeff = np.abs(spec.lambda0 * p_raw[k, 1:-1] - spec.lambda0 * barrier)
@@ -488,10 +482,7 @@ def extract_policy(
         if max_rate is not None:
             rate = np.minimum(rate, max_rate / spec.lambda0)
         inc[k] = rate
-        if convention == PRICE_FLOOR:
-            p_clipped[k, 1:-1] = np.maximum(p_raw[k, 1:-1], barrier)
-        else:
-            p_clipped[k, 1:-1] = np.minimum(p_raw[k, 1:-1], barrier)
+        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], barrier)
 
     xi_hat = SingularControl.from_increments(inc)
     p_path = FieldPath(grid, spec.times, p_clipped)

@@ -448,8 +448,10 @@ class _Kernel:
         out = np.empty_like(x)
         new = out[1:-1]
         if spec.stepping == EXPLICIT:
-            generator = interior_generator(x, *self.generator)
-            np.add(np.add(x[1:-1], self.dt * generator, out=new), forcing, out=new)
+            # an unstable step overflows here; _check_finite reports it, typed, right after
+            with np.errstate(over="ignore", invalid="ignore"):
+                generator = interior_generator(x, *self.generator)
+                np.add(np.add(x[1:-1], self.dt * generator, out=new), forcing, out=new)
         else:
             np.add(x[1:-1], forcing, out=new)
             if spec.stepping == CRANK_NICOLSON:

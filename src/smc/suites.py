@@ -148,6 +148,33 @@ def stress_family(spec: ProblemSpec, xi_hat: SingularControl) -> dict[str, Singu
     }
 
 
+def benchmark_policy():
+    """The harvesting benchmark and its extracted policy (criteria 09 and 10)."""
+    spec = harvesting_benchmark()
+    policy = extract_policy(spec, POLICY_LEVELS, convention=PRICE_FLOOR, max_rate=POLICY_MAX_RATE)
+    return spec, policy
+
+
+def derivative_process_errors(spec, base, zeta, noise) -> dict[float, float]:
+    """Criterion 07: sup_t L2 error of the eps-difference quotient against the tangent."""
+    base_path = simulate_path(spec, base, noise)
+    tangent = derivative_process(spec, base, zeta, noise)
+    errors = {}
+    for eps in (1e-2, 1e-3):
+        bumped = simulate_path(spec, SingularControl(base.cumulative + eps * zeta.cumulative), noise)
+        diff = (bumped.values - base_path.values) / eps - tangent.values
+        errors[eps] = float(np.max(np.sqrt(spec.grid.h * np.sum(diff[:, 1:-1] ** 2, axis=1))))
+    return errors
+
+
+def directional_derivative_gap(spec, base, zeta, n_paths, seed):
+    """Criterion 08: the comparison, |adjoint - difference at eps=1e-3|, combined stderr."""
+    p_path, _ = solve_penalized(assemble_adjoint(spec, xi=base).backward, 1)
+    cmp = directional_derivative_J(spec, base, zeta, p_path, n_paths=n_paths, seed=seed)
+    est, err = cmp.finite_difference[1e-3]
+    return cmp, abs(cmp.adjoint_formula - est), float(np.sqrt(cmp.adjoint_stderr**2 + err**2))
+
+
 # ---------------------------------------------------------------------------
 # Criterion checks
 # ---------------------------------------------------------------------------
@@ -347,13 +374,7 @@ def check_derivative_process() -> CheckResult:
         rng.uniform(0.0, 0.5, (spec.n_steps, grid.n_cells))
     )
     noise = NoisePath.generate(1234, spec.n_steps, spec.dt)
-    base_path = simulate_path(spec, base, noise)
-    tangent = derivative_process(spec, base, zeta, noise)
-    errors = {}
-    for eps in (1e-2, 1e-3):
-        bumped = simulate_path(spec, SingularControl(base.cumulative + eps * zeta.cumulative), noise)
-        diff = (bumped.values - base_path.values) / eps - tangent.values
-        errors[eps] = float(np.max(np.sqrt(grid.h * np.sum(diff[:, 1:-1] ** 2, axis=1))))
+    errors = derivative_process_errors(spec, base, zeta, noise)
     ratio = errors[1e-2] / errors[1e-3]
     return CheckResult(
         name="derivative-process-consistency",
@@ -374,12 +395,7 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
     zeta = ControlPerturbation.from_increments(
         rng.uniform(0.0, 1.0, (spec.n_steps, spec.grid.n_cells)) * spec.dt * 5.0
     )
-    adjoint = assemble_adjoint(spec, xi=base)
-    p_path, _ = solve_penalized(adjoint.backward, 1)
-    cmp = directional_derivative_J(spec, base, zeta, p_path, n_paths=n_paths, seed=4242)
-    est, err = cmp.finite_difference[1e-3]
-    comb = float(np.sqrt(cmp.adjoint_stderr**2 + err**2))
-    gap = abs(cmp.adjoint_formula - est)
+    cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, 4242)
     sweep = ", ".join(
         f"eps={eps:g}: {fd:.6f}" for eps, (fd, _) in sorted(cmp.finite_difference.items())
     )
@@ -390,16 +406,13 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
         passed=bool(gap <= 3.0 * comb),
         detail=(
             f"adjoint {cmp.adjoint_formula:.6f} vs common-noise difference at eps=1e-3 "
-            f"{est:.6f} ({n_paths} paths); sweep {sweep}"
+            f"{cmp.finite_difference[1e-3][0]:.6f} ({n_paths} paths); sweep {sweep}"
         ),
     )
 
 
 def check_policy_optimality(n_paths: int = POLICY_PATHS) -> CheckResult:
-    spec = harvesting_benchmark()
-    policy = extract_policy(
-        spec, POLICY_LEVELS, convention=PRICE_FLOOR, max_rate=POLICY_MAX_RATE
-    )
+    spec, policy = benchmark_policy()
     stress = stress_family(spec, policy.xi_hat)
     best, *others = performance_Js(spec, [policy.xi_hat, *stress.values()], n_paths, POLICY_SEED)
     details = []
@@ -430,10 +443,7 @@ def check_policy_optimality(n_paths: int = POLICY_PATHS) -> CheckResult:
 
 
 def check_positivity(n_paths: int = POLICY_PATHS) -> CheckResult:
-    spec = harvesting_benchmark()
-    policy = extract_policy(
-        spec, POLICY_LEVELS, convention=PRICE_FLOOR, max_rate=POLICY_MAX_RATE
-    )
+    spec, policy = benchmark_policy()
     max_step = float(spec.lambda0 * policy.xi_hat.increments.max())
     summary = simulate_ensemble(spec, policy.xi_hat, n_paths, POLICY_SEED)
     seed, k, node = summary.min_location

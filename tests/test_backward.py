@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smc import backward, suites
 from smc.backward import (
@@ -354,6 +356,65 @@ def test_skorokhod_zero_when_y_equals_obstacle_on_support():
     eta = FieldPath(grid, times, eta_vals)
     val = skorokhod_residual(y, lambda t, x: np.ones_like(x), eta, side="lower")
     assert val == 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(
+    amplitude=st.floats(-0.5, 1.2),
+    tilt=st.floats(-1.0, 1.0),
+    drift=st.floats(-2.0, 2.0),
+    # at most two levels: one Cauchy gap cannot grow, while a random obstacle can make three
+    levels=st.lists(st.sampled_from([2, 8, 32, 128]), min_size=1, max_size=2, unique=True),
+)
+@example(amplitude=0.8, tilt=0.0, drift=0.0, levels=[8, 128])  # Y decays onto L: eta charges
+def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, drift, levels):
+    levels = sorted(levels)
+    grid = build_grid(0.0, 1.0, 12)
+
+    def obstacle(t, x):
+        return amplitude * np.sin(np.pi * x) + tilt * (x - 0.5) * np.exp(drift * t)
+
+    lower = BackwardSpec(
+        grid=grid,
+        op=OP,
+        horizon=0.2,
+        n_steps=16,
+        terminal=sine_terminal(grid),
+        obstacle=obstacle,
+        allow_terminal_violation=True,
+    )
+    upper = dataclasses.replace(
+        lower,
+        terminal=Field(grid, -lower.terminal.values),
+        obstacle=lambda t, x: -obstacle(t, x),
+        reflection_side="upper",
+    )
+    solutions = {}
+    for sign, spec in ((1.0, lower), (-1.0, upper)):
+        sol = solutions[spec.reflection_side] = solve_reflected(spec, levels)
+        diag = sol.diagnostics
+        barrier = np.array([obstacle(t, grid.nodes)[1:-1] for t in spec.times])
+        gap = sign * (sol.y.values[:, 1:-1] - sign * barrier)
+        assert diag.min_gap == np.min(gap[:-1])
+        eta_inc = spec.dt * levels[-1] * np.maximum(-gap[:-1], 0.0)
+        np.testing.assert_array_equal(sol.eta.values[1:, 1:-1], np.cumsum(eta_inc, axis=0))
+        public = skorokhod_residual(
+            sol.y, spec.obstacle, sol.eta, side=spec.reflection_side, with_scale=True
+        )
+        assert public == (diag.skorokhod_residual, diag.skorokhod_scale)
+        assert skorokhod_residual(sol.y, spec.obstacle, sol.eta, spec.reflection_side) == public[0]
+        none = skorokhod_residual(sol.y, None, sol.eta, with_scale=True)
+        assert none[0] == 0.0 and not np.signbit(none[0]) and none[1] == public[1]
+    np.testing.assert_array_equal(solutions["upper"].y.values, -solutions["lower"].y.values)
+    np.testing.assert_array_equal(solutions["upper"].eta.values, solutions["lower"].eta.values)
+    assert solutions["upper"].diagnostics == solutions["lower"].diagnostics
+
+
+def test_unconstrained_reflected_solve_has_no_gap():
+    spec = dataclasses.replace(inactive_spec(n_cells=12, n_steps=16), obstacle=None)
+    diag = solve_reflected(spec, [4, 16]).diagnostics
+    assert diag.skorokhod_residual == 0.0 and not np.signbit(diag.skorokhod_residual)
+    assert diag.min_gap == np.inf
 
 
 def test_skorokhod_residual_scales_inversely_with_level():

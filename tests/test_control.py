@@ -136,6 +136,34 @@ def test_adjoint_singular_coefficient_signs():
     np.testing.assert_allclose(fn(0.0, spec.grid.interior, p), coeff, rtol=1e-14)
 
 
+@pytest.mark.parametrize("gain_mode", ["multiplicative", "constant"])
+@pytest.mark.parametrize("revenue_mode", ["proportional", "flat"])
+def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du(gain_mode, revenue_mode):
+    spec = harvest_spec(
+        h10=2.0, lambda0=1.5, control_gain_mode=gain_mode, revenue_mode=revenue_mode
+    )
+    xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    adj = assemble_adjoint(spec, xi=xi)
+    x = spec.grid.interior
+    p = np.linspace(0.25, 1.25, spec.grid.n_cells)
+    p[0] = 0.5
+    coeff = adj.singular_coefficient(0.05, x, p)
+    if adj.backward.singular is None:
+        np.testing.assert_array_equal(coeff, 0.0)
+    else:
+        _, fn = adj.backward.singular
+        np.testing.assert_array_equal(fn(0.05, x, p), coeff)
+    # H1 is affine in u, so its unit u-difference is dH1/du
+    quotient = [
+        hamiltonian(0.05, xk, 1.0, 0.0, pk, 0.0, spec).h1
+        - hamiltonian(0.05, xk, 0.0, 0.0, pk, 0.0, spec).h1
+        for xk, pk in zip(x, p)
+    ]
+    np.testing.assert_allclose(coeff, quotient, rtol=1e-14, atol=1e-14)
+    if gain_mode == "multiplicative" and revenue_mode == "flat":
+        assert coeff[0] == -0.75  # h10 = 2, lambda0 = 1.5, p = 0.5
+
+
 def test_adjoint_flat_revenue_constant_gain_no_singular_drift():
     spec = harvest_spec(control_gain_mode="constant", revenue_mode="flat")
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)

@@ -462,6 +462,20 @@ def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
     assert errors[0][3] == 100
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
+    spec = _exploding_spec(beta=beta)
+    errors = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
+            warnings.simplefilter("always")
+            simulate_ensemble(spec, zero_control(spec), n_paths=4, seed=100, chunk_size=2)
+        assert caught and {w.category for w in caught} == {CflWarning}
+        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
+    assert errors[1] == errors[0]
+
+
 @pytest.mark.parametrize(
     "beta, n_paths, seed, offender",
     [

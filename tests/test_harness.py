@@ -265,7 +265,7 @@ def test_cli_determinism_two_runs_identical(tmp_path):
     assert m1 == m2
 
 
-def test_cli_policy_and_rate(tmp_path):
+def _harvest_config(tmp_path, n_paths=8):
     raw = minimal_config()
     raw["problem"]["grid"]["n_cells"] = 30
     raw["problem"]["time"] = {"horizon": 0.06, "n_steps": 48}
@@ -276,8 +276,13 @@ def test_cli_policy_and_rate(tmp_path):
     }
     raw["backward"] = {"levels": [256, 512, 1024, 2048]}
     raw["control"] = {"convention": "price-floor", "max_rate": 0.5}
+    raw["mc"]["n_paths"] = n_paths
     raw["outputs"] = {"directory": str(tmp_path / "pol"), "formats": ["csv", "json"]}
-    cfg = _write_config(tmp_path, raw)
+    return _write_config(tmp_path, raw)
+
+
+def test_cli_policy_and_rate(tmp_path):
+    cfg = _harvest_config(tmp_path)
     assert main(["policy", "--config", cfg]) == 0
     assert (tmp_path / "pol" / "policy_xi.csv").exists()
     assert (tmp_path / "pol" / "adjoint_p.csv").exists()
@@ -285,6 +290,42 @@ def test_cli_policy_and_rate(tmp_path):
     code = main(["rate", "--config", cfg, "--levels", "4,8,16,32,64", "--out", str(tmp_path / "rate")])
     assert code in (0, 1)  # slope verdict depends on the window; artifacts must exist
     assert (tmp_path / "rate" / "report.json").exists()
+
+
+# report.json checks of the subcommands that run the suites' criterion code and
+# the policy adjoint on a small harvesting problem: (exit code, checks)
+CLI_PINNED_CHECKS = {
+    "derivcheck": (0, [
+        ("derivative-process-ratio", 9.99913513263839, 20.0, True,
+         "errors 2.239e-06 / 2.239e-07"),
+        ("directional-derivative-gap", 3.762852372483742e-05, 0.00012236246369383123, True,
+         "adjoint -0.013884, finite difference -0.013921"),
+    ]),
+    "adjoint": (1, [
+        ("skorokhod-residual", 0.03943919984691388, 0.0003211241866811209, False,
+         "levels (256, 512, 1024, 2048), gaps ['5.94e-02', '5.11e-02', '4.46e-02']"),
+    ]),
+    "rate": (1, [
+        ("penalization-rate-slope", -0.3414042553440733, -1.7, False,
+         "E_4=4.374e-03; E_8=4.011e-03; E_16=3.413e-03; E_32=2.577e-03; E_64=1.671e-03"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_PINNED_CHECKS))
+def test_cli_subcommand_checks_pinned(tmp_path, command):
+    cfg = _harvest_config(tmp_path, n_paths=200)
+    extra = ["--levels", "4,8,16,32,64"] if command == "rate" else []
+    out = tmp_path / command
+    code = main([command, "--config", cfg, "--out", str(out), *extra])
+    expected_code, expected = CLI_PINNED_CHECKS[command]
+    assert code == expected_code
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [e[0] for e in expected]
+    for check, (_, value, tolerance, passed, detail) in zip(checks, expected):
+        assert check["value"] == pytest.approx(value, rel=1e-12)
+        assert check["tolerance"] == pytest.approx(tolerance, rel=1e-12)
+        assert (check["passed"], check["detail"]) == (passed, detail)
 
 
 def test_cli_verify_operators_suite(tmp_path, capsys):
