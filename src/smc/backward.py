@@ -27,6 +27,7 @@ the negation duality holds bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -77,7 +78,6 @@ class BackwardSpec:
     allow_terminal_violation: bool = False
     time_scheme: str = BACKWARD_EULER
     max_fixed_point_iters: int = 100
-    fixed_point_tol: float = 1e-12
 
     def __post_init__(self):
         if self.horizon <= 0.0 or self.n_steps < 1:
@@ -241,7 +241,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
                 raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
             active_new = y_new < barrier
             stable = np.array_equal(active_new, active)
-            close = not depends_on_y or np.max(np.abs(y_new - y)) <= spec.fixed_point_tol * max(
+            close = not depends_on_y or np.max(np.abs(y_new - y)) <= 1e-12 * max(
                 1.0, float(np.max(np.abs(y_new)))
             )
             y = y_new
@@ -274,6 +274,25 @@ def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.nd
     return sign * (y_path.values[:, 1:-1] - barrier)
 
 
+def levels_problem(levels) -> str | None:
+    """Why ``levels`` is not a list of penalization levels, or None if it is."""
+    if (
+        not levels
+        or not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in levels)
+        or any(b <= a for a, b in zip(levels, levels[1:]))
+    ):
+        return "levels must be a non-empty, strictly increasing list of positive integers"
+    return None
+
+
+def _solve_levels(spec: BackwardSpec, levels, problem: Callable) -> tuple[list[int], list]:
+    """Reject ``levels`` if ``problem`` names a fault, else solve each level on the workers."""
+    if (why := problem(levels)) is not None:
+        raise ValueError(why)
+    levels = [int(n) for n in levels]
+    return levels, map_ordered(lambda n: solve_penalized(spec, n), levels)
+
+
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     """Solve penalized problems along ``levels`` and assemble the reflected triple.
 
@@ -282,11 +301,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     the inter-level gaps sup_t ||Y^n - Y^m||_H stop decreasing beyond a small
     floor.
     """
-    levels = [int(n) for n in levels]
-    if len(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be a strictly increasing list of integers")
-
-    solutions = map_ordered(lambda n: solve_penalized(spec, n), levels)
+    levels, solutions = _solve_levels(spec, levels, levels_problem)
     h = spec.grid.h
     scale = max(1.0, float(np.max(np.abs(solutions[-1][0].values))))
     gaps = []
@@ -365,11 +380,10 @@ class RateStudy:
 
 def rate_levels_problem(levels: list[int]) -> str | None:
     """Why ``levels`` cannot carry a penalization-rate study, or None if they can."""
-    if len(levels) < 4 or max(levels) < 4 * min(levels):
+    problem = levels_problem(levels)
+    if problem is None and (len(levels) < 4 or levels[-1] < 4 * levels[0]):
         return "rate study needs >= 4 levels spanning at least two octaves"
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        return "levels must be strictly increasing"
-    return None
+    return problem
 
 
 def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
@@ -379,13 +393,9 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     interior nodes.  Needs at least 4 levels spanning two octaves.  Raises
     DegenerateFitError when every energy sits below the 1e-24 floor.
     """
-    levels = [int(n) for n in levels]
-    problem = rate_levels_problem(levels)
-    if problem is not None:
-        raise ValueError(problem)
+    levels, solutions = _solve_levels(spec, levels, rate_levels_problem)
     energies = []
-    for n in levels:
-        y_path, _ = solve_penalized(spec, n)
+    for y_path, _ in solutions:
         gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
         violation = 0.0 if gap is None else np.maximum(-gap[:-1], 0.0)
         energies.append(float(spec.dt * spec.grid.h * np.sum(violation**2)))
@@ -416,14 +426,12 @@ def solve_penalized_regression(
     forward_values: np.ndarray,
     noise_increments: np.ndarray,
     terminal_values: np.ndarray,
-    basis_degree: int = 3,
-    ridge: float = 1e-8,
 ) -> RegressionSolution:
     """Per-path backward induction with regression conditional expectations.
 
     ``forward_values`` has shape (n_paths, n_times, n_total) and supplies the
-    regression features: powers of the state at the node up to
-    ``basis_degree`` plus its space mean.  ``noise_increments`` has shape
+    regression features: powers 0..3 of the state at the node plus its space
+    mean.  ``noise_increments`` has shape
     (n_paths, n_steps) and drives Z_k = E[Y_{k+1} dB_k | basis] / dt.
     ``terminal_values`` has shape (n_paths, n_total).  Upper-side problems
     are solved by negation.
@@ -438,7 +446,7 @@ def solve_penalized_regression(
         raise GridMismatchError("noise increment array does not match the paths")
     if terminal_values.shape != (n_paths, n_total):
         raise GridMismatchError("terminal value array does not match the paths")
-    n_features = basis_degree + 2
+    n_features = 5  # powers 0..3 of the state and its space mean
     if n_paths <= n_features:
         raise BasisDegenerateError(
             f"{n_paths} paths cannot identify {n_features} regression coefficients"
@@ -450,7 +458,7 @@ def solve_penalized_regression(
     zeros = np.zeros(grid.n_cells)
 
     def regress(features: np.ndarray, target: np.ndarray) -> np.ndarray:
-        gram = features.T @ features + ridge * np.eye(features.shape[1])
+        gram = features.T @ features + 1e-8 * np.eye(features.shape[1])
         moment = features.T @ target
         try:
             coef = np.linalg.solve(gram, moment)
@@ -478,7 +486,7 @@ def solve_penalized_regression(
         for i in range(1, n_total - 1):
             s = state[i]
             feats = np.column_stack(
-                [s**d for d in range(basis_degree + 1)] + [state_mean[i]]
+                [s**d for d in range(4)] + [state_mean[i]]
             )
             ce[i] = regress(feats, y[i])
             z[i] = regress(feats, y[i] * db / dt)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .backward import penalization_rate, rate_levels_problem
+from .backward import levels_problem, penalization_rate, rate_levels_problem
 from .config import RunConfig, load_config
 from .control import extract_policy, policy_adjoint
 from .errors import ConfigError, ToolkitError
@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"suite name ({', '.join(sorted(SUITES))})",
     )
-    verify.add_argument("--suite", dest="suite_flag", default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -77,17 +76,17 @@ def _parse_levels(raw: str) -> list[int]:
         levels = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError("levels must be comma-separated integers", "--levels")
-    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("levels must be strictly increasing positive integers", "--levels")
+    if problem := levels_problem(levels):
+        raise ConfigError(problem, "--levels")
     return levels
 
 
 def _apply_overrides(config: RunConfig, args) -> tuple[list[int], int, int, str]:
     levels = list(config.backward.levels)
-    if args.levels:
+    if args.levels is not None:
         levels = _parse_levels(args.levels)
     if args.command == "rate" and (problem := rate_levels_problem(levels)):
-        raise ConfigError(problem, "--levels" if args.levels else "backward.levels")
+        raise ConfigError(problem, "--levels" if args.levels is not None else "backward.levels")
     seed = args.seed if args.seed is not None else config.mc.seed
     if seed < 0:
         raise ConfigError("seed must be >= 0", "--seed")
@@ -271,7 +270,7 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
 
 
 def _cmd_verify(config: RunConfig | None, args) -> int:
-    name = args.suite_flag or args.suite or (config.suite if config else None) or "all"
+    name = args.suite or (config.suite if config else None) or "all"
     if name not in SUITES:
         print(f"unknown suite {name!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 2

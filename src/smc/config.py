@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from .backward import levels_problem
 from .control import PRICE_CAP, PRICE_FLOOR, Tolerances
 from .errors import ParseError, ValidationError
 from .forward import ProblemSpec
@@ -311,12 +312,8 @@ def parse_config(raw: dict) -> RunConfig:
     tolerances = Tolerances()
     if backward_node is not None:
         raw_levels = backward_node.get("levels", list, default=list(levels))
-        if not raw_levels or any(
-            not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in raw_levels
-        ):
-            raise ValidationError("levels must be positive integers", "backward.levels")
-        if any(b <= a for a, b in zip(raw_levels, raw_levels[1:])):
-            raise ValidationError("levels must be strictly increasing", "backward.levels")
+        if problem := levels_problem(raw_levels):
+            raise ValidationError(problem, "backward.levels")
         levels = tuple(raw_levels)
         tol_node = backward_node.sub("tolerances")
         if tol_node is not None:

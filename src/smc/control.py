@@ -443,8 +443,8 @@ def extract_policy(
     The adjoint is solved as a reflected backward problem with obstacle
     h10/lambda0 (reflection side set by the convention), the reflection
     measure is mapped to control increments by dividing by the singular
-    coefficient magnitude |lambda0 p - h10| of the raw penalized solution
-    where that magnitude exceeds ``coefficient_floor``; if the coefficient
+    coefficient magnitude |dH1/du| = |h10 - lambda0 p| of the raw penalized
+    solution where that magnitude exceeds ``coefficient_floor``; if the coefficient
     is degenerate on the charged set the raw reflection measure is returned
     and flagged.  The returned adjoint path is clipped to the admissible
     side of the threshold for t < T, which enforces the discrete
@@ -472,7 +472,7 @@ def extract_policy(
         barrier = reflected.obstacle_interior(t)
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         charged = deta > 0.0
-        coeff = np.abs(spec.lambda0 * p_raw[k, 1:-1] - spec.lambda0 * barrier)
+        coeff = np.abs(_dh1_du(spec, t, grid.interior, p_raw[k, 1:-1]))
         usable = charged & (coeff > coefficient_floor)
         if np.any(charged & ~usable):
             degenerate = True

@@ -350,12 +350,13 @@ class CoercivityReport:
     gamma: float
 
 
-def check_garding(op: OperatorSpec, grid: Grid, tol: float = 1e-10) -> CoercivityReport:
+def check_garding(op: OperatorSpec, grid: Grid) -> CoercivityReport:
     """Compute discrete coercivity constants of the assembled generator.
 
     The quadratic form examined is Q(u) = 2 <(-A)u, u>_h over zero-boundary
     interior vectors.  The report carries (alpha, lam) with alpha > 0 when
-    the form dominates the discrete Sobolev norm up to a zeroth-order shift.
+    the form dominates the discrete Sobolev norm up to a zeroth-order shift;
+    a constant at or below 1e-10 counts as zero.
     """
     n = grid.n_cells
     h = grid.h
@@ -367,14 +368,14 @@ def check_garding(op: OperatorSpec, grid: Grid, tol: float = 1e-10) -> Coercivit
     m_w = m_h + grad_gram
 
     gamma = float(scipy.linalg.eigvalsh(q, grad_gram)[0])
-    if gamma <= tol:
+    if gamma <= 1e-10:
         return CoercivityReport(alpha=0.0, lam=0.0, satisfied=False, gamma=gamma)
 
     alpha0 = float(scipy.linalg.eigvalsh(q, m_w)[0])
-    if alpha0 > tol:
+    if alpha0 > 1e-10:
         return CoercivityReport(alpha=alpha0, lam=0.0, satisfied=True, gamma=gamma)
 
     mu = float(scipy.linalg.eigvalsh(q, m_h)[0])
     lam = 2.0 * abs(mu)
     alpha = float(scipy.linalg.eigvalsh(q + lam * m_h, m_w)[0])
-    return CoercivityReport(alpha=alpha, lam=lam, satisfied=alpha > tol, gamma=gamma)
+    return CoercivityReport(alpha=alpha, lam=lam, satisfied=alpha > 1e-10, gamma=gamma)

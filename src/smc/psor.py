@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .grid import Field, FieldPath, Grid
-from .operators import OperatorSpec, SpaceMeanOperator, operator_tridiagonal
+from .operators import OperatorSpec, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
@@ -29,14 +29,13 @@ def psor_lcp(
     rhs: np.ndarray,
     obstacle: np.ndarray,
     y0: np.ndarray,
-    omega: float = 1.5,
-    tol: float = 1e-13,
-    max_sweeps: int = 100_000,
 ) -> np.ndarray:
     """Solve the tridiagonal LCP y >= obstacle, My >= rhs, complementary.
 
     ``lower[i]`` couples row i to i-1 (lower[0] unused), ``upper[i]`` to i+1
-    (upper[-1] unused).  Red-black sweeps with projection onto {y >= obstacle}.
+    (upper[-1] unused).  Red-black sweeps with over-relaxation 1.5 and
+    projection onto {y >= obstacle}, until no entry moves by more than 1e-13
+    relative, for at most 100 000 sweeps.
     """
     n = diag.size
     y = np.maximum(y0.copy(), obstacle)
@@ -48,16 +47,16 @@ def psor_lcp(
         right = np.where(idx < n - 1, upper[idx] * y[np.minimum(idx + 1, n - 1)], 0.0)
         return left + right
 
-    for _ in range(max_sweeps):
+    for _ in range(100_000):
         delta = 0.0
         for idx in (red, black):
             resid = rhs[idx] - neighbor_sum(idx) - diag[idx] * y[idx]
-            y_new = np.maximum(obstacle[idx], y[idx] + omega * resid / diag[idx])
+            y_new = np.maximum(obstacle[idx], y[idx] + 1.5 * resid / diag[idx])
             delta = max(delta, float(np.max(np.abs(y_new - y[idx]), initial=0.0)))
             y[idx] = y_new
-        if delta <= tol * max(1.0, float(np.max(np.abs(y)))):
+        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(y)))):
             return y
-    raise NoConvergenceError(f"projected SOR did not converge in {max_sweeps} sweeps")
+    raise NoConvergenceError("projected SOR did not converge in 100000 sweeps")
 
 
 def solve_obstacle_psor(
@@ -67,57 +66,26 @@ def solve_obstacle_psor(
     obstacle,
     horizon: float,
     n_steps: int,
-    driver=None,
     side: str = LOWER,
-    use_adjoint_operator: bool = False,
-    omega: float = 1.5,
-    tol: float = 1e-13,
-    max_outer: int = 100,
 ) -> FieldPath:
     """Backward obstacle solve, one projected-SOR LCP per implicit Euler step.
 
-    ``obstacle`` is a callable L(t, nodes) -> values; ``driver`` an optional
-    F(t, x_int, y, ybar, z, zbar) evaluated with the space mean lagged to the
-    previous time level and iterated to a fixed point in its local argument,
-    matching the convention of the penalization solver it cross-checks.
-    Upper-side problems are solved by negation.
+    ``obstacle`` is a callable L(t, nodes) -> values.  Upper-side problems
+    are solved by negation.
     """
     sign = 1.0 if side == LOWER else -1.0
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
-    x_int = grid.interior
-    mean_op = SpaceMeanOperator(grid, op.theta) if driver is not None else None
 
-    lo_a, di_a, up_a = operator_tridiagonal(op, grid, adjoint=use_adjoint_operator)
+    lo_a, di_a, up_a = operator_tridiagonal(op, grid)
     m_lower = -dt * lo_a
     m_diag = 1.0 - dt * di_a
     m_upper = -dt * up_a
 
     values = np.zeros((n_steps + 1, grid.n_total))
     values[-1] = sign * terminal.values
-    y_next = values[-1].copy()
-    zeros = np.zeros(grid.n_cells)
     for k in range(n_steps - 1, -1, -1):
-        t = times[k]
-        barrier = sign * np.asarray(obstacle(t, grid.nodes), dtype=float)[1:-1]
-        ybar = mean_op.apply(y_next)[1:-1] if mean_op is not None else None
-        y = y_next[1:-1].copy()
-        for _ in range(max_outer):
-            if driver is None:
-                forcing = zeros
-            else:
-                forcing = sign * np.asarray(
-                    driver(t, x_int, sign * y, sign * ybar, zeros, zeros), dtype=float
-                )
-            rhs = y_next[1:-1] + dt * forcing
-            y_new = psor_lcp(m_lower, m_diag, m_upper, rhs, barrier, y, omega=omega, tol=tol)
-            if driver is None or np.max(np.abs(y_new - y)) <= tol * max(1.0, np.max(np.abs(y_new))):
-                y = y_new
-                break
-            y = y_new
-        else:
-            raise NoConvergenceError("outer driver iteration did not converge")
-        y_next = np.zeros(grid.n_total)
-        y_next[1:-1] = y
-        values[k] = y_next
+        barrier = sign * np.asarray(obstacle(times[k], grid.nodes), dtype=float)[1:-1]
+        y_next = values[k + 1, 1:-1]
+        values[k, 1:-1] = psor_lcp(m_lower, m_diag, m_upper, y_next, barrier, y_next)
     return FieldPath(grid, times, sign * values)

@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import subprocess
@@ -96,21 +97,13 @@ class PhaseTimer:
     def __init__(self):
         self.phases: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                timer.phases[name] = timer.phases.get(name, 0.0) + (
-                    time.perf_counter() - self.start
-                )
-                return False
-
-        return _Ctx()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = self.phases.get(name, 0.0) + (time.perf_counter() - start)
 
 
 def _write_json(path: Path, payload: dict) -> None:

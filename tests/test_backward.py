@@ -118,14 +118,16 @@ def test_zero_terminal_above_obstacle_stays_zero():
 
 def test_reflected_levels_same_bytes_on_two_workers(monkeypatch):
     spec = suites.active_obstacle_spec()
-    runs = []
+    runs, studies = [], []
     for workers in ("1", "2"):
         monkeypatch.setenv("SMC_WORKERS", workers)
         runs.append(solve_reflected(spec, [1024, 4096, 16384]))
+        studies.append(penalization_rate(spec, [4, 8, 16, 32, 64, 128, 256]))  # criterion 01
     serial, parallel = runs
     assert parallel.y.values.tobytes() == serial.y.values.tobytes()
     assert parallel.eta.values.tobytes() == serial.eta.values.tobytes()
     assert parallel.diagnostics == serial.diagnostics
+    assert repr(studies[1]) == repr(studies[0])
 
 
 def test_stalled_level_error_crosses_from_workers_unchanged(monkeypatch):

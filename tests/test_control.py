@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from smc import suites
 from smc.backward import solve_penalized
 from smc.control import (
     PRICE_CAP,
     PRICE_FLOOR,
+    _dh1_du,
     assemble_adjoint,
     check_necessary,
     directional_derivative_J,
@@ -333,6 +337,22 @@ def test_extract_policy_floor_benchmark_report():
     # charges the interior price pocket, not the walls
     charged = np.nonzero(pol.xi_hat.increments.sum(axis=0))[0]
     assert charged.min() >= 20 and charged.max() <= 39
+
+
+def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one():
+    # at lambda0 = 1.5, lambda0 * (h10 / lambda0) need not round back to h10:
+    # the policy's coefficient must be the solver's dH1/du bit for bit
+    spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
+    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=PRICE_FLOOR)
+    deta = np.diff(pol.eta.values[:, 1:-1], axis=0)
+    p_raw = pol.solution.y.values[:-1, 1:-1]
+    coeff = np.abs([_dh1_du(spec, t, spec.grid.interior, p) for t, p in zip(spec.times, p_raw)])
+    charged = deta > 0.0
+    assert charged.any() and not pol.degenerate_coefficient
+    rate = np.zeros_like(deta)
+    rate[charged] = deta[charged] / coeff[charged]
+    expected = SingularControl.from_increments(rate)  # the policy's cumulative sum, same order
+    np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
 
 
 def test_extract_policy_requires_multiplicative_model():

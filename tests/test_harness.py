@@ -5,13 +5,15 @@ import pickle
 import numpy as np
 import pytest
 
+from smc import suites
+from smc.backward import penalization_rate, solve_reflected
 from smc.cli import main
 from smc.config import load_config, parse_config
 from smc import errors
 from smc.errors import ConfigError, NanDetectedError, ParseError, ValidationError
 from smc.forward import worker_count
 from smc.grid import FieldPath, build_grid
-from smc.report import CheckResult, RunReport, persist, write_field_path_csv
+from smc.report import CheckResult, PhaseTimer, RunReport, persist, write_field_path_csv
 
 
 def minimal_config(**overrides):
@@ -187,6 +189,28 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "levels", [[0, 4], [4, 4], [8, 4], []], ids=["zero", "repeat", "falling", "empty"]
+)
+def test_one_levels_rule_everywhere(tmp_path, capsys, levels):
+    spec = suites.active_obstacle_spec(30, 40)
+    with pytest.raises(ValueError) as solve_err:
+        solve_reflected(spec, levels)
+    message = str(solve_err.value)
+    with pytest.raises(ValueError) as rate_err:
+        penalization_rate(spec, levels)
+    assert str(rate_err.value) == message
+
+    with pytest.raises(ValidationError) as config_err:
+        parse_config(minimal_config(backward={"levels": levels}))
+    assert str(config_err.value) == f"backward.levels: {message}"
+
+    raw = ",".join(map(str, levels))
+    code = main(["adjoint", "--config", _write_config(tmp_path, minimal_config()), "--levels", raw])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: --levels: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
 def test_malformed_smc_workers_is_config_error_exit_2(monkeypatch, capsys, value):
     monkeypatch.setenv("SMC_WORKERS", value)
@@ -252,6 +276,24 @@ def test_cli_simulate_honours_output_formats(tmp_path, formats):
     assert (out / "report.json").exists() == ("json" in formats)
     manifest = json.loads((out / "manifest.json").read_text())
     assert {f["name"] for f in manifest["files"]} == written
+
+
+def test_phase_timer_accumulates_into_runmeta(tmp_path, monkeypatch):
+    clock = iter([1.0, 2.0, 10.0, 14.0, 20.0, 21.5])
+    monkeypatch.setattr("smc.report.time.perf_counter", lambda: next(clock))
+    timer = PhaseTimer()
+    for _ in range(2):
+        with timer.time("solve"):
+            pass
+    with pytest.raises(RuntimeError), timer.time("fail"):
+        raise RuntimeError("phase raised")
+    monkeypatch.undo()
+    assert timer.phases == {"solve": 5.0, "fail": 1.5}
+    report = _tiny_report()
+    report.timings = timer.phases
+    persist(report, {}, str(tmp_path), ("json",))
+    runmeta = json.loads((tmp_path / "runmeta.json").read_text())
+    assert runmeta == {"timings": timer.phases}
 
 
 def test_cli_determinism_two_runs_identical(tmp_path):
