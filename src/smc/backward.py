@@ -286,26 +286,26 @@ def levels_problem(levels) -> str | None:
 
 
 def _solve_levels(spec: BackwardSpec, levels, problem: Callable) -> tuple[list[int], list]:
-    """Reject ``levels`` if ``problem`` names a fault, else solve each level on the workers."""
+    """Reject ``levels`` if ``problem`` names a fault, else solve each level's Y on the workers."""
     if (why := problem(levels)) is not None:
         raise ValueError(why)
     levels = [int(n) for n in levels]
-    return levels, map_ordered(lambda n: solve_penalized(spec, n), levels)
+    return levels, map_ordered(lambda n: solve_penalized(spec, n)[0], levels)
 
 
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     """Solve penalized problems along ``levels`` and assemble the reflected triple.
 
-    Y and Z come from the largest level; the reflection measure is the running
-    time integral of n (Y^n - L)^- at that level.  Raises NonCauchyError when
+    Y comes from the largest level and Z is zero; the reflection measure is the
+    running time integral of n (Y^n - L)^- at that level.  Raises NonCauchyError when
     the inter-level gaps sup_t ||Y^n - Y^m||_H stop decreasing beyond a small
     floor.
     """
-    levels, solutions = _solve_levels(spec, levels, levels_problem)
+    levels, y_paths = _solve_levels(spec, levels, levels_problem)
     h = spec.grid.h
-    scale = max(1.0, float(np.max(np.abs(solutions[-1][0].values))))
+    scale = max(1.0, float(np.max(np.abs(y_paths[-1].values))))
     gaps = []
-    for (y_a, _), (y_b, _) in zip(solutions, solutions[1:]):
+    for y_a, y_b in zip(y_paths, y_paths[1:]):
         diff = y_a.values[:, 1:-1] - y_b.values[:, 1:-1]
         gaps.append(float(np.max(np.sqrt(h * np.sum(diff**2, axis=1)))))
     floor = 1e-12 * scale
@@ -316,7 +316,8 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
             )
 
     n_top = levels[-1]
-    y_path, z_path = solutions[-1]
+    y_path = y_paths[-1]
+    z_path = FieldPath(spec.grid, spec.times, np.zeros_like(y_path.values))
     gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
     eta_values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     if gap is not None:
@@ -393,9 +394,9 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     interior nodes.  Needs at least 4 levels spanning two octaves.  Raises
     DegenerateFitError when every energy sits below the 1e-24 floor.
     """
-    levels, solutions = _solve_levels(spec, levels, rate_levels_problem)
+    levels, y_paths = _solve_levels(spec, levels, rate_levels_problem)
     energies = []
-    for y_path, _ in solutions:
+    for y_path in y_paths:
         gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
         violation = 0.0 if gap is None else np.maximum(-gap[:-1], 0.0)
         energies.append(float(spec.dt * spec.grid.h * np.sum(violation**2)))

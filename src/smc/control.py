@@ -41,6 +41,7 @@ from .forward import (
     MEAN_NOISE,
     MULTIPLICATIVE_GAIN,
     POINTWISE_NOISE,
+    PROPORTIONAL_REVENUE,
     _DEFAULT_CHUNK,
     ControlPerturbation,
     ProblemSpec,
@@ -94,7 +95,7 @@ def hamiltonian(
     xs = np.asarray([float(x)])
     price = float(_as_tx_function(spec.h10)(t, xs)[0])
     cost = float(_as_tx_function(spec.cost)(t, xs)[0])
-    singular_reward = price * u - cost if spec.revenue_mode == "proportional" else price - cost
+    singular_reward = price * (u if spec.revenue_mode == PROPORTIONAL_REVENUE else 1.0) - cost
     h0 = running + drift * p + vol * q
     h1 = gain * p + singular_reward
     return HamiltonianEval(
@@ -124,7 +125,7 @@ def _dh1_du(spec: ProblemSpec, t: float, x: np.ndarray, p: np.ndarray) -> np.nda
     lambda0 p under the multiplicative gain.  The adjoint differential carries
     -(dH1/du) xi(dt, x), so each backward step ADDS (dH1/du) dxi.
     """
-    if spec.revenue_mode == "proportional":
+    if spec.revenue_mode == PROPORTIONAL_REVENUE:
         revenue = spec._h10_values(t)[1:-1]
     else:
         revenue = np.zeros(spec.grid.n_cells)
@@ -179,7 +180,7 @@ def assemble_adjoint(
 
     singular = None
     if xi is not None and (
-        spec.control_gain_mode == MULTIPLICATIVE_GAIN or spec.revenue_mode == "proportional"
+        spec.control_gain_mode == MULTIPLICATIVE_GAIN or spec.revenue_mode == PROPORTIONAL_REVENUE
     ):  # otherwise dH1/du vanishes
         singular = (xi, partial(_dh1_du, spec))
 
@@ -223,7 +224,7 @@ def _node_sum(values: np.ndarray) -> np.ndarray:
     """Per-path sum over the node axis, adding nodes in order at every bundle width.
 
     numpy reduces a wide bundle's axis 0 row by row but a one-column bundle
-    pairwise; the running sum keeps a path's bits independent of its chunk.
+    pairwise; the running sum keeps a path's bits independent of its bundle.
     """
     if values.shape[1] == 1:
         return np.cumsum(values, axis=0)[-1]
@@ -453,7 +454,7 @@ def extract_policy(
     ``max_rate`` optionally caps lambda0 * dxi per step (multiplicative-gain
     runs need lambda0 * dxi < 1 to keep the state positive).
     """
-    if spec.control_gain_mode != MULTIPLICATIVE_GAIN or spec.revenue_mode != "proportional":
+    if spec.control_gain_mode != MULTIPLICATIVE_GAIN or spec.revenue_mode != PROPORTIONAL_REVENUE:
         raise NonlinearModelError(
             "policy extraction expects the multiplicative-gain harvesting model"
         )

@@ -55,8 +55,9 @@ IMPLICIT = "implicit"
 CRANK_NICOLSON = "crank-nicolson"
 
 ENV_WORKERS = "SMC_WORKERS"
-# paths per Monte Carlo chunk; two chunks in flight hold what one 4096-path chunk held
+# most paths per Monte Carlo bundle; two bundles in flight hold what one 4096-path bundle held
 _DEFAULT_CHUNK = 2048
+_BLOCK = 128  # paths per block: ensembles sum blocks, so no result shows how bundles cut paths
 
 
 def worker_count() -> int:
@@ -503,7 +504,7 @@ def _check_finite(u: np.ndarray, k: int, seed: int | None) -> None:
     if np.isfinite(u.min()) and np.isfinite(u.max()):
         return
     if u.ndim == 2 and seed is not None:
-        bad = int(np.argwhere(~np.isfinite(u))[0][1])
+        bad = int(np.argmax(~np.isfinite(u).all(axis=0)))  # the lowest failing path
         raise NanDetectedError(
             f"non-finite state at step {k} (path seed {seed + bad})", step=k, seed=seed + bad
         )
@@ -565,14 +566,13 @@ def _monte_carlo(
 ) -> list[tuple]:
     """Run every (control, reduce) pass over shared noise, one path bundle at a time.
 
-    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  Paths are cut
-    into chunks of at most ``chunk_size``.  A bundle draws its noise once, and each pass
-    reduces ``iterate_states`` over it to ``reduce(first_seed, states)``; bundles may run on
-    parallel workers.  A chunk is one bundle, but when the chunks do not share evenly among
-    the workers, each of the last ``len(chunks) % workers`` chunks of more than 128 paths
-    runs as two, cut where numpy's pairwise sum halves a row of that length: a reduction
-    that sums over paths rebuilds the chunk's sum bit for bit by adding the two.  The result
-    holds, per pass, its bundle reductions in seed order.
+    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  A bundle is a
+    run of ``max(1, chunk_size // _BLOCK)`` or fewer whole ``_BLOCK``-path blocks counted from
+    ``seed``, in the fewest bundles that allows, rounded up to a multiple of the workers but
+    at most one per block.  A bundle draws its noise once, and each pass reduces ``iterate_states``
+    over it to ``reduce(first_seed, states)``; bundles may run on parallel workers.  The
+    result holds, per pass, its bundle reductions in seed order.  A non-finite state raises
+    the error of the earliest (pass, step, path seed), and each distinct warning is issued once.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -580,49 +580,48 @@ def _monte_carlo(
         raise ValueError("chunk_size must be >= 1")
     root = np.sqrt(spec.dt)
 
-    def run(bundle: tuple[int, int]) -> list:
+    def run(bundle: tuple[int, int]) -> list | tuple:
         first, count = bundle
         dw = np.empty((spec.n_steps, count))
         for p in range(count):
             dw[:, p] = np.random.default_rng(first + p).standard_normal(spec.n_steps) * root
-        return [reduce(first, iterate_states(spec, xi, dw, first)) for xi, reduce in passes]
+        reductions = []
+        for xi, reduce in passes:
+            try:
+                reductions.append(reduce(first, iterate_states(spec, xi, dw, first)))
+            except NanDetectedError as exc:  # each bundle runs to its own first failure
+                return (len(reductions), exc.step, exc.seed), exc
+        return reductions
 
-    firsts = range(seed, seed + n_paths, chunk_size)
-    chunks = [(first, min(chunk_size, seed + n_paths - first)) for first in firsts]
+    n_blocks = -(-n_paths // _BLOCK)
     workers = worker_count() if hasattr(os, "fork") else 1
-    bundles = chunks[: len(chunks) - len(chunks) % workers]
-    for first, n in chunks[len(bundles) :]:
-        half = n // 2 - n // 2 % 8  # where numpy's pairwise sum halves a row of more than 128
-        bundles += [(first, half), (first + half, n - half)] if n > 128 else [(first, n)]
-    if len(bundles) == len(chunks):
-        return list(zip(*map_ordered(run, chunks)))
+    count = -(-n_blocks // max(1, chunk_size // _BLOCK))
+    count = min(n_blocks, -(-count // workers) * workers)
+    edges = [seed + min(n_paths, _BLOCK * (i * n_blocks // count)) for i in range(count + 1)]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results = map_ordered(run, bundles)
-    except NanDetectedError:  # a half can blow up before its chunk does: fail as serial runs do
-        caught = []  # the serial rerun warns for itself
-        results = [run(chunk) for chunk in chunks]
+            results = map_ordered(run, [(a, b - a) for a, b in zip(edges, edges[1:])])
     finally:
-        for warning in caught:
-            warnings.warn(warning.message, stacklevel=2)
+        for message in {(w.category, str(w.message)): w.message for w in caught}.values():
+            warnings.warn(message, stacklevel=2)
+    failures = [result for result in results if isinstance(result, tuple)]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return list(zip(*results))
 
 
-def _summarize_chunk(spec: ProblemSpec, first: int, states: Iterator) -> tuple:
-    """First seed, sum of the states per time, terminal states, and (minimum, location)."""
-    state_sum = np.zeros((spec.n_steps + 1, spec.grid.n_total))
-    min_value = np.inf
-    min_location = (first, 0, 1)
+def _summarize_bundle(first: int, states: Iterator) -> tuple:
+    """Per-block state sums per step, terminal states, and the (value, step, node, seed) minimum."""
+    sums, key = [], (np.inf, 0, 1, first)
     for k, u in states:
-        state_sum[k] = u.sum(axis=1)
+        sums.append(np.add.reduceat(u, np.arange(0, u.shape[1], _BLOCK), axis=1))
         interior = u[1:-1]
         m = float(interior.min())
-        if m < min_value:
+        if m < key[0]:
             node, path = np.unravel_index(int(np.argmin(interior)), interior.shape)
-            min_value = m
-            min_location = (first + int(path), k, int(node) + 1)
-    return first, state_sum, u.T.copy(), (min_value, min_location)
+            key = (m, k, int(node) + 1, first + int(path))
+    return np.stack(sums), u.T.copy(), key
 
 
 def simulate_ensemble(
@@ -636,30 +635,21 @@ def simulate_ensemble(
 
     The positivity flag records whether the state stayed strictly positive at
     every interior node of every path at every time; the minimum and its
-    (seed, time, node) location are reported either way.  Chunks of paths may
-    run on parallel workers; reduction happens in seed order, so results are
-    deterministic for a fixed chunk size.
+    (seed, time, node) location, the first in step, node and seed order, are
+    reported either way.  Bundles of paths may run on parallel workers; the
+    mean adds fixed blocks of paths, so no output depends on chunks or workers.
     """
-    passes = [(control, partial(_summarize_chunk, spec))]
+    passes = [(control, _summarize_bundle)]
     (bundles,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
-    chunks: dict[int, list] = {}  # a chunk split over two workers returns two bundles
-    for bundle in bundles:
-        chunks.setdefault((bundle[0] - seed) // chunk_size, []).append(bundle)
-    sums, minima = [], []
-    for _, halves, _, mins in (zip(*parts) for parts in chunks.values()):
-        sums.append(sum(halves[1:], halves[0]))
-        # the chunk's own choice: its first step at the minimum, then the node-major argmin
-        minima.append(min(mins, key=lambda m: (m[0], m[1][1], m[1][2], m[1][0])))
-    state_sum = sums[0].copy()
-    for part in sums[1:]:
-        state_sum += part
-    min_value, min_location = min(minima, key=lambda m: m[0])
+    block_sums, terminals, keys = zip(*bundles)
+    min_value, step, node, path_seed = min(keys)
+    state_sum = np.concatenate(block_sums, axis=2).sum(axis=2)
     return EnsembleSummary(
         mean_path=FieldPath(spec.grid, spec.times, state_sum / n_paths),
-        terminal_values=np.vstack([terminal for *_, terminal, _ in bundles]),
+        terminal_values=np.vstack(terminals),
         positivity=bool(min_value > 0.0),
         min_value=min_value,
-        min_location=min_location,
+        min_location=(path_seed, step, node),
         n_paths=n_paths,
         seed=seed,
     )

@@ -360,7 +360,7 @@ def test_skorokhod_zero_when_y_equals_obstacle_on_support():
     assert val == 0.0
 
 
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(
     amplitude=st.floats(-0.5, 1.2),
     tilt=st.floats(-1.0, 1.0),

@@ -276,12 +276,13 @@ def _engine_per_path_outputs(spec, control, n_paths, chunk_size):
 @pytest.mark.parametrize(
     "outputs, n_paths, chunk_sizes",
     [
-        (_ensemble_outputs, 6, (2,)),
-        (_performance_outputs, 6, (2, 4096)),
-        # 4100 paths: three default chunks, or a 4096-path chunk and a 4-path one
+        # 300 paths: three blocks, so one bundle per block at chunk sizes below 128
+        (_ensemble_outputs, 300, (2, 4096)),
+        (_performance_outputs, 300, (2, 4096)),
+        # 4100 paths, 33 blocks: bundles of at most 16 blocks by default, or of 32
         (_performance_outputs, 4100, (None, 4096)),
         (_derivative_outputs, 4100, (None, 4096)),
-        (_engine_per_path_outputs, 6, (1, 2, 4, 4096)),
+        (_engine_per_path_outputs, 300, (1, 2, 4, 4096)),
     ],
     ids=[
         "simulate_ensemble",
@@ -450,13 +451,13 @@ def test_ensemble_nan_reports_offending_seed():
 
 
 def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
-    # every one-path chunk fails; as in a serial run, the first chunk in seed order wins
+    # all three one-block bundles fail at the same step; the lowest path seed wins
     spec = _exploding_spec()
     errors = []
     for workers in ("1", "2"):
         monkeypatch.setenv("SMC_WORKERS", workers)
         with pytest.warns(CflWarning), pytest.raises(NanDetectedError) as err:
-            simulate_ensemble(spec, zero_control(spec), n_paths=3, seed=100, chunk_size=1)
+            simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=100, chunk_size=1)
         errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
     assert errors[1] == errors[0]
     assert errors[0][3] == 100
@@ -470,7 +471,7 @@ def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
         monkeypatch.setenv("SMC_WORKERS", workers)
         with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
             warnings.simplefilter("always")
-            simulate_ensemble(spec, zero_control(spec), n_paths=4, seed=100, chunk_size=2)
+            simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=100, chunk_size=2)
         assert caught and {w.category for w in caught} == {CflWarning}
         errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
     assert errors[1] == errors[0]
@@ -479,10 +480,10 @@ def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
 @pytest.mark.parametrize(
     "beta, n_paths, seed, offender",
     [
-        (0.0, 900, 100, 100),  # three chunks: the last splits at two workers
-        # one chunk, split at two and three workers: seed 1150 blows up first, at a lower
-        # node than seed 1010, the first to blow up in the chunk's first half
-        (0.5, 300, 1000, 1150),
+        (0.0, 900, 100, 100),  # identical paths: all blow up together, the lowest seed wins
+        # seeds 1001 and 1150 blow up at the same step, 1150 at a lower node: the lowest
+        # failing seed is named, whichever bundle holds it
+        (0.5, 300, 1000, 1001),
     ],
 )
 def test_split_chunk_nan_error_is_the_serial_one(monkeypatch, beta, n_paths, seed, offender):
@@ -511,13 +512,16 @@ def test_worker_cfl_warning_reaches_the_caller(monkeypatch):
         initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
         boundary=(0.0, 0.0),
     )
-    with pytest.warns(CflWarning):
-        summary = simulate_ensemble(spec, zero_control(spec), n_paths=2, seed=0, chunk_size=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summary = simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=0, chunk_size=1)
     assert np.isfinite(summary.min_value)
+    # each of the three bundles warns in its worker; the caller hears the warning once
+    assert [w.category for w in caught] == [CflWarning]
 
 
 def test_split_run_error_keeps_the_warnings_before_it(monkeypatch):
-    # a pass that fails after its kernel warned: a split run warns as a serial run does
+    # a pass that fails after its kernel warned: a parallel run warns as a serial run does
     spec = _exploding_spec()
 
     def reduce(first, states):
@@ -546,29 +550,19 @@ def _record_bundles(monkeypatch) -> list:
     return seen
 
 
-@pytest.mark.parametrize("n", [129, 136, 300, 904, 1808, 2048, 4096, 16384])
-def test_numpy_sums_a_row_as_its_two_pairwise_halves(n):
-    # a chunk split over two workers rebuilds its per-node path sums from its two bundles;
-    # a numpy that cut its pairwise sum elsewhere would move ensemble mean paths silently
-    half = n // 2 - n // 2 % 8
-    rows = np.random.default_rng(n).standard_normal((62, n))
-    left, right = np.ascontiguousarray(rows[:, :half]), np.ascontiguousarray(rows[:, half:])
-    assert rows.sum(axis=1).tobytes() == (left.sum(axis=1) + right.sum(axis=1)).tobytes()
-
-
 @pytest.mark.parametrize(
     "workers, n_paths, chunk_size, bundles",
     [
-        ("1", 300, 300, [(0, 300)]),
-        ("2", 300, 300, [(0, 144), (144, 156)]),
-        ("2", 600, 300, [(0, 300), (300, 300)]),
-        ("3", 600, 300, [(0, 144), (144, 156), (300, 144), (444, 156)]),
-        ("2", 387, 129, [(0, 129), (129, 129), (258, 64), (322, 65)]),
-        ("2", 384, 128, [(0, 128), (128, 128), (256, 128)]),  # 128 paths: never split
-        ("3", 400, 100, [(0, 100), (100, 100), (200, 100), (300, 100)]),
+        ("1", 300, 300, [(0, 128), (128, 172)]),
+        ("2", 300, 300, [(0, 128), (128, 172)]),
+        ("2", 600, 300, [(0, 128), (128, 128), (256, 128), (384, 216)]),
+        ("3", 600, 300, [(0, 128), (128, 256), (384, 216)]),
+        ("2", 387, 129, [(0, 128), (128, 128), (256, 128), (384, 3)]),
+        ("2", 384, 128, [(0, 128), (128, 128), (256, 128)]),  # three blocks: three bundles
+        ("3", 400, 100, [(0, 128), (128, 128), (256, 128), (384, 16)]),
     ],
 )
-def test_only_tail_chunks_of_more_than_128_paths_split(
+def test_bundles_are_whole_blocks_shared_among_the_workers(
     monkeypatch, workers, n_paths, chunk_size, bundles
 ):
     monkeypatch.setenv("SMC_WORKERS", workers)
@@ -576,14 +570,20 @@ def test_only_tail_chunks_of_more_than_128_paths_split(
     spec = make_spec(n_steps=2)
     performance_J(spec, zero_control(spec), n_paths, seed=0, chunk_size=chunk_size)
     assert seen == [bundles]
+    firsts = [first for first, _ in bundles]
+    assert firsts == sorted(firsts) and all(first % 128 == 0 for first in firsts)
+    assert sum(count for _, count in bundles) == n_paths
+    assert all(count <= max(chunk_size, 128) for _, count in bundles)
+    n_blocks = -(-n_paths // 128)
+    assert len(bundles) % int(workers) == 0 or len(bundles) == n_blocks
 
 
 @pytest.mark.parametrize(
     "beta, n_paths, chunking, bundle_counts",
     [
-        (0.2, 900, {"chunk_size": 300}, [3, 4, 3]),
-        (0.2, 2048, {}, [1, 2, 2]),  # one default chunk
-        (0.0, 900, {"chunk_size": 300}, [3, 4, 3]),  # identical paths: the minimum ties
+        (0.2, 900, {"chunk_size": 300}, [4, 4, 6]),
+        (0.2, 2048, {}, [1, 2, 3]),  # one default chunk
+        (0.0, 900, {"chunk_size": 300}, [4, 4, 6]),  # identical paths: the minimum ties
     ],
     ids=["900-by-300", "one-default-chunk", "no-noise"],
 )
@@ -606,15 +606,15 @@ def test_split_chunks_keep_ensembles_byte_identical(
 @pytest.mark.parametrize(
     "lows, location",
     [
-        ({(5, 2): 4, (200, 1): 9}, (200, 1, 9)),  # the second half reaches it a step earlier
+        ({(5, 2): 4, (200, 1): 9}, (200, 1, 9)),  # the second bundle reaches it a step earlier
         ({(5, 1): 9, (200, 1): 4}, (200, 1, 4)),  # the same step, at a lower node
         ({(5, 1): 4, (200, 1): 4}, (5, 1, 4)),  # the same step and node: the lower seed
     ],
 )
 def test_split_chunk_minimum_is_the_whole_chunks_choice(monkeypatch, lows, location):
-    # two paths, one in each half of a 300-path chunk, reach the same minimum 0.5 at
-    # (path seed, step) -> node; every other state is 1.  A whole chunk reports the first
-    # step at its minimum, then the node-major argmin, which the merged halves must match.
+    # two paths, in two bundles of a 300-path run at every worker count, reach the same
+    # minimum 0.5 at (path seed, step) -> node; every other state is 1.  One bundle reports
+    # the first step at its minimum, then the node-major argmin: so must the ensemble.
     spec = make_spec(n_steps=3)
 
     def states(spec, control, dw, first):
@@ -634,14 +634,55 @@ def test_split_chunk_minimum_is_the_whole_chunks_choice(monkeypatch, lows, locat
     assert locations == [(0.5, location)] * 3
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
-@given(
-    n_paths=st.integers(1, 700), chunk_size=st.integers(1, 400), workers=st.integers(1, 3)
+@pytest.mark.parametrize(
+    "fails, offender",
+    [
+        ({(0, 5): 3, (0, 200): 1}, (1, 200)),  # the later bundle fails a step earlier
+        ({(0, 5): 2, (0, 200): 2}, (2, 5)),  # the same step: the lower seed
+        ({(1, 5): 1, (0, 200): 2}, (2, 200)),  # the first control fails first, if later
+    ],
 )
-@example(n_paths=700, chunk_size=300, workers=2)  # a 100-path tail chunk: not split
-@example(n_paths=700, chunk_size=240, workers=2)  # a 220-path tail chunk splits
-@example(n_paths=400, chunk_size=400, workers=3)  # one chunk, split in two
-def test_worker_count_never_moves_a_monte_carlo_bit(n_paths, chunk_size, workers):
+def test_nan_error_is_the_earliest_of_all_bundles(monkeypatch, fails, offender):
+    # (control, path seed) -> step from which that path is NaN, in a 300-path run of two
+    # controls that has two or three bundles at 1-3 workers; a single bundle would stop at
+    # the first control that fails, at its first failing step and lowest seed there
+    spec = make_spec(n_steps=3)
+    controls = [zero_control(spec), zero_control(spec)]
+
+    def states(spec, control, dw, first):
+        index = next(i for i, c in enumerate(controls) if c is control)
+        for k in range(spec.n_steps + 1):
+            u = np.ones((spec.grid.n_total, dw.shape[1]))
+            for (which, path_seed), step in fails.items():
+                if which == index and k >= step and first <= path_seed < first + dw.shape[1]:
+                    u[1, path_seed - first] = np.nan
+            forward._check_finite(u, k, first)
+            yield k, u
+
+    monkeypatch.setattr(forward, "iterate_states", states)
+    passes = [(control, lambda first, states: sum(1 for _ in states)) for control in controls]
+    errors = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with pytest.raises(NanDetectedError) as err:
+            _monte_carlo(spec, passes, 300, 0, 300)
+        errors.append((err.value.step, err.value.seed))
+    assert errors == [offender] * 3
+
+
+@settings(max_examples=12)
+@given(
+    n_paths=st.integers(1, 700),
+    chunk_size=st.integers(1, 400),
+    other_chunk_size=st.integers(1, 4096),
+    workers=st.integers(1, 3),
+)
+@example(n_paths=700, chunk_size=300, other_chunk_size=128, workers=2)
+@example(n_paths=700, chunk_size=240, other_chunk_size=1, workers=2)
+@example(n_paths=400, chunk_size=400, other_chunk_size=129, workers=3)
+def test_worker_count_never_moves_a_monte_carlo_bit(
+    n_paths, chunk_size, other_chunk_size, workers
+):
     grid = build_grid(0.0, 1.0, 8)
     spec = make_spec(
         grid=grid,
@@ -654,18 +695,21 @@ def test_worker_count_never_moves_a_monte_carlo_bit(n_paths, chunk_size, workers
     )
     control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
 
-    def outputs():
+    def outputs(chunk_size=forward._DEFAULT_CHUNK):
         (rewards,) = _monte_carlo(spec, [_rewards_pass(spec, control)], n_paths, 5, chunk_size)
         j = performance_J(spec, control, n_paths, 5, chunk_size)
         summary = simulate_ensemble(spec, control, n_paths, 5, chunk_size)
-        arrays = (np.concatenate(rewards), j.estimate, j.stderr, summary.mean_path.values)
-        arrays += (summary.terminal_values, summary.min_value, summary.min_location)
+        path = summary.mean_path
+        arrays = (np.concatenate(rewards), j.estimate, j.stderr, path.values, path.times)
+        arrays += (summary.terminal_values, summary.positivity, summary.min_value)
+        arrays += (summary.min_location, summary.n_paths, summary.seed)
         return [np.asarray(a).tobytes() for a in arrays]
 
     with mock.patch.dict(os.environ, {"SMC_WORKERS": "1"}):
         serial = outputs()
     with mock.patch.dict(os.environ, {"SMC_WORKERS": str(workers)}):
-        assert outputs() == serial
+        assert outputs(chunk_size) == serial
+        assert outputs(other_chunk_size) == serial
 
 
 @pytest.mark.parametrize("width", [None, 3])
