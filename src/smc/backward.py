@@ -185,8 +185,9 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
     set {y < L} iterated until it stabilizes; the driver and the singular
     coefficient are evaluated at the current iterate, the space mean of Y at
-    the previous time level (one lag).  Returns (Y^n, Z^n) with Z identically
-    zero.
+    the previous time level (one lag).  Returns (Y^n, Z^n): Y is the one array
+    the solve writes, and Z, identically zero, a read-only view that holds no
+    path of its own.
     """
     if n < 1:
         raise ValueError("penalization level must be >= 1")
@@ -255,9 +256,14 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             )
         values[k, 1:-1] = y
 
-    y_path = FieldPath(grid, times, norm.sign * values)
-    z_path = FieldPath(grid, times, np.zeros_like(values))
-    return y_path, z_path
+    values *= norm.sign
+    y_path = FieldPath(grid, times, values)
+    return y_path, _zero_path(y_path)
+
+
+def _zero_path(y_path: FieldPath) -> FieldPath:
+    """Z of the deterministic backend: Y's shape, all +0.0, a read-only view of one float."""
+    return FieldPath(y_path.grid, y_path.times, np.broadcast_to(0.0, y_path.values.shape))
 
 
 def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.ndarray | None:
@@ -269,9 +275,17 @@ def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.nd
     if obstacle is None:
         return None
     nodes = y_path.grid.nodes
-    barrier = np.array([np.asarray(obstacle(t, nodes), dtype=float)[1:-1] for t in y_path.times])
-    sign = 1.0 if side == LOWER else -1.0
-    return sign * (y_path.values[:, 1:-1] - barrier)
+    gap = np.empty((y_path.n_times, y_path.grid.n_cells))
+    for row, t in zip(gap, y_path.times):
+        row[:] = np.asarray(obstacle(t, nodes), dtype=float)[1:-1]
+    np.subtract(y_path.values[:, 1:-1], gap, out=gap)
+    return np.multiply(1.0 if side == LOWER else -1.0, gap, out=gap)
+
+
+def _violation(gap: np.ndarray) -> np.ndarray:
+    """The constraint violation max(-gap, 0) before the last time node, in a new array."""
+    violation = np.negative(gap[:-1])
+    return np.maximum(violation, 0.0, out=violation)
 
 
 def levels_problem(levels) -> str | None:
@@ -285,12 +299,14 @@ def levels_problem(levels) -> str | None:
     return None
 
 
-def _solve_levels(spec: BackwardSpec, levels, problem: Callable) -> tuple[list[int], list]:
-    """Reject ``levels`` if ``problem`` names a fault, else solve each level's Y on the workers."""
+def _solve_levels(
+    spec: BackwardSpec, levels, problem: Callable, reduce: Callable
+) -> tuple[list[int], list]:
+    """Reject ``levels`` if ``problem`` names a fault, else ``reduce`` each Y on its worker."""
     if (why := problem(levels)) is not None:
         raise ValueError(why)
     levels = [int(n) for n in levels]
-    return levels, map_ordered(lambda n: solve_penalized(spec, n)[0], levels)
+    return levels, map_ordered(lambda n: reduce(solve_penalized(spec, n)[0]), levels)
 
 
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
@@ -301,7 +317,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     the inter-level gaps sup_t ||Y^n - Y^m||_H stop decreasing beyond a small
     floor.
     """
-    levels, y_paths = _solve_levels(spec, levels, levels_problem)
+    levels, y_paths = _solve_levels(spec, levels, levels_problem, lambda y_path: y_path)
     h = spec.grid.h
     scale = max(1.0, float(np.max(np.abs(y_paths[-1].values))))
     gaps = []
@@ -317,11 +333,12 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
 
     n_top = levels[-1]
     y_path = y_paths[-1]
-    z_path = FieldPath(spec.grid, spec.times, np.zeros_like(y_path.values))
     gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
     eta_values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     if gap is not None:
-        eta_values[1:, 1:-1] = np.cumsum(spec.dt * n_top * np.maximum(-gap[:-1], 0.0), axis=0)
+        integrand = _violation(gap)
+        np.multiply(spec.dt * n_top, integrand, out=integrand)
+        np.cumsum(integrand, axis=0, out=eta_values[1:, 1:-1])
     eta_path = FieldPath(spec.grid, spec.times, eta_values)
 
     residual, res_scale = _pairing(gap, y_path, eta_path, with_scale=True)
@@ -333,7 +350,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
     )
-    return BackwardSolution(y=y_path, z=z_path, eta=eta_path, diagnostics=diag)
+    return BackwardSolution(y=y_path, z=_zero_path(y_path), eta=eta_path, diagnostics=diag)
 
 
 def skorokhod_residual(
@@ -363,8 +380,9 @@ def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath, wit
     h = y_path.grid.h
     total = 0.0
     if gap is not None:
-        for gap_k, deta_k in zip(gap, np.diff(eta_path.values[:, 1:-1], axis=0)):
-            total += float(np.dot(gap_k, deta_k)) * h
+        eta = eta_path.values[:, 1:-1]
+        for k, gap_k in enumerate(gap[:-1]):
+            total += float(np.dot(gap_k, eta[k + 1] - eta[k])) * h
     if not with_scale:
         return total
     y_norm = float(np.max(np.sqrt(h * np.sum(y_path.values[:, 1:-1] ** 2, axis=1))))
@@ -394,12 +412,13 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     interior nodes.  Needs at least 4 levels spanning two octaves.  Raises
     DegenerateFitError when every energy sits below the 1e-24 floor.
     """
-    levels, y_paths = _solve_levels(spec, levels, rate_levels_problem)
-    energies = []
-    for y_path in y_paths:
+
+    def energy(y_path: FieldPath) -> float:
         gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
-        violation = 0.0 if gap is None else np.maximum(-gap[:-1], 0.0)
-        energies.append(float(spec.dt * spec.grid.h * np.sum(violation**2)))
+        violation = 0.0 if gap is None else _violation(gap)
+        return float(spec.dt * spec.grid.h * np.sum(violation**2))
+
+    levels, energies = _solve_levels(spec, levels, rate_levels_problem, energy)
     if max(energies) < 1e-24:
         raise DegenerateFitError("all penalization energies below floor (obstacle inactive)")
     slope = float(np.polyfit(np.log(np.asarray(levels, float)), np.log(energies), 1)[0])

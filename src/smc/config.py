@@ -18,7 +18,7 @@ import numpy as np
 from .backward import levels_problem
 from .control import PRICE_CAP, PRICE_FLOOR, Tolerances
 from .errors import ParseError, ValidationError
-from .forward import ProblemSpec
+from .forward import IMPLICIT, MEAN_DRIFT, MULTIPLICATIVE_GAIN, POINTWISE_NOISE, ProblemSpec
 from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, build_grid
 from .operators import OperatorSpec
 
@@ -232,10 +232,10 @@ def parse_config(raw: dict) -> RunConfig:
     model_node.reject_unknown()
 
     modes = problem.sub("modes")
-    drift_mode = "mean-drift"
-    noise_mode = "pointwise-noise"
-    gain_mode = "multiplicative"
-    stepping = "implicit"
+    drift_mode = MEAN_DRIFT
+    noise_mode = POINTWISE_NOISE
+    gain_mode = MULTIPLICATIVE_GAIN
+    stepping = IMPLICIT
     revenue = None
     if modes is not None:
         drift_mode = modes.get("drift", str, default=drift_mode)

@@ -270,7 +270,7 @@ class SingularControl:
         if np.any(cum[0] != 0.0):
             raise ValueError("control must start at zero")
         object.__setattr__(self, "cumulative", cum)
-        if np.any(self.increments < 0.0):
+        if np.any(cum[1:] < cum[:-1]):  # finite: the test increments < 0, without increments
             raise ValueError("control must be nondecreasing in time")
 
     @property
@@ -279,6 +279,7 @@ class SingularControl:
 
     @cached_property
     def increments(self) -> np.ndarray:
+        """Per step, xi(t_{k+1}) - xi(t_k); built on first read, read-only."""
         increments = np.diff(self.cumulative, axis=0)
         increments.flags.writeable = False
         return increments
@@ -523,11 +524,11 @@ def iterate_states(
     n_paths = dw.shape[1] if dw.ndim == 2 else None
     kernel = _Kernel(spec, n_paths)
     u = _initial_state(spec, n_paths)
-    increments, spans = control.increments, control.spans
+    cumulative, spans = control.cumulative, control.spans
     yield 0, u
     for k in range(spec.n_steps):
-        dxi = increments[k][:, None] if u.ndim == 2 else increments[k]
-        u = kernel.step(k, u, dw[k], dxi, spans[k])
+        dxi = cumulative[k + 1] - cumulative[k]  # increments[k]'s bits, with no increments path
+        u = kernel.step(k, u, dw[k], dxi[:, None] if u.ndim == 2 else dxi, spans[k])
         _check_finite(u, k + 1, seed)
         yield k + 1, u
 

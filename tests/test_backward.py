@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,35 @@ def test_unreflected_heat_decay():
     expected = np.exp(-np.pi**2 * 0.1 / 2.0) * np.sin(np.pi * grid.nodes)
     assert np.max(np.abs(y.values[0] - expected)) <= 2e-3
     assert np.all(z.values == 0.0)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_penalized_solve_holds_one_path_and_z_is_a_read_only_zero_view(side):
+    # Y is signed in place and Z is a view of one +0.0, so the traced peak is the one path
+    # returned
+    grid = build_grid(0.0, 1.0, 201)
+    spec = BackwardSpec(
+        grid=grid,
+        op=OP,
+        horizon=0.1,
+        n_steps=2000,
+        terminal=sine_terminal(grid),
+        time_scheme="crank-nicolson",
+        reflection_side=side,
+    )
+    path_bytes = (spec.n_steps + 1) * grid.n_total * 8
+    tracemalloc.start()
+    try:
+        y, z = solve_penalized(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * path_bytes, peak / path_bytes
+    reflected = solve_reflected(active_spec(n_cells=12, n_steps=16), [4, 16])
+    for y_path, z_path in ((y, z), (reflected.y, reflected.z)):
+        assert z_path.values.shape == y_path.values.shape
+        assert not z_path.values.flags.writeable
+        assert np.all(z_path.values == 0.0) and not np.signbit(z_path.values).any()
 
 
 def test_zero_terminal_above_obstacle_stays_zero():

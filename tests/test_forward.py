@@ -388,6 +388,84 @@ def test_charged_span_matches_every_row_bitwise(problem, name, width):
         np.testing.assert_array_equal(rewards, _reference_rewards(spec, control, enumerate(want)))
 
 
+def test_building_and_simulating_a_control_never_builds_its_increments():
+    # the monotonicity check compares neighbouring rows and each step subtracts its own two,
+    # so beyond the caller's cumulative array the peak is the path returned
+    grid = build_grid(0.0, 1.0, 201)
+    spec = make_spec(
+        grid=grid,
+        op=OperatorSpec(0.5, 0.0, 0.1),
+        horizon=0.1,
+        n_steps=2000,
+        stepping="crank-nicolson",
+        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
+        boundary=(0.0, 0.0),
+    )
+    cumulative = 0.1 * np.tile(spec.times[:, None], (1, grid.n_cells))
+    noise = NoisePath.generate(0, spec.n_steps, spec.dt)
+    path_bytes = (spec.n_steps + 1) * grid.n_total * 8
+    tracemalloc.start()
+    try:
+        control = SingularControl(cumulative)
+        simulate_path(spec, control, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * path_bytes, peak / path_bytes
+    assert "increments" not in vars(control)
+
+
+_CONTROL_LEVELS = [0.0, 0.1, 0.3, 1.0, 1.0 + 2.0**-52, 2.5, 5e-324]
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n_steps=st.integers(1, 6), n_cells=st.integers(2, 6))
+def test_engine_increments_and_spans_follow_the_cumulative_control(data, n_steps, n_cells):
+    # running maxima of a few levels give exact ties; held steps give all-zero increments
+    level = st.one_of(st.sampled_from(_CONTROL_LEVELS), st.floats(0.0, 10.0))
+    draws = np.array(data.draw(st.lists(st.lists(level, min_size=n_cells, max_size=n_cells),
+                                        min_size=n_steps, max_size=n_steps)))
+    for k, hold in enumerate(data.draw(st.lists(st.booleans(), min_size=n_steps,
+                                                max_size=n_steps))):
+        if hold:
+            draws[k] = draws[k - 1] if k else 0.0
+    cumulative = np.zeros((n_steps + 1, n_cells))
+    cumulative[1:] = np.maximum.accumulate(draws, axis=0)
+    control = SingularControl(cumulative)
+
+    spec = make_spec(grid=build_grid(0.0, 1.0, n_cells), n_steps=n_steps, horizon=0.1)
+    seen = []
+    step = forward._Kernel.step
+
+    def recording_step(self, k, u, db, dxi, rows=slice(None)):
+        seen.append((k, np.array(dxi).reshape(-1), rows))
+        return step(self, k, u, db, dxi, rows)
+
+    with mock.patch.object(forward._Kernel, "step", recording_step):
+        for width in (None, 2):
+            dw = np.zeros(n_steps if width is None else (n_steps, width))
+            for _ in iterate_states(spec, control, dw):
+                pass
+    assert "increments" not in vars(control)
+    increments = control.increments
+    assert [k for k, _, _ in seen] == 2 * list(range(n_steps))
+    for k, dxi, rows in seen:
+        assert dxi.tobytes() == increments[k].tobytes()
+        assert rows == control.spans[k]
+    for row, span in zip(increments, control.spans):
+        charged = np.flatnonzero(row)
+        if charged.size:
+            assert span == slice(charged[0], charged[-1] + 1)
+        else:
+            assert len(range(n_cells)[span]) == 0
+
+    k, i = data.draw(st.integers(1, n_steps)), data.draw(st.integers(0, n_cells - 1))
+    decreasing = cumulative.copy()
+    decreasing[k, i] = np.nextafter(decreasing[k - 1, i], -np.inf)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        SingularControl(decreasing)
+
+
 def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch, tmp_path):
     # mirrors the benchmark's peak-RSS bound: using every core must not cost memory.  The
     # parallel run has three default chunks, so two are in flight and a larger default

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from smc import suites
+from smc import forward, suites
 from smc.backward import penalization_rate, solve_reflected
 from smc.cli import main
 from smc.config import load_config, parse_config
@@ -43,6 +43,19 @@ def test_minimal_config_defaults():
     assert cfg.backward.tolerances.threshold == 1e-6
     assert cfg.control.convention == "price-floor"
     assert cfg.mc.seed == 7
+
+
+def test_config_without_modes_takes_the_engine_mode_constants():
+    raw = minimal_config()
+    del raw["problem"]["modes"]
+    problem = parse_config(raw).problem
+    modes = (problem.drift_mode, problem.noise_mode, problem.control_gain_mode, problem.stepping)
+    assert modes == (
+        forward.MEAN_DRIFT,
+        forward.POINTWISE_NOISE,
+        forward.MULTIPLICATIVE_GAIN,
+        forward.IMPLICIT,
+    )
 
 
 def test_unknown_key_rejected_with_path():
