@@ -7,7 +7,7 @@ Subpackages:
 * :mod:`smc.forward`   -- Euler-Maruyama state simulation and derivatives
 * :mod:`smc.backward`  -- reflected backward equations by penalization
 * :mod:`smc.psor`      -- independent projected-SOR obstacle oracle
-* :mod:`smc.control`   -- Hamiltonian, adjoint assembly, policy, checks
+* :mod:`smc.control`   -- adjoint assembly, rewards, policy, checks
 * :mod:`smc.config`    -- strict JSON run configuration
 * :mod:`smc.report`    -- run reports and deterministic persistence
 * :mod:`smc.suites`    -- named verification suites
@@ -27,7 +27,6 @@ from .backward import (
 from .control import (
     AdjointSpec,
     DerivativeComparison,
-    HamiltonianEval,
     JEstimate,
     MPReport,
     PolicyResult,
@@ -36,7 +35,6 @@ from .control import (
     check_necessary,
     directional_derivative_J,
     extract_policy,
-    hamiltonian,
     performance_J,
     performance_Js,
 )

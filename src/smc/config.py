@@ -18,7 +18,14 @@ import numpy as np
 from .backward import levels_problem
 from .control import PRICE_CAP, PRICE_FLOOR, Tolerances
 from .errors import ParseError, ValidationError
-from .forward import IMPLICIT, MEAN_DRIFT, MULTIPLICATIVE_GAIN, POINTWISE_NOISE, ProblemSpec
+from .forward import (
+    EXPLICIT,
+    IMPLICIT,
+    MEAN_DRIFT,
+    MULTIPLICATIVE_GAIN,
+    POINTWISE_NOISE,
+    ProblemSpec,
+)
 from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, build_grid
 from .operators import OperatorSpec
 
@@ -268,20 +275,6 @@ def parse_config(raw: dict) -> RunConfig:
         prices.reject_unknown()
     problem.reject_unknown()
 
-    dt = horizon / n_steps
-    cfl = dt * abs(second) / grid.h**2
-    if cfl > 0.5:
-        if stepping == "explicit":
-            raise ValidationError(
-                f"explicit stepping unstable: dt*max|a|/h^2 = {cfl:.4f} > 0.5 "
-                "(switch modes.stepping to implicit or crank-nicolson)",
-                "problem.time.n_steps",
-            )
-        warnings.append(
-            f"explicit stepping would violate the stability bound (ratio {cfl:.4f}); "
-            f"run proceeds with {stepping} stepping"
-        )
-
     try:
         spec = ProblemSpec(
             grid=grid,
@@ -306,6 +299,19 @@ def parse_config(raw: dict) -> RunConfig:
         raise
     except Exception as exc:
         raise ValidationError(str(exc), "problem") from exc
+
+    cfl = spec.cfl_number()
+    if cfl > 0.5:
+        if stepping == EXPLICIT:
+            raise ValidationError(
+                f"explicit stepping unstable: dt*max|a|/h^2 = {cfl:.4f} > 0.5 "
+                "(switch modes.stepping to implicit or crank-nicolson)",
+                "problem.time.n_steps",
+            )
+        warnings.append(
+            f"explicit stepping would violate the stability bound (ratio {cfl:.4f}); "
+            f"run proceeds with {stepping} stepping"
+        )
 
     backward_node = root.sub("backward")
     levels = (4, 16, 64, 256)

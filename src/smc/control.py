@@ -1,4 +1,4 @@
-"""Hamiltonian evaluation, adjoint assembly, policy extraction, and the
+"""Adjoint assembly, reward estimation, policy extraction, and the
 optimality checks.
 
 The Hamiltonian splits into an absolutely continuous part H0 multiplying dt
@@ -6,13 +6,16 @@ and a singular part H1 multiplying the control increment:
 
     H0 = h0 + drift * p + vol * q,        H1 = gain * p + h1,
 
-with drift, vol, gain taken from the problem's mode tags and h1 the singular
-reward density.  The adjoint is a backward equation whose driver collects
-the state derivative of H0 plus the dual action of its space-mean argument,
-realized through the closed-form dual weight w(x); for the harvesting model
-the driver is alpha * w(x) * p + beta * q, the terminal value is the
-terminal price field, and the control couples through the coefficient
-lambda0 * p - h10.
+with drift, vol, gain and the singular reward density h1 stated once, by
+the mode tags, in :class:`forward.ProblemSpec`.  The adjoint is a backward
+equation whose driver collects the state derivative of H0 plus the dual
+action of its space-mean argument, realized through the closed-form dual
+weight w(x); for the harvesting model the driver is
+alpha * w(x) * p + beta * q and the terminal value is the terminal price
+field.  The control couples only through dH1/du
+(``ProblemSpec.singular_slope``, h10 - lambda0 * p for the harvesting
+model): the adjoint differential carries -(dH1/du) xi(dt, x), so each
+backward step adds (dH1/du) dxi.
 
 Threshold conventions.  The model's own worked optimality condition pins the
 adjoint to the price cap p <= h10/lambda0 and harvests where p reaches the
@@ -29,7 +32,6 @@ policy harvests value-destroying regions, so price-floor is the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,13 +42,11 @@ from .forward import (
     MEAN_DRIFT,
     MEAN_NOISE,
     MULTIPLICATIVE_GAIN,
-    POINTWISE_NOISE,
     PROPORTIONAL_REVENUE,
     _DEFAULT_CHUNK,
     ControlPerturbation,
     ProblemSpec,
     SingularControl,
-    _as_tx_function,
     _monte_carlo,
     check_admissible_direction,
     perturbed_control,
@@ -61,89 +61,15 @@ _DEFAULT_POLICY_FLOOR = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HamiltonianEval:
-    """Split Hamiltonian at one point, with the parts that built it."""
-
-    h0: float
-    h1: float
-    t: float
-    x: float
-    u: float
-    u_bar: float
-    p: float
-    q: float
-    drift: float
-    vol: float
-    gain: float
-    running_reward: float
-    singular_reward: float
-
-
-def hamiltonian(
-    t: float, x: float, u: float, u_bar: float, p: float, q: float, spec: ProblemSpec
-) -> HamiltonianEval:
-    """Evaluate the Hamiltonian split (H0, H1) at one space-time point."""
-    drift = spec.alpha * (u_bar if spec.drift_mode == MEAN_DRIFT else u)
-    vol = spec.beta * (u if spec.noise_mode == POINTWISE_NOISE else u_bar)
-    gain = -spec.lambda0 * u if spec.control_gain_mode == MULTIPLICATIVE_GAIN else -spec.lambda0
-    running = 0.0 if spec.h0 is None else float(spec.h0(t, x, u, u_bar))
-    xs = np.asarray([float(x)])
-    price = float(_as_tx_function(spec.h10)(t, xs)[0])
-    cost = float(_as_tx_function(spec.cost)(t, xs)[0])
-    singular_reward = price * (u if spec.revenue_mode == PROPORTIONAL_REVENUE else 1.0) - cost
-    h0 = running + drift * p + vol * q
-    h1 = gain * p + singular_reward
-    return HamiltonianEval(
-        h0=h0,
-        h1=h1,
-        t=t,
-        x=x,
-        u=u,
-        u_bar=u_bar,
-        p=p,
-        q=q,
-        drift=drift,
-        vol=vol,
-        gain=gain,
-        running_reward=running,
-        singular_reward=singular_reward,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Adjoint assembly
 # ---------------------------------------------------------------------------
 
 
-def _dh1_du(spec: ProblemSpec, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """dH1/du on the interior nodes: h10 (proportional revenue, else 0), minus
-    lambda0 p under the multiplicative gain.  The adjoint differential carries
-    -(dH1/du) xi(dt, x), so each backward step ADDS (dH1/du) dxi.
-    """
-    if spec.revenue_mode == PROPORTIONAL_REVENUE:
-        revenue = spec._h10_values(t)[1:-1]
-    else:
-        revenue = np.zeros(spec.grid.n_cells)
-    if spec.control_gain_mode == MULTIPLICATIVE_GAIN:
-        return revenue - spec.lambda0 * p
-    return revenue
-
-
 @dataclass(frozen=True)
 class AdjointSpec:
-    """Backward problem for the adjoint plus the singular coupling data."""
+    """Backward problem for the adjoint."""
 
     backward: BackwardSpec
-    problem: ProblemSpec
-
-    def singular_coefficient(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Backward-step coefficient (dH1/du) multiplying the control increment."""
-        return _dh1_du(self.problem, t, x, p)
 
 
 def assemble_adjoint(
@@ -182,7 +108,7 @@ def assemble_adjoint(
     if xi is not None and (
         spec.control_gain_mode == MULTIPLICATIVE_GAIN or spec.revenue_mode == PROPORTIONAL_REVENUE
     ):  # otherwise dH1/du vanishes
-        singular = (xi, partial(_dh1_du, spec))
+        singular = (xi, lambda t, x, p: spec.singular_slope(t, p))
 
     backward = BackwardSpec(
         grid=grid,
@@ -197,7 +123,7 @@ def assemble_adjoint(
         use_adjoint_operator=True,
         allow_terminal_violation=allow_terminal_violation,
     )
-    return AdjointSpec(backward=backward, problem=spec)
+    return AdjointSpec(backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +399,7 @@ def extract_policy(
         barrier = reflected.obstacle_interior(t)
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         charged = deta > 0.0
-        coeff = np.abs(_dh1_du(spec, t, grid.interior, p_raw[k, 1:-1]))
+        coeff = np.abs(spec.singular_slope(t, p_raw[k, 1:-1]))
         usable = charged & (coeff > coefficient_floor)
         if np.any(charged & ~usable):
             degenerate = True

@@ -111,29 +111,18 @@ def map_ordered(fn: Callable, items: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _as_tx_function(value) -> Callable[[float, np.ndarray], np.ndarray]:
-    if callable(value):
-        return lambda t, x: np.broadcast_to(np.asarray(value(t, x), dtype=float), x.shape).copy()
-    const = float(value)
-    return lambda t, x: np.full(x.shape, const)
-
-
-def _as_x_function(value) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(value):
-        return lambda x: np.broadcast_to(np.asarray(value(x), dtype=float), x.shape).copy()
-    const = float(value)
-    return lambda x: np.full(x.shape, const)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one harvesting control problem.
 
-    ``h10`` is the unit harvest price (function of (t, x) or constant),
-    ``cost`` the unit harvesting cost, ``g0`` the terminal unit price and
-    ``h0`` an optional running reward density of (t, x, u, ubar).  The
-    singular reward density is h1 = h10*u - cost when ``revenue_mode`` is
-    proportional and h10 - cost when flat.
+    ``h10`` is the unit harvest price, ``cost`` the unit harvesting cost and
+    ``g0`` the terminal unit price, each a constant or a function of (t, x)
+    (``g0`` is read at t = horizon); ``h0`` is an optional running reward
+    density of (t, x, u, ubar).  The singular reward density is
+    h1 = h10*u - cost when ``revenue_mode`` is proportional and h10 - cost
+    when flat.  The mode tags fix gain and h1 as affine in u, so their
+    u-derivatives are stated here too: :attr:`gain_slope` and
+    :meth:`singular_slope`.
     """
 
     grid: Grid
@@ -210,17 +199,24 @@ class ProblemSpec:
         left, right = self.boundary
         return float(left), float(right)
 
+    def _price_values(self, value, t: float) -> np.ndarray:
+        """A price (a constant or a function of (t, x)) at every node, as a fresh array."""
+        x = self.grid.nodes
+        if callable(value):
+            return np.broadcast_to(np.asarray(value(t, x), dtype=float), x.shape).copy()
+        return np.full(x.shape, float(value))
+
     def _h10_values(self, t: float) -> np.ndarray:
-        return _as_tx_function(self.h10)(t, self.grid.nodes)
+        return self._price_values(self.h10, t)
 
     def _g0_values(self) -> np.ndarray:
-        return _as_x_function(self.g0)(self.grid.nodes)
+        return self._price_values(self.g0, self.horizon)
 
     def _coefficient(self, value, t: float, rows: slice, u: np.ndarray):
         """A price of (t, x) at interior ``rows``: a float if constant, else shaped to meet u."""
         if not callable(value):
             return float(value)
-        values = _as_tx_function(value)(t, self.grid.nodes)[1:-1][rows]
+        values = self._price_values(value, t)[1:-1][rows]
         return values[:, None] if u.ndim == 2 else values
 
     def h1_values(self, t: float, u_interior: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
@@ -235,6 +231,19 @@ class ProblemSpec:
         if self.control_gain_mode == MULTIPLICATIVE_GAIN:
             return np.multiply(-self.lambda0, u_interior, out=out)
         return np.add(-self.lambda0, np.multiply(0.0, u_interior, out=out), out=out)
+
+    @property
+    def gain_slope(self) -> float:
+        """dgain/du: -lambda0 under the multiplicative gain, 0 under the constant gain."""
+        return -self.lambda0 if self.control_gain_mode == MULTIPLICATIVE_GAIN else 0.0
+
+    def singular_slope(self, t: float, p: np.ndarray) -> np.ndarray:
+        """dH1/du = dh1/du + gain_slope * p on the interior nodes, for H1 = gain * p + h1.
+
+        dh1/du is h10 under proportional revenue and 0 under flat revenue.
+        """
+        revenue = self._h10_values(t)[1:-1] if self.revenue_mode == PROPORTIONAL_REVENUE else 0.0
+        return revenue + self.gain_slope * p
 
     def uses_space_mean(self) -> bool:
         return (self.alpha != 0.0 and self.drift_mode == MEAN_DRIFT) or (
@@ -295,7 +304,8 @@ class SingularControl:
 
     @classmethod
     def zeros(cls, n_times: int, n_interior: int) -> "SingularControl":
-        return cls(np.zeros((n_times, n_interior)))
+        """The zero control: its cumulative is a read-only view of one +0.0, holding no memory."""
+        return cls(np.broadcast_to(0.0, (n_times, n_interior)))
 
     @classmethod
     def from_increments(cls, increments: np.ndarray) -> "SingularControl":
@@ -479,8 +489,8 @@ class _Kernel:
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
         """Exact linearization of :meth:`step` in the direction (z, dzeta)."""
         spec = self.spec
-        dgain = -spec.lambda0 if spec.control_gain_mode == MULTIPLICATIVE_GAIN else 0.0
-        gain, jump = partial(spec.gain_values, u[1:-1]), partial(np.multiply, dgain, z[1:-1])
+        gain = partial(spec.gain_values, u[1:-1])
+        jump = partial(np.multiply, spec.gain_slope, z[1:-1])
         every = slice(None)  # z is not checked for finite values, so 0 * z may not vanish
         return self._advance(z, self._forcing(z, db, (gain, dzeta, every), (jump, dxi, every)))
 
@@ -666,8 +676,7 @@ def derivative_process(
 
     Solves the exact linearization of the simulation scheme along the base
     path driven by the same noise: zero initial data, zero boundary, sources
-    gain(u) * dzeta plus, for the multiplicative gain, the linearized jump
-    term dgain * z * dxi.
+    gain(u) * dzeta plus the linearized jump term gain_slope * z * dxi.
     """
     _check_control(spec, base_control)
     check_admissible_direction(base_control, perturbation)

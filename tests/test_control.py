@@ -8,12 +8,10 @@ from smc.backward import solve_penalized
 from smc.control import (
     PRICE_CAP,
     PRICE_FLOOR,
-    _dh1_du,
     assemble_adjoint,
     check_necessary,
     directional_derivative_J,
     extract_policy,
-    hamiltonian,
     performance_J,
 )
 from smc.errors import NonlinearModelError
@@ -40,56 +38,6 @@ def harvest_spec(**kw):
     )
     defaults.update(kw)
     return ProblemSpec(**defaults)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian
-# ---------------------------------------------------------------------------
-
-
-def test_hamiltonian_price_only():
-    spec = harvest_spec(h10=2.0)
-    ev = hamiltonian(0.1, 0.5, u=1.0, u_bar=1.0, p=0.0, q=0.0, spec=spec)
-    assert ev.h0 == 0.0
-    assert ev.h1 == 2.0
-
-
-def test_hamiltonian_drift_and_noise_terms():
-    spec = harvest_spec(alpha=1.0, beta=0.2)
-    ev = hamiltonian(0.0, 0.5, u=2.0, u_bar=1.5, p=3.0, q=-1.0, spec=spec)
-    assert ev.h0 == pytest.approx(1.0 * 1.5 * 3.0 + 0.2 * 2.0 * (-1.0), rel=1e-14)
-    assert ev.h0 == pytest.approx(4.1, rel=1e-14)
-
-
-def test_hamiltonian_threshold_identity():
-    spec = harvest_spec(h10=1.7, lambda0=2.0)
-    for u in (0.3, 1.0, 5.0):
-        ev = hamiltonian(0.0, 0.5, u=u, u_bar=u, p=1.7 / 2.0, q=0.4, spec=spec)
-        assert ev.h1 == pytest.approx(0.0, abs=1e-14)
-
-
-def test_hamiltonian_reconstructs_from_parts():
-    spec = harvest_spec(alpha=0.7, beta=0.3, lambda0=1.3, h10=2.0)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        t, x = rng.uniform(0, 0.2), rng.uniform(0.1, 0.9)
-        u, ub, p, q = rng.uniform(0.5, 2.0, 4)
-        ev = hamiltonian(t, x, u, ub, p, q, spec)
-        assert ev.h0 == pytest.approx(
-            ev.running_reward + ev.drift * p + ev.vol * q, rel=1e-14
-        )
-        assert ev.h1 == pytest.approx(ev.gain * p + ev.singular_reward, rel=1e-14)
-
-
-def test_hamiltonian_additivity_against_increment_pair():
-    spec = harvest_spec()
-    ev = hamiltonian(0.05, 0.4, 1.2, 1.1, 0.8, 0.1, spec)
-    dt, dxi = 1e-3, 0.02
-    assert ev.h0 * dt + ev.h1 * dxi == pytest.approx(
-        (ev.running_reward + ev.drift * 0.8 + ev.vol * 0.1) * dt
-        + (ev.gain * 0.8 + ev.singular_reward) * dxi,
-        rel=1e-14,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +82,7 @@ def test_adjoint_singular_coefficient_signs():
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     adj = assemble_adjoint(spec, xi=xi)
     p = np.full(spec.grid.n_cells, 0.5)
-    coeff = adj.singular_coefficient(0.0, spec.grid.interior, p)
+    coeff = spec.singular_slope(0.0, p)
     np.testing.assert_allclose(coeff, 2.0 - 1.5 * 0.5, rtol=1e-14)
     _, fn = adj.backward.singular
     np.testing.assert_allclose(fn(0.0, spec.grid.interior, p), coeff, rtol=1e-14)
@@ -151,21 +99,19 @@ def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du(gain_mode, re
     x = spec.grid.interior
     p = np.linspace(0.25, 1.25, spec.grid.n_cells)
     p[0] = 0.5
-    coeff = adj.singular_coefficient(0.05, x, p)
+    # H1 = gain(u) * p + h1(t, u) is affine in u, so its unit u-difference is dH1/du
+    one, zero = np.ones_like(p), np.zeros_like(p)
+    gain_step = spec.gain_values(one) - spec.gain_values(zero)
+    h1_step = spec.h1_values(0.05, one) - spec.h1_values(0.05, zero)
+    quotient = gain_step * p + h1_step
+    np.testing.assert_array_equal(spec.singular_slope(0.05, p), quotient)
     if adj.backward.singular is None:
-        np.testing.assert_array_equal(coeff, 0.0)
+        np.testing.assert_array_equal(quotient, 0.0)
     else:
         _, fn = adj.backward.singular
-        np.testing.assert_array_equal(fn(0.05, x, p), coeff)
-    # H1 is affine in u, so its unit u-difference is dH1/du
-    quotient = [
-        hamiltonian(0.05, xk, 1.0, 0.0, pk, 0.0, spec).h1
-        - hamiltonian(0.05, xk, 0.0, 0.0, pk, 0.0, spec).h1
-        for xk, pk in zip(x, p)
-    ]
-    np.testing.assert_allclose(coeff, quotient, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(fn(0.05, x, p), quotient)
     if gain_mode == "multiplicative" and revenue_mode == "flat":
-        assert coeff[0] == -0.75  # h10 = 2, lambda0 = 1.5, p = 0.5
+        assert quotient[0] == -0.75  # h10 = 2, lambda0 = 1.5, p = 0.5
 
 
 def test_adjoint_flat_revenue_constant_gain_no_singular_drift():
@@ -174,9 +120,7 @@ def test_adjoint_flat_revenue_constant_gain_no_singular_drift():
     adj = assemble_adjoint(spec, xi=xi)
     assert adj.backward.singular is None
     p = np.ones(spec.grid.n_cells)
-    np.testing.assert_array_equal(
-        adj.singular_coefficient(0.0, spec.grid.interior, p), 0.0
-    )
+    np.testing.assert_array_equal(spec.singular_slope(0.0, p), 0.0)
 
 
 def test_adjoint_rejects_running_reward():
@@ -346,7 +290,7 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one():
     pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=PRICE_FLOOR)
     deta = np.diff(pol.eta.values[:, 1:-1], axis=0)
     p_raw = pol.solution.y.values[:-1, 1:-1]
-    coeff = np.abs([_dh1_du(spec, t, spec.grid.interior, p) for t, p in zip(spec.times, p_raw)])
+    coeff = np.abs([spec.singular_slope(t, p) for t, p in zip(spec.times, p_raw)])
     charged = deta > 0.0
     assert charged.any() and not pol.degenerate_coefficient
     rate = np.zeros_like(deta)

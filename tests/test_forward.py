@@ -337,12 +337,12 @@ def _reference_states(spec, control, dw):
 
 def _reference_rewards(spec, control, states):
     """Per-path J with h1 from full price and cost columns and its reward on every row."""
-    h, nodes, total = spec.grid.h, spec.grid.nodes, 0.0
+    h, total = spec.grid.h, 0.0
     for k, u in states:
         if k == spec.n_steps:
             break
         t, u_int = spec.times[k], u[1:-1]
-        price, cost = (forward._as_tx_function(f)(t, nodes) for f in (spec.h10, spec.cost))
+        price, cost = (spec._price_values(f, t) for f in (spec.h10, spec.cost))
         h1 = price[1:-1, None] * u_int - cost[1:-1, None]
         total += h * control_module._node_sum(h1 * control.increments[k][:, None])
     return total + h * control_module._node_sum(spec._g0_values()[1:-1][:, None] * u[1:-1])
@@ -413,6 +413,20 @@ def test_building_and_simulating_a_control_never_builds_its_increments():
         tracemalloc.stop()
     assert peak <= 1.4 * path_bytes, peak / path_bytes
     assert "increments" not in vars(control)
+
+
+def test_zero_control_holds_no_array_of_its_own():
+    # criterion 05's forward oracle: its 8001 x 401 zero control charges no row
+    tracemalloc.start()
+    try:
+        control = SingularControl.zeros(8001, 401)
+        spans = control.spans
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8001 * 401 * 8, peak  # below one float array of the control's shape
+    assert not control.cumulative.flags.writeable
+    assert spans == [slice(0, 0)] * 8000
 
 
 _CONTROL_LEVELS = [0.0, 0.1, 0.3, 1.0, 1.0 + 2.0**-52, 2.5, 5e-324]

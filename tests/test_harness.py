@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ def test_explicit_cfl_violation_is_error_implicit_warns():
     raw["problem"]["modes"] = {"stepping": "implicit"}
     cfg = parse_config(raw)
     assert len(cfg.warnings) == 1
+
+
+def test_pocket_terminal_price_loads_and_is_read_at_the_nodes():
+    raw = minimal_config()
+    pocket = {"kind": "pocket", "base": 0.5, "amplitude": 2.0, "center": 0.4, "width": 0.2}
+    raw["problem"]["prices"]["g0"] = pocket
+    problem = parse_config(raw).problem
+    x = problem.grid.nodes
+    expected = 0.5 + 2.0 * np.exp(-(((x - 0.4) / 0.2) ** 2))
+    np.testing.assert_array_equal(problem._g0_values(), expected)
+
+
+def test_readme_example_is_the_shipped_config():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    intro = "An example configuration (also shipped as `configs/harvest.json`):"
+    block = readme.split(intro, 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    shipped = json.loads((root / "configs" / "harvest.json").read_text(encoding="utf-8"))
+    assert json.loads(block) == shipped
 
 
 def test_parse_error_on_bad_json(tmp_path):
