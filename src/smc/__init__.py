@@ -30,7 +30,6 @@ from .control import (
     JEstimate,
     MPReport,
     PolicyResult,
-    Tolerances,
     assemble_adjoint,
     check_necessary,
     directional_derivative_J,

@@ -51,6 +51,7 @@ BACKWARD_EULER = "backward-euler"
 CRANK_NICOLSON = "crank-nicolson"
 
 _INACTIVE = -1e300  # obstacle stand-in when no barrier is given
+_MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConvergenceError
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class BackwardSpec:
     use_adjoint_operator: bool = False
     allow_terminal_violation: bool = False
     time_scheme: str = BACKWARD_EULER
-    max_fixed_point_iters: int = 100
 
     def __post_init__(self):
         if self.horizon <= 0.0 or self.n_steps < 1:
@@ -225,7 +225,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         y = y_prev_int = values[k + 1, 1:-1]
         known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
         active = y < barrier
-        for _ in range(spec.max_fixed_point_iters):
+        for _ in range(_MAX_FIXED_POINT_ITERS):
             rhs = known.copy()
             forcing = norm.driver(t, x_int, y, ybar, zeros, zeros)
             if forcing is not None:
@@ -252,7 +252,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         else:
             raise NoConvergenceError(
                 f"semi-smooth iteration stalled at step {k} (level {n}, "
-                f"cap {spec.max_fixed_point_iters})"
+                f"cap {_MAX_FIXED_POINT_ITERS})"
             )
         values[k, 1:-1] = y
 
@@ -454,8 +454,11 @@ def solve_penalized_regression(
     mean.  ``noise_increments`` has shape
     (n_paths, n_steps) and drives Z_k = E[Y_{k+1} dB_k | basis] / dt.
     ``terminal_values`` has shape (n_paths, n_total).  Upper-side problems
-    are solved by negation.
+    are solved by negation.  Steps are backward Euler: a crank-nicolson spec
+    raises ValueError.
     """
+    if spec.time_scheme != BACKWARD_EULER:
+        raise ValueError(f"the regression backend steps {BACKWARD_EULER} only")
     norm = _Normalized(spec)
     grid = spec.grid
     dt = spec.dt
@@ -522,7 +525,7 @@ def solve_penalized_regression(
         # each path iterates its own active set; re-solving a path whose set
         # is already stable reproduces its bits, so all paths step together
         active = np.zeros((grid.n_cells, n_paths), dtype=bool)
-        for _ in range(spec.max_fixed_point_iters):
+        for _ in range(_MAX_FIXED_POINT_ITERS):
             sol = stepper.solve(rhs + dt * n * np.where(active, barrier, 0.0), dt * n * active)
             moved = np.any((sol < barrier) != active, axis=0)
             if not moved.any():

@@ -44,28 +44,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add(name: str, help_text: str, config_required=True):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--paths", type=int, default=None, help="override the path count")
-        p.add_argument(
-            "--levels",
-            default=None,
-            help="override penalization levels (comma-separated integers)",
-        )
+        return p
 
-    add_common(sub.add_parser("simulate", help="run a forward ensemble"))
-    add_common(sub.add_parser("adjoint", help="solve the reflected adjoint"))
-    add_common(sub.add_parser("policy", help="extract and check the harvest policy"))
-    add_common(sub.add_parser("rate", help="penalization-rate study"))
-    add_common(sub.add_parser("derivcheck", help="derivative consistency checks"))
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    add_common(verify, config_required=False)
+    for name, help_text in [
+        ("simulate", "run a forward ensemble"),
+        ("adjoint", "solve the reflected adjoint"),
+        ("policy", "extract and check the harvest policy"),
+        ("rate", "penalization-rate study"),
+        ("derivcheck", "derivative consistency checks"),
+    ]:
+        p = add(name, help_text)
+        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+        if name in ("simulate", "derivcheck"):
+            p.add_argument("--paths", type=int, default=None, help="override the path count")
+        else:
+            p.add_argument(
+                "--levels",
+                default=None,
+                help="override penalization levels (comma-separated integers)",
+            )
+    verify = add("verify", "run a named verification suite", config_required=False)
     verify.add_argument(
         "suite",
         nargs="?",
-        default=None,
+        default="all",
         help=f"suite name ({', '.join(sorted(SUITES))})",
     )
     return parser
@@ -81,20 +87,27 @@ def _parse_levels(raw: str) -> list[int]:
     return levels
 
 
-def _apply_overrides(config: RunConfig, args) -> tuple[list[int], int, int, str]:
+def _levels(config: RunConfig, args) -> list[int]:
     levels = list(config.backward.levels)
     if args.levels is not None:
         levels = _parse_levels(args.levels)
     if args.command == "rate" and (problem := rate_levels_problem(levels)):
         raise ConfigError(problem, "--levels" if args.levels is not None else "backward.levels")
+    return levels
+
+
+def _seed_and_out(config: RunConfig, args) -> tuple[int, str]:
     seed = args.seed if args.seed is not None else config.mc.seed
     if seed < 0:
         raise ConfigError("seed must be >= 0", "--seed")
+    return seed, args.out if args.out is not None else config.outputs.directory
+
+
+def _paths(config: RunConfig, args) -> int:
     n_paths = args.paths if args.paths is not None else config.mc.n_paths
     if n_paths < 1:
         raise ConfigError("path count must be >= 1", "--paths")
-    out_dir = args.out if args.out is not None else config.outputs.directory
-    return levels, seed, n_paths, out_dir
+    return n_paths
 
 
 def _new_report(config: RunConfig, seed: int) -> RunReport:
@@ -111,8 +124,6 @@ def _extract_policy(config: RunConfig, levels: list[int]):
         config.problem,
         levels,
         convention=config.control.convention,
-        tolerances=config.backward.tolerances,
-        coefficient_floor=config.control.coefficient_floor,
         max_rate=config.control.max_rate,
     )
 
@@ -124,7 +135,8 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
-    _, seed, n_paths, out_dir = _apply_overrides(config, args)
+    seed, out_dir = _seed_and_out(config, args)
+    n_paths = _paths(config, args)
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     timer = PhaseTimer()
@@ -155,7 +167,8 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 
 
 def _cmd_adjoint(config: RunConfig, args) -> int:
-    levels, seed, _, out_dir = _apply_overrides(config, args)
+    levels = _levels(config, args)
+    seed, out_dir = _seed_and_out(config, args)
     policy = _extract_policy(config, levels)
     diag = policy.solution.diagnostics
     report = _new_report(config, seed)
@@ -175,7 +188,8 @@ def _cmd_adjoint(config: RunConfig, args) -> int:
 
 
 def _cmd_policy(config: RunConfig, args) -> int:
-    levels, seed, _, out_dir = _apply_overrides(config, args)
+    levels = _levels(config, args)
+    seed, out_dir = _seed_and_out(config, args)
     policy = _extract_policy(config, levels)
     rep = policy.report
     report = _new_report(config, seed)
@@ -213,7 +227,8 @@ def _cmd_policy(config: RunConfig, args) -> int:
 
 
 def _cmd_rate(config: RunConfig, args) -> int:
-    levels, seed, _, out_dir = _apply_overrides(config, args)
+    levels = _levels(config, args)
+    seed, out_dir = _seed_and_out(config, args)
     adjoint = policy_adjoint(config.problem, config.control.convention)
     study = penalization_rate(adjoint.backward, levels)
     report = _new_report(config, seed)
@@ -234,7 +249,8 @@ def _cmd_rate(config: RunConfig, args) -> int:
 
 
 def _cmd_derivcheck(config: RunConfig, args) -> int:
-    _, seed, n_paths, out_dir = _apply_overrides(config, args)
+    seed, out_dir = _seed_and_out(config, args)
+    n_paths = _paths(config, args)
     spec = config.problem
     rng = np.random.default_rng(seed)
     base = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)
@@ -270,7 +286,7 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
 
 
 def _cmd_verify(config: RunConfig | None, args) -> int:
-    name = args.suite or (config.suite if config else None) or "all"
+    name = args.suite
     if name not in SUITES:
         print(f"unknown suite {name!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 2

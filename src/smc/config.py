@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .backward import levels_problem
-from .control import PRICE_CAP, PRICE_FLOOR, Tolerances
+from .control import CONVENTIONS, PRICE_FLOOR
 from .errors import ParseError, ValidationError
 from .forward import (
     EXPLICIT,
@@ -26,7 +26,7 @@ from .forward import (
     POINTWISE_NOISE,
     ProblemSpec,
 )
-from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, build_grid
+from .grid import DIRICHLET_ZERO, Field, build_grid
 from .operators import OperatorSpec
 
 SCHEMA_VERSION = 1
@@ -35,14 +35,12 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class BackwardConfig:
     levels: tuple[int, ...]
-    tolerances: Tolerances
 
 
 @dataclass(frozen=True)
 class ControlConfig:
     convention: str
     max_rate: float | None
-    coefficient_floor: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class RunConfig:
     control: ControlConfig
     mc: MonteCarloConfig
     outputs: OutputConfig
-    suite: str | None
     raw: dict
     config_hash: str
     warnings: tuple[str, ...] = field(default=())
@@ -127,57 +124,29 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _build_shape(node: _Checker | None, grid, path: str):
-    """Initial-condition factory: constant, sine, bump, or literal values."""
+def _build_shape(node: _Checker | None, grid, path: str) -> Field | None:
+    """Initial condition: amplitude * sin(pi x) on the unit-scaled grid, or None (all ones)."""
     if node is None:
-        return Field(grid, np.ones(grid.n_total), DIRICHLET_DATA)
-    kind = node.get("kind", str, default="constant")
-    width = grid.width
-    xn = (grid.nodes - grid.x_min) / width
-    if kind == "constant":
-        value = _positive(node.get("value", float, default=1.0), f"{path}.value")
-        node.reject_unknown()
-        return Field(grid, np.full(grid.n_total, value), DIRICHLET_DATA)
-    if kind == "sine":
-        amp = _positive(node.get("amplitude", float, default=1.0), f"{path}.amplitude")
-        node.reject_unknown()
-        values = amp * np.sin(np.pi * xn)
-        values[0] = 0.0
-        values[-1] = 0.0
-        return Field(grid, values, DIRICHLET_ZERO)
-    if kind == "bump":
-        floor = node.get("floor", float, default=0.0)
-        amp = _positive(node.get("amplitude", float, default=1.0), f"{path}.amplitude")
-        node.reject_unknown()
-        values = floor + 4.0 * amp * xn * (1.0 - xn)
-        values[0] = floor
-        values[-1] = floor
-        bk = DIRICHLET_ZERO if floor == 0.0 else DIRICHLET_DATA
-        return Field(grid, values, bk)
-    if kind == "values":
-        values = node.get("values", list, require=True)
-        node.reject_unknown()
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (grid.n_total,):
-            raise ValidationError(
-                f"need {grid.n_total} nodal values, got {arr.size}", f"{path}.values"
-            )
-        return Field(grid, arr, DIRICHLET_DATA)
-    raise ValidationError(f"unknown shape kind {kind!r}", f"{path}.kind")
+        return None
+    kind = node.get("kind", str, require=True)
+    if kind != "sine":
+        raise ValidationError(f"unknown shape kind {kind!r}", f"{path}.kind")
+    amp = _positive(node.get("amplitude", float, default=1.0), f"{path}.amplitude")
+    node.reject_unknown()
+    values = amp * np.sin(np.pi * ((grid.nodes - grid.x_min) / grid.width))
+    values[0] = 0.0
+    values[-1] = 0.0
+    return Field(grid, values, DIRICHLET_ZERO)
 
 
 def _build_price(node, path: str):
-    """Price factory: a number, a constant block, or an interior pocket."""
+    """Price factory: a number, or an interior pocket."""
     if node is None:
         return 1.0
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return _positive(float(node), path)
     checker = _Checker(node, path)
     kind = checker.get("kind", str, require=True)
-    if kind == "constant":
-        value = _positive(checker.get("value", float, require=True), f"{path}.value")
-        checker.reject_unknown()
-        return value
     if kind == "pocket":
         base = _positive(checker.get("base", float, require=True), f"{path}.base")
         amp = checker.get("amplitude", float, require=True)
@@ -315,40 +284,23 @@ def parse_config(raw: dict) -> RunConfig:
 
     backward_node = root.sub("backward")
     levels = (4, 16, 64, 256)
-    tolerances = Tolerances()
     if backward_node is not None:
         raw_levels = backward_node.get("levels", list, default=list(levels))
         if problem := levels_problem(raw_levels):
             raise ValidationError(problem, "backward.levels")
         levels = tuple(raw_levels)
-        tol_node = backward_node.sub("tolerances")
-        if tol_node is not None:
-            thr = _positive(
-                tol_node.get("threshold", float, default=1e-6), "backward.tolerances.threshold"
-            )
-            comp = _positive(
-                tol_node.get("complementarity", float, default=1e-6),
-                "backward.tolerances.complementarity",
-            )
-            vi = _positive(tol_node.get("vi", float, default=1e-6), "backward.tolerances.vi")
-            tolerances = Tolerances(threshold=thr, complementarity=comp, vi=vi)
         backward_node.reject_unknown()
 
     control_node = root.sub("control")
     convention = PRICE_FLOOR
     max_rate = 0.9
-    coefficient_floor = 1e-10
     if control_node is not None:
         convention = control_node.get("convention", str, default=convention)
-        if convention not in (PRICE_FLOOR, PRICE_CAP):
+        if convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {convention!r}", "control.convention")
         max_rate = control_node.get("max_rate", float, default=max_rate)
         if max_rate is not None and not 0 < max_rate < 1:
             raise ValidationError("max_rate must lie in (0, 1)", "control.max_rate")
-        coefficient_floor = _positive(
-            control_node.get("coefficient_floor", float, default=coefficient_floor),
-            "control.coefficient_floor",
-        )
         control_node.reject_unknown()
 
     mc_node = root.sub("mc")
@@ -373,18 +325,14 @@ def parse_config(raw: dict) -> RunConfig:
         formats = tuple(fmts)
         out_node.reject_unknown()
 
-    suite = root.get("suite", str, default=None)
     root.reject_unknown()
 
     return RunConfig(
         problem=spec,
-        backward=BackwardConfig(levels=levels, tolerances=tolerances),
-        control=ControlConfig(
-            convention=convention, max_rate=max_rate, coefficient_floor=coefficient_floor
-        ),
+        backward=BackwardConfig(levels=levels),
+        control=ControlConfig(convention=convention, max_rate=max_rate),
         mc=MonteCarloConfig(n_paths=n_paths, seed=seed),
         outputs=OutputConfig(directory=directory, formats=formats),
-        suite=suite,
         raw=raw,
         config_hash=canonical_hash(raw),
         warnings=tuple(warnings),

@@ -4,7 +4,7 @@ optimality checks.
 The Hamiltonian splits into an absolutely continuous part H0 multiplying dt
 and a singular part H1 multiplying the control increment:
 
-    H0 = h0 + drift * p + vol * q,        H1 = gain * p + h1,
+    H0 = drift * p + vol * q,        H1 = gain * p + h1,
 
 with drift, vol, gain and the singular reward density h1 stated once, by
 the mode tags, in :class:`forward.ProblemSpec`.  The adjoint is a backward
@@ -52,12 +52,19 @@ from .forward import (
     perturbed_control,
 )
 from .grid import Field, FieldPath
-from .operators import _space_mean_operator, space_mean_dual_weight
+from .operators import space_mean_dual_weight
 
 PRICE_FLOOR = "price-floor"  # admissible region p >= h10/lambda0, general condition
 PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example condition
+CONVENTIONS = (PRICE_FLOOR, PRICE_CAP)
 
-_DEFAULT_POLICY_FLOOR = 1e-10
+_RESIDUAL_TOLERANCE = 1e-6  # bound on each optimality residual of an MPReport
+_COEFFICIENT_FLOOR = 1e-10  # |dH1/du| at or below this cannot convert reflection to control
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +88,10 @@ def assemble_adjoint(
 ) -> AdjointSpec:
     """Assemble the adjoint backward problem along a control.
 
-    Supports models whose coefficients are affine in the state (which is the
-    structural guarantee of the mode tags); a running reward would need its
-    own derivative fields and is rejected.  The driver realizes the dual
+    Supports models whose coefficients are affine in the state, which is the
+    structural guarantee of the mode tags.  The driver realizes the dual
     action of the space-mean argument through the closed-form dual weight.
     """
-    if spec.h0 is not None:
-        raise NonlinearModelError(
-            "adjoint assembly supports a zero running reward only; "
-            "state derivatives of a general h0 are not available"
-        )
     grid = spec.grid
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
     alpha, beta = spec.alpha, spec.beta
@@ -105,9 +106,7 @@ def assemble_adjoint(
     terminal = Field(grid, terminal_values)
 
     singular = None
-    if xi is not None and (
-        spec.control_gain_mode == MULTIPLICATIVE_GAIN or spec.revenue_mode == PROPORTIONAL_REVENUE
-    ):  # otherwise dH1/du vanishes
+    if xi is not None and not spec.singular_slope_vanishes:
         singular = (xi, lambda t, x, p: spec.singular_slope(t, p))
 
     backward = BackwardSpec(
@@ -176,7 +175,6 @@ def _rewards_pass(
     times = spec.times
     increments, spans = control.increments, control.spans
     g0 = spec._g0_values()[1:-1][:, None]
-    mean_op = _space_mean_operator(spec.grid, spec.op.theta) if spec.h0 is not None else None
 
     def reduce(_first: int, states) -> np.ndarray:
         total = derivative = 0.0
@@ -193,10 +191,6 @@ def _rewards_pass(
             if span.start < span.stop:
                 dxi = increments[k][span, None]
                 total += h * _node_sum(np.multiply(h1[span], dxi, out=term[span]))
-            if mean_op is not None:
-                x = spec.grid.interior[:, None]
-                ubar = mean_op.apply(u)
-                total += spec.dt * h * _node_sum(spec.h0(t, x, u_int, ubar[1:-1]))
             if p is not None:
                 spec.gain_values(u_int, out=term)
                 np.multiply(term, p[k, 1:-1][:, None], out=term)
@@ -275,19 +269,11 @@ class MPReport:
         return self.threshold_pass and self.complementarity_pass and self.vi_pass
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    threshold: float = 1e-6
-    complementarity: float = 1e-6
-    vi: float = 1e-6
-
-
 def check_necessary(
     p: FieldPath,
     u: FieldPath,
     xi: SingularControl,
     spec: ProblemSpec,
-    tolerances: Tolerances = Tolerances(),
     convention: str = PRICE_FLOOR,
 ) -> MPReport:
     """Evaluate the threshold slack, complementarity, and the discrete
@@ -295,7 +281,9 @@ def check_necessary(
 
     Quantities are evaluated at time nodes t_k, k < n_steps, pairing each
     control increment with the pre-jump values at the step's left endpoint.
+    Each residual passes at or below 1e-6.
     """
+    _check_convention(convention)
     grid = spec.grid
     h = grid.h
     inc = xi.increments
@@ -321,9 +309,9 @@ def check_necessary(
         complementarity_residual=abs(comp),
         vi_residual=vi,
         general_slack_max=worst_general,
-        threshold_tolerance=tolerances.threshold,
-        complementarity_tolerance=tolerances.complementarity,
-        vi_tolerance=tolerances.vi,
+        threshold_tolerance=_RESIDUAL_TOLERANCE,
+        complementarity_tolerance=_RESIDUAL_TOLERANCE,
+        vi_tolerance=_RESIDUAL_TOLERANCE,
     )
 
 
@@ -345,6 +333,7 @@ class PolicyResult:
 
 def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
     """The adjoint reflected at h10/lambda0 on the convention's side, from any terminal price."""
+    _check_convention(convention)
 
     def obstacle(t, nodes):
         return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
@@ -361,8 +350,6 @@ def extract_policy(
     spec: ProblemSpec,
     levels: list[int],
     convention: str = PRICE_FLOOR,
-    tolerances: Tolerances = Tolerances(),
-    coefficient_floor: float = _DEFAULT_POLICY_FLOOR,
     max_rate: float | None = None,
 ) -> PolicyResult:
     """Extract the threshold harvest policy from the reflected adjoint.
@@ -371,7 +358,7 @@ def extract_policy(
     h10/lambda0 (reflection side set by the convention), the reflection
     measure is mapped to control increments by dividing by the singular
     coefficient magnitude |dH1/du| = |h10 - lambda0 p| of the raw penalized
-    solution where that magnitude exceeds ``coefficient_floor``; if the coefficient
+    solution where that magnitude exceeds 1e-10; if the coefficient
     is degenerate on the charged set the raw reflection measure is returned
     and flagged.  The returned adjoint path is clipped to the admissible
     side of the threshold for t < T, which enforces the discrete
@@ -400,7 +387,7 @@ def extract_policy(
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         charged = deta > 0.0
         coeff = np.abs(spec.singular_slope(t, p_raw[k, 1:-1]))
-        usable = charged & (coeff > coefficient_floor)
+        usable = charged & (coeff > _COEFFICIENT_FLOOR)
         if np.any(charged & ~usable):
             degenerate = True
         rate = np.zeros(grid.n_cells)
@@ -417,9 +404,7 @@ def extract_policy(
     # state path is not needed for the threshold and complementarity parts,
     # so the raw slack is logged against a unit state
     unit_state = FieldPath(grid, spec.times, np.ones_like(p_clipped))
-    report = check_necessary(
-        p_path, unit_state, xi_hat, spec, tolerances=tolerances, convention=convention
-    )
+    report = check_necessary(p_path, unit_state, xi_hat, spec, convention=convention)
     return PolicyResult(
         xi_hat=xi_hat,
         p=p_path,

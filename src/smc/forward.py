@@ -117,12 +117,11 @@ class ProblemSpec:
 
     ``h10`` is the unit harvest price, ``cost`` the unit harvesting cost and
     ``g0`` the terminal unit price, each a constant or a function of (t, x)
-    (``g0`` is read at t = horizon); ``h0`` is an optional running reward
-    density of (t, x, u, ubar).  The singular reward density is
+    (``g0`` is read at t = horizon).  The singular reward density is
     h1 = h10*u - cost when ``revenue_mode`` is proportional and h10 - cost
     when flat.  The mode tags fix gain and h1 as affine in u, so their
-    u-derivatives are stated here too: :attr:`gain_slope` and
-    :meth:`singular_slope`.
+    u-derivatives are stated here too: :attr:`gain_slope`,
+    :meth:`singular_slope` and :attr:`singular_slope_vanishes`.
     """
 
     grid: Grid
@@ -142,7 +141,6 @@ class ProblemSpec:
     h10: object = 1.0
     g0: object = 1.0
     cost: object = 0.0
-    h0: Callable | None = None
 
     def __post_init__(self):
         if self.horizon <= 0.0 or self.n_steps < 1:
@@ -244,6 +242,11 @@ class ProblemSpec:
         """
         revenue = self._h10_values(t)[1:-1] if self.revenue_mode == PROPORTIONAL_REVENUE else 0.0
         return revenue + self.gain_slope * p
+
+    @property
+    def singular_slope_vanishes(self) -> bool:
+        """Whether dH1/du is identically 0: constant gain with flat revenue."""
+        return self.gain_slope == 0.0 and self.revenue_mode == FLAT_REVENUE
 
     def uses_space_mean(self) -> bool:
         return (self.alpha != 0.0 and self.drift_mode == MEAN_DRIFT) or (
@@ -678,19 +681,15 @@ def derivative_process(
     path driven by the same noise: zero initial data, zero boundary, sources
     gain(u) * dzeta plus the linearized jump term gain_slope * z * dxi.
     """
-    _check_control(spec, base_control)
     check_admissible_direction(base_control, perturbation)
     kernel = _Kernel(spec)
-    u = _initial_state(spec, None)
-    z = np.zeros_like(u)
+    z = np.zeros(spec.grid.n_total)
     values = np.empty((spec.n_steps + 1, spec.grid.n_total))
-    values[0] = z
     xi_inc = base_control.increments
     zeta_inc = perturbation.increments
     dw = noise.increments
-    for k in range(spec.n_steps):
-        z = kernel.tangent_step(k, u, z, dw[k], xi_inc[k], zeta_inc[k])
-        u = kernel.step(k, u, dw[k], xi_inc[k])
-        _check_finite(u, k + 1, None)
-        values[k + 1] = z
+    for k, u in iterate_states(spec, base_control, dw):
+        values[k] = z
+        if k < spec.n_steps:
+            z = kernel.tangent_step(k, u, z, dw[k], xi_inc[k], zeta_inc[k])
     return FieldPath(spec.grid, spec.times, values)

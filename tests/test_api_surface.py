@@ -1,19 +1,21 @@
 """Every settable value of the public API, pinned by name and default.
 
-A parameter with a default, or a CLI flag, is a knob someone may turn.
-Adding one, dropping one, or changing what it defaults to must edit this
-file, where a reviewer sees it.  perfbench calls ``performance_J``,
-``directional_derivative_J(..., epsilons=)`` and ``solve_obstacle_psor(...,
-side=)``, so those entries also guard the benchmark's calls.
+A parameter with a default, a CLI flag, or a parsed configuration value is
+a knob someone may turn.  Adding one, dropping one, or changing what it
+defaults to must edit this file, where a reviewer sees it.  perfbench calls
+``performance_J``, ``directional_derivative_J(..., epsilons=)``,
+``extract_policy(..., convention=, max_rate=)`` and
+``solve_obstacle_psor(..., side=)``, so those entries also guard the
+benchmark's calls.
 """
 
 import argparse
+import dataclasses
 import inspect
 
 import smc
-from smc import psor
+from smc import config, psor
 from smc.cli import _build_parser
-from smc.control import Tolerances
 
 DEFAULTS = {
     "BackwardSpec": {
@@ -24,7 +26,6 @@ DEFAULTS = {
         "use_adjoint_operator": False,
         "allow_terminal_violation": False,
         "time_scheme": "backward-euler",
-        "max_fixed_point_iters": 100,
     },
     "Field": {"boundary_kind": "dirichlet-zero"},
     "OperatorSpec": {"second_order": 0.0, "first_order": 0.0, "theta": 0.1},
@@ -42,23 +43,16 @@ DEFAULTS = {
         "h10": 1.0,
         "g0": 1.0,
         "cost": 0.0,
-        "h0": None,
     },
-    "Tolerances": {"threshold": 1e-06, "complementarity": 1e-06, "vi": 1e-06},
     "assemble_adjoint": {
         "xi": None,
         "obstacle": None,
         "reflection_side": "lower",
         "allow_terminal_violation": False,
     },
-    "check_necessary": {"tolerances": Tolerances(), "convention": "price-floor"},
+    "check_necessary": {"convention": "price-floor"},
     "directional_derivative_J": {"epsilons": (0.1, 0.01, 0.001)},
-    "extract_policy": {
-        "convention": "price-floor",
-        "tolerances": Tolerances(),
-        "coefficient_floor": 1e-10,
-        "max_rate": None,
-    },
+    "extract_policy": {"convention": "price-floor", "max_rate": None},
     "performance_J": {"chunk_size": 2048},
     "performance_Js": {"chunk_size": 2048},
     "psor.solve_obstacle_psor": {"side": "lower"},
@@ -84,13 +78,53 @@ def test_defaulted_parameters_are_pinned():
     assert actual == DEFAULTS
 
 
+# the flags each subcommand's handler reads, help excluded
+CLI_FLAGS = {
+    "simulate": ["--config", "--out", "--paths", "--seed"],
+    "adjoint": ["--config", "--levels", "--out", "--seed"],
+    "policy": ["--config", "--levels", "--out", "--seed"],
+    "rate": ["--config", "--levels", "--out", "--seed"],
+    "derivcheck": ["--config", "--out", "--paths", "--seed"],
+    "verify": ["--config", "--out"],
+}
+
+
 def test_cli_flags_are_pinned():
     parser = _build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {
-        command: sorted(flag for a in sub._actions for flag in a.option_strings)
+        command: sorted(
+            flag
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        )
         for command, sub in subparsers.choices.items()
     }
-    common = ["--config", "--help", "--levels", "--out", "--paths", "--seed", "-h"]
-    commands = ("simulate", "adjoint", "policy", "rate", "derivcheck", "verify")
-    assert flags == {command: common for command in commands}
+    assert flags == CLI_FLAGS
+
+
+# the parsed configuration, walked through the config module's own dataclasses
+RUN_CONFIG_FIELDS = {
+    "problem": "ProblemSpec",
+    "backward": {"levels": "tuple[int, ...]"},
+    "control": {"convention": "str", "max_rate": "float | None"},
+    "mc": {"n_paths": "int", "seed": "int"},
+    "outputs": {"directory": "str", "formats": "tuple[str, ...]"},
+    "raw": "dict",
+    "config_hash": "str",
+    "warnings": "tuple[str, ...]",
+}
+
+
+def _field_tree(cls) -> dict:
+    tree = {}
+    for f in dataclasses.fields(cls):
+        inner = getattr(config, f.type, None)  # annotations are strings in smc.config
+        own = dataclasses.is_dataclass(inner) and inner.__module__ == config.__name__
+        tree[f.name] = _field_tree(inner) if own else f.type
+    return tree
+
+
+def test_run_config_fields_are_pinned():
+    assert _field_tree(config.RunConfig) == RUN_CONFIG_FIELDS

@@ -161,7 +161,8 @@ def test_reflected_levels_same_bytes_on_two_workers(monkeypatch):
 
 
 def test_stalled_level_error_crosses_from_workers_unchanged(monkeypatch):
-    spec = dataclasses.replace(suites.active_obstacle_spec(30, 40), max_fixed_point_iters=1)
+    spec = suites.active_obstacle_spec(30, 40)
+    monkeypatch.setattr(backward, "_MAX_FIXED_POINT_ITERS", 1)  # forked workers inherit it
     messages = []
     for workers in ("1", "2"):
         monkeypatch.setenv("SMC_WORKERS", workers)
@@ -589,11 +590,28 @@ def test_regression_batched_sweep_matches_per_path_solves(monkeypatch):
     np.testing.assert_array_equal(batched.z_mean.values, looped.z_mean.values)
 
 
-def test_regression_stalled_active_set_names_a_path():
+def test_regression_stalled_active_set_names_a_path(monkeypatch):
     spec, paths, db, terminal = _regression_obstacle_case()
-    spec = dataclasses.replace(spec, max_fixed_point_iters=1)
+    monkeypatch.setattr(backward, "_MAX_FIXED_POINT_ITERS", 1)
     with pytest.raises(NoConvergenceError, match=r"at step 7, path \d+"):
         solve_penalized_regression(spec, 64, paths, db, terminal)
+
+
+def test_regression_rejects_crank_nicolson():
+    # the backend steps backward Euler; a crank-nicolson spec would solve a different scheme
+    grid = build_grid(0.0, 1.0, 12)
+    spec = BackwardSpec(
+        grid=grid,
+        op=OP,
+        horizon=0.1,
+        n_steps=8,
+        terminal=sine_terminal(grid),
+        time_scheme="crank-nicolson",
+    )
+    paths, db = _bm_paths(16, spec.n_steps, grid.n_total, spec.dt, seed=8)
+    terminal = np.tile(spec.terminal.values, (16, 1))
+    with pytest.raises(ValueError, match="backward-euler only"):
+        solve_penalized_regression(spec, 1, paths, db, terminal)
 
 
 def test_regression_with_too_few_paths_degenerate():

@@ -13,6 +13,7 @@ from smc.control import (
     directional_derivative_J,
     extract_policy,
     performance_J,
+    policy_adjoint,
 )
 from smc.errors import NonlinearModelError
 from smc.forward import ControlPerturbation, ProblemSpec, SingularControl
@@ -121,12 +122,6 @@ def test_adjoint_flat_revenue_constant_gain_no_singular_drift():
     assert adj.backward.singular is None
     p = np.ones(spec.grid.n_cells)
     np.testing.assert_array_equal(spec.singular_slope(0.0, p), 0.0)
-
-
-def test_adjoint_rejects_running_reward():
-    spec = harvest_spec(h0=lambda t, x, u, ubar: u)
-    with pytest.raises(NonlinearModelError):
-        assemble_adjoint(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +292,20 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one():
     rate[charged] = deta[charged] / coeff[charged]
     expected = SingularControl.from_increments(rate)  # the policy's cumulative sum, same order
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
+
+
+def test_unknown_convention_is_rejected():
+    spec = harvest_spec()
+    xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
+    p = _paths_of_constant(spec, 0.5)
+    calls = [
+        lambda: policy_adjoint(spec, "bogus"),
+        lambda: extract_policy(spec, [16, 64], convention="bogus"),
+        lambda: check_necessary(p, p, xi, spec, convention="bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+            call()
 
 
 def test_extract_policy_requires_multiplicative_model():

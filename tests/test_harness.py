@@ -41,7 +41,6 @@ def test_minimal_config_defaults():
     cfg = parse_config(minimal_config())
     assert cfg.problem.dt == pytest.approx(0.002)
     assert cfg.backward.levels == (4, 16, 64, 256)
-    assert cfg.backward.tolerances.threshold == 1e-6
     assert cfg.control.convention == "price-floor"
     assert cfg.mc.seed == 7
 
@@ -57,6 +56,14 @@ def test_config_without_modes_takes_the_engine_mode_constants():
         forward.MULTIPLICATIVE_GAIN,
         forward.IMPLICIT,
     )
+
+
+def test_config_without_initial_takes_the_problem_spec_default():
+    raw = minimal_config()
+    del raw["problem"]["initial"]
+    initial = parse_config(raw).problem.initial
+    np.testing.assert_array_equal(initial.values, 1.0)
+    assert initial.boundary_kind == "dirichlet-data"
 
 
 def test_unknown_key_rejected_with_path():
@@ -210,9 +217,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
+        (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "backward-backend"],
+         "backward-backend", "unknown-convention"],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
     code = main([*argv, "--config", _write_config(tmp_path, minimal_config(**sections))])
@@ -220,6 +228,61 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+_CONSTANT_PRICE = {"kind": "constant", "value": 2.0}
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("initial", {"kind": "constant", "value": 2.0},
+         "problem.initial.kind: unknown shape kind 'constant'"),
+        ("initial", {"kind": "bump", "floor": 0.1, "amplitude": 1.0},
+         "problem.initial.kind: unknown shape kind 'bump'"),
+        ("initial", {"kind": "values", "values": [1.0] * 22},
+         "problem.initial.kind: unknown shape kind 'values'"),
+        ("prices", {"h10": _CONSTANT_PRICE},
+         "problem.prices.h10.kind: unknown price kind 'constant'"),
+        ("prices", {"g0": _CONSTANT_PRICE},
+         "problem.prices.g0.kind: unknown price kind 'constant'"),
+        ("backward", {"tolerances": {"threshold": 1e-6, "complementarity": 1e-6, "vi": 1e-6}},
+         "backward.tolerances: unknown key"),
+        ("control", {"coefficient_floor": 1e-10}, "control.coefficient_floor: unknown key"),
+        ("suite", "operators", "suite: unknown key"),
+    ],
+    ids=["initial-constant", "initial-bump", "initial-values", "h10-constant", "g0-constant",
+         "backward-tolerances", "coefficient-floor", "suite"],
+)
+def test_deleted_config_key_exits_2_naming_its_path(tmp_path, capsys, section, value, message):
+    raw = minimal_config()
+    if section in ("initial", "prices"):
+        raw["problem"][section] = value
+    else:
+        raw[section] = value
+    assert main(["simulate", "--config", _write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "operators", "--seed", "3"],
+        ["verify", "operators", "--paths", "5"],
+        ["verify", "operators", "--levels", "4,8"],
+        ["simulate", "--levels", "4,8"],
+        ["derivcheck", "--levels", "4,8"],
+        ["adjoint", "--paths", "5"],
+        ["policy", "--paths", "5"],
+        ["rate", "--paths", "5"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", _write_config(tmp_path, minimal_config())])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
