@@ -41,14 +41,13 @@ from .errors import (
     NonCauchyError,
     TerminalConsistencyError,
 )
-from .forward import SingularControl, map_ordered
+from .forward import CRANK_NICOLSON, SingularControl, map_ordered
 from .grid import Field, FieldPath, Grid
 from .operators import OperatorSpec, TridiagonalStepper, _space_mean_operator, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
 BACKWARD_EULER = "backward-euler"
-CRANK_NICOLSON = "crank-nicolson"
 
 _INACTIVE = -1e300  # obstacle stand-in when no barrier is given
 _MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConvergenceError
@@ -478,18 +477,16 @@ def solve_penalized_regression(
     stepper = TridiagonalStepper(spec.op, grid, dt, spec.use_adjoint_operator)
     mean_op = _space_mean_operator(grid, spec.op.theta)
     x_int = grid.interior
-    zeros = np.zeros(grid.n_cells)
 
-    def regress(features: np.ndarray, target: np.ndarray) -> np.ndarray:
-        gram = features.T @ features + 1e-8 * np.eye(features.shape[1])
-        moment = features.T @ target
+    def fitted(features: np.ndarray, gram: np.ndarray, target: np.ndarray) -> np.ndarray:
+        moment = np.swapaxes(features, 1, 2) @ target[..., None]
         try:
             coef = np.linalg.solve(gram, moment)
         except np.linalg.LinAlgError as exc:
             raise BasisDegenerateError("regression normal equations singular") from exc
         if not np.all(np.isfinite(coef)):
             raise BasisDegenerateError("regression produced non-finite coefficients")
-        return features @ coef
+        return np.pad((features @ coef)[..., 0], ((1, 1), (0, 0)))  # zero boundary rows
 
     y = norm.sign * terminal_values.T.copy()  # (n_total, n_paths)
     y_sum = np.zeros((n_times, n_total))
@@ -501,18 +498,13 @@ def solve_penalized_regression(
         t = times[k]
         barrier = norm.obstacle_interior(t)[:, None]
         state = forward_values[:, k, :].T  # (n_total, n_paths)
-        state_mean = mean_op.apply(state)
-        db = noise_increments[:, k]
+        s, s_mean = state[1:-1], mean_op.apply(state)[1:-1]
 
-        ce = np.zeros_like(y)
-        z = np.zeros_like(y)
-        for i in range(1, n_total - 1):
-            s = state[i]
-            feats = np.column_stack(
-                [s**d for d in range(4)] + [state_mean[i]]
-            )
-            ce[i] = regress(feats, y[i])
-            z[i] = regress(feats, y[i] * db / dt)
+        # one fit per interior node, stacked: features (n_cells, n_paths, n_features)
+        features = np.stack([s**d for d in range(4)] + [s_mean], axis=-1)
+        gram = np.swapaxes(features, 1, 2) @ features + 1e-8 * np.eye(n_features)
+        ce = fitted(features, gram, y[1:-1])
+        z = fitted(features, gram, y[1:-1] * noise_increments[:, k] / dt)
         ce_bar = mean_op.apply(ce)
         z_bar = mean_op.apply(z)
 
@@ -522,11 +514,14 @@ def solve_penalized_regression(
                 rhs[:, p] += dt * norm.driver(
                     t, x_int, ce[1:-1, p], ce_bar[1:-1, p], z[1:-1, p], z_bar[1:-1, p]
                 )
-        # each path iterates its own active set; re-solving a path whose set
-        # is already stable reproduces its bits, so all paths step together
+        # each path iterates its own active set: a column without an active node
+        # takes the unpenalized solve, a column with one its own gtsv call
         active = np.zeros((grid.n_cells, n_paths), dtype=bool)
         for _ in range(_MAX_FIXED_POINT_ITERS):
-            sol = stepper.solve(rhs + dt * n * np.where(active, barrier, 0.0), dt * n * active)
+            b = rhs + dt * n * np.where(active, barrier, 0.0)
+            sol = stepper.solve_in_place(b.copy())
+            for p in np.flatnonzero(active.any(axis=0)):
+                sol[:, p] = stepper.solve(b[:, p], dt * n * active[:, p])
             moved = np.any((sol < barrier) != active, axis=0)
             if not moved.any():
                 break

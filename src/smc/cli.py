@@ -32,6 +32,7 @@ from .forward import (
 )
 from .grid import FieldPath
 from .report import CheckResult, PhaseTimer, RunReport, describe_version, persist
+from . import suites
 from .suites import SUITES, derivative_process_errors, directional_derivative_gap
 
 _MAX_PER_PATH_CSV = 20
@@ -171,13 +172,14 @@ def _cmd_adjoint(config: RunConfig, args) -> int:
     seed, out_dir = _seed_and_out(config, args)
     policy = _extract_policy(config, levels)
     diag = policy.solution.diagnostics
+    bound = suites.SKOROKHOD_BOUND * max(diag.skorokhod_scale, 1e-30)
     report = _new_report(config, seed)
     report.add(
         CheckResult(
             name="skorokhod-residual",
             value=abs(diag.skorokhod_residual),
-            tolerance=1e-4 * max(diag.skorokhod_scale, 1e-30),
-            passed=abs(diag.skorokhod_residual) <= 1e-4 * max(diag.skorokhod_scale, 1e-30),
+            tolerance=bound,
+            passed=abs(diag.skorokhod_residual) <= bound,
             detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
         )
     )
@@ -231,13 +233,14 @@ def _cmd_rate(config: RunConfig, args) -> int:
     seed, out_dir = _seed_and_out(config, args)
     adjoint = policy_adjoint(config.problem, config.control.convention)
     study = penalization_rate(adjoint.backward, levels)
+    low, high = suites.RATE_BAND
     report = _new_report(config, seed)
     report.add(
         CheckResult(
             name="penalization-rate-slope",
             value=study.slope,
-            tolerance=-1.7,
-            passed=bool(-2.3 <= study.slope <= -1.7),
+            tolerance=high,
+            passed=bool(low <= study.slope <= high),
             detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(study.levels, study.energies)),
         )
     )
@@ -261,11 +264,12 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
     errors = derivative_process_errors(spec, base, zeta, noise)
     ratio = errors[1e-2] / max(errors[1e-3], 1e-300)
     cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, seed)
+    low, high = suites.RATIO_BAND
 
     report = _new_report(config, seed)
     report.add(
         CheckResult(
-            "derivative-process-ratio", ratio, 20.0, bool(5.0 <= ratio <= 20.0),
+            "derivative-process-ratio", ratio, high, bool(low <= ratio <= high),
             f"errors {errors[1e-2]:.3e} / {errors[1e-3]:.3e}",
         )
     )
@@ -273,8 +277,8 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
         CheckResult(
             "directional-derivative-gap",
             gap,
-            3.0 * comb,
-            gap <= 3.0 * comb,
+            suites.SIGMA_BOUND * comb,
+            gap <= suites.SIGMA_BOUND * comb,
             f"adjoint {cmp.adjoint_formula:.6f}, "
             f"finite difference {cmp.finite_difference[1e-3][0]:.6f}",
         )
@@ -323,14 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         worker_count()  # a malformed SMC_WORKERS fails here, before any work
-        config = None
-        if args.config is not None:
-            config = load_config(args.config)
+        config = load_config(args.config) if args.config is not None else None
         if args.command == "verify":
             return _cmd_verify(config, args)
-        if config is None:
-            print("this subcommand requires --config", file=sys.stderr)
-            return 2
         handler = {
             "simulate": _cmd_simulate,
             "adjoint": _cmd_adjoint,

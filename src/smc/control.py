@@ -39,10 +39,6 @@ import numpy as np
 from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, solve_reflected
 from .errors import NonlinearModelError
 from .forward import (
-    MEAN_DRIFT,
-    MEAN_NOISE,
-    MULTIPLICATIVE_GAIN,
-    PROPORTIONAL_REVENUE,
     _DEFAULT_CHUNK,
     ControlPerturbation,
     ProblemSpec,
@@ -95,8 +91,8 @@ def assemble_adjoint(
     grid = spec.grid
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
     alpha, beta = spec.alpha, spec.beta
-    drift_w = weight if spec.drift_mode == MEAN_DRIFT else np.ones_like(weight)
-    vol_w = weight if spec.noise_mode == MEAN_NOISE else np.ones_like(weight)
+    drift_w = weight if spec.drift_reads_mean else np.ones_like(weight)
+    vol_w = weight if spec.noise_reads_mean else np.ones_like(weight)
 
     def driver(t, x, p, pbar, q, qbar):
         return alpha * drift_w * p + beta * vol_w * q
@@ -367,7 +363,7 @@ def extract_policy(
     ``max_rate`` optionally caps lambda0 * dxi per step (multiplicative-gain
     runs need lambda0 * dxi < 1 to keep the state positive).
     """
-    if spec.control_gain_mode != MULTIPLICATIVE_GAIN or spec.revenue_mode != PROPORTIONAL_REVENUE:
+    if not spec.is_harvesting_model:
         raise NonlinearModelError(
             "policy extraction expects the multiplicative-gain harvesting model"
         )

@@ -17,6 +17,7 @@ and the vectorized ensemble kernel reproduces single-path runs bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import traceback
 import warnings
@@ -248,9 +249,25 @@ class ProblemSpec:
         """Whether dH1/du is identically 0: constant gain with flat revenue."""
         return self.gain_slope == 0.0 and self.revenue_mode == FLAT_REVENUE
 
+    @property
+    def drift_reads_mean(self) -> bool:
+        """Whether the drift is alpha times the space mean (else alpha times the state)."""
+        return self.drift_mode == MEAN_DRIFT
+
+    @property
+    def noise_reads_mean(self) -> bool:
+        """Whether the volatility is beta times the space mean (else beta times the state)."""
+        return self.noise_mode == MEAN_NOISE
+
+    @property
+    def is_harvesting_model(self) -> bool:
+        """Whether this is the multiplicative-gain model with proportional revenue."""
+        gain, revenue = self.control_gain_mode, self.revenue_mode
+        return gain == MULTIPLICATIVE_GAIN and revenue == PROPORTIONAL_REVENUE
+
     def uses_space_mean(self) -> bool:
-        return (self.alpha != 0.0 and self.drift_mode == MEAN_DRIFT) or (
-            self.beta != 0.0 and self.noise_mode == MEAN_NOISE
+        return (self.alpha != 0.0 and self.drift_reads_mean) or (
+            self.beta != 0.0 and self.noise_reads_mean
         )
 
     def cfl_number(self) -> float:
@@ -395,8 +412,12 @@ class NoisePath:
 
     @classmethod
     def generate(cls, seed: int, n_steps: int, dt: float) -> "NoisePath":
-        rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal(n_steps) * np.sqrt(dt), int(seed), float(dt))
+        return cls(_path_increments(seed, n_steps, dt), int(seed), float(dt))
+
+
+def _path_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
+    """The Brownian increments of the path with this seed: sqrt(dt) times standard normals."""
+    return np.random.default_rng(seed).standard_normal(n_steps) * math.sqrt(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +441,9 @@ class _Kernel:
         self.generator = (a, b, grid.h**2, 2.0 * grid.h)
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
+        # (coefficient, reads the space mean, buffer) of the drift and the volatility term
+        drift = (spec.alpha, spec.drift_reads_mean, self.forcing)
+        self.terms = (drift, (spec.beta, spec.noise_reads_mean, self.scratch))
         if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
             self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
             self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
@@ -438,15 +462,13 @@ class _Kernel:
         A jump is (factor, increment, rows): it adds into the interior ``rows`` only, where
         ``factor(out)`` writes its values.
         """
-        spec, forcing, scratch = self.spec, self.forcing, self.scratch
+        forcing, scratch = self.forcing, self.scratch
         xbar = self.mean_op.apply(x) if self.mean_op is not None else None
-        drift = (spec.alpha, xbar if spec.drift_mode == MEAN_DRIFT else x, forcing)
-        vol = (spec.beta, x if spec.noise_mode == POINTWISE_NOISE else xbar, scratch)
-        for coef, src, out in (drift, vol):
+        for coef, reads_mean, out in self.terms:
             if coef == 0.0:
                 out.fill(0.0)
             else:
-                np.multiply(coef, src[1:-1], out=out)
+                np.multiply(coef, (xbar if reads_mean else x)[1:-1], out=out)
         np.multiply(self.dt, forcing, out=forcing)
         np.add(forcing, np.multiply(scratch, db, out=scratch), out=forcing)
         for factor, increment, rows in jumps:
@@ -592,13 +614,12 @@ def _monte_carlo(
         raise ValueError("n_paths must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    root = np.sqrt(spec.dt)
 
     def run(bundle: tuple[int, int]) -> list | tuple:
         first, count = bundle
         dw = np.empty((spec.n_steps, count))
         for p in range(count):
-            dw[:, p] = np.random.default_rng(first + p).standard_normal(spec.n_steps) * root
+            dw[:, p] = _path_increments(first + p, spec.n_steps, spec.dt)
         reductions = []
         for xi, reduce in passes:
             try:

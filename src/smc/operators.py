@@ -99,8 +99,8 @@ class TridiagonalStepper:
     The matrix is factored once with LAPACK ``gttrf``.  If no rows were
     interchanged, unpenalized solves reuse the factors: a numpy row sweep for
     bundles of ``SWEEP_MIN_PATHS`` columns or more, ``gttrs`` otherwise.  Both
-    repeat ``gtsv``'s elimination step for step, so the bits equal a fresh
-    ``gtsv`` solve, which every other solve calls.  Callers check for non-finite values.
+    repeat ``gtsv``'s elimination step for step, so the bits equal the one
+    ``gtsv`` call that :meth:`solve` makes.  Callers check for non-finite values.
     """
 
     # the sweep's few numpy calls per row cost more than gttrs below this
@@ -118,49 +118,29 @@ class TridiagonalStepper:
         # the sweep's scalar factors as Python floats: cheaper ufunc dispatch, same bits
         self._sweep_factors = [f.tolist() for f in factors[:3]]
 
-    def solve(self, rhs: np.ndarray, penalty: np.ndarray | None = None) -> np.ndarray:
-        """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``.
+    def solve(self, rhs: np.ndarray, penalty: float | np.ndarray) -> np.ndarray:
+        """Solve for (n_cells,) or (n_cells, n_paths) ``rhs``, ``penalty`` added to the diagonal.
 
-        ``penalty`` adds to the diagonal: one for all columns, or one per column.
+        ``penalty`` is a number or one value per interior node, shared by every column.
         """
-        if penalty is None:
-            return self.solve_in_place(np.array(rhs))
-        if penalty.ndim == 1:
-            return self._gtsv(self.diag + penalty, rhs)
-        # per-column diagonals: gtsv's elimination on all columns at once, and
-        # gtsv itself for a column where it would interchange rows or hit zero
-        pivots = self.diag[:, None] + penalty
-        multipliers, by_gtsv = [], np.zeros(rhs.shape[1], dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, (low, up) in enumerate(zip(self.lower, self.upper)):
-                by_gtsv |= ~(np.abs(pivots[i]) >= abs(low)) | (pivots[i] == 0.0)
-                multipliers.append(low / pivots[i])
-                pivots[i + 1] -= multipliers[-1] * up
-            by_gtsv |= pivots[-1] == 0.0
-            solution = _substitute(np.array(rhs), multipliers, pivots, self.upper)
-        for p in np.flatnonzero(by_gtsv):
-            solution[:, p] = self._gtsv(self.diag + penalty[:, p], rhs[:, p])
+        *_, solution, info = dgtsv(self.lower, self.diag + penalty, self.upper, rhs)
+        if info > 0:
+            raise SingularSystemError(f"implicit step matrix is singular (zero pivot {info})")
         return solution
 
     def solve_in_place(self, b: np.ndarray) -> np.ndarray:
         """Overwrite (n_cells,) or (n_cells, n_paths) ``b`` with the unpenalized solution."""
         if self._factors is None:
-            b[...] = self._gtsv(self.diag, b)
+            b[...] = self.solve(b, 0.0)
         elif b.ndim == 1 or b.shape[1] < self.SWEEP_MIN_PATHS:
             b[...] = dgttrs(*self._factors, b, overwrite_b=1)[0]
         else:
             _substitute(b, *self._sweep_factors)
         return b
 
-    def _gtsv(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        *_, solution, info = dgtsv(self.lower, diag, self.upper, rhs)
-        if info > 0:
-            raise SingularSystemError(f"implicit step matrix is singular (zero pivot {info})")
-        return solution
-
 
 def _substitute(b: np.ndarray, multipliers, pivots, upper) -> np.ndarray:
-    """Forward and back substitution on the rows of ``b`` in place, with scalar or row factors."""
+    """Forward and back substitution on the rows of ``b`` in place, with scalar factors per row."""
     # dispatch holds the GIL that parallel chunks share: row views once, ``out`` positional
     rows = list(b)
     row = np.empty_like(rows[0])

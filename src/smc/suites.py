@@ -46,6 +46,12 @@ from .report import CheckResult
 
 HEAT_OP = OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1)
 
+# verdict bands, read by the checks here and by the CLI subcommands that repeat them
+RATE_BAND = (-2.3, -1.7)  # criterion 01: log-log slope of the penalization energies
+SKOROKHOD_BOUND = 1e-4  # criterion 02: |residual| over sup_t ||Y||_H * ||eta(T)||_H
+RATIO_BAND = (5.0, 20.0)  # criterion 07: error ratio of the eps = 1e-2 and 1e-3 quotients
+SIGMA_BOUND = 3.0  # criterion 08: |adjoint - difference| in combined standard errors
+
 
 # ---------------------------------------------------------------------------
 # Shared benchmarks
@@ -193,16 +199,16 @@ def check_penalization_rate() -> CheckResult:
     spec = active_obstacle_spec()
     study = penalization_rate(spec, [4, 8, 16, 32, 64, 128, 256])
     elapsed = time.perf_counter() - start
-    high = penalization_rate(spec, [256, 512, 1024, 2048, 4096])
-    in_band = -2.3 <= study.slope <= -1.7
+    asymptotic = penalization_rate(spec, [256, 512, 1024, 2048, 4096])
+    low, high = RATE_BAND
     return CheckResult(
         name="penalization-rate-slope",
         value=study.slope,
-        tolerance=-1.7,
-        passed=bool(in_band and elapsed <= 60.0),
+        tolerance=high,
+        passed=bool(low <= study.slope <= high and elapsed <= 60.0),
         detail=(
-            f"band [-2.3, -1.7]; levels 4..256; runtime {elapsed:.1f}s; "
-            f"asymptotic window 256..4096 gives slope {high.slope:.3f}; "
+            f"band [{low}, {high}]; levels 4..256; runtime {elapsed:.1f}s; "
+            f"asymptotic window 256..4096 gives slope {asymptotic.slope:.3f}; "
             f"energies follow (n + pi^2/2)^-2, so the pinned window is preasymptotic"
         ),
     )
@@ -217,8 +223,8 @@ def check_skorokhod() -> CheckResult:
     return CheckResult(
         name="skorokhod-complementarity",
         value=rel,
-        tolerance=1e-4,
-        passed=bool(rel <= 1e-4 and exact_zero),
+        tolerance=SKOROKHOD_BOUND,
+        passed=bool(rel <= SKOROKHOD_BOUND and exact_zero),
         detail=(
             f"relative residual at level 65536; inactive-obstacle residual "
             f"{inactive.diagnostics.skorokhod_residual:.1e} (must be exactly 0)"
@@ -376,14 +382,15 @@ def check_derivative_process() -> CheckResult:
     noise = NoisePath.generate(1234, spec.n_steps, spec.dt)
     errors = derivative_process_errors(spec, base, zeta, noise)
     ratio = errors[1e-2] / errors[1e-3]
+    low, high = RATIO_BAND
     return CheckResult(
         name="derivative-process-consistency",
         value=ratio,
-        tolerance=20.0,
-        passed=bool(5.0 <= ratio <= 20.0),
+        tolerance=high,
+        passed=bool(low <= ratio <= high),
         detail=(
             f"error(1e-2)={errors[1e-2]:.3e}, error(1e-3)={errors[1e-3]:.3e}; "
-            "first-order ratio must land in [5, 20]"
+            f"first-order ratio must land in [{low:g}, {high:g}]"
         ),
     )
 
@@ -402,8 +409,8 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
     return CheckResult(
         name="directional-derivative-duality",
         value=gap / comb if comb > 0 else 0.0,
-        tolerance=3.0,
-        passed=bool(gap <= 3.0 * comb),
+        tolerance=SIGMA_BOUND,
+        passed=bool(gap <= SIGMA_BOUND * comb),
         detail=(
             f"adjoint {cmp.adjoint_formula:.6f} vs common-noise difference at eps=1e-3 "
             f"{cmp.finite_difference[1e-3][0]:.6f} ({n_paths} paths); sweep {sweep}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from smc import backward, suites
 from smc.backward import (
@@ -551,15 +552,16 @@ def test_regression_conditional_expectation_and_z():
     assert z_avg == pytest.approx(vol, abs=0.1)
 
 
-class _PerPathStepper(TridiagonalStepper):
-    """Solves per-column penalties one path at a time through gtsv, as the old loop did."""
+class _ColumnGtsvStepper(TridiagonalStepper):
+    """Sends every column of every solve through its own LAPACK gtsv call."""
 
-    def solve(self, rhs, penalty=None):
-        if penalty is None or penalty.ndim == 1:
-            return super().solve(rhs, penalty)
-        solve = super().solve
-        columns = [solve(rhs[:, p].copy(), penalty[:, p]) for p in range(rhs.shape[1])]
-        return np.column_stack(columns)
+    def solve(self, rhs, penalty):
+        return dgtsv(self.lower, self.diag + penalty, self.upper, rhs)[3]
+
+    def solve_in_place(self, b):
+        for column in b.T:
+            column[...] = self.solve(column, 0.0)
+        return b
 
 
 def _regression_obstacle_case(n_paths=40):
@@ -579,15 +581,18 @@ def _regression_obstacle_case(n_paths=40):
 
 
 def test_regression_batched_sweep_matches_per_path_solves(monkeypatch):
-    spec, paths, db, terminal = _regression_obstacle_case()
-    batched = solve_penalized_regression(spec, 64, paths, db, terminal)
-    monkeypatch.setattr(backward, "TridiagonalStepper", _PerPathStepper)
-    looped = solve_penalized_regression(spec, 64, paths, db, terminal)
-    assert batched.energy > 0.0
-    assert batched.energy == looped.energy
-    np.testing.assert_array_equal(batched.y0, looped.y0)
-    np.testing.assert_array_equal(batched.y_mean.values, looped.y_mean.values)
-    np.testing.assert_array_equal(batched.z_mean.values, looped.z_mean.values)
+    # both sides of the stepper's sweep width, with paths whose active sets differ
+    for n_paths in (40, TridiagonalStepper.SWEEP_MIN_PATHS):
+        spec, paths, db, terminal = _regression_obstacle_case(n_paths)
+        batched = solve_penalized_regression(spec, 64, paths, db, terminal)
+        with monkeypatch.context() as patch:
+            patch.setattr(backward, "TridiagonalStepper", _ColumnGtsvStepper)
+            looped = solve_penalized_regression(spec, 64, paths, db, terminal)
+        assert batched.energy > 0.0
+        assert batched.energy == looped.energy
+        np.testing.assert_array_equal(batched.y0, looped.y0)
+        np.testing.assert_array_equal(batched.y_mean.values, looped.y_mean.values)
+        np.testing.assert_array_equal(batched.z_mean.values, looped.z_mean.values)
 
 
 def test_regression_stalled_active_set_names_a_path(monkeypatch):
