@@ -21,7 +21,6 @@ from .backward import (
     penalization_rate,
     skorokhod_residual,
     solve_penalized,
-    solve_penalized_regression,
     solve_reflected,
 )
 from .control import (

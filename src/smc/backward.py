@@ -2,7 +2,7 @@
 
 The target system, stated for the lower reflection side, is
 
-    dY = -A Y dt - F(t, Y, Ybar, Z, Zbar) dt + Z dB - eta(dt, x),
+    dY = -A Y dt - F(t, Y, Ybar) dt + Z dB - eta(dt, x),
     Y(T) = phi,    Y >= L,    integral of (Y - L) against eta(dt, x) dx = 0,
 
 with eta nonnegative and nondecreasing.  The penalized approximation at
@@ -12,13 +12,8 @@ part is handled by a semi-smooth active-set fixed point per step.  The
 reflection measure is recovered from the top penalization level as the
 running time integral of n (Y^n - L)^-.
 
-Two backends:
-
-* deterministic: F, phi, L deterministic, so the solution is deterministic
-  and Z is identically zero (the martingale term vanishes);
-* regression Monte Carlo: per-path backward induction with conditional
-  expectations by ridge-regularized least squares on polynomial features of
-  the forward state and its space mean.
+F, phi and L are deterministic, so the solution is deterministic and Z is
+identically zero (the martingale term vanishes).
 
 Upper-side problems are solved by negation of the data and mapped back, so
 the negation duality holds bit for bit.
@@ -33,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    BasisDegenerateError,
     DegenerateFitError,
     GridMismatchError,
     NanDetectedError,
@@ -57,8 +51,8 @@ _MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConverge
 class BackwardSpec:
     """Data of one reflected backward problem on the grid.
 
-    ``driver`` has signature F(t, x_int, y, ybar, z, zbar) -> array over
-    interior nodes and must be Lipschitz in (y, ybar, z, zbar).  ``obstacle``
+    ``driver`` has signature F(t, x_int, y, ybar) -> array over interior
+    nodes and must be Lipschitz in (y, ybar).  ``obstacle``
     is a callable L(t, nodes) -> values, or None for an unconstrained solve.
     ``singular`` optionally couples a nondecreasing control to the drift:
     the pair (control, coefficient) adds coefficient(t, x_int, y) * dxi_k to
@@ -132,10 +126,9 @@ class SolutionDiagnostics:
 
 @dataclass(frozen=True)
 class BackwardSolution:
-    """Triple (Y, Z, eta) plus diagnostics from the reflected solve."""
+    """Pair (Y, eta) plus diagnostics from the reflected solve; Z is identically zero."""
 
     y: FieldPath
-    z: FieldPath
     eta: FieldPath
     diagnostics: SolutionDiagnostics
 
@@ -159,11 +152,11 @@ class _Normalized:
         barrier = self.spec.obstacle_interior(t)
         return barrier if self.spec.obstacle is None else self.sign * barrier
 
-    def driver(self, t, x, y, ybar, z, zbar):
+    def driver(self, t, x, y, ybar):
         if self.spec.driver is None:
             return None
         s = self.sign
-        return s * np.asarray(self.spec.driver(t, x, s * y, s * ybar, s * z, s * zbar), dtype=float)
+        return s * np.asarray(self.spec.driver(t, x, s * y, s * ybar), dtype=float)
 
     def singular_term(self, t, x, y, dxi):
         if self.spec.singular is None:
@@ -174,12 +167,12 @@ class _Normalized:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic backend
+# Penalized and reflected solves
 # ---------------------------------------------------------------------------
 
 
 def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
-    """Solve the level-n penalized backward equation (deterministic backend).
+    """Solve the level-n penalized backward equation.
 
     Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
     set {y < L} iterated until it stabilizes; the driver and the singular
@@ -210,7 +203,6 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     use_mean = spec.driver is not None
     mean_op = _space_mean_operator(grid, spec.op.theta) if use_mean else None
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
-    zeros = np.zeros(grid.n_cells)
     depends_on_y = spec.driver is not None or spec.singular is not None
     barrier = norm.obstacle_interior(0.0)  # an unconstrained solve keeps this stand-in
 
@@ -226,7 +218,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         active = y < barrier
         for _ in range(_MAX_FIXED_POINT_ITERS):
             rhs = known.copy()
-            forcing = norm.driver(t, x_int, y, ybar, zeros, zeros)
+            forcing = norm.driver(t, x_int, y, ybar)
             if forcing is not None:
                 rhs += dt * forcing
             sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
@@ -261,7 +253,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
 
 def _zero_path(y_path: FieldPath) -> FieldPath:
-    """Z of the deterministic backend: Y's shape, all +0.0, a read-only view of one float."""
+    """Z: Y's shape, all +0.0, a read-only view of one float."""
     return FieldPath(y_path.grid, y_path.times, np.broadcast_to(0.0, y_path.values.shape))
 
 
@@ -311,7 +303,7 @@ def _solve_levels(
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     """Solve penalized problems along ``levels`` and assemble the reflected triple.
 
-    Y comes from the largest level and Z is zero; the reflection measure is the
+    Y comes from the largest level; the reflection measure is the
     running time integral of n (Y^n - L)^- at that level.  Raises NonCauchyError when
     the inter-level gaps sup_t ||Y^n - Y^m||_H stop decreasing beyond a small
     floor.
@@ -349,7 +341,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
     )
-    return BackwardSolution(y=y_path, z=_zero_path(y_path), eta=eta_path, diagnostics=diag)
+    return BackwardSolution(y=y_path, eta=eta_path, diagnostics=diag)
 
 
 def skorokhod_residual(
@@ -422,124 +414,3 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
         raise DegenerateFitError("all penalization energies below floor (obstacle inactive)")
     slope = float(np.polyfit(np.log(np.asarray(levels, float)), np.log(energies), 1)[0])
     return RateStudy(tuple(levels), tuple(energies), slope)
-
-
-# ---------------------------------------------------------------------------
-# Regression Monte Carlo backend
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegressionSolution:
-    """Path-averaged backward solution from the least-squares backend."""
-
-    y_mean: FieldPath
-    z_mean: FieldPath
-    y0: np.ndarray  # (n_paths, n_total) solution at t = 0 per path
-    energy: float  # path-averaged squared-violation energy
-
-
-def solve_penalized_regression(
-    spec: BackwardSpec,
-    n: int,
-    forward_values: np.ndarray,
-    noise_increments: np.ndarray,
-    terminal_values: np.ndarray,
-) -> RegressionSolution:
-    """Per-path backward induction with regression conditional expectations.
-
-    ``forward_values`` has shape (n_paths, n_times, n_total) and supplies the
-    regression features: powers 0..3 of the state at the node plus its space
-    mean.  ``noise_increments`` has shape
-    (n_paths, n_steps) and drives Z_k = E[Y_{k+1} dB_k | basis] / dt.
-    ``terminal_values`` has shape (n_paths, n_total).  Upper-side problems
-    are solved by negation.  Steps are backward Euler: a crank-nicolson spec
-    raises ValueError.
-    """
-    if spec.time_scheme != BACKWARD_EULER:
-        raise ValueError(f"the regression backend steps {BACKWARD_EULER} only")
-    norm = _Normalized(spec)
-    grid = spec.grid
-    dt = spec.dt
-    n_paths, n_times, n_total = forward_values.shape
-    if n_times != spec.n_steps + 1 or n_total != grid.n_total:
-        raise GridMismatchError("forward path array does not match the space-time grid")
-    if noise_increments.shape != (n_paths, spec.n_steps):
-        raise GridMismatchError("noise increment array does not match the paths")
-    if terminal_values.shape != (n_paths, n_total):
-        raise GridMismatchError("terminal value array does not match the paths")
-    n_features = 5  # powers 0..3 of the state and its space mean
-    if n_paths <= n_features:
-        raise BasisDegenerateError(
-            f"{n_paths} paths cannot identify {n_features} regression coefficients"
-        )
-
-    stepper = TridiagonalStepper(spec.op, grid, dt, spec.use_adjoint_operator)
-    mean_op = _space_mean_operator(grid, spec.op.theta)
-    x_int = grid.interior
-
-    def fitted(features: np.ndarray, gram: np.ndarray, target: np.ndarray) -> np.ndarray:
-        moment = np.swapaxes(features, 1, 2) @ target[..., None]
-        try:
-            coef = np.linalg.solve(gram, moment)
-        except np.linalg.LinAlgError as exc:
-            raise BasisDegenerateError("regression normal equations singular") from exc
-        if not np.all(np.isfinite(coef)):
-            raise BasisDegenerateError("regression produced non-finite coefficients")
-        return np.pad((features @ coef)[..., 0], ((1, 1), (0, 0)))  # zero boundary rows
-
-    y = norm.sign * terminal_values.T.copy()  # (n_total, n_paths)
-    y_sum = np.zeros((n_times, n_total))
-    z_sum = np.zeros((n_times, n_total))
-    y_sum[-1] = y.sum(axis=1)
-    energy = 0.0
-    times = spec.times
-    for k in range(spec.n_steps - 1, -1, -1):
-        t = times[k]
-        barrier = norm.obstacle_interior(t)[:, None]
-        state = forward_values[:, k, :].T  # (n_total, n_paths)
-        s, s_mean = state[1:-1], mean_op.apply(state)[1:-1]
-
-        # one fit per interior node, stacked: features (n_cells, n_paths, n_features)
-        features = np.stack([s**d for d in range(4)] + [s_mean], axis=-1)
-        gram = np.swapaxes(features, 1, 2) @ features + 1e-8 * np.eye(n_features)
-        ce = fitted(features, gram, y[1:-1])
-        z = fitted(features, gram, y[1:-1] * noise_increments[:, k] / dt)
-        ce_bar = mean_op.apply(ce)
-        z_bar = mean_op.apply(z)
-
-        rhs = ce[1:-1].copy()
-        if spec.driver is not None:
-            for p in range(n_paths):
-                rhs[:, p] += dt * norm.driver(
-                    t, x_int, ce[1:-1, p], ce_bar[1:-1, p], z[1:-1, p], z_bar[1:-1, p]
-                )
-        # each path iterates its own active set: a column without an active node
-        # takes the unpenalized solve, a column with one its own gtsv call
-        active = np.zeros((grid.n_cells, n_paths), dtype=bool)
-        for _ in range(_MAX_FIXED_POINT_ITERS):
-            b = rhs + dt * n * np.where(active, barrier, 0.0)
-            sol = stepper.solve_in_place(b.copy())
-            for p in np.flatnonzero(active.any(axis=0)):
-                sol[:, p] = stepper.solve(b[:, p], dt * n * active[:, p])
-            moved = np.any((sol < barrier) != active, axis=0)
-            if not moved.any():
-                break
-            active = sol < barrier
-        else:
-            p = np.flatnonzero(moved)[0]
-            raise NoConvergenceError(f"active-set iteration stalled at step {k}, path {p}")
-        y = np.pad(sol, ((1, 1), (0, 0)))  # zero boundary rows
-        if not np.all(np.isfinite(y)):
-            raise NanDetectedError(f"non-finite regression solution at step {k}", step=k)
-        energy += dt * grid.h * float(
-            np.mean(np.sum(np.maximum(barrier - y[1:-1], 0.0) ** 2, axis=0))
-        )
-        y_sum[k] = y.sum(axis=1)
-        z_sum[k] = (norm.sign * z).sum(axis=1)
-
-    y_mean = FieldPath(grid, spec.times, norm.sign * y_sum / n_paths)
-    z_mean = FieldPath(grid, spec.times, z_sum / n_paths)
-    return RegressionSolution(
-        y_mean=y_mean, z_mean=z_mean, y0=(norm.sign * y).T.copy(), energy=energy
-    )

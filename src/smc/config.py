@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -92,11 +93,11 @@ class _Checker:
                 raise ValidationError("missing required field", self._at(key))
             return default
         value = self.data[key]
-        if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        if kind is int and isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if kind is not None and not isinstance(value, kind):
+        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        # JSON true and false are Python ints, but never numbers here
+        bool_as_number = kind in (int, float) and isinstance(value, bool)
+        if kind is not None and (bool_as_number or not isinstance(value, kind)):
             raise ValidationError(
                 f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
                 self._at(key),
@@ -180,6 +181,8 @@ def parse_config(raw: dict) -> RunConfig:
     if n_cells < 2:
         raise ValidationError("n_cells must be >= 2", "problem.grid.n_cells")
     grid = build_grid(x_min, x_max, n_cells)
+    if not 0.0 < grid.h * grid.h < math.inf:  # h**2 would raise OverflowError
+        raise ValidationError(f"grid spacing {grid.h} squares out of range", "problem.grid.x_max")
 
     op_node = problem.sub("operator", require=True)
     second = op_node.get("second_order", float, default=0.5)
@@ -270,6 +273,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ValidationError(str(exc), "problem") from exc
 
     cfl = spec.cfl_number()
+    if not math.isfinite(cfl):
+        raise ValidationError(f"step ratio {cfl} is not finite", "problem.grid.x_max")
     if cfl > 0.5:
         if stepping == EXPLICIT:
             raise ValidationError(

@@ -10,12 +10,12 @@ with drift, vol, gain and the singular reward density h1 stated once, by
 the mode tags, in :class:`forward.ProblemSpec`.  The adjoint is a backward
 equation whose driver collects the state derivative of H0 plus the dual
 action of its space-mean argument, realized through the closed-form dual
-weight w(x); for the harvesting model the driver is
-alpha * w(x) * p + beta * q and the terminal value is the terminal price
-field.  The control couples only through dH1/du
-(``ProblemSpec.singular_slope``, h10 - lambda0 * p for the harvesting
-model): the adjoint differential carries -(dH1/du) xi(dt, x), so each
-backward step adds (dH1/du) dxi.
+weight w(x); for the harvesting model the driver is alpha * w(x) * p (its
+beta * q term vanishes, since q, the adjoint's Z, is identically zero) and
+the terminal value is the terminal price field.  The control couples only
+through dH1/du (``ProblemSpec.singular_slope``, h10 - lambda0 * p for the
+harvesting model): the adjoint differential carries -(dH1/du) xi(dt, x), so
+each backward step adds (dH1/du) dxi.
 
 Threshold conventions.  The model's own worked optimality condition pins the
 adjoint to the price cap p <= h10/lambda0 and harvests where p reaches the
@@ -90,12 +90,11 @@ def assemble_adjoint(
     """
     grid = spec.grid
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
-    alpha, beta = spec.alpha, spec.beta
+    alpha = spec.alpha
     drift_w = weight if spec.drift_reads_mean else np.ones_like(weight)
-    vol_w = weight if spec.noise_reads_mean else np.ones_like(weight)
 
-    def driver(t, x, p, pbar, q, qbar):
-        return alpha * drift_w * p + beta * vol_w * q
+    def driver(t, x, p, pbar):
+        return alpha * drift_w * p
 
     terminal_values = np.zeros(grid.n_total)
     terminal_values[1:-1] = spec._g0_values()[1:-1]

@@ -53,10 +53,6 @@ class SingularSystemError(ToolkitError):
     """An implicit step's tridiagonal system is singular."""
 
 
-class BasisDegenerateError(ToolkitError):
-    """Regression normal equations are singular beyond repair."""
-
-
 class NonCauchyError(ToolkitError):
     """Inter-level solution gaps failed to decrease across penalization levels."""
 

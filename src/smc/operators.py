@@ -112,6 +112,9 @@ class TridiagonalStepper:
         self.lower = -c * lower[1:]
         self.diag = 1.0 - c * diag
         self.upper = -c * upper[:-1]
+        self._factors = None
+        if grid.n_cells < 3:  # scipy's gttrf wrapper rejects 2 rows; gtsv solves them
+            return
         *factors, info = dgttrf(self.lower, self.diag, self.upper)
         pivoted = np.any(factors[4] != np.arange(1, grid.n_cells + 1)) or factors[3].any()
         self._factors = None if info or pivoted else factors

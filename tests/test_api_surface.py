@@ -1,8 +1,9 @@
-"""Every settable value of the public API, pinned by name and default.
+"""Every public name and settable value of the API, pinned by name and default.
 
-A parameter with a default, a CLI flag, or a parsed configuration value is
-a knob someone may turn.  Adding one, dropping one, or changing what it
-defaults to must edit this file, where a reviewer sees it.  perfbench calls
+A public name is something callers may import; a parameter with a default, a
+CLI flag, or a parsed configuration value is a knob someone may turn.  Adding
+one, dropping one, or changing what it defaults to must edit this file, where
+a reviewer sees it.  perfbench calls
 ``performance_J``, ``directional_derivative_J(..., epsilons=)``,
 ``extract_policy(..., convention=, max_rate=)`` and
 ``solve_obstacle_psor(..., side=)``, so those entries also guard the
@@ -16,6 +17,63 @@ import inspect
 import smc
 from smc import config, psor
 from smc.cli import _build_parser
+
+# ``smc.__all__``, sorted
+PUBLIC_NAMES = [
+    "AdjointSpec",
+    "BackwardSolution",
+    "BackwardSpec",
+    "CoercivityReport",
+    "ControlPerturbation",
+    "DerivativeComparison",
+    "EnsembleSummary",
+    "Field",
+    "FieldPath",
+    "Grid",
+    "JEstimate",
+    "MPReport",
+    "NoisePath",
+    "OperatorSpec",
+    "PolicyResult",
+    "ProblemSpec",
+    "RateStudy",
+    "SingularControl",
+    "SpaceMeanOperator",
+    "apply_a",
+    "apply_a_star",
+    "assemble_adjoint",
+    "backward",
+    "build_grid",
+    "check_garding",
+    "check_necessary",
+    "control",
+    "derivative_process",
+    "directional_derivative_J",
+    "errors",
+    "extract_policy",
+    "forward",
+    "grid",
+    "inner_product",
+    "norm_h",
+    "norm_w",
+    "operators",
+    "penalization_rate",
+    "performance_J",
+    "performance_Js",
+    "simulate_ensemble",
+    "simulate_path",
+    "skorokhod_residual",
+    "solve_penalized",
+    "solve_reflected",
+    "space_mean",
+    "space_mean_adjoint",
+    "space_mean_dual_weight",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(smc.__all__) == PUBLIC_NAMES
+
 
 DEFAULTS = {
     "BackwardSpec": {

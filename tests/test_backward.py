@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgtsv
 
 from smc import backward, suites
 from smc.backward import (
@@ -14,7 +13,6 @@ from smc.backward import (
     penalization_rate,
     skorokhod_residual,
     solve_penalized,
-    solve_penalized_regression,
     solve_reflected,
 )
 from smc import operators
@@ -28,7 +26,7 @@ from smc.errors import (
     ToolkitError,
 )
 from smc.grid import Field, FieldPath, build_grid
-from smc.operators import OperatorSpec, TridiagonalStepper
+from smc.operators import OperatorSpec
 from smc.psor import solve_obstacle_psor
 
 OP = OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1)
@@ -126,11 +124,9 @@ def test_penalized_solve_holds_one_path_and_z_is_a_read_only_zero_view(side):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * path_bytes, peak / path_bytes
-    reflected = solve_reflected(active_spec(n_cells=12, n_steps=16), [4, 16])
-    for y_path, z_path in ((y, z), (reflected.y, reflected.z)):
-        assert z_path.values.shape == y_path.values.shape
-        assert not z_path.values.flags.writeable
-        assert np.all(z_path.values == 0.0) and not np.signbit(z_path.values).any()
+    assert z.values.shape == y.values.shape
+    assert not z.values.flags.writeable
+    assert np.all(z.values == 0.0) and not np.signbit(z.values).any()
 
 
 def test_zero_terminal_above_obstacle_stays_zero():
@@ -242,15 +238,10 @@ def test_non_finite_driver_is_typed_error():
         n_steps=base.n_steps,
         terminal=base.terminal,
         obstacle=base.obstacle,
-        driver=lambda t, x, y, ybar, z, zbar: np.full_like(y, np.nan),
+        driver=lambda t, x, y, ybar: np.full_like(y, np.nan),
     )
     with pytest.raises(NanDetectedError) as err:
         solve_penalized(spec, 8)
-    assert err.value.step == spec.n_steps - 1
-    paths, db = _bm_paths(16, spec.n_steps, spec.grid.n_total, spec.dt, seed=5)
-    terminal = np.tile(spec.terminal.values, (16, 1))
-    with pytest.raises(NanDetectedError) as err:
-        solve_penalized_regression(spec, 8, paths, db, terminal)
     assert err.value.step == spec.n_steps - 1
 
 
@@ -494,142 +485,3 @@ def test_rate_study_validates_levels():
         penalization_rate(spec, [4, 8])
     with pytest.raises(ValueError):
         penalization_rate(spec, [4, 8, 16, 12])
-
-
-# ---------------------------------------------------------------------------
-# regression backend
-# ---------------------------------------------------------------------------
-
-
-def _bm_paths(n_paths, n_steps, n_total, dt, seed, x0=1.0, vol=1.0):
-    rng = np.random.default_rng(seed)
-    db = rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
-    paths = np.empty((n_paths, n_steps + 1, n_total))
-    paths[:, 0, :] = x0
-    for k in range(n_steps):
-        paths[:, k + 1, :] = paths[:, k, :] + vol * db[:, k][:, None]
-    return paths, db
-
-
-def test_regression_recovers_deterministic_solution():
-    grid = build_grid(0.0, 1.0, 20)
-    spec = BackwardSpec(
-        grid=grid,
-        op=OP,
-        horizon=0.1,
-        n_steps=20,
-        terminal=sine_terminal(grid),
-        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
-    )
-    n_paths = 64
-    paths, db = _bm_paths(n_paths, spec.n_steps, grid.n_total, spec.dt, seed=5)
-    terminal = np.tile(spec.terminal.values, (n_paths, 1))
-    result = solve_penalized_regression(spec, 64, paths, db, terminal)
-    y_det, _ = solve_penalized(spec, 64)
-    assert np.max(np.abs(result.y_mean.values - y_det.values)) <= 1e-8
-    spread = np.ptp(result.y0[:, 1:-1], axis=0).max()
-    assert spread <= 1e-9
-
-
-def test_regression_conditional_expectation_and_z():
-    # terminal equals the forward state: Y_k = E[X_T | X_k] = X_k, Z = vol
-    grid = build_grid(0.0, 1.0, 8)
-    op = OperatorSpec(second_order=0.0, first_order=0.0, theta=0.2)
-    spec = BackwardSpec(
-        grid=grid,
-        op=op,
-        horizon=0.25,
-        n_steps=10,
-        terminal=Field.from_function(grid, lambda x: np.ones_like(x)),
-    )
-    n_paths = 16000
-    vol = 0.7
-    paths, db = _bm_paths(n_paths, spec.n_steps, grid.n_total, spec.dt, seed=11, vol=vol)
-    terminal = paths[:, -1, :]
-    result = solve_penalized_regression(spec, 1, paths, db, terminal)
-    assert np.max(np.abs(result.y_mean.values[0, 1:-1] - 1.0)) <= 0.05
-    z_avg = result.z_mean.values[: spec.n_steps, 1:-1].mean()
-    assert z_avg == pytest.approx(vol, abs=0.1)
-
-
-class _ColumnGtsvStepper(TridiagonalStepper):
-    """Sends every column of every solve through its own LAPACK gtsv call."""
-
-    def solve(self, rhs, penalty):
-        return dgtsv(self.lower, self.diag + penalty, self.upper, rhs)[3]
-
-    def solve_in_place(self, b):
-        for column in b.T:
-            column[...] = self.solve(column, 0.0)
-        return b
-
-
-def _regression_obstacle_case(n_paths=40):
-    grid = build_grid(0.0, 1.0, 12)
-    spec = BackwardSpec(
-        grid=grid,
-        op=OP,
-        horizon=0.1,
-        n_steps=8,
-        terminal=sine_terminal(grid),
-        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
-    )
-    paths, db = _bm_paths(n_paths, spec.n_steps, grid.n_total, spec.dt, seed=8, vol=0.5)
-    # per-path terminal data: some paths end below the obstacle, so active sets differ
-    terminal = np.sin(np.pi * grid.nodes) * paths[:, -1, :]
-    return spec, paths, db, terminal
-
-
-def test_regression_batched_sweep_matches_per_path_solves(monkeypatch):
-    # both sides of the stepper's sweep width, with paths whose active sets differ
-    for n_paths in (40, TridiagonalStepper.SWEEP_MIN_PATHS):
-        spec, paths, db, terminal = _regression_obstacle_case(n_paths)
-        batched = solve_penalized_regression(spec, 64, paths, db, terminal)
-        with monkeypatch.context() as patch:
-            patch.setattr(backward, "TridiagonalStepper", _ColumnGtsvStepper)
-            looped = solve_penalized_regression(spec, 64, paths, db, terminal)
-        assert batched.energy > 0.0
-        assert batched.energy == looped.energy
-        np.testing.assert_array_equal(batched.y0, looped.y0)
-        np.testing.assert_array_equal(batched.y_mean.values, looped.y_mean.values)
-        np.testing.assert_array_equal(batched.z_mean.values, looped.z_mean.values)
-
-
-def test_regression_stalled_active_set_names_a_path(monkeypatch):
-    spec, paths, db, terminal = _regression_obstacle_case()
-    monkeypatch.setattr(backward, "_MAX_FIXED_POINT_ITERS", 1)
-    with pytest.raises(NoConvergenceError, match=r"at step 7, path \d+"):
-        solve_penalized_regression(spec, 64, paths, db, terminal)
-
-
-def test_regression_rejects_crank_nicolson():
-    # the backend steps backward Euler; a crank-nicolson spec would solve a different scheme
-    grid = build_grid(0.0, 1.0, 12)
-    spec = BackwardSpec(
-        grid=grid,
-        op=OP,
-        horizon=0.1,
-        n_steps=8,
-        terminal=sine_terminal(grid),
-        time_scheme="crank-nicolson",
-    )
-    paths, db = _bm_paths(16, spec.n_steps, grid.n_total, spec.dt, seed=8)
-    terminal = np.tile(spec.terminal.values, (16, 1))
-    with pytest.raises(ValueError, match="backward-euler only"):
-        solve_penalized_regression(spec, 1, paths, db, terminal)
-
-
-def test_regression_with_too_few_paths_degenerate():
-    from smc.errors import BasisDegenerateError
-
-    grid = build_grid(0.0, 1.0, 8)
-    spec = BackwardSpec(
-        grid=grid,
-        op=OperatorSpec(0.0, 0.0, 0.2),
-        horizon=0.1,
-        n_steps=4,
-        terminal=Field.from_function(grid, lambda x: np.ones_like(x)),
-    )
-    paths, db = _bm_paths(4, spec.n_steps, grid.n_total, spec.dt, seed=3)
-    with pytest.raises(BasisDegenerateError):
-        solve_penalized_regression(spec, 1, paths, db, paths[:, -1, :])

@@ -71,9 +71,8 @@ def test_adjoint_driver_uses_dual_weight():
     grid = spec.grid
     w = space_mean_dual_weight(grid, spec.op.theta).interior
     p = np.linspace(0.5, 1.5, grid.n_cells)
-    q = np.linspace(-0.2, 0.3, grid.n_cells)
-    out = adj.backward.driver(0.0, grid.interior, p, p, q, q)
-    np.testing.assert_allclose(out, 1.0 * w * p + 0.2 * q, rtol=1e-14)
+    out = adj.backward.driver(0.0, grid.interior, p, p)
+    np.testing.assert_allclose(out, 1.0 * w * p, rtol=1e-14)
     inner = np.abs(grid.interior - 0.5) < 0.5 - spec.op.theta - grid.h
     np.testing.assert_allclose(w[inner], 1.0, atol=1e-14)
 

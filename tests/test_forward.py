@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 import warnings
@@ -236,6 +237,42 @@ def test_ensemble_martingale_mean():
     est = terminal_interior.mean()
     stderr = terminal_interior.std(ddof=1) / np.sqrt(10_000)
     assert abs(est - 1.0) <= 3.0 * stderr
+
+
+def _noise_factors(seed, n_paths, spec):
+    """prod_j (1 + beta dB_j) over steps j < k, k = 0 .. n_steps: shape (n_times, n_paths)."""
+    db = np.column_stack([
+        np.random.default_rng(seed + p).standard_normal(spec.n_steps) * np.sqrt(spec.dt)
+        for p in range(n_paths)
+    ])
+    return np.vstack([np.ones(n_paths), np.cumprod(1.0 + spec.beta * db, axis=0)])
+
+
+def test_pointwise_noise_is_the_product_of_its_factors():
+    # alpha = 0, zero control and zero boundary: an implicit step is M^-1 (1 + beta dB_k) u_k,
+    # so a path is prod_j (1 + beta dB_j) times the beta = 0 path; the mean cannot show this
+    grid = build_grid(0.0, 1.0, 30)
+    quiet = make_spec(
+        grid=grid,
+        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
+        horizon=0.12,
+        n_steps=96,
+        stepping="implicit",
+        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
+        boundary=(0.0, 0.0),
+    )
+    noisy = dataclasses.replace(quiet, beta=0.5)
+    control = zero_control(quiet)
+    base = simulate_path(quiet, control, NoisePath.generate(0, quiet.n_steps, quiet.dt)).values
+    seed = 41
+    path = simulate_path(noisy, control, NoisePath.generate(seed, noisy.n_steps, noisy.dt))
+    factors = _noise_factors(seed, 1, noisy)
+    np.testing.assert_allclose(path.values[:, 1:-1], factors * base[:, 1:-1], rtol=1e-13, atol=0)
+    summary = simulate_ensemble(noisy, control, n_paths=64, seed=seed)
+    terminal = _noise_factors(seed, 64, noisy)[-1][:, None] * base[-1]
+    np.testing.assert_allclose(
+        summary.terminal_values[:, 1:-1], terminal[:, 1:-1], rtol=1e-13, atol=0
+    )
 
 
 def test_positivity_flag_and_location():

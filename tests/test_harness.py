@@ -208,6 +208,13 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "problem.operator.theta" in capsys.readouterr().err
 
 
+def _problem_with(section, key, value):
+    """A ``problem`` section override: the minimal problem with one leaf replaced."""
+    problem = minimal_config()["problem"]
+    problem[section] = {**problem[section], key: value}
+    return {"problem": problem}
+
+
 @pytest.mark.parametrize(
     "argv, sections, field",
     [
@@ -218,9 +225,11 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
+        (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
+        (["simulate"], _problem_with("grid", "x_max", 1e308), "problem.grid.x_max"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "backward-backend", "unknown-convention"],
+         "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge"],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
     code = main([*argv, "--config", _write_config(tmp_path, minimal_config(**sections))])
@@ -228,6 +237,13 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "policy"])
+def test_cli_runs_on_two_interior_nodes(tmp_path, command):
+    raw = minimal_config(**_problem_with("grid", "n_cells", 2), backward={"levels": [4, 8]})
+    raw["outputs"]["directory"] = str(tmp_path / "out")
+    assert main([command, "--config", _write_config(tmp_path, raw)]) == 0
 
 
 _CONSTANT_PRICE = {"kind": "constant", "value": 2.0}
