@@ -19,18 +19,12 @@ import numpy as np
 from .backward import levels_problem
 from .control import CONVENTIONS, PRICE_FLOOR
 from .errors import ParseError, ValidationError
-from .forward import (
-    EXPLICIT,
-    IMPLICIT,
-    MEAN_DRIFT,
-    MULTIPLICATIVE_GAIN,
-    POINTWISE_NOISE,
-    ProblemSpec,
-)
+from .forward import EXPLICIT, IMPLICIT, ProblemSpec
 from .grid import DIRICHLET_ZERO, Field, build_grid
 from .operators import OperatorSpec
 
 SCHEMA_VERSION = 1
+_INT_RANGE = range(-(2**63), 2**63)  # what a numpy int64 holds
 
 
 @dataclass(frozen=True)
@@ -93,10 +87,12 @@ class _Checker:
                 raise ValidationError("missing required field", self._at(key))
             return default
         value = self.data[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
         # JSON true and false are Python ints, but never numbers here
         bool_as_number = kind in (int, float) and isinstance(value, bool)
+        if kind is float and isinstance(value, (int, float)) and not bool_as_number:
+            value = _float(value, self._at(key))
+        if kind is int and isinstance(value, int) and value not in _INT_RANGE:
+            raise ValidationError("integer out of the 64-bit range", self._at(key))
         if kind is not None and (bool_as_number or not isinstance(value, kind)):
             raise ValidationError(
                 f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
@@ -117,6 +113,17 @@ class _Checker:
         if unknown:
             key = sorted(unknown)[0]
             raise ValidationError("unknown key", self._at(key))
+
+
+def _float(value: int | float, path: str) -> float:
+    """A JSON number as a finite float: no integer past the float range, NaN or Infinity."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError("integer out of the float range", path) from None
+    if not math.isfinite(number):
+        raise ValidationError(f"must be finite, got {number}", path)
+    return number
 
 
 def _positive(value: float, path: str) -> float:
@@ -145,7 +152,7 @@ def _build_price(node, path: str):
     if node is None:
         return 1.0
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return _positive(float(node), path)
+        return _positive(_float(node, path), path)
     checker = _Checker(node, path)
     kind = checker.get("kind", str, require=True)
     if kind == "pocket":
@@ -211,17 +218,9 @@ def parse_config(raw: dict) -> RunConfig:
     model_node.reject_unknown()
 
     modes = problem.sub("modes")
-    drift_mode = MEAN_DRIFT
-    noise_mode = POINTWISE_NOISE
-    gain_mode = MULTIPLICATIVE_GAIN
     stepping = IMPLICIT
-    revenue = None
     if modes is not None:
-        drift_mode = modes.get("drift", str, default=drift_mode)
-        noise_mode = modes.get("noise", str, default=noise_mode)
-        gain_mode = modes.get("control_gain", str, default=gain_mode)
         stepping = modes.get("stepping", str, default=stepping)
-        revenue = modes.get("revenue", str, default=None)
         modes.reject_unknown()
 
     initial = _build_shape(problem.sub("initial"), grid, "problem.initial")
@@ -256,10 +255,6 @@ def parse_config(raw: dict) -> RunConfig:
             alpha=alpha,
             beta=beta,
             lambda0=lambda0,
-            drift_mode=drift_mode,
-            noise_mode=noise_mode,
-            control_gain_mode=gain_mode,
-            revenue_mode=revenue,
             stepping=stepping,
             initial=initial,
             boundary=boundary,

@@ -6,16 +6,16 @@ and a singular part H1 multiplying the control increment:
 
     H0 = drift * p + vol * q,        H1 = gain * p + h1,
 
-with drift, vol, gain and the singular reward density h1 stated once, by
-the mode tags, in :class:`forward.ProblemSpec`.  The adjoint is a backward
-equation whose driver collects the state derivative of H0 plus the dual
-action of its space-mean argument, realized through the closed-form dual
-weight w(x); for the harvesting model the driver is alpha * w(x) * p (its
-beta * q term vanishes, since q, the adjoint's Z, is identically zero) and
-the terminal value is the terminal price field.  The control couples only
-through dH1/du (``ProblemSpec.singular_slope``, h10 - lambda0 * p for the
-harvesting model): the adjoint differential carries -(dH1/du) xi(dt, x), so
-each backward step adds (dH1/du) dxi.
+with drift = alpha * ubar, vol = beta * u, gain = -lambda0 * u and the
+singular reward density h1 = h10 * u - cost, as :class:`forward.ProblemSpec`
+states them.  The adjoint is a backward equation whose driver collects the
+state derivative of H0 plus the dual action of its space-mean argument,
+realized through the closed-form dual weight w(x): the driver is
+alpha * w(x) * p (its beta * q term vanishes, since q, the adjoint's Z, is
+identically zero) and the terminal value is the terminal price field.  The
+control couples only through dH1/du = h10 - lambda0 * p
+(``ProblemSpec.singular_slope``): the adjoint differential carries
+-(dH1/du) xi(dt, x), so each backward step adds (dH1/du) dxi.
 
 Threshold conventions.  The model's own worked optimality condition pins the
 adjoint to the price cap p <= h10/lambda0 and harvests where p reaches the
@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, solve_reflected
-from .errors import NonlinearModelError
 from .forward import (
     _DEFAULT_CHUNK,
     ControlPerturbation,
@@ -84,25 +83,22 @@ def assemble_adjoint(
 ) -> AdjointSpec:
     """Assemble the adjoint backward problem along a control.
 
-    Supports models whose coefficients are affine in the state, which is the
-    structural guarantee of the mode tags.  The driver realizes the dual
-    action of the space-mean argument through the closed-form dual weight.
+    The model's coefficients are affine in the state, so the adjoint is
+    linear.  The driver realizes the dual action of the space-mean argument
+    through the closed-form dual weight.
     """
     grid = spec.grid
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
     alpha = spec.alpha
-    drift_w = weight if spec.drift_reads_mean else np.ones_like(weight)
 
     def driver(t, x, p, pbar):
-        return alpha * drift_w * p
+        return alpha * weight * p
 
     terminal_values = np.zeros(grid.n_total)
     terminal_values[1:-1] = spec._g0_values()[1:-1]
     terminal = Field(grid, terminal_values)
 
-    singular = None
-    if xi is not None and not spec.singular_slope_vanishes:
-        singular = (xi, lambda t, x, p: spec.singular_slope(t, p))
+    singular = None if xi is None else (xi, lambda t, x, p: spec.singular_slope(t, p))
 
     backward = BackwardSpec(
         grid=grid,
@@ -359,13 +355,9 @@ def extract_policy(
     side of the threshold for t < T, which enforces the discrete
     complementarity identity exactly.
 
-    ``max_rate`` optionally caps lambda0 * dxi per step (multiplicative-gain
-    runs need lambda0 * dxi < 1 to keep the state positive).
+    ``max_rate`` optionally caps lambda0 * dxi per step (the state stays
+    positive only while lambda0 * dxi < 1).
     """
-    if not spec.is_harvesting_model:
-        raise NonlinearModelError(
-            "policy extraction expects the multiplicative-gain harvesting model"
-        )
     reflected = policy_adjoint(spec, convention).backward
     solution = solve_reflected(reflected, levels)
 

@@ -61,10 +61,6 @@ class DegenerateFitError(ToolkitError):
     """All penalization energies sit below the numerical floor (inactive obstacle)."""
 
 
-class NonlinearModelError(ToolkitError):
-    """Adjoint assembly requested for a model with state-dependent derivatives."""
-
-
 class TerminalConsistencyError(ToolkitError):
     """Terminal data violates the obstacle on the chosen reflection side."""
 

@@ -2,7 +2,7 @@
 
 The state obeys, node by node,
 
-    du = [A u + drift(u, ubar)] dt + vol(u, ubar) dB + gain(u) * dxi
+    du = [A u + alpha * ubar] dt + beta * u dB - lambda0 * u * dxi
 
 with ``ubar`` the windowed space mean, a single Brownian driver shared by
 all nodes, and ``xi`` a nondecreasing cumulative harvest measure whose
@@ -43,14 +43,6 @@ from .operators import (
     interior_generator,
 )
 
-MEAN_DRIFT = "mean-drift"
-POINTWISE_DRIFT = "pointwise-drift"
-MEAN_NOISE = "mean-noise"
-POINTWISE_NOISE = "pointwise-noise"
-MULTIPLICATIVE_GAIN = "multiplicative"
-CONSTANT_GAIN = "constant"
-PROPORTIONAL_REVENUE = "proportional"
-FLAT_REVENUE = "flat"
 EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 CRANK_NICOLSON = "crank-nicolson"
@@ -118,11 +110,11 @@ class ProblemSpec:
 
     ``h10`` is the unit harvest price, ``cost`` the unit harvesting cost and
     ``g0`` the terminal unit price, each a constant or a function of (t, x)
-    (``g0`` is read at t = horizon).  The singular reward density is
-    h1 = h10*u - cost when ``revenue_mode`` is proportional and h10 - cost
-    when flat.  The mode tags fix gain and h1 as affine in u, so their
-    u-derivatives are stated here too: :attr:`gain_slope`,
-    :meth:`singular_slope` and :attr:`singular_slope_vanishes`.
+    (``g0`` is read at t = horizon).  The model is the harvesting model: the
+    drift is alpha times the space mean, the volatility beta times the state,
+    the control gain -lambda0 * u and the singular reward density
+    h1 = h10*u - cost.  Gain and h1 are affine in u, so the one u-derivative
+    the adjoint needs is stated here too: :meth:`singular_slope`.
     """
 
     grid: Grid
@@ -132,10 +124,6 @@ class ProblemSpec:
     alpha: float = 0.0
     beta: float = 0.0
     lambda0: float = 1.0
-    drift_mode: str = MEAN_DRIFT
-    noise_mode: str = POINTWISE_NOISE
-    control_gain_mode: str = MULTIPLICATIVE_GAIN
-    revenue_mode: str | None = None
     stepping: str = EXPLICIT
     initial: Field | None = None
     boundary: object = None
@@ -148,23 +136,8 @@ class ProblemSpec:
             raise ValueError("horizon must be positive and n_steps >= 1")
         if self.lambda0 <= 0.0:
             raise ValueError("lambda0 must be positive")
-        if self.drift_mode not in (MEAN_DRIFT, POINTWISE_DRIFT):
-            raise ValueError(f"unknown drift mode {self.drift_mode!r}")
-        if self.noise_mode not in (MEAN_NOISE, POINTWISE_NOISE):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
-        if self.control_gain_mode not in (MULTIPLICATIVE_GAIN, CONSTANT_GAIN):
-            raise ValueError(f"unknown control gain mode {self.control_gain_mode!r}")
         if self.stepping not in (EXPLICIT, IMPLICIT, CRANK_NICOLSON):
             raise ValueError(f"unknown stepping mode {self.stepping!r}")
-        if self.revenue_mode is None:
-            mode = (
-                PROPORTIONAL_REVENUE
-                if self.control_gain_mode == MULTIPLICATIVE_GAIN
-                else FLAT_REVENUE
-            )
-            object.__setattr__(self, "revenue_mode", mode)
-        if self.revenue_mode not in (PROPORTIONAL_REVENUE, FLAT_REVENUE):
-            raise ValueError(f"unknown revenue mode {self.revenue_mode!r}")
         initial = self.initial
         if initial is None:
             initial = Field(self.grid, np.ones(self.grid.n_total), DIRICHLET_DATA)
@@ -219,60 +192,22 @@ class ProblemSpec:
         return values[:, None] if u.ndim == 2 else values
 
     def h1_values(self, t: float, u_interior: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
-        """Singular reward density h1 at the interior nodes ``rows``, broadcast over paths."""
+        """Singular reward density h1 = h10*u - cost at the interior nodes ``rows``, over paths."""
         price, cost = (self._coefficient(c, t, rows, u_interior) for c in (self.h10, self.cost))
-        if self.revenue_mode == PROPORTIONAL_REVENUE:
-            return np.subtract(np.multiply(price, u_interior, out=out), cost, out=out)
-        return np.add(price - cost, np.multiply(0.0, u_interior, out=out), out=out)
+        return np.subtract(np.multiply(price, u_interior, out=out), cost, out=out)
 
     def gain_values(self, u_interior: np.ndarray, out=None) -> np.ndarray:
-        """Control gain f at interior nodes (state jump per unit of control)."""
-        if self.control_gain_mode == MULTIPLICATIVE_GAIN:
-            return np.multiply(-self.lambda0, u_interior, out=out)
-        return np.add(-self.lambda0, np.multiply(0.0, u_interior, out=out), out=out)
-
-    @property
-    def gain_slope(self) -> float:
-        """dgain/du: -lambda0 under the multiplicative gain, 0 under the constant gain."""
-        return -self.lambda0 if self.control_gain_mode == MULTIPLICATIVE_GAIN else 0.0
+        """Control gain -lambda0 * u at interior nodes (state jump per unit of control)."""
+        return np.multiply(-self.lambda0, u_interior, out=out)
 
     def singular_slope(self, t: float, p: np.ndarray) -> np.ndarray:
-        """dH1/du = dh1/du + gain_slope * p on the interior nodes, for H1 = gain * p + h1.
-
-        dh1/du is h10 under proportional revenue and 0 under flat revenue.
-        """
-        revenue = self._h10_values(t)[1:-1] if self.revenue_mode == PROPORTIONAL_REVENUE else 0.0
-        return revenue + self.gain_slope * p
-
-    @property
-    def singular_slope_vanishes(self) -> bool:
-        """Whether dH1/du is identically 0: constant gain with flat revenue."""
-        return self.gain_slope == 0.0 and self.revenue_mode == FLAT_REVENUE
-
-    @property
-    def drift_reads_mean(self) -> bool:
-        """Whether the drift is alpha times the space mean (else alpha times the state)."""
-        return self.drift_mode == MEAN_DRIFT
-
-    @property
-    def noise_reads_mean(self) -> bool:
-        """Whether the volatility is beta times the space mean (else beta times the state)."""
-        return self.noise_mode == MEAN_NOISE
-
-    @property
-    def is_harvesting_model(self) -> bool:
-        """Whether this is the multiplicative-gain model with proportional revenue."""
-        gain, revenue = self.control_gain_mode, self.revenue_mode
-        return gain == MULTIPLICATIVE_GAIN and revenue == PROPORTIONAL_REVENUE
-
-    def uses_space_mean(self) -> bool:
-        return (self.alpha != 0.0 and self.drift_reads_mean) or (
-            self.beta != 0.0 and self.noise_reads_mean
-        )
+        """dH1/du = h10 - lambda0 * p on the interior nodes, for H1 = gain * p + h1."""
+        return self._h10_values(t)[1:-1] - self.lambda0 * p
 
     def cfl_number(self) -> float:
         a, _ = self.op.resolve(self.grid)
-        return float(self.dt * np.max(np.abs(a)) / self.grid.h**2)
+        # Python floats: an overflowing ratio is inf, without a numpy warning
+        return self.dt * float(np.max(np.abs(a))) / self.grid.h**2
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +371,11 @@ class _Kernel:
         grid = spec.grid
         self.dt = spec.dt
         self.times = spec.times
-        self.mean_op = _space_mean_operator(grid, spec.op.theta) if spec.uses_space_mean() else None
+        self.mean_op = _space_mean_operator(grid, spec.op.theta) if spec.alpha != 0.0 else None
         a, b = (c if n_paths is None else c[:, None] for c in spec.op.resolve(grid))
         self.generator = (a, b, grid.h**2, 2.0 * grid.h)
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
-        # (coefficient, reads the space mean, buffer) of the drift and the volatility term
-        drift = (spec.alpha, spec.drift_reads_mean, self.forcing)
-        self.terms = (drift, (spec.beta, spec.noise_reads_mean, self.scratch))
         if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
             self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
             self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
@@ -464,11 +396,11 @@ class _Kernel:
         """
         forcing, scratch = self.forcing, self.scratch
         xbar = self.mean_op.apply(x) if self.mean_op is not None else None
-        for coef, reads_mean, out in self.terms:
-            if coef == 0.0:
+        for coef, source, out in ((self.spec.alpha, xbar, forcing), (self.spec.beta, x, scratch)):
+            if coef == 0.0:  # +0.0 even where the source is -0.0 or not finite
                 out.fill(0.0)
             else:
-                np.multiply(coef, (xbar if reads_mean else x)[1:-1], out=out)
+                np.multiply(coef, source[1:-1], out=out)
         np.multiply(self.dt, forcing, out=forcing)
         np.add(forcing, np.multiply(scratch, db, out=scratch), out=forcing)
         for factor, increment, rows in jumps:
@@ -515,7 +447,7 @@ class _Kernel:
         """Exact linearization of :meth:`step` in the direction (z, dzeta)."""
         spec = self.spec
         gain = partial(spec.gain_values, u[1:-1])
-        jump = partial(np.multiply, spec.gain_slope, z[1:-1])
+        jump = partial(np.multiply, -spec.lambda0, z[1:-1])
         every = slice(None)  # z is not checked for finite values, so 0 * z may not vanish
         return self._advance(z, self._forcing(z, db, (gain, dzeta, every), (jump, dxi, every)))
 
@@ -700,7 +632,7 @@ def derivative_process(
 
     Solves the exact linearization of the simulation scheme along the base
     path driven by the same noise: zero initial data, zero boundary, sources
-    gain(u) * dzeta plus the linearized jump term gain_slope * z * dxi.
+    gain(u) * dzeta plus the linearized jump term -lambda0 * z * dxi.
     """
     check_admissible_direction(base_control, perturbation)
     kernel = _Kernel(spec)

@@ -91,10 +91,6 @@ DEFAULTS = {
         "alpha": 0.0,
         "beta": 0.0,
         "lambda0": 1.0,
-        "drift_mode": "mean-drift",
-        "noise_mode": "pointwise-noise",
-        "control_gain_mode": "multiplicative",
-        "revenue_mode": None,
         "stepping": "explicit",
         "initial": None,
         "boundary": None,

@@ -297,6 +297,18 @@ def test_active_benchmark_against_psor_and_closed_form():
     assert err == pytest.approx(predicted, rel=0.15)
 
 
+def test_penalized_error_against_psor_halves_per_level_doubling():
+    # criterion 06's spec; the penalty method's O(1/n) rate (Forsyth and Vetzal, 2002)
+    spec = suites.active_obstacle_spec(n_cells=50, n_steps=200)
+    psor = solve_obstacle_psor(
+        spec.grid, spec.op, spec.terminal, spec.obstacle, spec.horizon, spec.n_steps
+    )
+    gaps = [np.max(np.abs(solve_penalized(spec, n)[0].values - psor.values))
+            for n in (1024, 2048, 4096)]
+    ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+    assert all(1.9 <= ratio <= 2.1 for ratio in ratios), ratios
+
+
 def test_penalized_violation_scales_inversely_with_level():
     spec = active_spec(n_cells=40, n_steps=100)
     mu = mode_decay_rate(spec.grid)

@@ -15,7 +15,6 @@ from smc.control import (
     performance_J,
     policy_adjoint,
 )
-from smc.errors import NonlinearModelError
 from smc.forward import ControlPerturbation, ProblemSpec, SingularControl
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec, space_mean_dual_weight
@@ -88,12 +87,8 @@ def test_adjoint_singular_coefficient_signs():
     np.testing.assert_allclose(fn(0.0, spec.grid.interior, p), coeff, rtol=1e-14)
 
 
-@pytest.mark.parametrize("gain_mode", ["multiplicative", "constant"])
-@pytest.mark.parametrize("revenue_mode", ["proportional", "flat"])
-def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du(gain_mode, revenue_mode):
-    spec = harvest_spec(
-        h10=2.0, lambda0=1.5, control_gain_mode=gain_mode, revenue_mode=revenue_mode
-    )
+def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du():
+    spec = harvest_spec(h10=2.0, lambda0=1.5)
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     adj = assemble_adjoint(spec, xi=xi)
     x = spec.grid.interior
@@ -105,22 +100,9 @@ def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du(gain_mode, re
     h1_step = spec.h1_values(0.05, one) - spec.h1_values(0.05, zero)
     quotient = gain_step * p + h1_step
     np.testing.assert_array_equal(spec.singular_slope(0.05, p), quotient)
-    if adj.backward.singular is None:
-        np.testing.assert_array_equal(quotient, 0.0)
-    else:
-        _, fn = adj.backward.singular
-        np.testing.assert_array_equal(fn(0.05, x, p), quotient)
-    if gain_mode == "multiplicative" and revenue_mode == "flat":
-        assert quotient[0] == -0.75  # h10 = 2, lambda0 = 1.5, p = 0.5
-
-
-def test_adjoint_flat_revenue_constant_gain_no_singular_drift():
-    spec = harvest_spec(control_gain_mode="constant", revenue_mode="flat")
-    xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
-    adj = assemble_adjoint(spec, xi=xi)
-    assert adj.backward.singular is None
-    p = np.ones(spec.grid.n_cells)
-    np.testing.assert_array_equal(spec.singular_slope(0.0, p), 0.0)
+    _, fn = adj.backward.singular
+    np.testing.assert_array_equal(fn(0.05, x, p), quotient)
+    assert quotient[0] == 1.25  # h10 = 2, lambda0 = 1.5, p = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +287,6 @@ def test_unknown_convention_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="unknown convention 'bogus'"):
             call()
-
-
-def test_extract_policy_requires_multiplicative_model():
-    spec = harvest_spec(control_gain_mode="constant", revenue_mode="flat")
-    with pytest.raises(NonlinearModelError):
-        extract_policy(spec, [4, 16])
 
 
 # ---------------------------------------------------------------------------

@@ -897,19 +897,6 @@ def test_derivative_zero_direction():
     assert np.all(z.values == 0.0)
 
 
-def test_derivative_constant_gain_cumulative():
-    spec = make_spec(lambda0=1.5, control_gain_mode="constant")
-    rng = np.random.default_rng(2)
-    inc = rng.uniform(0.0, 0.1, (spec.n_steps, spec.grid.n_cells))
-    zeta = ControlPerturbation.from_increments(inc)
-    base = zero_control(spec)
-    noise = NoisePath.generate(77, spec.n_steps, spec.dt)
-    z = derivative_process(spec, base, zeta, noise)
-    np.testing.assert_allclose(
-        z.values[:, 1:-1], -1.5 * zeta.cumulative, rtol=1e-12, atol=1e-14
-    )
-
-
 def test_derivative_admissibility_guard():
     spec = make_spec()
     base = zero_control(spec)

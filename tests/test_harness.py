@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smc import forward, suites
 from smc.backward import penalization_rate, solve_reflected
@@ -48,14 +55,7 @@ def test_minimal_config_defaults():
 def test_config_without_modes_takes_the_engine_mode_constants():
     raw = minimal_config()
     del raw["problem"]["modes"]
-    problem = parse_config(raw).problem
-    modes = (problem.drift_mode, problem.noise_mode, problem.control_gain_mode, problem.stepping)
-    assert modes == (
-        forward.MEAN_DRIFT,
-        forward.POINTWISE_NOISE,
-        forward.MULTIPLICATIVE_GAIN,
-        forward.IMPLICIT,
-    )
+    assert parse_config(raw).problem.stepping == forward.IMPLICIT
 
 
 def test_config_without_initial_takes_the_problem_spec_default():
@@ -215,6 +215,10 @@ def _problem_with(section, key, value):
     return {"problem": problem}
 
 
+_STIFF = _problem_with("operator", "second_order", 1e308)
+_STIFF["problem"]["grid"]["n_cells"] = 60  # dt * max|a| / h^2 overflows to inf
+
+
 @pytest.mark.parametrize(
     "argv, sections, field",
     [
@@ -227,16 +231,66 @@ def _problem_with(section, key, value):
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
         (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
         (["simulate"], _problem_with("grid", "x_max", 1e308), "problem.grid.x_max"),
+        (["simulate"], _problem_with("grid", "x_max", 10**400), "problem.grid.x_max"),
+        (["simulate"], _problem_with("prices", "g0", 10**400), "problem.prices.g0"),
+        (["simulate"], _problem_with("grid", "n_cells", 10**400), "problem.grid.n_cells"),
+        (["simulate"], _problem_with("time", "horizon", math.inf), "problem.time.horizon"),
+        (["simulate"], _problem_with("grid", "x_min", -math.inf), "problem.grid.x_min"),
+        (["simulate"], _problem_with("model", "alpha", math.nan), "problem.model.alpha"),
+        (["simulate"], _STIFF, "step ratio inf"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge"],
+         "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
+         "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
+         "x-min-infinite", "alpha-nan", "second-order-huge"],
 )
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
     code = main([*argv, "--config", _write_config(tmp_path, minimal_config(**sections))])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+_HARVEST = json.loads((Path(__file__).parents[1] / "configs" / "harvest.json").read_text())
+
+
+def _leaves(node, path=()):
+    """Key paths of a config's values that are not objects."""
+    if not isinstance(node, dict):
+        return [path]
+    return [leaf for key, child in node.items() for leaf in _leaves(child, (*path, key))]
+
+
+@settings(max_examples=80)
+@given(
+    leaf=st.sampled_from(_leaves(_HARVEST)),
+    value=st.sampled_from([0, -1, 1e308, math.nan, math.inf, 10**400, "x", None, [], 2, 1e-12,
+                           True]),
+)
+@example(leaf=("problem", "time", "n_steps"), value=True)
+@example(leaf=("problem", "grid", "x_max"), value=10**400)
+def test_one_bad_config_leaf_never_ends_in_a_traceback(tmp_path_factory, leaf, value):
+    raw = copy.deepcopy(_HARVEST)
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    directory = tmp_path_factory.mktemp("fuzz")
+    config, out = _write_config(directory, raw), str(directory / "out")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", config, "--paths", "8", "--out", out])
+    lines = err.getvalue().splitlines()
+    if code == 2:  # a warning would be a second line on stderr
+        assert len(lines) == 1 and lines[0].startswith("configuration error: ") and not caught
+    elif code == 1:
+        assert lines[-1].startswith("error: ")
+    else:
+        assert code == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "policy"])
@@ -266,13 +320,18 @@ _CONSTANT_PRICE = {"kind": "constant", "value": 2.0}
          "backward.tolerances: unknown key"),
         ("control", {"coefficient_floor": 1e-10}, "control.coefficient_floor: unknown key"),
         ("suite", "operators", "suite: unknown key"),
+        ("modes", {"drift": "mean-drift"}, "problem.modes.drift: unknown key"),
+        ("modes", {"noise": "pointwise-noise"}, "problem.modes.noise: unknown key"),
+        ("modes", {"control_gain": "multiplicative"}, "problem.modes.control_gain: unknown key"),
+        ("modes", {"revenue": "proportional"}, "problem.modes.revenue: unknown key"),
     ],
     ids=["initial-constant", "initial-bump", "initial-values", "h10-constant", "g0-constant",
-         "backward-tolerances", "coefficient-floor", "suite"],
+         "backward-tolerances", "coefficient-floor", "suite", "modes-drift", "modes-noise",
+         "modes-control-gain", "modes-revenue"],
 )
 def test_deleted_config_key_exits_2_naming_its_path(tmp_path, capsys, section, value, message):
     raw = minimal_config()
-    if section in ("initial", "prices"):
+    if section in ("initial", "prices", "modes"):
         raw["problem"][section] = value
     else:
         raw[section] = value
