@@ -2,10 +2,12 @@
 
 The target system, stated for the lower reflection side, is
 
-    dY = -A Y dt - F(t, Y, Ybar) dt + Z dB - eta(dt, x),
+    dY = -A Y dt - F(t, Y) dt + Z dB - eta(dt, x),
     Y(T) = phi,    Y >= L,    integral of (Y - L) against eta(dt, x) dx = 0,
 
-with eta nonnegative and nondecreasing.  The penalized approximation at
+with eta nonnegative and nondecreasing.  A space-mean term of the forward
+equation reaches the adjoint's F through its dual weight w(x), pointwise in
+Y (see :func:`smc.control.assemble_adjoint`).  The penalized approximation at
 level n replaces the constraint by the drift n (Y - L)^- and is stepped
 implicitly in both the generator and the penalty; the nonsmooth negative
 part is handled by a semi-smooth active-set fixed point per step.  The
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .forward import CRANK_NICOLSON, SingularControl, map_ordered
 from .grid import Field, FieldPath, Grid
-from .operators import OperatorSpec, TridiagonalStepper, _space_mean_operator, operator_tridiagonal
+from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
@@ -51,8 +53,8 @@ _MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConverge
 class BackwardSpec:
     """Data of one reflected backward problem on the grid.
 
-    ``driver`` has signature F(t, x_int, y, ybar) -> array over interior
-    nodes and must be Lipschitz in (y, ybar).  ``obstacle``
+    ``driver`` has signature F(t, x_int, y) -> array over interior
+    nodes and must be Lipschitz in y.  ``obstacle``
     is a callable L(t, nodes) -> values, or None for an unconstrained solve.
     ``singular`` optionally couples a nondecreasing control to the drift:
     the pair (control, coefficient) adds coefficient(t, x_int, y) * dxi_k to
@@ -152,11 +154,11 @@ class _Normalized:
         barrier = self.spec.obstacle_interior(t)
         return barrier if self.spec.obstacle is None else self.sign * barrier
 
-    def driver(self, t, x, y, ybar):
+    def driver(self, t, x, y):
         if self.spec.driver is None:
             return None
         s = self.sign
-        return s * np.asarray(self.spec.driver(t, x, s * y, s * ybar), dtype=float)
+        return s * np.asarray(self.spec.driver(t, x, s * y), dtype=float)
 
     def singular_term(self, t, x, y, dxi):
         if self.spec.singular is None:
@@ -176,10 +178,9 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
     Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
     set {y < L} iterated until it stabilizes; the driver and the singular
-    coefficient are evaluated at the current iterate, the space mean of Y at
-    the previous time level (one lag).  Returns (Y^n, Z^n): Y is the one array
-    the solve writes, and Z, identically zero, a read-only view that holds no
-    path of its own.
+    coefficient are evaluated at the current iterate.  Returns (Y^n, Z^n): Y
+    is the one array the solve writes, and Z, identically zero, a read-only
+    view that holds no path of its own.
     """
     if n < 1:
         raise ValueError("penalization level must be >= 1")
@@ -200,8 +201,6 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         out[:-1] += up_a[:-1] * y_int[1:]
         return 0.5 * dt * out
 
-    use_mean = spec.driver is not None
-    mean_op = _space_mean_operator(grid, spec.op.theta) if use_mean else None
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
     barrier = norm.obstacle_interior(0.0)  # an unconstrained solve keeps this stand-in
@@ -212,13 +211,12 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         t = times[k]
         if spec.obstacle is not None:
             barrier = norm.obstacle_interior(t)
-        ybar = mean_op.apply(values[k + 1])[1:-1] if use_mean else None
         y = y_prev_int = values[k + 1, 1:-1]
         known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
         active = y < barrier
         for _ in range(_MAX_FIXED_POINT_ITERS):
             rhs = known.copy()
-            forcing = norm.driver(t, x_int, y, ybar)
+            forcing = norm.driver(t, x_int, y)
             if forcing is not None:
                 rhs += dt * forcing
             sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None

@@ -337,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
             "rate": _cmd_rate,
             "derivcheck": _cmd_derivcheck,
         }[args.command]
-        for warning in config.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
         return handler(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -91,7 +91,7 @@ def assemble_adjoint(
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
     alpha = spec.alpha
 
-    def driver(t, x, p, pbar):
+    def driver(t, x, p):
         return alpha * weight * p
 
     terminal_values = np.zeros(grid.n_total)

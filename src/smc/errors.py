@@ -37,10 +37,6 @@ class NanDetectedError(ToolkitError):
         self.seed = seed
 
 
-class CflWarning(UserWarning):
-    """Explicit stepping requested beyond the diffusion stability bound."""
-
-
 class InadmissiblePerturbationError(ToolkitError):
     """Control perturbation leaves the admissible cone for every epsilon > 0."""
 

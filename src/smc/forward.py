@@ -28,7 +28,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    CflWarning,
     ConfigError,
     GridMismatchError,
     InadmissiblePerturbationError,
@@ -43,7 +42,6 @@ from .operators import (
     interior_generator,
 )
 
-EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 CRANK_NICOLSON = "crank-nicolson"
 
@@ -124,7 +122,7 @@ class ProblemSpec:
     alpha: float = 0.0
     beta: float = 0.0
     lambda0: float = 1.0
-    stepping: str = EXPLICIT
+    stepping: str = IMPLICIT
     initial: Field | None = None
     boundary: object = None
     h10: object = 1.0
@@ -136,7 +134,7 @@ class ProblemSpec:
             raise ValueError("horizon must be positive and n_steps >= 1")
         if self.lambda0 <= 0.0:
             raise ValueError("lambda0 must be positive")
-        if self.stepping not in (EXPLICIT, IMPLICIT, CRANK_NICOLSON):
+        if self.stepping not in (IMPLICIT, CRANK_NICOLSON):
             raise ValueError(f"unknown stepping mode {self.stepping!r}")
         initial = self.initial
         if initial is None:
@@ -203,11 +201,6 @@ class ProblemSpec:
     def singular_slope(self, t: float, p: np.ndarray) -> np.ndarray:
         """dH1/du = h10 - lambda0 * p on the interior nodes, for H1 = gain * p + h1."""
         return self._h10_values(t)[1:-1] - self.lambda0 * p
-
-    def cfl_number(self) -> float:
-        a, _ = self.op.resolve(self.grid)
-        # Python floats: an overflowing ratio is inf, without a numpy warning
-        return self.dt * float(np.max(np.abs(a))) / self.grid.h**2
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +369,9 @@ class _Kernel:
         self.generator = (a, b, grid.h**2, 2.0 * grid.h)
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
-        if spec.stepping in (IMPLICIT, CRANK_NICOLSON):
-            self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
-            self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
-            self.w_left, self.w_right = boundary_coupling(spec.op, grid)
-        elif spec.cfl_number() > 0.5:
-            warnings.warn(
-                f"explicit step ratio dt*max|a|/h^2 = {spec.cfl_number():.4f} exceeds 0.5; "
-                "expect instability (use implicit stepping)",
-                CflWarning,
-                stacklevel=3,
-            )
+        self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
+        self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
+        self.w_left, self.w_right = boundary_coupling(spec.op, grid)
 
     def _forcing(self, x: np.ndarray, db, *jumps) -> np.ndarray:
         """dt * drift(x) + vol(x) * db + factor * increment per jump, in the forcing buffer.
@@ -411,29 +396,24 @@ class _Kernel:
     def _advance(self, x: np.ndarray, forcing: np.ndarray, boundary=None) -> np.ndarray:
         """Fresh state one step after ``x`` under ``forcing``, an array or 0.0 (boundary 0 if None).
 
-        An implicit step builds its right-hand side in the new interior and solves it in place.
+        The step builds its right-hand side in the new interior and solves it in place.
         """
-        spec = self.spec
         out = np.empty_like(x)
         new = out[1:-1]
-        if spec.stepping == EXPLICIT:
-            # an unstable step overflows here; _check_finite reports it, typed, right after
-            with np.errstate(over="ignore", invalid="ignore"):
-                generator = interior_generator(x, *self.generator)
-                np.add(np.add(x[1:-1], self.dt * generator, out=new), forcing, out=new)
-        else:
-            np.add(x[1:-1], forcing, out=new)
-            if spec.stepping == CRANK_NICOLSON:
-                half_step = 0.5 * self.dt * interior_generator(x, *self.generator)
-                np.add(new, half_step, out=new)
-            if boundary is not None:
-                c = self.implicit_weight * self.dt
-                new[0] += c * self.w_left * boundary[0]
-                new[-1] += c * self.w_right * boundary[1]
-            self.stepper.solve_in_place(new)
+        np.add(x[1:-1], forcing, out=new)
+        if self.spec.stepping == CRANK_NICOLSON:
+            half_step = 0.5 * self.dt * interior_generator(x, *self.generator)
+            np.add(new, half_step, out=new)
+        if boundary is not None:
+            c = self.implicit_weight * self.dt
+            new[0] += c * self.w_left * boundary[0]
+            new[-1] += c * self.w_right * boundary[1]
+        self.stepper.solve_in_place(new)
         out[0], out[-1] = boundary or (0.0, 0.0)
         return out
 
+    # a step that overflows warns nothing: _check_finite reports it, typed, right after
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, k: int, u: np.ndarray, db, dxi: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Euler-Maruyama step from t_k; ``db`` is scalar or (n_paths,), ``dxi`` 0 off ``rows``."""
         if self.spec.alpha == 0.0 and self.spec.beta == 0.0 and rows == slice(0, 0):
@@ -443,6 +423,7 @@ class _Kernel:
             forcing = self._forcing(u, db, (gain, dxi, rows))
         return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
         """Exact linearization of :meth:`step` in the direction (z, dzeta)."""
         spec = self.spec
@@ -578,6 +559,9 @@ def _monte_carlo(
     return list(zip(*results))
 
 
+# a block sum of finite states may overflow to inf, or to NaN past inf - inf: simulate_ensemble
+# reports it
+@np.errstate(over="ignore", invalid="ignore")
 def _summarize_bundle(first: int, states: Iterator) -> tuple:
     """Per-block state sums per step, terminal states, and the (value, step, node, seed) minimum."""
     sums, key = [], (np.inf, 0, 1, first)
@@ -605,12 +589,17 @@ def simulate_ensemble(
     (seed, time, node) location, the first in step, node and seed order, are
     reported either way.  Bundles of paths may run on parallel workers; the
     mean adds fixed blocks of paths, so no output depends on chunks or workers.
+    Finite states whose sum overflows raise NanDetectedError at the first such step.
     """
     passes = [(control, _summarize_bundle)]
     (bundles,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
     block_sums, terminals, keys = zip(*bundles)
     min_value, step, node, path_seed = min(keys)
-    state_sum = np.concatenate(block_sums, axis=2).sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state_sum = np.concatenate(block_sums, axis=2).sum(axis=2)
+    if not np.isfinite(state_sum).all():
+        k = int(np.argmax(~np.isfinite(state_sum).all(axis=1)))
+        raise NanDetectedError(f"state sum over the paths overflows at step {k}", step=k)
     return EnsembleSummary(
         mean_path=FieldPath(spec.grid, spec.times, state_sum / n_paths),
         terminal_values=np.vstack(terminals),

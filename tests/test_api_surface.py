@@ -91,7 +91,7 @@ DEFAULTS = {
         "alpha": 0.0,
         "beta": 0.0,
         "lambda0": 1.0,
-        "stepping": "explicit",
+        "stepping": "implicit",
         "initial": None,
         "boundary": None,
         "h10": 1.0,
@@ -167,7 +167,6 @@ RUN_CONFIG_FIELDS = {
     "outputs": {"directory": "str", "formats": "tuple[str, ...]"},
     "raw": "dict",
     "config_hash": "str",
-    "warnings": "tuple[str, ...]",
 }
 
 

@@ -70,7 +70,7 @@ def test_adjoint_driver_uses_dual_weight():
     grid = spec.grid
     w = space_mean_dual_weight(grid, spec.op.theta).interior
     p = np.linspace(0.5, 1.5, grid.n_cells)
-    out = adj.backward.driver(0.0, grid.interior, p, p)
+    out = adj.backward.driver(0.0, grid.interior, p)
     np.testing.assert_allclose(out, 1.0 * w * p, rtol=1e-14)
     inner = np.abs(grid.interior - 0.5) < 0.5 - spec.op.theta - grid.h
     np.testing.assert_allclose(w[inner], 1.0, atol=1e-14)
@@ -147,7 +147,6 @@ def test_performance_immediate_full_harvest():
         op=OperatorSpec(0.0, 0.0, 0.1),
         alpha=0.0,
         beta=0.0,
-        stepping="explicit",
         initial=Field.from_function(grid, lambda x: np.ones_like(x)),
         boundary=(1.0, 1.0),
     )

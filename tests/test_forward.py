@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from smc import control as control_module
 from smc import forward, suites
 from smc.control import _rewards_pass, directional_derivative_J, performance_J, performance_Js
-from smc.errors import CflWarning, InadmissiblePerturbationError, NanDetectedError
+from smc.errors import InadmissiblePerturbationError, NanDetectedError
 from smc.forward import (
     ControlPerturbation,
     NoisePath,
@@ -50,6 +50,21 @@ def zero_control(spec):
     return SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
 
 
+def _exploding_spec(**kw):
+    """A mean drift of rate 1e3 over horizon 10: without noise, every path overflows at step 226."""
+    grid = build_grid(0.0, 1.0, 40)
+    return make_spec(
+        grid=grid,
+        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
+        horizon=10.0,
+        n_steps=400,
+        alpha=1e3,
+        initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
+        boundary=(1.0, 1.0),
+        **kw,
+    )
+
+
 def test_frozen_dynamics_state_constant():
     spec = make_spec()
     noise = NoisePath.generate(1, spec.n_steps, spec.dt)
@@ -72,32 +87,6 @@ def test_heat_decay_matches_kernel():
     path = simulate_path(spec, zero_control(spec), noise)
     expected = np.exp(-np.pi**2 * 0.1 / 2.0) * np.sin(np.pi * grid.nodes)
     assert np.max(np.abs(path.values[-1] - expected)) <= 2e-3
-
-
-def test_explicit_cfl_warning():
-    grid = build_grid(0.0, 1.0, 200)
-    spec = make_spec(
-        grid=grid,
-        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
-        horizon=0.1,
-        n_steps=4000,
-        stepping="explicit",
-        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        boundary=(0.0, 0.0),
-    )
-    assert spec.cfl_number() > 0.5
-    noise = NoisePath.generate(0, 10, spec.dt)
-    with pytest.warns(CflWarning):
-        spec_small = make_spec(
-            grid=grid,
-            op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
-            horizon=0.1 * 10 / 4000,
-            n_steps=10,
-            stepping="explicit",
-            initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-            boundary=(0.0, 0.0),
-        )
-        simulate_path(spec_small, zero_control(spec_small), noise)
 
 
 def test_single_jump_multiplicative():
@@ -147,22 +136,25 @@ def test_boundary_pinning():
         assert path.values[k, -1] == right
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, typed, and not warned
 def test_nan_detection_reports_step():
-    grid = build_grid(0.0, 1.0, 40)
-    spec = make_spec(
-        grid=grid,
-        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
-        horizon=10.0,
-        n_steps=400,  # ratio dt/h^2 far beyond stability: overflow to inf
-        stepping="explicit",
-        initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
-        boundary=(1.0, 1.0),
-    )
+    spec = _exploding_spec()
     noise = NoisePath.generate(2, spec.n_steps, spec.dt)
-    with pytest.warns(CflWarning):
-        with pytest.raises(NanDetectedError) as err:
-            simulate_path(spec, zero_control(spec), noise)
-    assert err.value.step >= 1
+    with pytest.raises(NanDetectedError) as err:
+        simulate_path(spec, zero_control(spec), noise)
+    assert err.value.step == 226
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_tangent_warns_nothing():
+    # z overflows long before u: the run ends at the state's typed failure, with no warning
+    spec = _exploding_spec()
+    base = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    zeta = ControlPerturbation(1e300 * base.cumulative)
+    noise = NoisePath.generate(0, spec.n_steps, spec.dt)
+    with pytest.raises(NanDetectedError) as err:
+        derivative_process(spec, base, zeta, noise)
+    assert err.value.step == 226
 
 
 def test_noise_path_reproducible():
@@ -199,7 +191,7 @@ def test_ensemble_columns_match_per_path_runs():
 
 
 @pytest.mark.parametrize("n_paths", [None, 3, TridiagonalStepper.SWEEP_MIN_PATHS])
-@pytest.mark.parametrize("stepping", ["explicit", "implicit", "crank-nicolson"])
+@pytest.mark.parametrize("stepping", ["implicit", "crank-nicolson"])
 def test_iterate_states_yields_states_later_steps_leave_alone(stepping, n_paths):
     spec = make_spec(
         beta=0.25, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping=stepping, n_steps=200
@@ -557,25 +549,10 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
     assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
 
 
-def _exploding_spec(**kw):
-    grid = build_grid(0.0, 1.0, 40)
-    return make_spec(
-        grid=grid,
-        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
-        horizon=10.0,
-        n_steps=400,
-        stepping="explicit",
-        initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
-        boundary=(1.0, 1.0),
-        **kw,
-    )
-
-
 def test_ensemble_nan_reports_offending_seed():
     spec = _exploding_spec()
-    with pytest.warns(CflWarning):
-        with pytest.raises(NanDetectedError) as err:
-            simulate_ensemble(spec, zero_control(spec), n_paths=3, seed=100)
+    with pytest.raises(NanDetectedError) as err:
+        simulate_ensemble(spec, zero_control(spec), n_paths=3, seed=100)
     assert err.value.seed in (100, 101, 102)
 
 
@@ -583,36 +560,46 @@ def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
     # all three one-block bundles fail at the same step; the lowest path seed wins
     spec = _exploding_spec()
     errors = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         monkeypatch.setenv("SMC_WORKERS", workers)
-        with pytest.warns(CflWarning), pytest.raises(NanDetectedError) as err:
+        with pytest.raises(NanDetectedError) as err:
             simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=100, chunk_size=1)
         errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
-    assert errors[1] == errors[0]
+    assert errors[2] == errors[1] == errors[0]
     assert errors[0][3] == 100
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
-    spec = _exploding_spec(beta=beta)
-    errors = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SMC_WORKERS", workers)
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
-            warnings.simplefilter("always")
-            simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=100, chunk_size=2)
-        assert caught and {w.category for w in caught} == {CflWarning}
-        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
-    assert errors[1] == errors[0]
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "initial, beta, n_steps, n_paths, step",
+    [
+        (1e307, 0.0, 3, 200, 0),  # two blocks of 1e307s: each sums past the float range
+        (1e305, 1e3, 1, 1280, 1),  # paths of either sign: block sums of +inf and -inf
+    ],
+    ids=["same-sign", "either-sign"],
+)
+def test_ensemble_sum_overflow_is_a_typed_error(initial, beta, n_steps, n_paths, step):
+    grid = build_grid(0.0, 1.0, 10)
+    spec = make_spec(
+        grid=grid,
+        initial=Field(grid, np.full(grid.n_total, initial), "dirichlet-data"),
+        boundary=None,
+        beta=beta,
+        horizon=0.01 * n_steps,
+        n_steps=n_steps,
+    )
+    with pytest.raises(NanDetectedError) as err:
+        simulate_ensemble(spec, zero_control(spec), n_paths, seed=0)
+    assert str(err.value) == f"state sum over the paths overflows at step {step}"
 
 
 @pytest.mark.parametrize(
     "beta, n_paths, seed, offender",
     [
         (0.0, 900, 100, 100),  # identical paths: all blow up together, the lowest seed wins
-        # seeds 1001 and 1150 blow up at the same step, 1150 at a lower node: the lowest
+        # seeds 623 and 792 blow up first, at the same step, in different bundles: the lowest
         # failing seed is named, whichever bundle holds it
-        (0.5, 300, 1000, 1001),
+        (10.0, 300, 600, 623),
     ],
 )
 def test_split_chunk_nan_error_is_the_serial_one(monkeypatch, beta, n_paths, seed, offender):
@@ -623,48 +610,49 @@ def test_split_chunk_nan_error_is_the_serial_one(monkeypatch, beta, n_paths, see
         with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
             warnings.simplefilter("always")
             simulate_ensemble(spec, zero_control(spec), n_paths, seed, chunk_size=300)
-        cfl = sum(issubclass(w.category, CflWarning) for w in caught)
-        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed, cfl))
-    assert errors[1] == errors[0] and errors[2] == errors[0]
-    assert errors[0][3] == offender and errors[0][4] >= 1
+        assert not caught  # the overflow is reported once, typed, and not warned
+        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
+    assert errors[2] == errors[1] == errors[0]
+    assert errors[0][3] == offender
 
 
-def test_worker_cfl_warning_reaches_the_caller(monkeypatch):
-    monkeypatch.setenv("SMC_WORKERS", "2")
-    grid = build_grid(0.0, 1.0, 200)
-    spec = make_spec(
-        grid=grid,
-        op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
-        horizon=0.1 * 10 / 4000,
-        n_steps=10,
-        stepping="explicit",
-        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        boundary=(0.0, 0.0),
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        summary = simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=0, chunk_size=1)
-    assert np.isfinite(summary.min_value)
-    # each of the three bundles warns in its worker; the caller hears the warning once
-    assert [w.category for w in caught] == [CflWarning]
-
-
-def test_split_run_error_keeps_the_warnings_before_it(monkeypatch):
-    # a pass that fails after its kernel warned: a parallel run warns as a serial run does
+def test_worker_warning_reaches_the_caller(monkeypatch):
+    # each of the three bundles warns in its worker, then blows up: the caller hears the
+    # warning once, and the error is the serial one
     spec = _exploding_spec()
 
     def reduce(first, states):
-        next(states)  # the bundle's kernel is built, and warns, on the first state
+        warnings.warn("bundle reduced", UserWarning)
+        return sum(1 for _ in states)
+
+    outcomes = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
+            warnings.simplefilter("always")
+            _monte_carlo(spec, [(zero_control(spec), reduce)], 257, 0, 1)
+        outcomes.append((str(err.value), [str(w.message) for w in caught]))
+    assert outcomes == [("non-finite state at step 226 (path seed 0)", ["bundle reduced"])] * 3
+
+
+def test_split_run_error_keeps_the_warnings_before_it(monkeypatch):
+    # a pass that fails after it warned: a parallel run warns as a serial run does
+    spec = _exploding_spec()
+
+    def reduce(first, states):
+        warnings.warn(f"reducing from seed {first}", UserWarning)
+        next(states)
         raise ArithmeticError(f"bundle from seed {first}")
 
     outcomes = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         monkeypatch.setenv("SMC_WORKERS", workers)
         with warnings.catch_warnings(record=True) as caught, pytest.raises(ArithmeticError) as err:
             warnings.simplefilter("always")
             _monte_carlo(spec, [(zero_control(spec), reduce)], 300, 0, 300)
-        outcomes.append((str(err.value), [type(w.message) for w in caught]))
-    assert outcomes[1] == outcomes[0] == ("bundle from seed 0", [CflWarning])
+        outcomes.append((str(err.value), [str(w.message) for w in caught]))
+    assert outcomes[2] == outcomes[1] == outcomes[0]
+    assert outcomes[0] == ("bundle from seed 0", ["reducing from seed 0"])
 
 
 def _record_bundles(monkeypatch) -> list:
@@ -842,7 +830,7 @@ def test_worker_count_never_moves_a_monte_carlo_bit(
 
 
 @pytest.mark.parametrize("width", [None, 3])
-@pytest.mark.parametrize("stepping", ["explicit", "implicit", "crank-nicolson"])
+@pytest.mark.parametrize("stepping", ["implicit", "crank-nicolson"])
 def test_unforced_step_matches_a_full_forcing_to_the_sign_of_zero(stepping, width):
     # alpha = beta = 0 and no charged row: the step skips its forcing, which is +0.0 on every
     # row, so a -0.0 state must still step to +0.0.  Beside -0.0 boundary data, an implicit

@@ -90,18 +90,6 @@ def test_negative_theta_names_field():
     assert "problem.operator.theta" in str(err.value)
 
 
-def test_explicit_cfl_violation_is_error_implicit_warns():
-    raw = minimal_config()
-    raw["problem"]["time"] = {"horizon": 0.1, "n_steps": 5}  # huge dt
-    raw["problem"]["modes"] = {"stepping": "explicit"}
-    with pytest.raises(ValidationError) as err:
-        parse_config(raw)
-    assert "problem.time.n_steps" in str(err.value)
-    raw["problem"]["modes"] = {"stepping": "implicit"}
-    cfg = parse_config(raw)
-    assert len(cfg.warnings) == 1
-
-
 def test_pocket_terminal_price_loads_and_is_read_at_the_nodes():
     raw = minimal_config()
     pocket = {"kind": "pocket", "base": 0.5, "amplitude": 2.0, "center": 0.4, "width": 0.2}
@@ -215,10 +203,6 @@ def _problem_with(section, key, value):
     return {"problem": problem}
 
 
-_STIFF = _problem_with("operator", "second_order", 1e308)
-_STIFF["problem"]["grid"]["n_cells"] = 60  # dt * max|a| / h^2 overflows to inf
-
-
 @pytest.mark.parametrize(
     "argv, sections, field",
     [
@@ -237,12 +221,18 @@ _STIFF["problem"]["grid"]["n_cells"] = 60  # dt * max|a| / h^2 overflows to inf
         (["simulate"], _problem_with("time", "horizon", math.inf), "problem.time.horizon"),
         (["simulate"], _problem_with("grid", "x_min", -math.inf), "problem.grid.x_min"),
         (["simulate"], _problem_with("model", "alpha", math.nan), "problem.model.alpha"),
-        (["simulate"], _STIFF, "step ratio inf"),
+        (["simulate"], _problem_with("operator", "second_order", 1e308),
+         "problem.operator.second_order"),
+        (["simulate"], _problem_with("operator", "first_order", 1e308),
+         "problem.operator.first_order"),
+        (["simulate"], _problem_with("modes", "stepping", "explicit"), "problem.modes.stepping"),
+        (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
          "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
          "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
-         "x-min-infinite", "alpha-nan", "second-order-huge"],
+         "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
+         "stepping-explicit", "stepping-bogus"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
@@ -263,6 +253,17 @@ def _leaves(node, path=()):
     return [leaf for key, child in node.items() for leaf in _leaves(child, (*path, key))]
 
 
+def _simulate(directory, raw) -> tuple[int, str, list]:
+    """Exit code, stderr and warnings of ``smc simulate`` on 8 paths, writing under directory."""
+    config, out = _write_config(directory, raw), str(directory / "out")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", config, "--paths", "8", "--out", out])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
 @settings(max_examples=80)
 @given(
     leaf=st.sampled_from(_leaves(_HARVEST)),
@@ -277,20 +278,34 @@ def test_one_bad_config_leaf_never_ends_in_a_traceback(tmp_path_factory, leaf, v
     for key in leaf[:-1]:
         node = node[key]
     node[leaf[-1]] = value
-    directory = tmp_path_factory.mktemp("fuzz")
-    config, out = _write_config(directory, raw), str(directory / "out")
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["simulate", "--config", config, "--paths", "8", "--out", out])
-    lines = err.getvalue().splitlines()
-    if code == 2:  # a warning would be a second line on stderr
-        assert len(lines) == 1 and lines[0].startswith("configuration error: ") and not caught
+    code, err, caught = _simulate(tmp_path_factory.mktemp("fuzz"), raw)
+    lines = err.splitlines()
+    assert not caught  # a warning would be one more line on stderr
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("configuration error: ")
     elif code == 1:
-        assert lines[-1].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
-        assert code == 0
+        assert code == 0 and not lines
+
+
+def test_shipped_config_simulates_with_an_empty_stderr(tmp_path):
+    assert _simulate(tmp_path, _HARVEST) == (0, "", [])
+
+
+def test_overflowing_state_is_one_error_line(tmp_path):
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["model"]["alpha"] = 1e308
+    expected = "error: non-finite state at step 2 (path seed 20250)\n"
+    assert _simulate(tmp_path, raw) == (1, expected, [])
+
+
+def test_pocket_price_far_off_center_loads_without_a_warning(tmp_path):
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["prices"]["h10"]["center"] = 1e308  # the pocket's exponent overflows
+    assert _simulate(tmp_path, raw) == (0, "", [])
+    h10 = parse_config(raw).problem._h10_values(0.0)
+    np.testing.assert_array_equal(h10, raw["problem"]["prices"]["h10"]["base"])
 
 
 @pytest.mark.parametrize("command", ["simulate", "policy"])
