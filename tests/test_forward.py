@@ -53,12 +53,12 @@ def zero_control(spec):
 def _exploding_spec(**kw):
     """A mean drift of rate 1e3 over horizon 10: without noise, every path overflows at step 226."""
     grid = build_grid(0.0, 1.0, 40)
+    kw.setdefault("alpha", 1e3)
     return make_spec(
         grid=grid,
         op=OperatorSpec(second_order=0.5, first_order=0.0, theta=0.1),
         horizon=10.0,
         n_steps=400,
-        alpha=1e3,
         initial=Field.from_function(grid, lambda x: 1.0 + np.sin(np.pi * x)),
         boundary=(1.0, 1.0),
         **kw,
@@ -593,17 +593,40 @@ def test_ensemble_sum_overflow_is_a_typed_error(initial, beta, n_steps, n_paths,
     assert str(err.value) == f"state sum over the paths overflows at step {step}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
+    # named for the explicit scheme, whose one warning was its stability bound; that scheme and
+    # its warning are gone, so an exploding ensemble of many small bundles now warns nothing
+    spec = _exploding_spec(beta=beta)
+    errors = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMC_WORKERS", workers)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NanDetectedError) as err:
+            warnings.simplefilter("always")
+            simulate_ensemble(spec, zero_control(spec), n_paths=257, seed=100, chunk_size=2)
+        assert not caught
+        errors.append((type(err.value), str(err.value), err.value.step, err.value.seed))
+    assert errors[2] == errors[1] == errors[0]
+
+
 @pytest.mark.parametrize(
-    "beta, n_paths, seed, offender",
+    "alpha, beta, n_paths, seed, offender",
     [
-        (0.0, 900, 100, 100),  # identical paths: all blow up together, the lowest seed wins
+        # identical paths: all blow up together, the lowest seed wins
+        pytest.param(1e3, 0.0, 900, 100, 100, id="0.0-900-100-100"),
+        # 66 seeds, in every bundle, blow up first, at step 244, and seed 1000 a step later: the
+        # lowest failing seed is named, not the chunk's first
+        pytest.param(781.0, 0.5, 300, 1000, 1001, id="0.5-300-1000-1001"),
         # seeds 623 and 792 blow up first, at the same step, in different bundles: the lowest
         # failing seed is named, whichever bundle holds it
-        (10.0, 300, 600, 623),
+        pytest.param(1e3, 10.0, 300, 600, 623, id="10.0-300-600-623"),
     ],
-)
-def test_split_chunk_nan_error_is_the_serial_one(monkeypatch, beta, n_paths, seed, offender):
-    spec = _exploding_spec(beta=beta)
+)  # each id names beta, n_paths, seed and offender
+def test_split_chunk_nan_error_is_the_serial_one(
+    monkeypatch, alpha, beta, n_paths, seed, offender
+):
+    spec = _exploding_spec(alpha=alpha, beta=beta)
     errors = []
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("SMC_WORKERS", workers)
