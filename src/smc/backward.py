@@ -121,7 +121,6 @@ class SolutionDiagnostics:
     skorokhod_residual: float
     skorokhod_scale: float
     min_gap: float
-    penalization_level: int
     levels: tuple[int, ...]
     cauchy_gaps: tuple[float, ...]
 
@@ -173,6 +172,8 @@ class _Normalized:
 # ---------------------------------------------------------------------------
 
 
+# a step that overflows warns nothing: the finite check below reports it, typed
+@np.errstate(over="ignore", invalid="ignore")
 def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     """Solve the level-n penalized backward equation.
 
@@ -298,13 +299,15 @@ def _solve_levels(
     return levels, map_ordered(lambda n: reduce(solve_penalized(spec, n)[0]), levels)
 
 
+# gaps or diagnostics that overflow warn nothing: a non-finite gap raises NonCauchyError
+@np.errstate(over="ignore", invalid="ignore")
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     """Solve penalized problems along ``levels`` and assemble the reflected triple.
 
     Y comes from the largest level; the reflection measure is the
     running time integral of n (Y^n - L)^- at that level.  Raises NonCauchyError when
-    the inter-level gaps sup_t ||Y^n - Y^m||_H stop decreasing beyond a small
-    floor.
+    the inter-level gaps sup_t ||Y^n - Y^m||_H are not finite or stop decreasing
+    beyond a small floor.
     """
     levels, y_paths = _solve_levels(spec, levels, levels_problem, lambda y_path: y_path)
     h = spec.grid.h
@@ -313,6 +316,8 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     for y_a, y_b in zip(y_paths, y_paths[1:]):
         diff = y_a.values[:, 1:-1] - y_b.values[:, 1:-1]
         gaps.append(float(np.max(np.sqrt(h * np.sum(diff**2, axis=1)))))
+    if not np.all(np.isfinite(gaps)):
+        raise NonCauchyError(f"penalization gaps are not finite: {gaps} (levels {levels})")
     floor = 1e-12 * scale
     for g_prev, g_next in zip(gaps, gaps[1:]):
         if g_next > 1.01 * g_prev + floor:
@@ -320,13 +325,12 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
                 f"penalization gaps increased across levels: {gaps} (levels {levels})"
             )
 
-    n_top = levels[-1]
     y_path = y_paths[-1]
     gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
     eta_values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     if gap is not None:
         integrand = _violation(gap)
-        np.multiply(spec.dt * n_top, integrand, out=integrand)
+        np.multiply(spec.dt * levels[-1], integrand, out=integrand)
         np.cumsum(integrand, axis=0, out=eta_values[1:, 1:-1])
     eta_path = FieldPath(spec.grid, spec.times, eta_values)
 
@@ -335,7 +339,6 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         skorokhod_residual=residual,
         skorokhod_scale=res_scale,
         min_gap=np.inf if gap is None else float(np.min(gap[:-1])),
-        penalization_level=n_top,
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
     )

@@ -183,7 +183,7 @@ def _cmd_adjoint(config: RunConfig, args) -> int:
             detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
         )
     )
-    paths = {"adjoint_p": policy.p, "reflection_eta": policy.eta}
+    paths = {"adjoint_p": policy.p, "reflection_eta": policy.solution.eta}
     persist(report, paths, out_dir, config.outputs.formats)
     print(f"adjoint solved at levels {levels}; outputs in {out_dir}")
     return 0 if report.all_passed else 1
@@ -194,22 +194,20 @@ def _cmd_policy(config: RunConfig, args) -> int:
     seed, out_dir = _seed_and_out(config, args)
     policy = _extract_policy(config, levels)
     rep = policy.report
+    tol = rep.TOLERANCE
     report = _new_report(config, seed)
     report.add(
         CheckResult(
-            "threshold-slack", rep.threshold_violation_max, rep.threshold_tolerance,
-            rep.threshold_pass, f"convention {rep.convention}",
+            "threshold-slack", rep.threshold_violation_max, tol, rep.threshold_pass,
+            f"convention {rep.convention}",
         )
     )
     report.add(
-        CheckResult(
-            "complementarity", rep.complementarity_residual, rep.complementarity_tolerance,
-            rep.complementarity_pass,
-        )
+        CheckResult("complementarity", rep.complementarity_residual, tol, rep.complementarity_pass)
     )
     report.add(
         CheckResult(
-            "variational-inequality", rep.vi_residual, rep.vi_tolerance, rep.vi_pass,
+            "variational-inequality", rep.vi_residual, tol, rep.vi_pass,
             f"degenerate coefficient fallback: {policy.degenerate_coefficient}",
         )
     )
@@ -218,7 +216,7 @@ def _cmd_policy(config: RunConfig, args) -> int:
         {
             "policy_xi": _control_path(config.problem, policy.xi_hat),
             "adjoint_p": policy.p,
-            "reflection_eta": policy.eta,
+            "reflection_eta": policy.solution.eta,
         },
         out_dir,
         config.outputs.formats,

@@ -23,16 +23,16 @@ cap from above ("price-cap").  The general first-order condition
 gain * p + h1 <= 0 evaluates, for positive stock, to the opposite
 inequality p >= h10/lambda0 ("price-floor"): harvesting is profitable
 exactly where the marginal future value of stock sits below the unit
-harvest revenue.  Both conventions are implemented and both slacks are
-always reported; measured performance (see the verification suites) shows
-the price-floor policy dominates its stress family while the price-cap
-policy harvests value-destroying regions, so price-floor is the default.
+harvest revenue.  Both conventions are implemented; measured performance
+(see the verification suites) shows the price-floor policy dominates its
+stress family while the price-cap policy harvests value-destroying regions,
+so price-floor is the default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +53,6 @@ PRICE_FLOOR = "price-floor"  # admissible region p >= h10/lambda0, general condi
 PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example condition
 CONVENTIONS = (PRICE_FLOOR, PRICE_CAP)
 
-_RESIDUAL_TOLERANCE = 1e-6  # bound on each optimality residual of an MPReport
 _COEFFICIENT_FLOOR = 1e-10  # |dH1/du| at or below this cannot convert reflection to control
 
 
@@ -74,14 +73,8 @@ class AdjointSpec:
     backward: BackwardSpec
 
 
-def assemble_adjoint(
-    spec: ProblemSpec,
-    xi: SingularControl | None = None,
-    obstacle: Callable | None = None,
-    reflection_side: str = LOWER,
-    allow_terminal_violation: bool = False,
-) -> AdjointSpec:
-    """Assemble the adjoint backward problem along a control.
+def assemble_adjoint(spec: ProblemSpec, xi: SingularControl | None = None) -> AdjointSpec:
+    """Assemble the unconstrained adjoint backward problem along a control.
 
     The model's coefficients are affine in the state, so the adjoint is
     linear.  The driver realizes the dual action of the space-mean argument
@@ -107,11 +100,8 @@ def assemble_adjoint(
         n_steps=spec.n_steps,
         terminal=terminal,
         driver=driver,
-        obstacle=obstacle,
-        reflection_side=reflection_side,
         singular=singular,
         use_adjoint_operator=True,
-        allow_terminal_violation=allow_terminal_violation,
     )
     return AdjointSpec(backward=backward)
 
@@ -125,8 +115,6 @@ def assemble_adjoint(
 class JEstimate:
     estimate: float
     stderr: float
-    n_paths: int
-    seed: int
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -203,7 +191,7 @@ def performance_Js(
     """:func:`performance_J` of every control on common paths, drawing their noise once."""
     passes = [_rewards_pass(spec, xi) for xi in controls]
     return [
-        JEstimate(*_mean_stderr(np.concatenate(chunks)), n_paths=n_paths, seed=seed)
+        JEstimate(*_mean_stderr(np.concatenate(chunks)))
         for chunks in _monte_carlo(spec, passes, n_paths, seed, chunk_size)
     ]
 
@@ -226,72 +214,63 @@ def performance_J(
 
 @dataclass(frozen=True)
 class MPReport:
-    """Residuals of the first-order optimality system, with pass flags.
+    """Residuals of the first-order optimality system on (p, xi), with pass flags.
 
     ``threshold_violation_max`` is the largest violation of the side-signed
     threshold slack (price-floor: h10 - lambda0 p <= 0 off the harvest set;
-    price-cap: lambda0 p - h10 <= 0).  ``general_slack_max`` logs the raw
-    first-order slack gain * p + h1 regardless of convention.
+    price-cap: lambda0 p - h10 <= 0).  Each residual passes at or below
+    ``TOLERANCE``.
     """
+
+    TOLERANCE: ClassVar[float] = 1e-6
 
     convention: str
     threshold_violation_max: float
     complementarity_residual: float
     vi_residual: float
-    general_slack_max: float
-    threshold_tolerance: float
-    complementarity_tolerance: float
-    vi_tolerance: float
 
     @property
     def threshold_pass(self) -> bool:
-        return self.threshold_violation_max <= self.threshold_tolerance
+        return self.threshold_violation_max <= self.TOLERANCE
 
     @property
     def complementarity_pass(self) -> bool:
-        return self.complementarity_residual <= self.complementarity_tolerance
+        return self.complementarity_residual <= self.TOLERANCE
 
     @property
     def vi_pass(self) -> bool:
-        return self.vi_residual <= self.vi_tolerance
+        return self.vi_residual <= self.TOLERANCE
 
     @property
     def all_pass(self) -> bool:
         return self.threshold_pass and self.complementarity_pass and self.vi_pass
 
 
+# residuals of a non-finite adjoint are NaN or inf, reported in the MPReport, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def check_necessary(
     p: FieldPath,
-    u: FieldPath,
     xi: SingularControl,
     spec: ProblemSpec,
     convention: str = PRICE_FLOOR,
 ) -> MPReport:
     """Evaluate the threshold slack, complementarity, and the discrete
-    variational inequality along a (state, adjoint, control) triple.
+    variational inequality along an (adjoint, control) pair.
 
     Quantities are evaluated at time nodes t_k, k < n_steps, pairing each
-    control increment with the pre-jump values at the step's left endpoint.
-    Each residual passes at or below 1e-6.
+    control increment with the adjoint at the step's left endpoint.
     """
     _check_convention(convention)
-    grid = spec.grid
-    h = grid.h
+    h = spec.grid.h
     inc = xi.increments
     sign = -1.0 if convention == PRICE_FLOOR else 1.0
     worst_slack = -np.inf
-    worst_general = -np.inf
     comp = 0.0
     vi = 0.0
     for k, t in enumerate(spec.times[:-1]):
         price = spec._h10_values(t)[1:-1]
-        p_int = p.values[k, 1:-1]
-        u_int = u.values[k, 1:-1]
-        slack = sign * (spec.lambda0 * p_int - price)
+        slack = sign * (spec.lambda0 * p.values[k, 1:-1] - price)
         worst_slack = max(worst_slack, float(np.max(slack)))
-        gain = spec.gain_values(u_int)
-        h1 = spec.h1_values(t, u_int)
-        worst_general = max(worst_general, float(np.max(gain * p_int + h1)))
         comp += h * float(np.dot(slack, inc[k]))
         vi = max(vi, float(np.max(np.abs(np.maximum(slack / spec.lambda0, -inc[k])))))
     return MPReport(
@@ -299,10 +278,6 @@ def check_necessary(
         threshold_violation_max=max(worst_slack, 0.0) + 0.0,
         complementarity_residual=abs(comp),
         vi_residual=vi,
-        general_slack_max=worst_general,
-        threshold_tolerance=_RESIDUAL_TOLERANCE,
-        complementarity_tolerance=_RESIDUAL_TOLERANCE,
-        vi_tolerance=_RESIDUAL_TOLERANCE,
     )
 
 
@@ -315,11 +290,9 @@ def check_necessary(
 class PolicyResult:
     xi_hat: SingularControl
     p: FieldPath
-    eta: FieldPath
     report: MPReport
     solution: BackwardSolution
     degenerate_coefficient: bool
-    convention: str
 
 
 def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
@@ -329,14 +302,17 @@ def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
     def obstacle(t, nodes):
         return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
 
-    return assemble_adjoint(
-        spec,
+    backward = replace(
+        assemble_adjoint(spec).backward,
         obstacle=obstacle,
         reflection_side=LOWER if convention == PRICE_FLOOR else UPPER,
         allow_terminal_violation=True,
     )
+    return AdjointSpec(backward=backward)
 
 
+# a non-finite adjoint gives NaN rates and residuals, which the MPReport fails, not warnings
+@np.errstate(over="ignore", invalid="ignore")
 def extract_policy(
     spec: ProblemSpec,
     levels: list[int],
@@ -361,45 +337,31 @@ def extract_policy(
     reflected = policy_adjoint(spec, convention).backward
     solution = solve_reflected(reflected, levels)
 
-    grid = spec.grid
-    n_steps = spec.n_steps
-    p_raw = solution.y.values
-    p_clipped = p_raw.copy()
-    inc = np.zeros((n_steps, grid.n_cells))
-    eta = solution.eta.values
-    degenerate = False
+    times = spec.times[:-1]
+    p = solution.y.values.copy()
+    p_int = p[:-1, 1:-1]  # (n_steps, n_cells): the left endpoint of every step
+    deta = np.diff(solution.eta.values[:, 1:-1], axis=0)
+    coeff = np.abs(np.stack([spec.singular_slope(t, p_k) for t, p_k in zip(times, p_int)]))
+    barrier = np.stack([reflected.obstacle_interior(t) for t in times])
+    charged = deta > 0.0
+    usable = charged & (coeff > _COEFFICIENT_FLOOR)
+    fallback = charged & ~usable
+    rate = np.zeros_like(deta)
+    rate[usable] = deta[usable] / coeff[usable]
+    rate[fallback] = deta[fallback]
+    if max_rate is not None:
+        rate = np.minimum(rate, max_rate / spec.lambda0)
     clip = np.maximum if convention == PRICE_FLOOR else np.minimum
-    for k, t in enumerate(spec.times[:-1]):
-        barrier = reflected.obstacle_interior(t)
-        deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
-        charged = deta > 0.0
-        coeff = np.abs(spec.singular_slope(t, p_raw[k, 1:-1]))
-        usable = charged & (coeff > _COEFFICIENT_FLOOR)
-        if np.any(charged & ~usable):
-            degenerate = True
-        rate = np.zeros(grid.n_cells)
-        rate[usable] = deta[usable] / coeff[usable]
-        rate[charged & ~usable] = deta[charged & ~usable]
-        if max_rate is not None:
-            rate = np.minimum(rate, max_rate / spec.lambda0)
-        inc[k] = rate
-        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], barrier)
+    clip(p_int, barrier, out=p_int)
 
-    xi_hat = SingularControl.from_increments(inc)
-    p_path = FieldPath(grid, spec.times, p_clipped)
-    # the report pairs the clipped adjoint with the extracted control; the
-    # state path is not needed for the threshold and complementarity parts,
-    # so the raw slack is logged against a unit state
-    unit_state = FieldPath(grid, spec.times, np.ones_like(p_clipped))
-    report = check_necessary(p_path, unit_state, xi_hat, spec, convention=convention)
+    xi_hat = SingularControl.from_increments(rate)
+    p_path = FieldPath(spec.grid, spec.times, p)
     return PolicyResult(
         xi_hat=xi_hat,
         p=p_path,
-        eta=solution.eta,
-        report=report,
+        report=check_necessary(p_path, xi_hat, spec, convention=convention),
         solution=solution,
-        degenerate_coefficient=degenerate,
-        convention=convention,
+        degenerate_coefficient=bool(fallback.any()),
     )
 
 

@@ -435,7 +435,7 @@ def check_policy_optimality(n_paths: int = POLICY_PATHS) -> CheckResult:
         policy.report.complementarity_residual,
         policy.report.vi_residual,
     )
-    passed = bool(min_margin_sigma >= -3.0 and residual <= 1e-6)
+    passed = bool(min_margin_sigma >= -3.0 and residual <= policy.report.TOLERANCE)
     return CheckResult(
         name="policy-optimality",
         value=float(min_margin_sigma),

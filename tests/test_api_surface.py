@@ -1,9 +1,10 @@
 """Every public name and settable value of the API, pinned by name and default.
 
 A public name is something callers may import; a parameter with a default, a
-CLI flag, or a parsed configuration value is a knob someone may turn.  Adding
-one, dropping one, or changing what it defaults to must edit this file, where
-a reviewer sees it.  perfbench calls
+CLI flag, or a parsed configuration value is a knob someone may turn, and a
+field of a result record is a fact someone may read.  Adding one, dropping
+one, or changing what it defaults to must edit this file, where a reviewer
+sees it.  perfbench calls
 ``performance_J``, ``directional_derivative_J(..., epsilons=)``,
 ``extract_policy(..., convention=, max_rate=)`` and
 ``solve_obstacle_psor(..., side=)``, so those entries also guard the
@@ -15,7 +16,7 @@ import dataclasses
 import inspect
 
 import smc
-from smc import config, psor
+from smc import backward, config, psor
 from smc.cli import _build_parser
 
 # ``smc.__all__``, sorted
@@ -98,12 +99,7 @@ DEFAULTS = {
         "g0": 1.0,
         "cost": 0.0,
     },
-    "assemble_adjoint": {
-        "xi": None,
-        "obstacle": None,
-        "reflection_side": "lower",
-        "allow_terminal_violation": False,
-    },
+    "assemble_adjoint": {"xi": None},
     "check_necessary": {"convention": "price-floor"},
     "directional_derivative_J": {"epsilons": (0.1, 0.01, 0.001)},
     "extract_policy": {"convention": "price-floor", "max_rate": None},
@@ -181,3 +177,58 @@ def _field_tree(cls) -> dict:
 
 def test_run_config_fields_are_pinned():
     assert _field_tree(config.RunConfig) == RUN_CONFIG_FIELDS
+
+
+# the fields of every public result record, in declaration order, with their annotations
+RESULT_FIELDS = {
+    "MPReport": {
+        "convention": "str",
+        "threshold_violation_max": "float",
+        "complementarity_residual": "float",
+        "vi_residual": "float",
+    },
+    "PolicyResult": {
+        "xi_hat": "SingularControl",
+        "p": "FieldPath",
+        "report": "MPReport",
+        "solution": "BackwardSolution",
+        "degenerate_coefficient": "bool",
+    },
+    "JEstimate": {"estimate": "float", "stderr": "float"},
+    "DerivativeComparison": {
+        "adjoint_formula": "float",
+        "adjoint_stderr": "float",
+        "finite_difference": "dict[float, tuple[float, float]]",
+    },
+    "EnsembleSummary": {
+        "mean_path": "FieldPath",
+        "terminal_values": "np.ndarray",
+        "positivity": "bool",
+        "min_value": "float",
+        "min_location": "tuple[int, int, int]",
+        "n_paths": "int",
+        "seed": "int",
+    },
+    "BackwardSolution": {
+        "y": "FieldPath",
+        "eta": "FieldPath",
+        "diagnostics": "SolutionDiagnostics",
+    },
+    "SolutionDiagnostics": {
+        "skorokhod_residual": "float",
+        "skorokhod_scale": "float",
+        "min_gap": "float",
+        "levels": "tuple[int, ...]",
+        "cauchy_gaps": "tuple[float, ...]",
+    },
+    "RateStudy": {"levels": "tuple[int, ...]", "energies": "tuple[float, ...]", "slope": "float"},
+    "CoercivityReport": {"alpha": "float", "lam": "float", "satisfied": "bool", "gamma": "float"},
+}
+
+
+def test_result_record_fields_are_pinned():
+    records = {name: getattr(smc, name, None) for name in RESULT_FIELDS}
+    records["SolutionDiagnostics"] = backward.SolutionDiagnostics
+    actual = {name: [(f.name, f.type) for f in dataclasses.fields(c)] for name, c in records.items()}
+    assert actual == {name: list(fields.items()) for name, fields in RESULT_FIELDS.items()}
+    assert smc.MPReport.TOLERANCE == 1e-6  # the one bound on every optimality residual

@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from smc import suites
-from smc.backward import solve_penalized
+from smc.backward import solve_penalized, solve_reflected
 from smc.control import (
     PRICE_CAP,
     PRICE_FLOOR,
@@ -15,6 +16,7 @@ from smc.control import (
     performance_J,
     policy_adjoint,
 )
+from smc.errors import NanDetectedError, NonCauchyError
 from smc.forward import ControlPerturbation, ProblemSpec, SingularControl
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec, space_mean_dual_weight
@@ -172,8 +174,7 @@ def test_check_necessary_all_pass_inactive():
     spec = harvest_spec(h10=2.0)
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     p = _paths_of_constant(spec, 0.5)  # below cap threshold 2.0
-    u = _paths_of_constant(spec, 1.0)
-    rep = check_necessary(p, u, xi, spec, convention=PRICE_CAP)
+    rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
     assert rep.threshold_violation_max == 0.0
     assert rep.complementarity_residual == 0.0
     assert rep.vi_residual == 0.0
@@ -186,24 +187,21 @@ def test_check_necessary_constructed_violation():
     vals = np.full((spec.n_steps + 1, spec.grid.n_total), 0.2)
     vals[5, 7] = 1.0 / 1.0 + 0.1  # one node above the cap threshold
     p = FieldPath(spec.grid, spec.times, vals)
-    u = _paths_of_constant(spec, 1.0)
-    rep = check_necessary(p, u, xi, spec, convention=PRICE_CAP)
+    rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
     assert rep.threshold_violation_max == pytest.approx(0.1, rel=1e-12)
     assert rep.complementarity_residual == 0.0
     assert not rep.threshold_pass
     assert rep.complementarity_pass
 
 
-def test_check_necessary_reports_general_slack():
+def test_check_necessary_floor_slack_counts_an_adjoint_below_the_price():
     spec = harvest_spec(h10=1.0, lambda0=1.0)
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     p = _paths_of_constant(spec, 0.5)
-    u = _paths_of_constant(spec, 2.0)
-    rep = check_necessary(p, u, xi, spec, convention=PRICE_FLOOR)
+    rep = check_necessary(p, xi, spec, convention=PRICE_FLOOR)
     # price-floor slack h10 - lambda0 p = 0.5 > 0: violation under the floor sign
     assert rep.threshold_violation_max == pytest.approx(0.5, rel=1e-12)
-    # raw first-order slack u (h10 - lambda0 p) = 1.0
-    assert rep.general_slack_max == pytest.approx(1.0, rel=1e-12)
+    assert not rep.threshold_pass
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +256,53 @@ def test_extract_policy_floor_benchmark_report():
     assert charged.min() >= 20 and charged.max() <= 39
 
 
-def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one():
+@pytest.mark.parametrize("max_rate", [None, 0.9])
+@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
+def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
     # at lambda0 = 1.5, lambda0 * (h10 / lambda0) need not round back to h10:
-    # the policy's coefficient must be the solver's dH1/du bit for bit
+    # the policy's coefficient must be the solver's dH1/du bit for bit, step by step
     spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
-    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=PRICE_FLOOR)
-    deta = np.diff(pol.eta.values[:, 1:-1], axis=0)
-    p_raw = pol.solution.y.values[:-1, 1:-1]
-    coeff = np.abs([spec.singular_slope(t, p) for t, p in zip(spec.times, p_raw)])
-    charged = deta > 0.0
-    assert charged.any() and not pol.degenerate_coefficient
-    rate = np.zeros_like(deta)
-    rate[charged] = deta[charged] / coeff[charged]
-    expected = SingularControl.from_increments(rate)  # the policy's cumulative sum, same order
+    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=convention, max_rate=max_rate)
+    eta, p_raw = pol.solution.eta.values, pol.solution.y.values
+    assert not pol.degenerate_coefficient
+    rates, p_clipped = [], p_raw.copy()
+    clip = np.maximum if convention == PRICE_FLOOR else np.minimum
+    for k, t in enumerate(spec.times[:-1]):
+        deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
+        coeff = np.abs(spec.singular_slope(t, p_raw[k, 1:-1]))
+        charged = deta > 0.0
+        rate = np.zeros_like(deta)
+        rate[charged] = deta[charged] / coeff[charged]
+        if max_rate is not None:
+            rate = np.minimum(rate, max_rate / spec.lambda0)
+        rates.append(rate)
+        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], spec._h10_values(t)[1:-1] / spec.lambda0)
+    expected = SingularControl.from_increments(np.array(rates))  # the same cumulative sum
+    assert expected.total_mass() > 0.0
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
+    np.testing.assert_array_equal(pol.p.values, p_clipped)
+    assert not np.array_equal(pol.p.values, p_raw)  # the clip binds somewhere
+
+
+def test_overflowing_backward_solves_are_typed_and_warn_nothing():
+    adjoint = assemble_adjoint(harvest_spec(alpha=1e308)).backward  # the driver overflows
+    reflected = policy_adjoint(harvest_spec(h10=1e306), PRICE_FLOOR).backward  # finite levels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NanDetectedError, match="non-finite solution at step"):
+            solve_penalized(adjoint, 4)
+        with pytest.raises(NonCauchyError, match=r"gaps are not finite: \[inf\]"):
+            solve_reflected(reflected, [4, 8])
+
+
+def test_necessary_conditions_of_an_overflowing_adjoint_fail_without_a_warning():
+    spec = harvest_spec(lambda0=2.0)
+    xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    p = _paths_of_constant(spec, 1e308)  # lambda0 * p overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
+    assert rep.threshold_violation_max == np.inf and not rep.all_pass
 
 
 def test_unknown_convention_is_rejected():
@@ -281,7 +312,7 @@ def test_unknown_convention_is_rejected():
     calls = [
         lambda: policy_adjoint(spec, "bogus"),
         lambda: extract_policy(spec, [16, 64], convention="bogus"),
-        lambda: check_necessary(p, p, xi, spec, convention="bogus"),
+        lambda: check_necessary(p, xi, spec, convention="bogus"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="unknown convention 'bogus'"):

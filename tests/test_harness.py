@@ -253,15 +253,20 @@ def _leaves(node, path=()):
     return [leaf for key, child in node.items() for leaf in _leaves(child, (*path, key))]
 
 
-def _simulate(directory, raw) -> tuple[int, str, list]:
-    """Exit code, stderr and warnings of ``smc simulate`` on 8 paths, writing under directory."""
+def _run(directory, raw, *argv) -> tuple[int, str, list]:
+    """Exit code, stderr and warnings of ``smc <argv>`` on ``raw``, writing under directory."""
     config, out = _write_config(directory, raw), str(directory / "out")
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["simulate", "--config", config, "--paths", "8", "--out", out])
+            code = main([*argv, "--config", config, "--out", out])
     return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _simulate(directory, raw) -> tuple[int, str, list]:
+    """Exit code, stderr and warnings of ``smc simulate`` on 8 paths."""
+    return _run(directory, raw, "simulate", "--paths", "8")
 
 
 @settings(max_examples=80)
@@ -298,6 +303,33 @@ def test_overflowing_state_is_one_error_line(tmp_path):
     raw["problem"]["model"]["alpha"] = 1e308
     expected = "error: non-finite state at step 2 (path seed 20250)\n"
     assert _simulate(tmp_path, raw) == (1, expected, [])
+
+
+_SOLVE_ERROR = "error: non-finite solution at step 95 (level 4)\n"
+_GAP_ERROR = "error: penalization gaps are not finite: [inf] (levels [4, 8])\n"
+_AMPLITUDE = ("prices", "h10", "amplitude")
+
+
+@pytest.mark.parametrize(
+    "leaf, command, code, err",
+    [
+        pytest.param(("model", "alpha"), "policy", 1, _SOLVE_ERROR, id="alpha-policy"),
+        pytest.param(("model", "alpha"), "adjoint", 1, _SOLVE_ERROR, id="alpha-adjoint"),
+        pytest.param(("model", "lambda0"), "policy", 1, "", id="lambda0-policy"),  # FAIL on stdout
+        pytest.param(("model", "lambda0"), "adjoint", 0, "", id="lambda0-adjoint"),
+        pytest.param(_AMPLITUDE, "policy", 1, _GAP_ERROR, id="amplitude-policy"),
+        pytest.param(_AMPLITUDE, "adjoint", 1, _GAP_ERROR, id="amplitude-adjoint"),
+    ],
+)
+def test_overflowing_policy_input_warns_nothing(tmp_path, leaf, command, code, err):
+    # 8 paths, levels [4, 8]: the backward solve and the policy code overflow without a warning
+    raw = copy.deepcopy(_HARVEST)
+    raw["mc"]["n_paths"], raw["backward"]["levels"] = 8, [4, 8]
+    node = raw["problem"]
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = 1e308
+    assert _run(tmp_path, raw, command) == (code, err, [])
 
 
 def test_pocket_price_far_off_center_loads_without_a_warning(tmp_path):
