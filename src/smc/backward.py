@@ -23,6 +23,7 @@ the negation duality holds bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -179,9 +180,10 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
     Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
     set {y < L} iterated until it stabilizes; the driver and the singular
-    coefficient are evaluated at the current iterate.  Returns (Y^n, Z^n): Y
-    is the one array the solve writes, and Z, identically zero, a read-only
-    view that holds no path of its own.
+    coefficient are evaluated at the current iterate, which alternates between
+    Y's row and one spare vector.  Returns (Y^n, Z^n): Y is the one array the
+    solve writes, and Z, identically zero, a read-only view that holds no path
+    of its own.
     """
     if n < 1:
         raise ValueError("penalization level must be >= 1")
@@ -194,48 +196,61 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     crank = spec.time_scheme == CRANK_NICOLSON
     implicit_weight = 0.5 if crank else 1.0
     lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=spec.use_adjoint_operator)
+    lo_a, up_a = lo_a[1:], up_a[:-1]
     stepper = TridiagonalStepper(spec.op, grid, implicit_weight * dt, spec.use_adjoint_operator)
+    known, spare, work = (np.empty(grid.n_cells) for _ in range(3))
 
-    def explicit_half(y_int: np.ndarray) -> np.ndarray:
-        out = di_a * y_int
-        out[1:] += lo_a[1:] * y_int[:-1]
-        out[:-1] += up_a[:-1] * y_int[1:]
-        return 0.5 * dt * out
+    def explicit_half(y_int: np.ndarray) -> np.ndarray:  # y + 0.5 dt A y, into ``known``
+        np.multiply(di_a, y_int, known)
+        np.add(known[1:], np.multiply(lo_a, y_int[:-1], work[1:]), known[1:])
+        np.add(known[:-1], np.multiply(up_a, y_int[1:], work[:-1]), known[:-1])
+        np.multiply(0.5 * dt, known, known)
+        return np.add(y_int, known, known)
 
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
     barrier = norm.obstacle_interior(0.0)  # an unconstrained solve keeps this stand-in
+    clear = np.zeros(grid.n_cells, dtype=bool)
+
+    def active_set(y: np.ndarray, low: float) -> np.ndarray:
+        """The mask y < L: ``clear`` without an obstacle unless the minimum is below it."""
+        return clear if spec.obstacle is None and not low < _INACTIVE else y < barrier
 
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = norm.terminal_values()
+    # an unconstrained step starts from the active set of the iterate it stored last
+    active = active_set(values[-1, 1:-1], values[-1, 1:-1].min())
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
+        y = y_prev_int = values[k + 1, 1:-1]
         if spec.obstacle is not None:
             barrier = norm.obstacle_interior(t)
-        y = y_prev_int = values[k + 1, 1:-1]
-        known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
-        active = y < barrier
-        for _ in range(_MAX_FIXED_POINT_ITERS):
-            rhs = known.copy()
+            active = y < barrier
+        known_rhs = explicit_half(y_prev_int) if crank else y_prev_int
+        targets = (values[k, 1:-1], spare)
+        for i in range(_MAX_FIXED_POINT_ITERS):
+            rhs = targets[i % 2]
+            np.copyto(rhs, known_rhs)
             forcing = norm.driver(t, x_int, y)
             if forcing is not None:
                 rhs += dt * forcing
             sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
             if sing is not None:
                 rhs += sing
-            if active.any():
+            if active is not clear and active.any():
                 rhs += dt * n * np.where(active, barrier, 0.0)
-                y_new = stepper.solve(rhs, dt * n * active)
+                rhs[...] = stepper.solve(rhs, dt * n * active)
             else:  # a zero penalty: the factored matrix gives gtsv's bits
-                y_new = stepper.solve_in_place(rhs)
-            if not np.all(np.isfinite(y_new)):
+                stepper.solve_in_place(rhs)
+            low, high = rhs.min(), rhs.max()
+            if not (math.isfinite(low) and math.isfinite(high)):
                 raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
-            active_new = y_new < barrier
-            stable = np.array_equal(active_new, active)
-            close = not depends_on_y or np.max(np.abs(y_new - y)) <= 1e-12 * max(
-                1.0, float(np.max(np.abs(y_new)))
+            active_new = active_set(rhs, low)
+            stable = active_new is active or bool((active_new == active).all())
+            close = not depends_on_y or np.abs(np.subtract(rhs, y, out=work), out=work).max() <= (
+                1e-12 * max(1.0, float(high), -float(low))
             )
-            y = y_new
+            y = rhs
             active = active_new
             if stable and close:
                 break

@@ -222,12 +222,13 @@ class SingularControl:
         cum = np.asarray(self.cumulative, dtype=float)
         if cum.ndim != 2:
             raise ValueError("cumulative control must be 2D (time nodes x interior nodes)")
-        if not np.all(np.isfinite(cum)):
+        rows = cum[:1] if cum.strides[0] == 0 else cum  # a broadcast row: check it once
+        if not np.all(np.isfinite(rows)):
             raise ValueError("control must be finite")
         if np.any(cum[0] != 0.0):
             raise ValueError("control must start at zero")
         object.__setattr__(self, "cumulative", cum)
-        if np.any(cum[1:] < cum[:-1]):  # finite: the test increments < 0, without increments
+        if np.any(rows[1:] < rows[:-1]):  # finite: the test increments < 0, without increments
             raise ValueError("control must be nondecreasing in time")
 
     @property
@@ -244,6 +245,8 @@ class SingularControl:
     @cached_property
     def spans(self) -> list[slice]:
         """Per step, the interior rows [lo, hi) from its first to its last nonzero increment."""
+        if self.cumulative.strides[0] == 0:  # one broadcast row at every time: no charge
+            return [slice(0, 0)] * (self.n_times - 1)
         charged = self.cumulative[1:] != self.cumulative[:-1]  # finite: a - b == 0 iff a == b
         lo = np.argmax(charged, axis=1)
         hi = charged.shape[1] - np.argmax(charged[:, ::-1], axis=1)
@@ -357,10 +360,12 @@ class _Kernel:
     """One problem's step operators and step buffers, on (n_total,) or (n_total, n_paths) states.
 
     A kernel serves one state sequence, so sequences on parallel workers share no buffer.
+    Given a ``path``, step k writes its state into row k + 1, else into a fresh array.
     """
 
-    def __init__(self, spec: ProblemSpec, n_paths: int | None = None):
+    def __init__(self, spec: ProblemSpec, n_paths: int | None = None, path=None):
         self.spec = spec
+        self.outs = [None] * spec.n_steps if path is None else path[1:]
         grid = spec.grid
         self.dt = spec.dt
         self.times = spec.times
@@ -370,6 +375,7 @@ class _Kernel:
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
         self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
+        self.half_step = np.empty(shape) if spec.stepping == CRANK_NICOLSON else None
         self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
         self.w_left, self.w_right = boundary_coupling(spec.op, grid)
 
@@ -393,17 +399,17 @@ class _Kernel:
             np.add(target, np.multiply(factor(out), increment[rows], out=out), out=target)
         return forcing
 
-    def _advance(self, x: np.ndarray, forcing: np.ndarray, boundary=None) -> np.ndarray:
-        """Fresh state one step after ``x`` under ``forcing``, an array or 0.0 (boundary 0 if None).
+    def _advance(self, x: np.ndarray, forcing, boundary=None, out=None) -> np.ndarray:
+        """State one step after ``x`` under ``forcing``, an array or 0.0 (boundary 0 if None).
 
-        The step builds its right-hand side in the new interior and solves it in place.
-        """
-        out = np.empty_like(x)
+        The step builds its right-hand side in the interior of ``out`` (fresh if None, never
+        ``x``) and solves it in place; ``forcing`` is left as it is."""
+        out = np.empty_like(x) if out is None else out
         new = out[1:-1]
         np.add(x[1:-1], forcing, out=new)
-        if self.spec.stepping == CRANK_NICOLSON:
-            half_step = 0.5 * self.dt * interior_generator(x, *self.generator)
-            np.add(new, half_step, out=new)
+        if self.half_step is not None:
+            half_step = interior_generator(x, *self.generator, self.half_step, self.scratch)
+            np.add(new, np.multiply(0.5 * self.dt, half_step, out=half_step), out=new)
         if boundary is not None:
             c = self.implicit_weight * self.dt
             new[0] += c * self.w_left * boundary[0]
@@ -421,7 +427,7 @@ class _Kernel:
         else:
             gain = partial(self.spec.gain_values, u[1:-1][rows])
             forcing = self._forcing(u, db, (gain, dxi, rows))
-        return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]))
+        return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]), self.outs[k])
 
     @np.errstate(over="ignore", invalid="ignore")
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:
@@ -430,7 +436,8 @@ class _Kernel:
         gain = partial(spec.gain_values, u[1:-1])
         jump = partial(np.multiply, -spec.lambda0, z[1:-1])
         every = slice(None)  # z is not checked for finite values, so 0 * z may not vanish
-        return self._advance(z, self._forcing(z, db, (gain, dzeta, every), (jump, dxi, every)))
+        forcing = self._forcing(z, db, (gain, dzeta, every), (jump, dxi, every))
+        return self._advance(z, forcing, out=self.outs[k])
 
 
 def _initial_state(spec: ProblemSpec, n_paths: int | None) -> np.ndarray:
@@ -450,7 +457,7 @@ def _check_control(spec: ProblemSpec, control: SingularControl) -> None:
 
 def _check_finite(u: np.ndarray, k: int, seed: int | None) -> None:
     # NaN propagates through both reductions and an infinity shows in one; neither allocates
-    if np.isfinite(u.min()) and np.isfinite(u.max()):
+    if math.isfinite(u.min()) and math.isfinite(u.max()):
         return
     if u.ndim == 2 and seed is not None:
         bad = int(np.argmax(~np.isfinite(u).all(axis=0)))  # the lowest failing path
@@ -466,17 +473,26 @@ def iterate_states(
     """Yield (k, state) at every time node, k = 0 .. n_steps.
 
     ``dw`` has shape (n_steps,) for one path or (n_steps, n_paths) for a
-    vectorized bundle; each yielded state is a fresh array.
+    vectorized bundle.  No later step writes a yielded state: a bundle's states
+    are fresh arrays, and one path's states are the rows of one
+    (n_steps + 1, n_total) array, their common ``base``, which each step writes
+    in place.
     """
     _check_control(spec, control)
     n_paths = dw.shape[1] if dw.ndim == 2 else None
-    kernel = _Kernel(spec, n_paths)
     u = _initial_state(spec, n_paths)
+    path = None
+    if n_paths is None:
+        path = np.empty((spec.n_steps + 1, spec.grid.n_total))
+        path[0] = u
+        u = path[0]
+    kernel = _Kernel(spec, n_paths, path)
     cumulative, spans = control.cumulative, control.spans
+    held = np.zeros(spec.grid.n_cells)
     yield 0, u
-    for k in range(spec.n_steps):
-        dxi = cumulative[k + 1] - cumulative[k]  # increments[k]'s bits, with no increments path
-        u = kernel.step(k, u, dw[k], dxi[:, None] if u.ndim == 2 else dxi, spans[k])
+    for k, rows in enumerate(spans):  # increments[k]'s bits: x - x is +0.0 where uncharged
+        dxi = cumulative[k + 1] - cumulative[k] if rows.start < rows.stop else held
+        u = kernel.step(k, u, dw[k], dxi[:, None] if u.ndim == 2 else dxi, rows)
         _check_finite(u, k + 1, seed)
         yield k + 1, u
 
@@ -487,10 +503,9 @@ def simulate_path(spec: ProblemSpec, control: SingularControl, noise: NoisePath)
         raise GridMismatchError("noise path length does not match the time grid")
     if not np.isclose(noise.dt, spec.dt, rtol=1e-12, atol=0.0):
         raise GridMismatchError("noise path dt does not match the time grid")
-    values = np.empty((spec.n_steps + 1, spec.grid.n_total))
-    for k, u in iterate_states(spec, control, noise.increments, seed=None):
-        values[k] = u
-    return FieldPath(spec.grid, spec.times, values)
+    for _, u in iterate_states(spec, control, noise.increments):
+        pass
+    return FieldPath(spec.grid, spec.times, u.base)  # the path whose rows were the states
 
 
 @dataclass(frozen=True)
@@ -624,14 +639,13 @@ def derivative_process(
     gain(u) * dzeta plus the linearized jump term -lambda0 * z * dxi.
     """
     check_admissible_direction(base_control, perturbation)
-    kernel = _Kernel(spec)
-    z = np.zeros(spec.grid.n_total)
     values = np.empty((spec.n_steps + 1, spec.grid.n_total))
+    values[0] = 0.0
+    kernel = _Kernel(spec, path=values)
     xi_inc = base_control.increments
     zeta_inc = perturbation.increments
     dw = noise.increments
     for k, u in iterate_states(spec, base_control, dw):
-        values[k] = z
         if k < spec.n_steps:
-            z = kernel.tangent_step(k, u, z, dw[k], xi_inc[k], zeta_inc[k])
+            kernel.tangent_step(k, u, values[k], dw[k], xi_inc[k], zeta_inc[k])
     return FieldPath(spec.grid, spec.times, values)

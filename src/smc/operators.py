@@ -186,18 +186,26 @@ def apply_a_values(values: np.ndarray, op: OperatorSpec, grid: Grid) -> np.ndarr
         a = a[:, None]
         b = b[:, None]
     out = np.zeros_like(values)
-    out[1:-1] = interior_generator(values, a, b, grid.h**2, 2.0 * grid.h)
+    interior_generator(values, a, b, grid.h**2, 2.0 * grid.h, out[1:-1], np.empty_like(out[1:-1]))
     return out
 
 
-def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float) -> np.ndarray:
+def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float, out, scratch):
     """Interior rows of A applied to nodal values, from resolved coefficients, h**2 and 2h.
 
-    For a (n_total, n_paths) bundle, ``a`` and ``b`` are (n_cells, 1) columns.
+    Writes into ``out``, with ``scratch`` of its shape as the one other buffer.  For a
+    (n_total, n_paths) bundle, ``a`` and ``b`` are (n_cells, 1) columns.
     """
-    return a * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h2 + b * (
-        values[2:] - values[:-2]
-    ) / two_h
+    up, down = values[2:], values[:-2]  # ``out`` positional: cheaper dispatch, same bits
+    np.multiply(2.0, values[1:-1], out)
+    np.subtract(up, out, out)
+    np.add(out, down, out)
+    np.multiply(a, out, out)
+    np.divide(out, h2, out)
+    np.subtract(up, down, scratch)
+    np.multiply(b, scratch, scratch)
+    np.divide(scratch, two_h, scratch)
+    return np.add(out, scratch, out)
 
 
 def apply_a(field: Field, op: OperatorSpec) -> Field:

@@ -39,21 +39,23 @@ def psor_lcp(
     """
     n = diag.size
     y = np.maximum(y0.copy(), obstacle)
-    red = np.arange(0, n, 2)
-    black = np.arange(1, n, 2)
-
-    def neighbor_sum(idx: np.ndarray) -> np.ndarray:
-        left = np.where(idx > 0, lower[idx] * y[np.maximum(idx - 1, 0)], 0.0)
-        right = np.where(idx < n - 1, upper[idx] * y[np.minimum(idx + 1, n - 1)], 0.0)
-        return left + right
+    colors = []  # per color: its rows, their neighbours and everything a sweep only reads
+    for start in (0, 1):
+        idx = np.arange(start, n, 2)
+        left, right = np.maximum(idx - 1, 0), np.minimum(idx + 1, n - 1)
+        constants = (lower[idx], upper[idx], rhs[idx], diag[idx], obstacle[idx])
+        colors.append((slice(start, n, 2), left, idx > 0, right, idx < n - 1, *constants))
 
     for _ in range(100_000):
         delta = 0.0
-        for idx in (red, black):
-            resid = rhs[idx] - neighbor_sum(idx) - diag[idx] * y[idx]
-            y_new = np.maximum(obstacle[idx], y[idx] + 1.5 * resid / diag[idx])
-            delta = max(delta, float(np.max(np.abs(y_new - y[idx]), initial=0.0)))
-            y[idx] = y_new
+        for rows, left, has_left, right, has_right, low, up, rhs_c, diag_c, obstacle_c in colors:
+            y_c = y[rows]
+            neighbors = np.where(has_left, low * y[left], 0.0)
+            neighbors = neighbors + np.where(has_right, up * y[right], 0.0)
+            resid = rhs_c - neighbors - diag_c * y_c
+            y_new = np.maximum(obstacle_c, y_c + 1.5 * resid / diag_c)
+            delta = max(delta, float(np.max(np.abs(y_new - y_c), initial=0.0)))
+            y[rows] = y_new
         if delta <= 1e-13 * max(1.0, float(np.max(np.abs(y)))):
             return y
     raise NoConvergenceError("projected SOR did not converge in 100000 sweeps")

@@ -117,11 +117,12 @@ def _sha256(path: Path) -> str:
 
 
 def write_field_path_csv(path: Path, field_path: FieldPath) -> None:
+    """One ``t,x,value`` line per (time, node); each time and node is formatted once."""
     lines = ["t,x,value"]
-    for k, t in enumerate(field_path.times):
-        row = field_path.values[k]
-        for x, v in zip(field_path.grid.nodes, row):
-            lines.append(f"{t:.17g},{x:.17g},{v:.17g}")
+    nodes = [f",{x:.17g}," for x in field_path.grid.nodes.tolist()]
+    for t, row in zip(field_path.times.tolist(), field_path.values.tolist()):
+        stamp = f"{t:.17g}"
+        lines += [f"{stamp}{x}{v:.17g}" for x, v in zip(nodes, row)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -430,12 +430,10 @@ def check_policy_optimality(n_paths: int = POLICY_PATHS) -> CheckResult:
         margin_sigma = margin / comb if comb > 0 else np.inf
         min_margin_sigma = min(min_margin_sigma, margin_sigma)
         details.append(f"{name}: dJ={margin:+.5f} ({margin_sigma:+.0f} sigma)")
-    residual = max(
-        policy.report.threshold_violation_max,
-        policy.report.complementarity_residual,
-        policy.report.vi_residual,
-    )
-    passed = bool(min_margin_sigma >= -3.0 and residual <= policy.report.TOLERANCE)
+    rep = policy.report
+    # all_pass fails a NaN residual, which Python's max drops unless it comes first
+    passed = bool(min_margin_sigma >= -3.0 and rep.all_pass)
+    residual = np.max([rep.threshold_violation_max, rep.complementarity_residual, rep.vi_residual])
     return CheckResult(
         name="policy-optimality",
         value=float(min_margin_sigma),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smc import backward, suites
+from smc import backward, psor, suites
 from smc.backward import (
     BackwardSpec,
     penalization_rate,
@@ -17,6 +17,7 @@ from smc.backward import (
 )
 from smc import operators
 from smc.cli import main
+from smc.control import PRICE_CAP, PRICE_FLOOR, assemble_adjoint, policy_adjoint
 from smc.errors import (
     DegenerateFitError,
     NanDetectedError,
@@ -25,6 +26,7 @@ from smc.errors import (
     TerminalConsistencyError,
     ToolkitError,
 )
+from smc.forward import SingularControl
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec
 from smc.psor import solve_obstacle_psor
@@ -369,6 +371,160 @@ def test_negation_duality_bitwise():
     sol_upper = solve_reflected(upper, [8, 32])
     np.testing.assert_array_equal(sol_upper.y.values, -sol_lower.y.values)
     np.testing.assert_array_equal(sol_upper.eta.values, sol_lower.eta.values)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_penalized_values(spec, n):
+    """solve_penalized's Y as first written: fresh vectors per iterate and a mask per test."""
+    norm = backward._Normalized(spec)
+    grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
+    crank = spec.time_scheme == "crank-nicolson"
+    lo_a, di_a, up_a = operators.operator_tridiagonal(
+        spec.op, grid, adjoint=spec.use_adjoint_operator
+    )
+    stepper = operators.TridiagonalStepper(
+        spec.op, grid, (0.5 if crank else 1.0) * dt, spec.use_adjoint_operator
+    )
+
+    def explicit_half(y_int):
+        out = di_a * y_int
+        out[1:] += lo_a[1:] * y_int[:-1]
+        out[:-1] += up_a[:-1] * y_int[1:]
+        return 0.5 * dt * out
+
+    xi_inc = spec.singular[0].increments if spec.singular is not None else None
+    depends_on_y = spec.driver is not None or spec.singular is not None
+    barrier = norm.obstacle_interior(0.0)
+    values = np.zeros((spec.n_steps + 1, grid.n_total))
+    values[-1] = norm.terminal_values()
+    for k in range(spec.n_steps - 1, -1, -1):
+        t = times[k]
+        if spec.obstacle is not None:
+            barrier = norm.obstacle_interior(t)
+        y = y_prev_int = values[k + 1, 1:-1]
+        known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
+        active = y < barrier
+        for _ in range(backward._MAX_FIXED_POINT_ITERS):
+            rhs = known.copy()
+            forcing = norm.driver(t, x_int, y)
+            if forcing is not None:
+                rhs += dt * forcing
+            sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
+            if sing is not None:
+                rhs += sing
+            if active.any():
+                rhs += dt * n * np.where(active, barrier, 0.0)
+                y_new = stepper.solve(rhs, dt * n * active)
+            else:
+                y_new = stepper.solve_in_place(rhs)
+            assert np.all(np.isfinite(y_new))
+            active_new = y_new < barrier
+            stable = np.array_equal(active_new, active)
+            close = not depends_on_y or np.max(np.abs(y_new - y)) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(y_new)))
+            )
+            y = y_new
+            active = active_new
+            if stable and close:
+                break
+        values[k, 1:-1] = y
+    return values * norm.sign
+
+
+def _reference_cases():
+    grid = build_grid(0.0, 1.0, 30)
+    sine = sine_terminal(grid).values
+
+    def spec(side, terminal=sine, **kw):
+        sign = 1.0 if side == "lower" else -1.0
+        if "obstacle" in kw:
+            shape = kw["obstacle"]
+            kw["obstacle"] = lambda t, x: sign * shape(t, x)
+        return BackwardSpec(grid=grid, op=OP, horizon=0.3, n_steps=40, reflection_side=side,
+                            terminal=Field(grid, sign * terminal, "dirichlet-zero"), **kw)
+
+    def driver(t, x, y):
+        return 0.8 * np.sin(3.0 * y) + x
+
+    floor = lambda t, x: 0.6 * np.sin(np.pi * x)  # noqa: E731
+    below = sine.copy()
+    below[7] = -1e301  # finite, below the stand-in barrier of an unconstrained solve
+    harvest = suites.harvesting_benchmark()
+    return {
+        "unconstrained": lambda side: (spec(side), 1),
+        "crank-nicolson": lambda side: (spec(side, time_scheme="crank-nicolson"), 1),
+        "driver": lambda side: (spec(side, driver=driver), 1),
+        "obstacle-1": lambda side: (spec(side, obstacle=floor), 1),
+        "obstacle-4096": lambda side: (spec(side, obstacle=floor), 4096),
+        "obstacle-driver": lambda side: (spec(side, obstacle=floor, driver=driver), 64),
+        "below-stand-in": lambda side: (spec(side, terminal=below), 8),
+        "policy": lambda side: (
+            policy_adjoint(harvest, PRICE_FLOOR if side == "lower" else PRICE_CAP).backward,
+            512,
+        ),
+        "adjoint": lambda side: (
+            dataclasses.replace(
+                assemble_adjoint(harvest, SingularControl.constant_rate(
+                    0.1, harvest.times, harvest.grid.n_cells)).backward,
+                reflection_side=side,
+            ),
+            1,
+        ),
+    }
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_penalized_solve_matches_reference_loop_bitwise(case, side):
+    spec, n = _reference_cases()[case](side)
+    assert spec.reflection_side == side
+    y, _ = solve_penalized(spec, n)
+    assert y.values.tobytes() == _reference_penalized_values(spec, n).tobytes()
+
+
+def _reference_psor_lcp(lower, diag, upper, rhs, obstacle, y0):
+    """psor_lcp as first written: every gather and neighbour index taken in the sweep."""
+    n = diag.size
+    y = np.maximum(y0.copy(), obstacle)
+    red, black = np.arange(0, n, 2), np.arange(1, n, 2)
+
+    def neighbor_sum(idx):
+        left = np.where(idx > 0, lower[idx] * y[np.maximum(idx - 1, 0)], 0.0)
+        right = np.where(idx < n - 1, upper[idx] * y[np.minimum(idx + 1, n - 1)], 0.0)
+        return left + right
+
+    for _ in range(100_000):
+        delta = 0.0
+        for idx in (red, black):
+            resid = rhs[idx] - neighbor_sum(idx) - diag[idx] * y[idx]
+            y_new = np.maximum(obstacle[idx], y[idx] + 1.5 * resid / diag[idx])
+            delta = max(delta, float(np.max(np.abs(y_new - y[idx]), initial=0.0)))
+            y[idx] = y_new
+        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(y)))):
+            return y
+    raise AssertionError("reference PSOR did not converge")
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_psor_matches_reference_sweep_bitwise(monkeypatch, side):
+    spec = suites.active_obstacle_spec(n_cells=50, n_steps=200)  # criterion 06
+    sign = 1.0 if side == "lower" else -1.0
+    terminal = Field(spec.grid, sign * spec.terminal.values, "dirichlet-zero")
+    args = (spec.grid, spec.op, terminal, lambda t, x: sign * spec.obstacle(t, x),
+            spec.horizon, spec.n_steps, side)
+    got = solve_obstacle_psor(*args)
+    monkeypatch.setattr(psor, "psor_lcp", _reference_psor_lcp)
+    assert got.values.tobytes() == solve_obstacle_psor(*args).values.tobytes()
+
+
+def test_unconstrained_solve_penalizes_a_node_below_the_stand_in_barrier():
+    spec, n = _reference_cases()["below-stand-in"]("lower")
+    y, _ = solve_penalized(spec, n)
+    # one unpenalized step from the terminal data differs from the solve's at the low node
+    stepper = operators.TridiagonalStepper(spec.op, spec.grid, spec.dt)
+    unpenalized = stepper.solve_in_place(spec.terminal.interior.copy())
+    assert spec.terminal.values[7] < -1e300
+    assert np.all(np.isfinite(y.values)) and y.values[-2, 7] != unpenalized[6]
 
 
 # ---------------------------------------------------------------------------

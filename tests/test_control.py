@@ -305,6 +305,20 @@ def test_necessary_conditions_of_an_overflowing_adjoint_fail_without_a_warning()
     assert rep.threshold_violation_max == np.inf and not rep.all_pass
 
 
+def test_policy_optimality_fails_a_nan_residual_that_is_not_the_first(monkeypatch):
+    # lambda0 = 1e308 on the benchmark: the complementarity residual is NaN, the others 0.0,
+    # so Python's max over the three reads 0.0 while the report fails
+    spec, policy = suites.benchmark_policy()
+    report = extract_policy(dataclasses.replace(spec, lambda0=1e308), [4, 8]).report
+    assert np.isnan(report.complementarity_residual) and not report.all_pass
+    assert max(report.threshold_violation_max, report.complementarity_residual) == 0.0
+    nan_policy = dataclasses.replace(policy, report=report)
+    monkeypatch.setattr(suites, "benchmark_policy", lambda: (spec, nan_policy))
+    result = suites.check_policy_optimality(n_paths=256)
+    assert result.value > 3.0  # the Monte Carlo margins pass: the residuals alone fail it
+    assert not result.passed and "residuals <= nan" in result.detail
+
+
 def test_unknown_convention_is_rejected():
     spec = harvest_spec()
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)

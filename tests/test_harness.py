@@ -177,6 +177,23 @@ def test_csv_roundtrip_full_precision(tmp_path):
     assert value == 1.0 / 3.0
 
 
+def test_csv_bytes_match_the_per_line_formatter(tmp_path):
+    # each time and node is formatted once per file; the bytes are the per-line format's
+    grid = build_grid(-1.0, 3.0, 3)
+    times = np.array([-0.0, 5e-324, 0.1, 2.0, 1e308])
+    row = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0])
+    values = row[None, :] * np.array([1.0, -1.0, 1.0, 0.5, 1.0])[:, None]
+    fp = FieldPath(grid, times, values)
+    want = ["t,x,value"]
+    for k, t in enumerate(fp.times):
+        for x, v in zip(fp.grid.nodes, fp.values[k]):
+            want.append(f"{t:.17g},{x:.17g},{v:.17g}")
+    path = tmp_path / "field.csv"
+    write_field_path_csv(path, fp)
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+    assert path.read_bytes().startswith(b"t,x,value\n-0,-1,-0\n")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
