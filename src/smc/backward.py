@@ -55,8 +55,8 @@ class BackwardSpec:
     """Data of one reflected backward problem on the grid.
 
     ``driver`` has signature F(t, x_int, y) -> array over interior
-    nodes and must be Lipschitz in y.  ``obstacle``
-    is a callable L(t, nodes) -> values, or None for an unconstrained solve.
+    nodes and must be Lipschitz in y.  ``obstacle`` is the barrier L at the
+    interior nodes, one array for every time, or None for an unconstrained solve.
     ``singular`` optionally couples a nondecreasing control to the drift:
     the pair (control, coefficient) adds coefficient(t, x_int, y) * dxi_k to
     the backward step.  Homogeneous Dirichlet boundary throughout.
@@ -68,7 +68,7 @@ class BackwardSpec:
     n_steps: int
     terminal: Field
     driver: Callable | None = None
-    obstacle: Callable | None = None
+    obstacle: np.ndarray | None = None
     reflection_side: str = LOWER
     singular: tuple[SingularControl, Callable] | None = None
     use_adjoint_operator: bool = False
@@ -93,8 +93,14 @@ class BackwardSpec:
                 raise GridMismatchError(
                     f"singular control shape {control.cumulative.shape} != {expected}"
                 )
+        if self.obstacle is not None:
+            obstacle = np.asarray(self.obstacle, dtype=float)
+            expected = (self.grid.n_cells,)
+            if obstacle.shape != expected:
+                raise GridMismatchError(f"obstacle shape {obstacle.shape} != {expected}")
+            object.__setattr__(self, "obstacle", obstacle)
         if self.obstacle is not None and not self.allow_terminal_violation:
-            gap = self.terminal.interior - self.obstacle_interior(self.horizon)
+            gap = self.terminal.interior - self.obstacle
             if self.reflection_side == UPPER:
                 gap = -gap
             if np.min(gap) < -1e-12:
@@ -110,11 +116,6 @@ class BackwardSpec:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-    def obstacle_interior(self, t: float) -> np.ndarray:
-        if self.obstacle is None:
-            return np.full(self.grid.n_cells, _INACTIVE)
-        return np.asarray(self.obstacle(t, self.grid.nodes), dtype=float)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,13 @@ class _Normalized:
     def __init__(self, spec: BackwardSpec):
         self.spec = spec
         self.sign = 1.0 if spec.reflection_side == LOWER else -1.0
+        # the barrier; an unconstrained solve keeps a stand-in below every finite iterate
+        self.obstacle = np.full(spec.grid.n_cells, _INACTIVE)
+        if spec.obstacle is not None:
+            self.obstacle = self.sign * spec.obstacle
 
     def terminal_values(self) -> np.ndarray:
         return self.sign * self.spec.terminal.values
-
-    def obstacle_interior(self, t: float) -> np.ndarray:
-        barrier = self.spec.obstacle_interior(t)
-        return barrier if self.spec.obstacle is None else self.sign * barrier
 
     def driver(self, t, x, y):
         if self.spec.driver is None:
@@ -209,7 +210,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
-    barrier = norm.obstacle_interior(0.0)  # an unconstrained solve keeps this stand-in
+    barrier = norm.obstacle
     clear = np.zeros(grid.n_cells, dtype=bool)
 
     def active_set(y: np.ndarray, low: float) -> np.ndarray:
@@ -224,7 +225,6 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
         t = times[k]
         y = y_prev_int = values[k + 1, 1:-1]
         if spec.obstacle is not None:
-            barrier = norm.obstacle_interior(t)
             active = y < barrier
         known_rhs = explicit_half(y_prev_int) if crank else y_prev_int
         targets = (values[k, 1:-1], spare)
@@ -271,7 +271,7 @@ def _zero_path(y_path: FieldPath) -> FieldPath:
     return FieldPath(y_path.grid, y_path.times, np.broadcast_to(0.0, y_path.values.shape))
 
 
-def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.ndarray | None:
+def _gap_field(y_path: FieldPath, obstacle: np.ndarray | None, side: str) -> np.ndarray | None:
     """Side-signed gap Y - L per (time node, interior node); None without an obstacle.
 
     The constraint violation is its negative part: (Y - L)^- on the lower
@@ -279,11 +279,7 @@ def _gap_field(y_path: FieldPath, obstacle: Callable | None, side: str) -> np.nd
     """
     if obstacle is None:
         return None
-    nodes = y_path.grid.nodes
-    gap = np.empty((y_path.n_times, y_path.grid.n_cells))
-    for row, t in zip(gap, y_path.times):
-        row[:] = np.asarray(obstacle(t, nodes), dtype=float)[1:-1]
-    np.subtract(y_path.values[:, 1:-1], gap, out=gap)
+    gap = np.subtract(y_path.values[:, 1:-1], obstacle)
     return np.multiply(1.0 if side == LOWER else -1.0, gap, out=gap)
 
 
@@ -362,7 +358,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
 
 def skorokhod_residual(
     y_path: FieldPath,
-    obstacle: Callable | None,
+    obstacle: np.ndarray | None,
     eta_path: FieldPath,
     side: str = LOWER,
     with_scale: bool = False,

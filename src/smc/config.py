@@ -147,7 +147,7 @@ def _build_shape(node: _Checker | None, grid, path: str) -> Field | None:
 
 
 def _build_price(node, path: str):
-    """Price factory: a number, or an interior pocket."""
+    """Price factory: a number, or an interior pocket as a function of x."""
     if node is None:
         return 1.0
     if isinstance(node, (int, float)) and not isinstance(node, bool):
@@ -161,7 +161,7 @@ def _build_price(node, path: str):
         width = _positive(checker.get("width", float, require=True), f"{path}.width")
         checker.reject_unknown()
 
-        def price(t, x):
+        def price(x):
             # far from the center the exponent overflows to -inf, and exp(-inf) = 0 is exact
             with np.errstate(over="ignore"):
                 return base + amp * np.exp(-(((x - center) / width) ** 2))
@@ -248,7 +248,7 @@ def parse_config(raw: dict) -> RunConfig:
     prices = problem.sub("prices")
     h10: Any = 1.0
     g0: Any = 1.0
-    cost: Any = 0.0
+    cost = 0.0
     if prices is not None:
         h10 = _build_price(prices.get("h10", None, default=None), "problem.prices.h10")
         g0 = _build_price(prices.get("g0", None, default=None), "problem.prices.g0")

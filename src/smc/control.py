@@ -88,10 +88,10 @@ def assemble_adjoint(spec: ProblemSpec, xi: SingularControl | None = None) -> Ad
         return alpha * weight * p
 
     terminal_values = np.zeros(grid.n_total)
-    terminal_values[1:-1] = spec._g0_values()[1:-1]
+    terminal_values[1:-1] = spec.g0[1:-1]
     terminal = Field(grid, terminal_values)
 
-    singular = None if xi is None else (xi, lambda t, x, p: spec.singular_slope(t, p))
+    singular = None if xi is None else (xi, lambda t, x, p: spec.singular_slope(p))
 
     backward = BackwardSpec(
         grid=grid,
@@ -151,22 +151,20 @@ def _rewards_pass(
     states are checked finite, so other rows would add +-0 to the node sum.
     """
     h = spec.grid.h
-    times = spec.times
     increments, spans = control.increments, control.spans
-    g0 = spec._g0_values()[1:-1][:, None]
+    g0 = spec.g0[1:-1][:, None]
 
     def reduce(_first: int, states) -> np.ndarray:
         total = derivative = 0.0
         for k, u in states:
             if k == spec.n_steps:
                 break
-            t = times[k]
             u_int = u[1:-1]
             if k == 0:  # this call's buffers: chunks may reduce on parallel workers
                 h1, term = np.empty_like(u_int), np.empty_like(u_int)
             span = spans[k]
             rows = slice(None) if p is not None else span  # the derivative needs every row
-            spec.h1_values(t, u_int[rows], out=h1[rows], rows=rows)
+            spec.h1_values(u_int[rows], out=h1[rows], rows=rows)
             if span.start < span.stop:
                 dxi = increments[k][span, None]
                 total += h * _node_sum(np.multiply(h1[span], dxi, out=term[span]))
@@ -264,20 +262,16 @@ def check_necessary(
     h = spec.grid.h
     inc = xi.increments
     sign = -1.0 if convention == PRICE_FLOOR else 1.0
-    worst_slack = -np.inf
+    slack = sign * (spec.lambda0 * p.values[:-1, 1:-1] - spec.h10[1:-1])  # (n_steps, n_cells)
     comp = 0.0
-    vi = 0.0
-    for k, t in enumerate(spec.times[:-1]):
-        price = spec._h10_values(t)[1:-1]
-        slack = sign * (spec.lambda0 * p.values[k, 1:-1] - price)
-        worst_slack = max(worst_slack, float(np.max(slack)))
-        comp += h * float(np.dot(slack, inc[k]))
-        vi = max(vi, float(np.max(np.abs(np.maximum(slack / spec.lambda0, -inc[k])))))
+    for slack_k, inc_k in zip(slack, inc):
+        comp += h * float(np.dot(slack_k, inc_k))
+    # numpy's maxima keep a NaN wherever it sits; Python's max drops one that comes second
     return MPReport(
         convention=convention,
-        threshold_violation_max=max(worst_slack, 0.0) + 0.0,
+        threshold_violation_max=float(np.max(slack, initial=0.0)) + 0.0,
         complementarity_residual=abs(comp),
-        vi_residual=vi,
+        vi_residual=float(np.max(np.abs(np.maximum(slack / spec.lambda0, -inc)))),
     )
 
 
@@ -298,13 +292,9 @@ class PolicyResult:
 def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
     """The adjoint reflected at h10/lambda0 on the convention's side, from any terminal price."""
     _check_convention(convention)
-
-    def obstacle(t, nodes):
-        return np.asarray(spec._h10_values(t), dtype=float) / spec.lambda0
-
     backward = replace(
         assemble_adjoint(spec).backward,
-        obstacle=obstacle,
+        obstacle=spec.h10[1:-1] / spec.lambda0,
         reflection_side=LOWER if convention == PRICE_FLOOR else UPPER,
         allow_terminal_violation=True,
     )
@@ -337,12 +327,10 @@ def extract_policy(
     reflected = policy_adjoint(spec, convention).backward
     solution = solve_reflected(reflected, levels)
 
-    times = spec.times[:-1]
     p = solution.y.values.copy()
     p_int = p[:-1, 1:-1]  # (n_steps, n_cells): the left endpoint of every step
     deta = np.diff(solution.eta.values[:, 1:-1], axis=0)
-    coeff = np.abs(np.stack([spec.singular_slope(t, p_k) for t, p_k in zip(times, p_int)]))
-    barrier = np.stack([reflected.obstacle_interior(t) for t in times])
+    coeff = np.abs(spec.singular_slope(p_int))
     charged = deta > 0.0
     usable = charged & (coeff > _COEFFICIENT_FLOOR)
     fallback = charged & ~usable
@@ -352,7 +340,7 @@ def extract_policy(
     if max_rate is not None:
         rate = np.minimum(rate, max_rate / spec.lambda0)
     clip = np.maximum if convention == PRICE_FLOOR else np.minimum
-    clip(p_int, barrier, out=p_int)
+    clip(p_int, reflected.obstacle, out=p_int)
 
     xi_hat = SingularControl.from_increments(rate)
     p_path = FieldPath(spec.grid, spec.times, p)

@@ -106,13 +106,15 @@ def map_ordered(fn: Callable, items: Sequence) -> list:
 class ProblemSpec:
     """Full description of one harvesting control problem.
 
-    ``h10`` is the unit harvest price, ``cost`` the unit harvesting cost and
-    ``g0`` the terminal unit price, each a constant or a function of (t, x)
-    (``g0`` is read at t = horizon).  The model is the harvesting model: the
-    drift is alpha times the space mean, the volatility beta times the state,
-    the control gain -lambda0 * u and the singular reward density
-    h1 = h10*u - cost.  Gain and h1 are affine in u, so the one u-derivative
-    the adjoint needs is stated here too: :meth:`singular_slope`.
+    ``h10`` is the unit harvest price and ``g0`` the terminal unit price, each
+    a constant, a node array or a function of x, held as a read-only array over
+    the grid nodes once built; ``cost`` is the unit harvesting cost and
+    ``boundary`` the Dirichlet pair (None: the initial field's end values).  No
+    datum depends on t.  The model is the harvesting model: the drift is alpha
+    times the space mean, the volatility beta times the state, the control gain
+    -lambda0 * u and the singular reward density h1 = h10*u - cost.  Gain and
+    h1 are affine in u, so the one u-derivative the adjoint needs is stated
+    here too: :meth:`singular_slope`.
     """
 
     grid: Grid
@@ -124,10 +126,10 @@ class ProblemSpec:
     lambda0: float = 1.0
     stepping: str = IMPLICIT
     initial: Field | None = None
-    boundary: object = None
+    boundary: tuple[float, float] | None = None
     h10: object = 1.0
     g0: object = 1.0
-    cost: object = 0.0
+    cost: float = 0.0
 
     def __post_init__(self):
         if self.horizon <= 0.0 or self.n_steps < 1:
@@ -144,13 +146,25 @@ class ProblemSpec:
             raise GridMismatchError("initial field grid differs from problem grid")
         if np.any(initial.interior <= 0.0):
             raise ValueError("initial state must be positive at interior nodes")
-        if np.any(self._h10_values(0.0) <= 0.0) or np.any(self._h10_values(self.horizon) <= 0.0):
+        x = self.grid.nodes
+        for name in ("h10", "g0"):  # each price at the nodes, once
+            price = getattr(self, name)
+            price = np.broadcast_to(price(x) if callable(price) else price, x.shape)
+            price = np.array(price, dtype=float)  # a copy: the caller's array stays the caller's
+            if (price == price[0]).all():  # uniform: a view of one float, as h1_values reads it
+                price = np.broadcast_to(price[0], x.shape)
+            price.flags.writeable = False
+            object.__setattr__(self, name, price)
+        if np.any(self.h10 <= 0.0):
             raise ValueError("harvest price h10 must be positive")
-        if np.any(self._g0_values() <= 0.0):
+        if np.any(self.g0 <= 0.0):
             raise ValueError("terminal price g0 must be positive")
-        left, right = self.boundary_at(0.0)
+        ends = initial.values[[0, -1]] if self.boundary is None else self.boundary
+        left, right = map(float, ends)
         if left < 0.0 or right < 0.0:
             raise ValueError("boundary data must be nonnegative")
+        object.__setattr__(self, "boundary", (left, right))
+        object.__setattr__(self, "cost", float(self.cost))
 
     @property
     def dt(self) -> float:
@@ -160,47 +174,22 @@ class ProblemSpec:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def boundary_at(self, t: float) -> tuple[float, float]:
-        if self.boundary is None:
-            return float(self.initial.values[0]), float(self.initial.values[-1])
-        if callable(self.boundary):
-            left, right = self.boundary(t)
-            return float(left), float(right)
-        left, right = self.boundary
-        return float(left), float(right)
-
-    def _price_values(self, value, t: float) -> np.ndarray:
-        """A price (a constant or a function of (t, x)) at every node, as a fresh array."""
-        x = self.grid.nodes
-        if callable(value):
-            return np.broadcast_to(np.asarray(value(t, x), dtype=float), x.shape).copy()
-        return np.full(x.shape, float(value))
-
-    def _h10_values(self, t: float) -> np.ndarray:
-        return self._price_values(self.h10, t)
-
-    def _g0_values(self) -> np.ndarray:
-        return self._price_values(self.g0, self.horizon)
-
-    def _coefficient(self, value, t: float, rows: slice, u: np.ndarray):
-        """A price of (t, x) at interior ``rows``: a float if constant, else shaped to meet u."""
-        if not callable(value):
-            return float(value)
-        values = self._price_values(value, t)[1:-1][rows]
-        return values[:, None] if u.ndim == 2 else values
-
-    def h1_values(self, t: float, u_interior: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+    def h1_values(self, u_interior: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
         """Singular reward density h1 = h10*u - cost at the interior nodes ``rows``, over paths."""
-        price, cost = (self._coefficient(c, t, rows, u_interior) for c in (self.h10, self.cost))
-        return np.subtract(np.multiply(price, u_interior, out=out), cost, out=out)
+        price = self.h10[1:-1][rows]
+        if self.h10.strides[0] == 0:  # one float: numpy multiplies a bundle by a column row by row
+            price = float(self.h10[0])
+        elif u_interior.ndim == 2:
+            price = price[:, None]
+        return np.subtract(np.multiply(price, u_interior, out=out), self.cost, out=out)
 
     def gain_values(self, u_interior: np.ndarray, out=None) -> np.ndarray:
         """Control gain -lambda0 * u at interior nodes (state jump per unit of control)."""
         return np.multiply(-self.lambda0, u_interior, out=out)
 
-    def singular_slope(self, t: float, p: np.ndarray) -> np.ndarray:
+    def singular_slope(self, p: np.ndarray) -> np.ndarray:
         """dH1/du = h10 - lambda0 * p on the interior nodes, for H1 = gain * p + h1."""
-        return self._h10_values(t)[1:-1] - self.lambda0 * p
+        return self.h10[1:-1] - self.lambda0 * p
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +357,6 @@ class _Kernel:
         self.outs = [None] * spec.n_steps if path is None else path[1:]
         grid = spec.grid
         self.dt = spec.dt
-        self.times = spec.times
         self.mean_op = _space_mean_operator(grid, spec.op.theta) if spec.alpha != 0.0 else None
         a, b = (c if n_paths is None else c[:, None] for c in spec.op.resolve(grid))
         self.generator = (a, b, grid.h**2, 2.0 * grid.h)
@@ -427,7 +415,7 @@ class _Kernel:
         else:
             gain = partial(self.spec.gain_values, u[1:-1][rows])
             forcing = self._forcing(u, db, (gain, dxi, rows))
-        return self._advance(u, forcing, self.spec.boundary_at(self.times[k + 1]), self.outs[k])
+        return self._advance(u, forcing, self.spec.boundary, self.outs[k])
 
     @np.errstate(over="ignore", invalid="ignore")
     def tangent_step(self, k: int, u: np.ndarray, z: np.ndarray, db, dxi, dzeta) -> np.ndarray:

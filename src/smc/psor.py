@@ -12,9 +12,11 @@ penalized path; only the grid and operator stencils are common data.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NanDetectedError, NoConvergenceError
 from .grid import Field, FieldPath, Grid
 from .operators import OperatorSpec, operator_tridiagonal
 
@@ -35,7 +37,8 @@ def psor_lcp(
     ``lower[i]`` couples row i to i-1 (lower[0] unused), ``upper[i]`` to i+1
     (upper[-1] unused).  Red-black sweeps with over-relaxation 1.5 and
     projection onto {y >= obstacle}, until no entry moves by more than 1e-13
-    relative, for at most 100 000 sweeps.
+    relative, for at most 100 000 sweeps.  A non-finite iterate raises
+    NanDetectedError: it would stop the sweeps with a change read as zero.
     """
     n = diag.size
     y = np.maximum(y0.copy(), obstacle)
@@ -56,7 +59,10 @@ def psor_lcp(
             y_new = np.maximum(obstacle_c, y_c + 1.5 * resid / diag_c)
             delta = max(delta, float(np.max(np.abs(y_new - y_c), initial=0.0)))
             y[rows] = y_new
-        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(y)))):
+        size = float(np.max(np.abs(y)))  # NaN if any entry is
+        if not math.isfinite(size):
+            raise NanDetectedError("non-finite projected-SOR iterate", step=None)
+        if delta <= 1e-13 * max(1.0, size):
             return y
     raise NoConvergenceError("projected SOR did not converge in 100000 sweeps")
 
@@ -72,8 +78,9 @@ def solve_obstacle_psor(
 ) -> FieldPath:
     """Backward obstacle solve, one projected-SOR LCP per implicit Euler step.
 
-    ``obstacle`` is a callable L(t, nodes) -> values.  Upper-side problems
-    are solved by negation.
+    ``obstacle`` is the barrier L at the interior nodes, for every time.
+    Upper-side problems are solved by negation.  A non-finite iterate raises
+    NanDetectedError naming its step.
     """
     sign = 1.0 if side == LOWER else -1.0
     dt = horizon / n_steps
@@ -86,8 +93,11 @@ def solve_obstacle_psor(
 
     values = np.zeros((n_steps + 1, grid.n_total))
     values[-1] = sign * terminal.values
+    barrier = sign * np.asarray(obstacle, dtype=float)
     for k in range(n_steps - 1, -1, -1):
-        barrier = sign * np.asarray(obstacle(times[k], grid.nodes), dtype=float)[1:-1]
         y_next = values[k + 1, 1:-1]
-        values[k, 1:-1] = psor_lcp(m_lower, m_diag, m_upper, y_next, barrier, y_next)
+        try:
+            values[k, 1:-1] = psor_lcp(m_lower, m_diag, m_upper, y_next, barrier, y_next)
+        except NanDetectedError:
+            raise NanDetectedError(f"non-finite solution at step {k}", step=k) from None
     return FieldPath(grid, times, sign * values)

@@ -67,7 +67,7 @@ def active_obstacle_spec(n_cells: int = 100, n_steps: int = 400) -> BackwardSpec
         horizon=0.5,
         n_steps=n_steps,
         terminal=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
+        obstacle=0.6 * np.sin(np.pi * grid.interior),
         reflection_side="lower",
     )
 
@@ -80,12 +80,12 @@ def inactive_obstacle_spec() -> BackwardSpec:
         horizon=0.2,
         n_steps=100,
         terminal=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        obstacle=lambda t, x: -1e9 * np.ones_like(x),
+        obstacle=np.full(grid.n_cells, -1e9),
         reflection_side="lower",
     )
 
 
-def pocket_price(t, x):
+def pocket_price(x):
     """Unit harvest price with an interior premium pocket."""
     return 0.05 + 3.0 * np.exp(-(((x - 0.5) / 0.1) ** 2))
 

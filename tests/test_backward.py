@@ -20,6 +20,7 @@ from smc.cli import main
 from smc.control import PRICE_CAP, PRICE_FLOOR, assemble_adjoint, policy_adjoint
 from smc.errors import (
     DegenerateFitError,
+    GridMismatchError,
     NanDetectedError,
     NoConvergenceError,
     SingularSystemError,
@@ -46,7 +47,7 @@ def active_spec(n_cells=100, n_steps=400, horizon=0.5):
         horizon=horizon,
         n_steps=n_steps,
         terminal=sine_terminal(grid),
-        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
+        obstacle=0.6 * np.sin(np.pi * grid.interior),
         reflection_side="lower",
     )
 
@@ -59,7 +60,7 @@ def inactive_spec(n_cells=60, n_steps=100, horizon=0.1):
         horizon=horizon,
         n_steps=n_steps,
         terminal=sine_terminal(grid),
-        obstacle=lambda t, x: -1e9 * np.ones_like(x),
+        obstacle=np.full(grid.n_cells, -1e9),
         reflection_side="lower",
     )
 
@@ -139,7 +140,7 @@ def test_zero_terminal_above_obstacle_stays_zero():
         horizon=0.2,
         n_steps=50,
         terminal=Field.zeros(grid),
-        obstacle=lambda t, x: -np.ones_like(x),
+        obstacle=np.full(grid.n_cells, -1.0),
     )
     y, _ = solve_penalized(spec, 64)
     assert np.max(np.abs(y.values)) == 0.0
@@ -256,7 +257,7 @@ def test_terminal_consistency_guard():
             horizon=0.1,
             n_steps=10,
             terminal=sine_terminal(grid),
-            obstacle=lambda t, x: 2.0 * np.ones_like(x),
+            obstacle=np.full(grid.n_cells, 2.0),
             reflection_side="lower",
         )
     BackwardSpec(
@@ -265,10 +266,19 @@ def test_terminal_consistency_guard():
         horizon=0.1,
         n_steps=10,
         terminal=sine_terminal(grid),
-        obstacle=lambda t, x: 2.0 * np.ones_like(x),
+        obstacle=np.full(grid.n_cells, 2.0),
         reflection_side="lower",
         allow_terminal_violation=True,
     )
+
+
+def test_obstacle_is_one_interior_array():
+    grid = build_grid(0.0, 1.0, 30)
+    kw = dict(grid=grid, op=OP, horizon=0.1, n_steps=10, terminal=sine_terminal(grid))
+    spec = BackwardSpec(obstacle=[0.0] * grid.n_cells, **kw)
+    assert spec.obstacle.dtype == float and spec.obstacle.shape == (grid.n_cells,)
+    with pytest.raises(GridMismatchError, match=r"obstacle shape \(32,\) != \(30,\)"):
+        BackwardSpec(obstacle=np.zeros(grid.n_total), **kw)  # every node, not the interior
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +364,7 @@ def test_negation_duality_bitwise():
         horizon=0.3,
         n_steps=60,
         terminal=sine_terminal(grid),
-        obstacle=lambda t, x: 0.6 * np.sin(np.pi * x),
+        obstacle=0.6 * np.sin(np.pi * grid.interior),
         reflection_side="lower",
     )
     neg_terminal = Field(grid, -sine_terminal(grid).values, "dirichlet-zero")
@@ -364,7 +374,7 @@ def test_negation_duality_bitwise():
         horizon=0.3,
         n_steps=60,
         terminal=neg_terminal,
-        obstacle=lambda t, x: -0.6 * np.sin(np.pi * x),
+        obstacle=-0.6 * np.sin(np.pi * grid.interior),
         reflection_side="upper",
     )
     sol_lower = solve_reflected(lower, [8, 32])
@@ -394,13 +404,11 @@ def _reference_penalized_values(spec, n):
 
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
-    barrier = norm.obstacle_interior(0.0)
+    barrier = norm.obstacle
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = norm.terminal_values()
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
-        if spec.obstacle is not None:
-            barrier = norm.obstacle_interior(t)
         y = y_prev_int = values[k + 1, 1:-1]
         known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
         active = y < barrier
@@ -438,15 +446,14 @@ def _reference_cases():
     def spec(side, terminal=sine, **kw):
         sign = 1.0 if side == "lower" else -1.0
         if "obstacle" in kw:
-            shape = kw["obstacle"]
-            kw["obstacle"] = lambda t, x: sign * shape(t, x)
+            kw["obstacle"] = sign * kw["obstacle"]
         return BackwardSpec(grid=grid, op=OP, horizon=0.3, n_steps=40, reflection_side=side,
                             terminal=Field(grid, sign * terminal, "dirichlet-zero"), **kw)
 
     def driver(t, x, y):
         return 0.8 * np.sin(3.0 * y) + x
 
-    floor = lambda t, x: 0.6 * np.sin(np.pi * x)  # noqa: E731
+    floor = 0.6 * np.sin(np.pi * grid.interior)
     below = sine.copy()
     below[7] = -1e301  # finite, below the stand-in barrier of an unconstrained solve
     harvest = suites.harvesting_benchmark()
@@ -510,11 +517,25 @@ def test_psor_matches_reference_sweep_bitwise(monkeypatch, side):
     spec = suites.active_obstacle_spec(n_cells=50, n_steps=200)  # criterion 06
     sign = 1.0 if side == "lower" else -1.0
     terminal = Field(spec.grid, sign * spec.terminal.values, "dirichlet-zero")
-    args = (spec.grid, spec.op, terminal, lambda t, x: sign * spec.obstacle(t, x),
+    args = (spec.grid, spec.op, terminal, sign * spec.obstacle,
             spec.horizon, spec.n_steps, side)
     got = solve_obstacle_psor(*args)
     monkeypatch.setattr(psor, "psor_lcp", _reference_psor_lcp)
     assert got.values.tobytes() == solve_obstacle_psor(*args).values.tobytes()
+
+
+def test_psor_names_the_step_of_a_non_finite_iterate():
+    # one NaN terminal node: the sweeps used to read its change as 0 and stop at once
+    spec = suites.active_obstacle_spec(20, 5)
+    values = spec.terminal.values.copy()
+    values[10] = np.nan
+    terminal = Field(spec.grid, values, "dirichlet-zero")
+    args = (spec.grid, spec.op, terminal, spec.obstacle, spec.horizon, spec.n_steps)
+    with pytest.raises(NanDetectedError, match="non-finite solution at step 4") as err:
+        solve_obstacle_psor(*args)
+    assert err.value.step == spec.n_steps - 1
+    with pytest.raises(NanDetectedError, match="non-finite projected-SOR iterate"):
+        psor.psor_lcp(*(np.ones(20),) * 3, values[1:-1], spec.obstacle, values[1:-1])
 
 
 def test_unconstrained_solve_penalizes_a_node_below_the_stand_in_barrier():
@@ -547,7 +568,7 @@ def test_skorokhod_zero_when_y_equals_obstacle_on_support():
     eta_vals = np.zeros((5, grid.n_total))
     eta_vals[2:, 5] = 1.0  # charges node 5 where Y == L
     eta = FieldPath(grid, times, eta_vals)
-    val = skorokhod_residual(y, lambda t, x: np.ones_like(x), eta, side="lower")
+    val = skorokhod_residual(y, np.ones(grid.n_cells), eta, side="lower")
     assert val == 0.0
 
 
@@ -555,17 +576,18 @@ def test_skorokhod_zero_when_y_equals_obstacle_on_support():
 @given(
     amplitude=st.floats(-0.5, 1.2),
     tilt=st.floats(-1.0, 1.0),
-    drift=st.floats(-2.0, 2.0),
+    scale=st.floats(-2.0, 2.0),
     # at most two levels: one Cauchy gap cannot grow, while a random obstacle can make three
     levels=st.lists(st.sampled_from([2, 8, 32, 128]), min_size=1, max_size=2, unique=True),
 )
-@example(amplitude=0.8, tilt=0.0, drift=0.0, levels=[8, 128])  # Y decays onto L: eta charges
-def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, drift, levels):
+@example(amplitude=0.8, tilt=0.0, scale=0.0, levels=[8, 128])  # Y decays onto L: eta charges
+def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, scale, levels):
     levels = sorted(levels)
     grid = build_grid(0.0, 1.0, 12)
+    obstacle = amplitude * np.sin(np.pi * grid.interior) + tilt * (grid.interior - 0.5)
 
-    def obstacle(t, x):
-        return amplitude * np.sin(np.pi * x) + tilt * (x - 0.5) * np.exp(drift * t)
+    def driver(t, x, y):
+        return scale * np.sin(3.0 * y) + x
 
     lower = BackwardSpec(
         grid=grid,
@@ -573,21 +595,22 @@ def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, drift
         horizon=0.2,
         n_steps=16,
         terminal=sine_terminal(grid),
+        driver=driver,
         obstacle=obstacle,
         allow_terminal_violation=True,
     )
-    upper = dataclasses.replace(
+    upper = dataclasses.replace(  # the negated problem: data, barrier and conjugate driver
         lower,
         terminal=Field(grid, -lower.terminal.values),
-        obstacle=lambda t, x: -obstacle(t, x),
+        driver=lambda t, x, y: -driver(t, x, -y),
+        obstacle=-obstacle,
         reflection_side="upper",
     )
     solutions = {}
     for sign, spec in ((1.0, lower), (-1.0, upper)):
         sol = solutions[spec.reflection_side] = solve_reflected(spec, levels)
         diag = sol.diagnostics
-        barrier = np.array([obstacle(t, grid.nodes)[1:-1] for t in spec.times])
-        gap = sign * (sol.y.values[:, 1:-1] - sign * barrier)
+        gap = sign * (sol.y.values[:, 1:-1] - sign * obstacle)
         assert diag.min_gap == np.min(gap[:-1])
         eta_inc = spec.dt * levels[-1] * np.maximum(-gap[:-1], 0.0)
         np.testing.assert_array_equal(sol.eta.values[1:, 1:-1], np.cumsum(eta_inc, axis=0))
@@ -598,8 +621,9 @@ def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, drift
         assert skorokhod_residual(sol.y, spec.obstacle, sol.eta, spec.reflection_side) == public[0]
         none = skorokhod_residual(sol.y, None, sol.eta, with_scale=True)
         assert none[0] == 0.0 and not np.signbit(none[0]) and none[1] == public[1]
-    np.testing.assert_array_equal(solutions["upper"].y.values, -solutions["lower"].y.values)
-    np.testing.assert_array_equal(solutions["upper"].eta.values, solutions["lower"].eta.values)
+    # the negation duality, byte for byte
+    assert solutions["upper"].y.values.tobytes() == (-solutions["lower"].y.values).tobytes()
+    assert solutions["upper"].eta.values.tobytes() == solutions["lower"].eta.values.tobytes()
     assert solutions["upper"].diagnostics == solutions["lower"].diagnostics
 
 

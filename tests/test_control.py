@@ -83,7 +83,7 @@ def test_adjoint_singular_coefficient_signs():
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     adj = assemble_adjoint(spec, xi=xi)
     p = np.full(spec.grid.n_cells, 0.5)
-    coeff = spec.singular_slope(0.0, p)
+    coeff = spec.singular_slope(p)
     np.testing.assert_allclose(coeff, 2.0 - 1.5 * 0.5, rtol=1e-14)
     _, fn = adj.backward.singular
     np.testing.assert_allclose(fn(0.0, spec.grid.interior, p), coeff, rtol=1e-14)
@@ -96,12 +96,12 @@ def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du():
     x = spec.grid.interior
     p = np.linspace(0.25, 1.25, spec.grid.n_cells)
     p[0] = 0.5
-    # H1 = gain(u) * p + h1(t, u) is affine in u, so its unit u-difference is dH1/du
+    # H1 = gain(u) * p + h1(u) is affine in u, so its unit u-difference is dH1/du
     one, zero = np.ones_like(p), np.zeros_like(p)
     gain_step = spec.gain_values(one) - spec.gain_values(zero)
-    h1_step = spec.h1_values(0.05, one) - spec.h1_values(0.05, zero)
+    h1_step = spec.h1_values(one) - spec.h1_values(zero)
     quotient = gain_step * p + h1_step
-    np.testing.assert_array_equal(spec.singular_slope(0.05, p), quotient)
+    np.testing.assert_array_equal(spec.singular_slope(p), quotient)
     _, fn = adj.backward.singular
     np.testing.assert_array_equal(fn(0.05, x, p), quotient)
     assert quotient[0] == 1.25  # h10 = 2, lambda0 = 1.5, p = 0.5
@@ -204,6 +204,21 @@ def test_check_necessary_floor_slack_counts_an_adjoint_below_the_price():
     assert not rep.threshold_pass
 
 
+@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
+def test_check_necessary_keeps_a_nan_at_a_later_step(convention):
+    # p on the threshold makes every slack 0, so only the NaN can fail the report; folded
+    # step by step with Python's max, it fell out and the report passed
+    spec = harvest_spec(h10=1.0, lambda0=1.0)
+    xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
+    vals = np.full((spec.n_steps + 1, spec.grid.n_total), 1.0)
+    vals[40, 7] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_necessary(FieldPath(spec.grid, spec.times, vals), xi, spec, convention)
+    assert np.isnan(rep.threshold_violation_max) and np.isnan(rep.vi_residual)
+    assert not rep.threshold_pass and not rep.vi_pass and not rep.all_pass
+
+
 # ---------------------------------------------------------------------------
 # policy extraction
 # ---------------------------------------------------------------------------
@@ -243,7 +258,7 @@ def test_extract_policy_floor_benchmark_report():
         beta=0.15,
         horizon=0.12,
         n_steps=96,
-        h10=lambda t, x: 0.05 + 3.0 * np.exp(-(((x - 0.5) / 0.1) ** 2)),
+        h10=lambda x: 0.05 + 3.0 * np.exp(-(((x - 0.5) / 0.1) ** 2)),
         g0=2.0,
         initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
     )
@@ -267,16 +282,16 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
     assert not pol.degenerate_coefficient
     rates, p_clipped = [], p_raw.copy()
     clip = np.maximum if convention == PRICE_FLOOR else np.minimum
-    for k, t in enumerate(spec.times[:-1]):
+    for k in range(spec.n_steps):
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
-        coeff = np.abs(spec.singular_slope(t, p_raw[k, 1:-1]))
+        coeff = np.abs(spec.singular_slope(p_raw[k, 1:-1]))
         charged = deta > 0.0
         rate = np.zeros_like(deta)
         rate[charged] = deta[charged] / coeff[charged]
         if max_rate is not None:
             rate = np.minimum(rate, max_rate / spec.lambda0)
         rates.append(rate)
-        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], spec._h10_values(t)[1:-1] / spec.lambda0)
+        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], spec.h10[1:-1] / spec.lambda0)
     expected = SingularControl.from_increments(np.array(rates))  # the same cumulative sum
     assert expected.total_mass() > 0.0
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)

@@ -126,14 +126,37 @@ def test_boundary_pinning():
         n_steps=100,
         beta=0.1,
         initial=Field.from_function(grid, lambda x: 1.0 + x * (1 - x)),
-        boundary=lambda t: (1.0 + t, 2.0),
+        boundary=(1.25, 2.0),
     )
     noise = NoisePath.generate(8, spec.n_steps, spec.dt)
     path = simulate_path(spec, zero_control(spec), noise)
+    assert spec.boundary == (1.25, 2.0)
     for k in range(1, spec.n_steps + 1):
-        left, right = spec.boundary_at(spec.times[k])
-        assert path.values[k, 0] == left
-        assert path.values[k, -1] == right
+        assert path.values[k, 0] == 1.25
+        assert path.values[k, -1] == 2.0
+
+
+def test_prices_are_node_arrays_evaluated_once():
+    calls = []
+
+    def price(x):
+        calls.append(x)
+        return 1.0 + x**2
+
+    spec = make_spec(h10=price, g0=price, cost=1, boundary=None)
+    x = spec.grid.nodes
+    assert len(calls) == 2 and all(c is x for c in calls)
+    np.testing.assert_array_equal(spec.h10, 1.0 + x**2)
+    assert not spec.h10.flags.writeable and not spec.g0.flags.writeable
+    assert spec.boundary == (1.0, 1.0) and spec.cost == 1.0 and type(spec.cost) is float
+    xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    performance_J(spec, xi, 3, 0)
+    assert len(calls) == 2  # no time node evaluates a price again
+    # the arrays are the data: a spec rebuilt from its fields or replaced keeps their bits
+    for again in (ProblemSpec(**vars(spec)), dataclasses.replace(spec, lambda0=2.0)):
+        assert again.h10.tobytes() == spec.h10.tobytes()
+        assert again.g0.tobytes() == spec.g0.tobytes() and again.boundary == spec.boundary
+    assert make_spec(h10=2.5).h10.tolist() == [2.5] * spec.grid.n_total
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is reported once, typed, and not warned
@@ -401,11 +424,10 @@ def _reference_rewards(spec, control, states):
     for k, u in states:
         if k == spec.n_steps:
             break
-        t, u_int = spec.times[k], u[1:-1]
-        price, cost = (spec._price_values(f, t) for f in (spec.h10, spec.cost))
-        h1 = price[1:-1, None] * u_int - cost[1:-1, None]
+        cost = np.full(spec.grid.n_cells, spec.cost)
+        h1 = spec.h10[1:-1, None] * u[1:-1] - cost[:, None]
         total += h * control_module._node_sum(h1 * control.increments[k][:, None])
-    return total + h * control_module._node_sum(spec._g0_values()[1:-1][:, None] * u[1:-1])
+    return total + h * control_module._node_sum(spec.g0[1:-1][:, None] * u[1:-1])
 
 
 def _span_controls(spec):
@@ -427,7 +449,7 @@ def _span_controls(spec):
 @pytest.mark.parametrize("name", ["cluster", "row-0", "row-last", "zero", "dense"])
 @pytest.mark.parametrize("problem", ["harvest", "constant-price"])
 def test_charged_span_matches_every_row_bitwise(problem, name, width):
-    # harvest: a price of (t, x) and a zero cost; constant-price: float price and cost
+    # harvest: a price of x and a zero cost; constant-price: constant price and cost
     spec = suites.harvesting_benchmark()
     changes = {"horizon": spec.horizon / 4, "n_steps": spec.n_steps // 4}
     if problem == "constant-price":
@@ -919,7 +941,7 @@ def test_unforced_step_matches_a_full_forcing_to_the_sign_of_zero(stepping, widt
     unforced = slice(0, 0)
     gain = partial(spec.gain_values, u[1:-1][unforced])
     full = kernel._forcing(u, db, (gain, dxi, unforced))
-    want = kernel._advance(u, full, spec.boundary_at(spec.times[1]))
+    want = kernel._advance(u, full, spec.boundary)
     with mock.patch.object(kernel, "_forcing", side_effect=AssertionError("forcing built")):
         got = kernel.step(0, u, db, dxi, unforced)
     assert not np.signbit(full).any() and np.signbit(u).any()
@@ -961,7 +983,7 @@ def _reference_path_and_tangent(spec, control, zeta, dw):
         else:
             gain = partial(spec.gain_values, u[1:-1][rows])
             forcing = kernel._forcing(u, dw[k], (gain, dxi, rows))
-        u = _reference_advance(kernel, u, forcing, spec.boundary_at(spec.times[k + 1]))
+        u = _reference_advance(kernel, u, forcing, spec.boundary)
         states.append(u)
         tangents.append(z)
     return np.array(states), np.array(tangents)

@@ -97,7 +97,7 @@ def test_pocket_terminal_price_loads_and_is_read_at_the_nodes():
     problem = parse_config(raw).problem
     x = problem.grid.nodes
     expected = 0.5 + 2.0 * np.exp(-(((x - 0.4) / 0.2) ** 2))
-    np.testing.assert_array_equal(problem._g0_values(), expected)
+    np.testing.assert_array_equal(problem.g0, expected)
 
 
 def test_readme_example_is_the_shipped_config():
@@ -353,7 +353,7 @@ def test_pocket_price_far_off_center_loads_without_a_warning(tmp_path):
     raw = copy.deepcopy(_HARVEST)
     raw["problem"]["prices"]["h10"]["center"] = 1e308  # the pocket's exponent overflows
     assert _simulate(tmp_path, raw) == (0, "", [])
-    h10 = parse_config(raw).problem._h10_values(0.0)
+    h10 = parse_config(raw).problem.h10
     np.testing.assert_array_equal(h10, raw["problem"]["prices"]["h10"]["base"])
 
 
