@@ -38,7 +38,7 @@ from .errors import (
     NonCauchyError,
     TerminalConsistencyError,
 )
-from .forward import CRANK_NICOLSON, SingularControl, map_ordered
+from .forward import CRANK_NICOLSON, SingularControl
 from .grid import Field, FieldPath, Grid
 from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
@@ -300,16 +300,6 @@ def levels_problem(levels) -> str | None:
     return None
 
 
-def _solve_levels(
-    spec: BackwardSpec, levels, problem: Callable, reduce: Callable
-) -> tuple[list[int], list]:
-    """Reject ``levels`` if ``problem`` names a fault, else ``reduce`` each Y on its worker."""
-    if (why := problem(levels)) is not None:
-        raise ValueError(why)
-    levels = [int(n) for n in levels]
-    return levels, map_ordered(lambda n: reduce(solve_penalized(spec, n)[0]), levels)
-
-
 # gaps or diagnostics that overflow warn nothing: a non-finite gap raises NonCauchyError
 @np.errstate(over="ignore", invalid="ignore")
 def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
@@ -318,17 +308,22 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     Y comes from the largest level; the reflection measure is the
     running time integral of n (Y^n - L)^- at that level.  Raises NonCauchyError when
     the inter-level gaps sup_t ||Y^n - Y^m||_H are not finite or stop decreasing
-    beyond a small floor.
+    beyond a small floor.  The levels are solved in order in this process, and each
+    gap is taken as soon as its upper level is solved, so two levels are held at most.
     """
-    levels, y_paths = _solve_levels(spec, levels, levels_problem, lambda y_path: y_path)
+    if (why := levels_problem(levels)) is not None:
+        raise ValueError(why)
+    levels = [int(n) for n in levels]
     h = spec.grid.h
-    scale = max(1.0, float(np.max(np.abs(y_paths[-1].values))))
+    y_path = solve_penalized(spec, levels[0])[0]
     gaps = []
-    for y_a, y_b in zip(y_paths, y_paths[1:]):
-        diff = y_a.values[:, 1:-1] - y_b.values[:, 1:-1]
-        gaps.append(float(np.max(np.sqrt(h * np.sum(diff**2, axis=1)))))
+    for n in levels[1:]:
+        y_next = solve_penalized(spec, n)[0]
+        gaps.append(_sup_norm(y_path.values[:, 1:-1] - y_next.values[:, 1:-1], h))
+        y_path = y_next
     if not np.all(np.isfinite(gaps)):
         raise NonCauchyError(f"penalization gaps are not finite: {gaps} (levels {levels})")
+    scale = max(1.0, float(np.max(np.abs(y_path.values))))
     floor = 1e-12 * scale
     for g_prev, g_next in zip(gaps, gaps[1:]):
         if g_next > 1.01 * g_prev + floor:
@@ -336,7 +331,6 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
                 f"penalization gaps increased across levels: {gaps} (levels {levels})"
             )
 
-    y_path = y_paths[-1]
     gap = _gap_field(y_path, spec.obstacle, spec.reflection_side)
     eta_values = np.zeros((spec.n_steps + 1, spec.grid.n_total))
     if gap is not None:
@@ -345,10 +339,10 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         np.cumsum(integrand, axis=0, out=eta_values[1:, 1:-1])
     eta_path = FieldPath(spec.grid, spec.times, eta_values)
 
-    residual, res_scale = _pairing(gap, y_path, eta_path, with_scale=True)
     diag = SolutionDiagnostics(
-        skorokhod_residual=residual,
-        skorokhod_scale=res_scale,
+        skorokhod_residual=_pairing(gap, y_path, eta_path),
+        # sup_t ||Y||_H * ||eta(T)||_H, the scale of relative complementarity checks
+        skorokhod_scale=_sup_norm(y_path.values[:, 1:-1], h) * _sup_norm(eta_values[-1:, 1:-1], h),
         min_gap=np.inf if gap is None else float(np.min(gap[:-1])),
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
@@ -361,8 +355,7 @@ def skorokhod_residual(
     obstacle: np.ndarray | None,
     eta_path: FieldPath,
     side: str = LOWER,
-    with_scale: bool = False,
-):
+) -> float:
     """Complementarity pairing sum_k sum_i (Y - L)(t_k, x_i) deta_k(x_i) h.
 
     Signed so that an exact solution gives 0: the gap is side-signed, and eta
@@ -370,15 +363,14 @@ def skorokhod_residual(
     value is <= 0 and its magnitude is the complementarity defect.  The gap is
     the field :func:`solve_reflected` builds for eta and ``min_gap``, summed
     one time step at a time, so the solver's diagnostic equals this value bit
-    for bit; without an obstacle the value is exactly 0.0.  The scale
-    sup_t ||Y||_H * ||eta(T)||_H is returned on request for relative checks.
+    for bit; without an obstacle the value is exactly 0.0.
     """
     if y_path.values.shape != eta_path.values.shape:
         raise GridMismatchError("Y and eta paths have different shapes")
-    return _pairing(_gap_field(y_path, obstacle, side), y_path, eta_path, with_scale)
+    return _pairing(_gap_field(y_path, obstacle, side), y_path, eta_path)
 
 
-def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath, with_scale: bool):
+def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath) -> float:
     """sum_k h gap_k . deta_k, one dot per step; exactly 0.0 without an obstacle."""
     h = y_path.grid.h
     total = 0.0
@@ -386,11 +378,12 @@ def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath, wit
         eta = eta_path.values[:, 1:-1]
         for k, gap_k in enumerate(gap[:-1]):
             total += float(np.dot(gap_k, eta[k + 1] - eta[k])) * h
-    if not with_scale:
-        return total
-    y_norm = float(np.max(np.sqrt(h * np.sum(y_path.values[:, 1:-1] ** 2, axis=1))))
-    eta_norm = float(np.sqrt(h * np.sum(eta_path.values[-1, 1:-1] ** 2)))
-    return total, y_norm * eta_norm
+    return total
+
+
+def _sup_norm(rows: np.ndarray, h: float) -> float:
+    """sup_t ||v(t)||_H of a path's interior rows: the max over rows of sqrt(h sum v^2)."""
+    return float(np.max(np.sqrt(h * np.sum(rows**2, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -421,7 +414,10 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
         violation = 0.0 if gap is None else _violation(gap)
         return float(spec.dt * spec.grid.h * np.sum(violation**2))
 
-    levels, energies = _solve_levels(spec, levels, rate_levels_problem, energy)
+    if (why := rate_levels_problem(levels)) is not None:
+        raise ValueError(why)
+    levels = [int(n) for n in levels]
+    energies = [energy(solve_penalized(spec, n)[0]) for n in levels]
     if max(energies) < 1e-24:
         raise DegenerateFitError("all penalization energies below floor (obstacle inactive)")
     slope = float(np.polyfit(np.log(np.asarray(levels, float)), np.log(energies), 1)[0])

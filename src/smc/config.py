@@ -35,7 +35,7 @@ class BackwardConfig:
 @dataclass(frozen=True)
 class ControlConfig:
     convention: str
-    max_rate: float | None
+    max_rate: float
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def parse_config(raw: dict) -> RunConfig:
         if convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {convention!r}", "control.convention")
         max_rate = control_node.get("max_rate", float, default=max_rate)
-        if max_rate is not None and not 0 < max_rate < 1:
+        if not 0 < max_rate < 1:
             raise ValidationError("max_rate must lie in (0, 1)", "control.max_rate")
         control_node.reject_unknown()
 

@@ -107,7 +107,7 @@ DEFAULTS = {
     "performance_Js": {"chunk_size": 2048},
     "psor.solve_obstacle_psor": {"side": "lower"},
     "simulate_ensemble": {"chunk_size": 2048},
-    "skorokhod_residual": {"side": "lower", "with_scale": False},
+    "skorokhod_residual": {"side": "lower"},
 }
 
 
@@ -158,7 +158,7 @@ def test_cli_flags_are_pinned():
 RUN_CONFIG_FIELDS = {
     "problem": "ProblemSpec",
     "backward": {"levels": "tuple[int, ...]"},
-    "control": {"convention": "str", "max_rate": "float | None"},
+    "control": {"convention": "str", "max_rate": "float"},
     "mc": {"n_paths": "int", "seed": "int"},
     "outputs": {"directory": "str", "formats": "tuple[str, ...]"},
     "raw": "dict",
