@@ -17,8 +17,9 @@ running time integral of n (Y^n - L)^-.
 F, phi and L are deterministic, so the solution is deterministic and Z is
 identically zero (the martingale term vanishes).
 
-Upper-side problems are solved by negation of the data and mapped back, so
-the negation duality holds bit for bit.
+An upper-side problem is solved as the lower-side problem of its negated
+data and mapped back, so the negation duality holds bit for bit.  Without an
+obstacle no step is penalized.
 """
 
 from __future__ import annotations
@@ -46,8 +47,15 @@ LOWER = "lower"
 UPPER = "upper"
 BACKWARD_EULER = "backward-euler"
 
-_INACTIVE = -1e300  # obstacle stand-in when no barrier is given
+_SIGNS = {LOWER: 1.0, UPPER: -1.0}  # reflection side -> the sign that makes it a lower side
 _MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConvergenceError
+
+
+def _side_sign(side: str) -> float:
+    """+1.0 for the lower reflection side, -1.0 for the upper one; any other side raises."""
+    if side not in _SIGNS:
+        raise ValueError(f"unknown reflection side {side!r}; choose {LOWER!r} or {UPPER!r}")
+    return _SIGNS[side]
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ class BackwardSpec:
     def __post_init__(self):
         if self.horizon <= 0.0 or self.n_steps < 1:
             raise ValueError("horizon must be positive and n_steps >= 1")
-        if self.reflection_side not in (LOWER, UPPER):
-            raise ValueError(f"unknown reflection side {self.reflection_side!r}")
+        sign = _side_sign(self.reflection_side)
         if self.time_scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
             raise ValueError(f"unknown time scheme {self.time_scheme!r}")
         if self.time_scheme == CRANK_NICOLSON and self.obstacle is not None:
@@ -100,9 +107,7 @@ class BackwardSpec:
                 raise GridMismatchError(f"obstacle shape {obstacle.shape} != {expected}")
             object.__setattr__(self, "obstacle", obstacle)
         if self.obstacle is not None and not self.allow_terminal_violation:
-            gap = self.terminal.interior - self.obstacle
-            if self.reflection_side == UPPER:
-                gap = -gap
+            gap = sign * (self.terminal.interior - self.obstacle)
             if np.min(gap) < -1e-12:
                 raise TerminalConsistencyError(
                     f"terminal data violates the obstacle by {-float(np.min(gap)):.3e} "
@@ -137,39 +142,6 @@ class BackwardSolution:
 
 
 # ---------------------------------------------------------------------------
-# Normalization to a lower-side problem
-# ---------------------------------------------------------------------------
-
-
-class _Normalized:
-    """Lower-side view of the problem; sign = -1 flips an upper-side input."""
-
-    def __init__(self, spec: BackwardSpec):
-        self.spec = spec
-        self.sign = 1.0 if spec.reflection_side == LOWER else -1.0
-        # the barrier; an unconstrained solve keeps a stand-in below every finite iterate
-        self.obstacle = np.full(spec.grid.n_cells, _INACTIVE)
-        if spec.obstacle is not None:
-            self.obstacle = self.sign * spec.obstacle
-
-    def terminal_values(self) -> np.ndarray:
-        return self.sign * self.spec.terminal.values
-
-    def driver(self, t, x, y):
-        if self.spec.driver is None:
-            return None
-        s = self.sign
-        return s * np.asarray(self.spec.driver(t, x, s * y), dtype=float)
-
-    def singular_term(self, t, x, y, dxi):
-        if self.spec.singular is None:
-            return None
-        _, coefficient = self.spec.singular
-        s = self.sign
-        return s * np.asarray(coefficient(t, x, s * y), dtype=float) * dxi
-
-
-# ---------------------------------------------------------------------------
 # Penalized and reflected solves
 # ---------------------------------------------------------------------------
 
@@ -180,25 +152,22 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     """Solve the level-n penalized backward equation.
 
     Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
-    set {y < L} iterated until it stabilizes; the driver and the singular
-    coefficient are evaluated at the current iterate, which alternates between
-    Y's row and one spare vector.  Returns (Y^n, Z^n): Y is the one array the
-    solve writes, and Z, identically zero, a read-only view that holds no path
-    of its own.
+    set {y < L} iterated until it stabilizes; without an obstacle no node is
+    active.  The data are multiplied by the side's sign, so the loop solves a
+    lower-side problem.  The driver and the singular coefficient are evaluated
+    at the current iterate, which alternates between Y's row and one spare
+    vector.  Returns (Y^n, Z^n): Y is the one array the solve writes, and Z,
+    identically zero, a read-only view that holds no path of its own.
     """
     if n < 1:
         raise ValueError("penalization level must be >= 1")
-    norm = _Normalized(spec)
-    grid = spec.grid
-    dt = spec.dt
-    times = spec.times
-    x_int = grid.interior
-
+    sign = _side_sign(spec.reflection_side)
+    grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
     crank = spec.time_scheme == CRANK_NICOLSON
-    implicit_weight = 0.5 if crank else 1.0
     lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=spec.use_adjoint_operator)
     lo_a, up_a = lo_a[1:], up_a[:-1]
-    stepper = TridiagonalStepper(spec.op, grid, implicit_weight * dt, spec.use_adjoint_operator)
+    implicit_dt = (0.5 if crank else 1.0) * dt
+    stepper = TridiagonalStepper(spec.op, grid, implicit_dt, spec.use_adjoint_operator)
     known, spare, work = (np.empty(grid.n_cells) for _ in range(3))
 
     def explicit_half(y_int: np.ndarray) -> np.ndarray:  # y + 0.5 dt A y, into ``known``
@@ -210,34 +179,25 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
-    barrier = norm.obstacle
-    clear = np.zeros(grid.n_cells, dtype=bool)
-
-    def active_set(y: np.ndarray, low: float) -> np.ndarray:
-        """The mask y < L: ``clear`` without an obstacle unless the minimum is below it."""
-        return clear if spec.obstacle is None and not low < _INACTIVE else y < barrier
+    barrier = None if spec.obstacle is None else sign * spec.obstacle
 
     values = np.zeros((spec.n_steps + 1, grid.n_total))
-    values[-1] = norm.terminal_values()
-    # an unconstrained step starts from the active set of the iterate it stored last
-    active = active_set(values[-1, 1:-1], values[-1, 1:-1].min())
+    values[-1] = sign * spec.terminal.values
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
         y = y_prev_int = values[k + 1, 1:-1]
-        if spec.obstacle is not None:
-            active = y < barrier
+        active = None if barrier is None else y < barrier
         known_rhs = explicit_half(y_prev_int) if crank else y_prev_int
         targets = (values[k, 1:-1], spare)
         for i in range(_MAX_FIXED_POINT_ITERS):
             rhs = targets[i % 2]
             np.copyto(rhs, known_rhs)
-            forcing = norm.driver(t, x_int, y)
-            if forcing is not None:
-                rhs += dt * forcing
-            sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
-            if sing is not None:
-                rhs += sing
-            if active is not clear and active.any():
+            if spec.driver is not None:
+                rhs += dt * (sign * np.asarray(spec.driver(t, x_int, sign * y), dtype=float))
+            if xi_inc is not None:
+                coefficient = np.asarray(spec.singular[1](t, x_int, sign * y), dtype=float)
+                rhs += sign * coefficient * xi_inc[k]
+            if active is not None and active.any():
                 rhs += dt * n * np.where(active, barrier, 0.0)
                 rhs[...] = stepper.solve(rhs, dt * n * active)
             else:  # a zero penalty: the factored matrix gives gtsv's bits
@@ -245,13 +205,12 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             low, high = rhs.min(), rhs.max()
             if not (math.isfinite(low) and math.isfinite(high)):
                 raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
-            active_new = active_set(rhs, low)
-            stable = active_new is active or bool((active_new == active).all())
+            active_new = None if barrier is None else rhs < barrier
+            stable = active_new is None or bool((active_new == active).all())
             close = not depends_on_y or np.abs(np.subtract(rhs, y, out=work), out=work).max() <= (
                 1e-12 * max(1.0, float(high), -float(low))
             )
-            y = rhs
-            active = active_new
+            y, active = rhs, active_new
             if stable and close:
                 break
         else:
@@ -261,7 +220,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             )
         values[k, 1:-1] = y
 
-    values *= norm.sign
+    values *= sign
     y_path = FieldPath(grid, times, values)
     return y_path, _zero_path(y_path)
 
@@ -277,10 +236,11 @@ def _gap_field(y_path: FieldPath, obstacle: np.ndarray | None, side: str) -> np.
     The constraint violation is its negative part: (Y - L)^- on the lower
     side, (Y - L)^+ on the upper side.
     """
+    sign = _side_sign(side)
     if obstacle is None:
         return None
     gap = np.subtract(y_path.values[:, 1:-1], obstacle)
-    return np.multiply(1.0 if side == LOWER else -1.0, gap, out=gap)
+    return np.multiply(sign, gap, out=gap)
 
 
 def _violation(gap: np.ndarray) -> np.ndarray:

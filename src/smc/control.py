@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, solve_reflected
+from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, _side_sign, solve_reflected
 from .forward import (
     _DEFAULT_CHUNK,
     ControlPerturbation,
@@ -51,14 +51,17 @@ from .operators import space_mean_dual_weight
 
 PRICE_FLOOR = "price-floor"  # admissible region p >= h10/lambda0, general condition
 PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example condition
-CONVENTIONS = (PRICE_FLOOR, PRICE_CAP)
+_SIDES = {PRICE_FLOOR: LOWER, PRICE_CAP: UPPER}  # convention -> reflection side of the adjoint
+CONVENTIONS = tuple(_SIDES)
 
 _COEFFICIENT_FLOOR = 1e-10  # |dH1/du| at or below this cannot convert reflection to control
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
+def _side(convention: str) -> str:
+    """The reflection side of the convention's adjoint; an unknown convention raises."""
+    if convention not in _SIDES:
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
+    return _SIDES[convention]
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +261,9 @@ def check_necessary(
     Quantities are evaluated at time nodes t_k, k < n_steps, pairing each
     control increment with the adjoint at the step's left endpoint.
     """
-    _check_convention(convention)
+    sign = -_side_sign(_side(convention))  # slack > 0 where p is on the wrong side of h10/lambda0
     h = spec.grid.h
     inc = xi.increments
-    sign = -1.0 if convention == PRICE_FLOOR else 1.0
     slack = sign * (spec.lambda0 * p.values[:-1, 1:-1] - spec.h10[1:-1])  # (n_steps, n_cells)
     comp = 0.0
     for slack_k, inc_k in zip(slack, inc):
@@ -291,11 +293,10 @@ class PolicyResult:
 
 def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
     """The adjoint reflected at h10/lambda0 on the convention's side, from any terminal price."""
-    _check_convention(convention)
     backward = replace(
         assemble_adjoint(spec).backward,
         obstacle=spec.h10[1:-1] / spec.lambda0,
-        reflection_side=LOWER if convention == PRICE_FLOOR else UPPER,
+        reflection_side=_side(convention),
         allow_terminal_violation=True,
     )
     return AdjointSpec(backward=backward)
@@ -339,7 +340,7 @@ def extract_policy(
     rate[fallback] = deta[fallback]
     if max_rate is not None:
         rate = np.minimum(rate, max_rate / spec.lambda0)
-    clip = np.maximum if convention == PRICE_FLOOR else np.minimum
+    clip = np.maximum if reflected.reflection_side == LOWER else np.minimum
     clip(p_int, reflected.obstacle, out=p_int)
 
     xi_hat = SingularControl.from_increments(rate)

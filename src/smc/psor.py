@@ -79,9 +79,11 @@ def solve_obstacle_psor(
     """Backward obstacle solve, one projected-SOR LCP per implicit Euler step.
 
     ``obstacle`` is the barrier L at the interior nodes, for every time.
-    Upper-side problems are solved by negation.  A non-finite iterate raises
-    NanDetectedError naming its step.
+    Upper-side problems are solved by negation; any other side raises
+    ValueError.  A non-finite iterate raises NanDetectedError naming its step.
     """
+    if side not in (LOWER, UPPER):
+        raise ValueError(f"unknown side {side!r}; choose {LOWER!r} or {UPPER!r}")
     sign = 1.0 if side == LOWER else -1.0
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)

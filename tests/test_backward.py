@@ -417,8 +417,11 @@ def test_negation_duality_bitwise():
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_penalized_values(spec, n):
-    """solve_penalized's Y as first written: fresh vectors per iterate and a mask per test."""
-    norm = backward._Normalized(spec)
+    """solve_penalized's Y as first written: fresh vectors per iterate and a mask per test.
+
+    The side's sign is applied to the data inline; no obstacle is a barrier at -inf.
+    """
+    sign = 1.0 if spec.reflection_side == "lower" else -1.0
     grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
     crank = spec.time_scheme == "crank-nicolson"
     lo_a, di_a, up_a = operators.operator_tridiagonal(
@@ -436,9 +439,9 @@ def _reference_penalized_values(spec, n):
 
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
-    barrier = norm.obstacle
+    barrier = np.full(grid.n_cells, -np.inf) if spec.obstacle is None else sign * spec.obstacle
     values = np.zeros((spec.n_steps + 1, grid.n_total))
-    values[-1] = norm.terminal_values()
+    values[-1] = sign * spec.terminal.values
     for k in range(spec.n_steps - 1, -1, -1):
         t = times[k]
         y = y_prev_int = values[k + 1, 1:-1]
@@ -446,12 +449,11 @@ def _reference_penalized_values(spec, n):
         active = y < barrier
         for _ in range(backward._MAX_FIXED_POINT_ITERS):
             rhs = known.copy()
-            forcing = norm.driver(t, x_int, y)
-            if forcing is not None:
-                rhs += dt * forcing
-            sing = norm.singular_term(t, x_int, y, xi_inc[k]) if xi_inc is not None else None
-            if sing is not None:
-                rhs += sing
+            if spec.driver is not None:
+                rhs += dt * (sign * np.asarray(spec.driver(t, x_int, sign * y), dtype=float))
+            if xi_inc is not None:
+                coefficient = np.asarray(spec.singular[1](t, x_int, sign * y), dtype=float)
+                rhs += sign * coefficient * xi_inc[k]
             if active.any():
                 rhs += dt * n * np.where(active, barrier, 0.0)
                 y_new = stepper.solve(rhs, dt * n * active)
@@ -468,7 +470,7 @@ def _reference_penalized_values(spec, n):
             if stable and close:
                 break
         values[k, 1:-1] = y
-    return values * norm.sign
+    return values * sign
 
 
 def _reference_cases():
@@ -486,8 +488,6 @@ def _reference_cases():
         return 0.8 * np.sin(3.0 * y) + x
 
     floor = 0.6 * np.sin(np.pi * grid.interior)
-    below = sine.copy()
-    below[7] = -1e301  # finite, below the stand-in barrier of an unconstrained solve
     harvest = suites.harvesting_benchmark()
     return {
         "unconstrained": lambda side: (spec(side), 1),
@@ -496,7 +496,6 @@ def _reference_cases():
         "obstacle-1": lambda side: (spec(side, obstacle=floor), 1),
         "obstacle-4096": lambda side: (spec(side, obstacle=floor), 4096),
         "obstacle-driver": lambda side: (spec(side, obstacle=floor, driver=driver), 64),
-        "below-stand-in": lambda side: (spec(side, terminal=below), 8),
         "policy": lambda side: (
             policy_adjoint(harvest, PRICE_FLOOR if side == "lower" else PRICE_CAP).backward,
             512,
@@ -570,14 +569,90 @@ def test_psor_names_the_step_of_a_non_finite_iterate():
         psor.psor_lcp(*(np.ones(20),) * 3, values[1:-1], spec.obstacle, values[1:-1])
 
 
-def test_unconstrained_solve_penalizes_a_node_below_the_stand_in_barrier():
-    spec, n = _reference_cases()["below-stand-in"]("lower")
-    y, _ = solve_penalized(spec, n)
-    # one unpenalized step from the terminal data differs from the solve's at the low node
-    stepper = operators.TridiagonalStepper(spec.op, spec.grid, spec.dt)
-    unpenalized = stepper.solve_in_place(spec.terminal.interior.copy())
-    assert spec.terminal.values[7] < -1e300
-    assert np.all(np.isfinite(y.values)) and y.values[-2, 7] != unpenalized[6]
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_unconstrained_solve_is_never_penalized(side):
+    # a finite node at -1e301: the plain unpenalized steps of the lower-side data, signed back
+    grid = build_grid(0.0, 1.0, 30)
+    sign = 1.0 if side == "lower" else -1.0
+    terminal = sine_terminal(grid).values
+    terminal[7] = -1e301
+    spec = BackwardSpec(grid=grid, op=OP, horizon=0.3, n_steps=40, reflection_side=side,
+                        terminal=Field(grid, sign * terminal, "dirichlet-zero"))
+    stepper = operators.TridiagonalStepper(spec.op, grid, spec.dt)
+    plain = np.zeros((spec.n_steps + 1, grid.n_total))
+    plain[-1] = terminal
+    for k in range(spec.n_steps - 1, -1, -1):
+        plain[k, 1:-1] = stepper.solve_in_place(plain[k + 1, 1:-1].copy())
+    y, _ = solve_penalized(spec, 8)
+    assert np.all(np.isfinite(y.values)) and y.values.tobytes() == (sign * plain).tobytes()
+
+
+def test_unknown_reflection_side_raises():
+    # only the two exact spellings name a side
+    spec = active_spec(n_cells=20, n_steps=10)
+    sol = solve_reflected(spec, [4, 16])
+    for side in ("Lower", "lowr", "UPPER"):
+        with pytest.raises(ValueError, match="choose 'lower' or 'upper'"):
+            skorokhod_residual(sol.y, spec.obstacle, sol.eta, side=side)
+        with pytest.raises(ValueError, match="choose 'lower' or 'upper'"):
+            dataclasses.replace(spec, reflection_side=side)
+
+
+def test_psor_rejects_an_unknown_side():
+    spec = suites.active_obstacle_spec(20, 5)
+    args = (spec.grid, spec.op, spec.terminal, spec.obstacle, spec.horizon, spec.n_steps)
+    with pytest.raises(ValueError, match="choose 'lower' or 'upper'"):
+        solve_obstacle_psor(*args, side="lowr")
+
+
+def _random_obstacle_spec(n_cells, n_steps, side, seed, terminal_shift=0.0):
+    """A random terminal, obstacle and horizon on [0, 1]; the terminal may cross the obstacle."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(0.0, 1.0, n_cells)
+    terminal = np.zeros(grid.n_total)
+    terminal[1:-1] = rng.uniform(-1.0, 1.0, grid.n_cells) + terminal_shift
+    return BackwardSpec(grid=grid, op=OP, horizon=rng.uniform(0.01, 0.5), n_steps=n_steps,
+                        terminal=Field(grid, terminal, "dirichlet-zero"),
+                        obstacle=rng.uniform(-1.0, 1.0, grid.n_cells), reflection_side=side,
+                        allow_terminal_violation=True)
+
+
+@settings(max_examples=25)
+@given(
+    n_cells=st.integers(2, 40),
+    n_steps=st.integers(1, 30),
+    side=st.sampled_from(["lower", "upper"]),
+    level=st.integers(1, 2048),
+    factor=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_cells=30, n_steps=20, side="upper", level=16, factor=4, seed=3)
+def test_penalized_solution_is_monotone_in_the_level(n_cells, n_steps, side, level, factor, seed):
+    # a larger level pushes Y further onto the admissible side: up for lower, down for upper
+    spec = _random_obstacle_spec(n_cells, n_steps, side, seed)
+    sign = 1.0 if side == "lower" else -1.0
+    low, _ = solve_penalized(spec, level)
+    high, _ = solve_penalized(spec, factor * level)
+    assert np.min(sign * (high.values - low.values)) >= -1e-13 * max(1.0, np.abs(low.values).max())
+
+
+@settings(max_examples=25)
+@given(
+    n_cells=st.integers(2, 40),
+    n_steps=st.integers(1, 30),
+    side=st.sampled_from(["lower", "upper"]),
+    level=st.integers(1, 4096),
+    shift=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_cells=30, n_steps=20, side="lower", level=64, shift=0.1, seed=5)
+def test_penalized_solution_is_monotone_in_the_terminal_data(
+    n_cells, n_steps, side, level, shift, seed
+):
+    # the comparison principle: a larger terminal value gives a larger Y on either side
+    below, _ = solve_penalized(_random_obstacle_spec(n_cells, n_steps, side, seed), level)
+    above, _ = solve_penalized(_random_obstacle_spec(n_cells, n_steps, side, seed, shift), level)
+    assert np.min(above.values - below.values) >= -1e-13 * max(1.0, np.abs(below.values).max())
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,19 @@ def test_dual_weight_closed_form():
     assert w.values[mid] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "n_cells, theta", [(100, 0.1), (60, 0.05), (61, 0.13), (200, 0.3), (30, 0.9)]
+)
+def test_dual_weight_is_the_space_mean_of_one(n_cells, theta):
+    # criterion 04's oracle: an independent operator, not a copy of the closed form
+    g = build_grid(0.0, 1.0, n_cells)
+    mean_of_one = SpaceMeanOperator(g, theta).apply(np.ones(g.n_total))
+    w = space_mean_dual_weight(g, theta).values
+    assert np.max(np.abs(w - mean_of_one)) <= 1e-12
+    shifted = np.roll(w, 1)  # a weight misplaced by one cell
+    assert np.max(np.abs(shifted - mean_of_one)) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # generator and adjoint
 # ---------------------------------------------------------------------------
