@@ -40,7 +40,7 @@ from .errors import (
     TerminalConsistencyError,
 )
 from .forward import CRANK_NICOLSON, SingularControl
-from .grid import Field, FieldPath, Grid
+from .grid import Field, FieldPath, Grid, sup_norm_h
 from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
 LOWER = "lower"
@@ -220,7 +220,8 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             )
         values[k, 1:-1] = y
 
-    values *= sign
+    if sign < 0.0:  # map the upper side back; at +1.0 the pass would change no bit
+        values *= sign
     y_path = FieldPath(grid, times, values)
     return y_path, _zero_path(y_path)
 
@@ -279,7 +280,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     gaps = []
     for n in levels[1:]:
         y_next = solve_penalized(spec, n)[0]
-        gaps.append(_sup_norm(y_path.values[:, 1:-1] - y_next.values[:, 1:-1], h))
+        gaps.append(sup_norm_h(y_path.values[:, 1:-1] - y_next.values[:, 1:-1], h))
         y_path = y_next
     if not np.all(np.isfinite(gaps)):
         raise NonCauchyError(f"penalization gaps are not finite: {gaps} (levels {levels})")
@@ -302,7 +303,7 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
     diag = SolutionDiagnostics(
         skorokhod_residual=_pairing(gap, y_path, eta_path),
         # sup_t ||Y||_H * ||eta(T)||_H, the scale of relative complementarity checks
-        skorokhod_scale=_sup_norm(y_path.values[:, 1:-1], h) * _sup_norm(eta_values[-1:, 1:-1], h),
+        skorokhod_scale=sup_norm_h(y_path.values[:, 1:-1], h) * sup_norm_h(eta_values[-1:, 1:-1], h),
         min_gap=np.inf if gap is None else float(np.min(gap[:-1])),
         levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
@@ -339,11 +340,6 @@ def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath) -> 
         for k, gap_k in enumerate(gap[:-1]):
             total += float(np.dot(gap_k, eta[k + 1] - eta[k])) * h
     return total
-
-
-def _sup_norm(rows: np.ndarray, h: float) -> float:
-    """sup_t ||v(t)||_H of a path's interior rows: the max over rows of sqrt(h sum v^2)."""
-    return float(np.max(np.sqrt(h * np.sum(rows**2, axis=1))))
 
 
 @dataclass(frozen=True)

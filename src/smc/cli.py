@@ -9,6 +9,9 @@ Subcommands:
 * ``derivcheck`` derivative-process and directional-derivative consistency
 * ``verify``    run a named verification suite
 
+A subcommand's handler only computes its checks, field paths and lines to
+print; :func:`_run` times it, persists the report, prints and picks the exit code.
+
 Exit codes: 0 success, 1 failed checks, 2 configuration errors.
 """
 
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import levels_problem, penalization_rate, rate_levels_problem
+from .backward import levels_problem, penalization_rate, rate_levels_problem, solve_reflected
 from .config import RunConfig, load_config
 from .control import extract_policy, policy_adjoint
 from .errors import ConfigError, ToolkitError
@@ -38,6 +42,15 @@ from .suites import SUITES, derivative_process_errors, directional_derivative_ga
 _MAX_PER_PATH_CSV = 20
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """What a handler computed: its checks, the field paths to write, the lines to print."""
+
+    checks: list[CheckResult]
+    paths: dict[str, FieldPath]
+    lines: list[str]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smc",
@@ -51,14 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         return p
 
-    for name, help_text in [
-        ("simulate", "run a forward ensemble"),
-        ("adjoint", "solve the reflected adjoint"),
-        ("policy", "extract and check the harvest policy"),
-        ("rate", "penalization-rate study"),
-        ("derivcheck", "derivative consistency checks"),
+    for name, handler, help_text in [
+        ("simulate", _cmd_simulate, "run a forward ensemble"),
+        ("adjoint", _cmd_adjoint, "solve the reflected adjoint"),
+        ("policy", _cmd_policy, "extract and check the harvest policy"),
+        ("rate", _cmd_rate, "penalization-rate study"),
+        ("derivcheck", _cmd_derivcheck, "derivative consistency checks"),
     ]:
         p = add(name, help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         if name in ("simulate", "derivcheck"):
             p.add_argument("--paths", type=int, default=None, help="override the path count")
@@ -97,36 +111,11 @@ def _levels(config: RunConfig, args) -> list[int]:
     return levels
 
 
-def _seed_and_out(config: RunConfig, args) -> tuple[int, str]:
-    seed = args.seed if args.seed is not None else config.mc.seed
-    if seed < 0:
-        raise ConfigError("seed must be >= 0", "--seed")
-    return seed, args.out if args.out is not None else config.outputs.directory
-
-
 def _paths(config: RunConfig, args) -> int:
     n_paths = args.paths if args.paths is not None else config.mc.n_paths
     if n_paths < 1:
         raise ConfigError("path count must be >= 1", "--paths")
     return n_paths
-
-
-def _new_report(config: RunConfig, seed: int) -> RunReport:
-    return RunReport(
-        config_echo=config.raw,
-        config_hash=config.config_hash,
-        version=describe_version(),
-        seeds={"root": seed},
-    )
-
-
-def _extract_policy(config: RunConfig, levels: list[int]):
-    return extract_policy(
-        config.problem,
-        levels,
-        convention=config.control.convention,
-        max_rate=config.control.max_rate,
-    )
 
 
 def _control_path(spec, control: SingularControl) -> FieldPath:
@@ -135,122 +124,92 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
     return FieldPath(spec.grid, spec.times, values)
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
-    seed, out_dir = _seed_and_out(config, args)
+def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     n_paths = _paths(config, args)
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
-    timer = PhaseTimer()
-    with timer.time("simulate"):
-        summary = simulate_ensemble(spec, control, n_paths, seed)
-    report = _new_report(config, seed)
-    report.timings = timer.phases
-    report.add(
-        CheckResult(
-            name="positivity",
-            value=summary.min_value,
-            tolerance=0.0,
-            passed=summary.positivity,
-            detail=f"min at (seed, t index, node) = {summary.min_location}",
-        )
+    summary = simulate_ensemble(spec, control, n_paths, seed)
+    positivity = CheckResult(
+        name="positivity",
+        value=summary.min_value,
+        tolerance=0.0,
+        passed=summary.positivity,
+        detail=f"min at (seed, t index, node) = {summary.min_location}",
     )
     paths = {"mean_path": summary.mean_path}
     for p in range(min(n_paths, _MAX_PER_PATH_CSV)):
-        terminal = FieldPath(
-            spec.grid,
-            np.asarray([spec.horizon]),
-            summary.terminal_values[p][None, :],
-        )
-        paths[f"terminal_seed{seed + p}"] = terminal
-    persist(report, paths, out_dir, config.outputs.formats)
-    print(f"simulated {n_paths} paths; positivity={summary.positivity}; outputs in {out_dir}")
-    return 0 if report.all_passed else 1
+        terminal = summary.terminal_values[p][None, :]
+        paths[f"terminal_seed{seed + p}"] = FieldPath(spec.grid, [spec.horizon], terminal)
+    line = f"simulated {n_paths} paths; positivity={summary.positivity}; outputs in {out_dir}"
+    return _Outcome([positivity], paths, [line])
 
 
-def _cmd_adjoint(config: RunConfig, args) -> int:
+def _cmd_adjoint(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
-    seed, out_dir = _seed_and_out(config, args)
-    policy = _extract_policy(config, levels)
-    diag = policy.solution.diagnostics
+    adjoint = policy_adjoint(config.problem, config.control.convention)
+    solution = solve_reflected(adjoint.backward, levels)
+    diag = solution.diagnostics
     bound = suites.SKOROKHOD_BOUND * max(diag.skorokhod_scale, 1e-30)
-    report = _new_report(config, seed)
-    report.add(
-        CheckResult(
-            name="skorokhod-residual",
-            value=abs(diag.skorokhod_residual),
-            tolerance=bound,
-            passed=abs(diag.skorokhod_residual) <= bound,
-            detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
-        )
+    residual = CheckResult(
+        name="skorokhod-residual",
+        value=abs(diag.skorokhod_residual),
+        tolerance=bound,
+        passed=abs(diag.skorokhod_residual) <= bound,
+        detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
     )
-    paths = {"adjoint_p": policy.p, "reflection_eta": policy.solution.eta}
-    persist(report, paths, out_dir, config.outputs.formats)
-    print(f"adjoint solved at levels {levels}; outputs in {out_dir}")
-    return 0 if report.all_passed else 1
+    paths = {"adjoint_p": solution.y, "reflection_eta": solution.eta}
+    return _Outcome([residual], paths, [f"adjoint solved at levels {levels}; outputs in {out_dir}"])
 
 
-def _cmd_policy(config: RunConfig, args) -> int:
-    levels = _levels(config, args)
-    seed, out_dir = _seed_and_out(config, args)
-    policy = _extract_policy(config, levels)
+def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
+    policy = extract_policy(
+        config.problem,
+        _levels(config, args),
+        convention=config.control.convention,
+        max_rate=config.control.max_rate,
+    )
     rep = policy.report
     tol = rep.TOLERANCE
-    report = _new_report(config, seed)
-    report.add(
+    checks = [
         CheckResult(
             "threshold-slack", rep.threshold_violation_max, tol, rep.threshold_pass,
             f"convention {rep.convention}",
-        )
-    )
-    report.add(
-        CheckResult("complementarity", rep.complementarity_residual, tol, rep.complementarity_pass)
-    )
-    report.add(
+        ),
+        CheckResult("complementarity", rep.complementarity_residual, tol, rep.complementarity_pass),
         CheckResult(
             "variational-inequality", rep.vi_residual, tol, rep.vi_pass,
             f"degenerate coefficient fallback: {policy.degenerate_coefficient}",
-        )
-    )
-    persist(
-        report,
-        {
-            "policy_xi": _control_path(config.problem, policy.xi_hat),
-            "adjoint_p": policy.p,
-            "reflection_eta": policy.solution.eta,
-        },
-        out_dir,
-        config.outputs.formats,
-    )
-    for check in report.checks:
-        print(check.line())
-    return 0 if report.all_passed else 1
+        ),
+    ]
+    paths = {
+        "policy_xi": _control_path(config.problem, policy.xi_hat),
+        "adjoint_p": policy.p,
+        "reflection_eta": policy.solution.eta,
+    }
+    return _Outcome(checks, paths, [check.line() for check in checks])
 
 
-def _cmd_rate(config: RunConfig, args) -> int:
+def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
-    seed, out_dir = _seed_and_out(config, args)
     adjoint = policy_adjoint(config.problem, config.control.convention)
     study = penalization_rate(adjoint.backward, levels)
     low, high = suites.RATE_BAND
-    report = _new_report(config, seed)
-    report.add(
-        CheckResult(
-            name="penalization-rate-slope",
-            value=study.slope,
-            tolerance=high,
-            passed=bool(low <= study.slope <= high),
-            detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(study.levels, study.energies)),
-        )
+    slope = CheckResult(
+        name="penalization-rate-slope",
+        value=study.slope,
+        tolerance=high,
+        passed=bool(low <= study.slope <= high),
+        detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(study.levels, study.energies)),
     )
-    persist(report, {}, out_dir, config.outputs.formats)
-    print(f"levels {list(study.levels)}")
-    print(f"energies {[f'{e:.4e}' for e in study.energies]}")
-    print(f"log-log slope {study.slope:.4f}")
-    return 0 if report.all_passed else 1
+    lines = [
+        f"levels {list(study.levels)}",
+        f"energies {[f'{e:.4e}' for e in study.energies]}",
+        f"log-log slope {study.slope:.4f}",
+    ]
+    return _Outcome([slope], {}, lines)
 
 
-def _cmd_derivcheck(config: RunConfig, args) -> int:
-    seed, out_dir = _seed_and_out(config, args)
+def _cmd_derivcheck(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     n_paths = _paths(config, args)
     spec = config.problem
     rng = np.random.default_rng(seed)
@@ -263,15 +222,11 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
     ratio = errors[1e-2] / max(errors[1e-3], 1e-300)
     cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, seed)
     low, high = suites.RATIO_BAND
-
-    report = _new_report(config, seed)
-    report.add(
+    checks = [
         CheckResult(
             "derivative-process-ratio", ratio, high, bool(low <= ratio <= high),
             f"errors {errors[1e-2]:.3e} / {errors[1e-3]:.3e}",
-        )
-    )
-    report.add(
+        ),
         CheckResult(
             "directional-derivative-gap",
             gap,
@@ -279,63 +234,64 @@ def _cmd_derivcheck(config: RunConfig, args) -> int:
             gap <= suites.SIGMA_BOUND * comb,
             f"adjoint {cmp.adjoint_formula:.6f}, "
             f"finite difference {cmp.finite_difference[1e-3][0]:.6f}",
-        )
-    )
-    persist(report, {}, out_dir, config.outputs.formats)
-    for check in report.checks:
-        print(check.line())
+        ),
+    ]
+    return _Outcome(checks, {}, [check.line() for check in checks])
+
+
+def _cmd_verify(name: str, timer: PhaseTimer) -> _Outcome:
+    if name not in SUITES:
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    checks = []
+    for fn in SUITES[name]:
+        with timer.time(fn.__name__):
+            checks.append(fn())
+    failed = [c.name for c in checks if not c.passed]
+    if failed:
+        last = f"FAILED checks: {', '.join(failed)}"
+    else:
+        last = f"suite {name!r}: all {len(checks)} checks passed"
+    return _Outcome(checks, {}, [check.line() for check in checks] + [last])
+
+
+def _run(config: RunConfig | None, args) -> int:
+    """Time the subcommand's handler, persist its report and fields, print, pick the exit code.
+
+    Without a config (``verify`` only) the report is the builtin one.  ``verify``
+    times each check as a phase; any other subcommand is one phase named after it.
+    """
+    if config is None:
+        echo, config_hash = {"suite": args.suite}, "builtin"
+        seed, seeds = None, {"builtin-benchmarks": "fixed in smc.suites"}
+        out_dir, formats = "out", ("csv", "json")
+    else:
+        echo, config_hash = config.raw, config.config_hash
+        seed = getattr(args, "seed", None)  # verify takes no --seed
+        seed = config.mc.seed if seed is None else seed
+        if seed < 0:
+            raise ConfigError("seed must be >= 0", "--seed")
+        seeds = {"root": seed}
+        out_dir, formats = config.outputs.directory, config.outputs.formats
+    out_dir = args.out if args.out is not None else out_dir
+    timer = PhaseTimer()
+    if args.command == "verify":
+        outcome = _cmd_verify(args.suite, timer)
+    else:
+        with timer.time(args.command):
+            outcome = args.handler(config, args, seed, out_dir)
+    report = RunReport(echo, config_hash, describe_version(), outcome.checks, seeds, timer.phases)
+    persist(report, outcome.paths, out_dir, formats)
+    for line in outcome.lines:
+        print(line)
     return 0 if report.all_passed else 1
 
 
-def _cmd_verify(config: RunConfig | None, args) -> int:
-    name = args.suite
-    if name not in SUITES:
-        print(f"unknown suite {name!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return 2
-    if config is not None:
-        report = _new_report(config, config.mc.seed)
-        out_dir = args.out if args.out is not None else config.outputs.directory
-        formats = config.outputs.formats
-    else:
-        report = RunReport(
-            config_echo={"suite": name},
-            config_hash="builtin",
-            version=describe_version(),
-            seeds={"builtin-benchmarks": "fixed in smc.suites"},
-        )
-        out_dir = args.out or "out"
-        formats = ("csv", "json")
-    timer = PhaseTimer()
-    for fn in SUITES[name]:
-        with timer.time(fn.__name__):
-            check = report.add(fn())
-        print(check.line())
-    report.timings = timer.phases
-    persist(report, {}, out_dir, formats)
-    failed = [c.name for c in report.checks if not c.passed]
-    if failed:
-        print(f"FAILED checks: {', '.join(failed)}")
-        return 1
-    print(f"suite {name!r}: all {len(report.checks)} checks passed")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         worker_count()  # a malformed SMC_WORKERS fails here, before any work
         config = load_config(args.config) if args.config is not None else None
-        if args.command == "verify":
-            return _cmd_verify(config, args)
-        handler = {
-            "simulate": _cmd_simulate,
-            "adjoint": _cmd_adjoint,
-            "policy": _cmd_policy,
-            "rate": _cmd_rate,
-            "derivcheck": _cmd_derivcheck,
-        }[args.command]
-        return handler(config, args)
+        return _run(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

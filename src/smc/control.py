@@ -38,7 +38,6 @@ import numpy as np
 
 from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, _side_sign, solve_reflected
 from .forward import (
-    _DEFAULT_CHUNK,
     ControlPerturbation,
     ProblemSpec,
     SingularControl,
@@ -183,29 +182,23 @@ def _rewards_pass(
 
 
 def performance_Js(
-    spec: ProblemSpec,
-    controls: list[SingularControl],
-    n_paths: int,
-    seed: int,
-    chunk_size: int = _DEFAULT_CHUNK,
+    spec: ProblemSpec, controls: list[SingularControl], n_paths: int, seed: int
 ) -> list[JEstimate]:
     """:func:`performance_J` of every control on common paths, drawing their noise once."""
     passes = [_rewards_pass(spec, xi) for xi in controls]
     return [
         JEstimate(*_mean_stderr(np.concatenate(chunks)))
-        for chunks in _monte_carlo(spec, passes, n_paths, seed, chunk_size)
+        for chunks in _monte_carlo(spec, passes, n_paths, seed)
     ]
 
 
-def performance_J(
-    spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: int, chunk_size=_DEFAULT_CHUNK
-) -> JEstimate:
+def performance_J(spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: int) -> JEstimate:
     """Monte Carlo estimate of the harvest-plus-terminal reward functional.
 
     The singular reward pairs each control increment with the pre-jump state
     at the step's left endpoint; the terminal reward prices the final state.
     """
-    return performance_Js(spec, [xi], n_paths, seed, chunk_size)[0]
+    return performance_Js(spec, [xi], n_paths, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,6 @@ class SingularControl:
     def masked(self, mask: np.ndarray) -> "SingularControl":
         return SingularControl(self.cumulative * np.asarray(mask, dtype=float)[None, :])
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.cumulative[-1]))
-
 
 @dataclass(frozen=True)
 class ControlPerturbation:
@@ -293,10 +290,6 @@ class ControlPerturbation:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.cumulative, axis=0)
-
-    @classmethod
-    def from_control(cls, control: SingularControl) -> "ControlPerturbation":
-        return cls(control.cumulative.copy())
 
     @classmethod
     def from_increments(cls, increments: np.ndarray) -> "ControlPerturbation":

@@ -149,6 +149,11 @@ def norm_h(f: Field) -> float:
     return float(np.sqrt(f.grid.h) * np.linalg.norm(f.interior))
 
 
+def sup_norm_h(rows: np.ndarray, h: float) -> float:
+    """sup_t ||v(t)||_H of a path's interior rows: the max over rows of sqrt(h sum v^2)."""
+    return float(np.max(np.sqrt(h * np.sum(rows**2, axis=1))))
+
+
 def grad_seminorm_sq(f: Field) -> float:
     """Squared forward-difference gradient seminorm over all n_cells+1 intervals."""
     d = np.diff(f.values) / f.grid.h
@@ -186,12 +191,3 @@ class FieldPath:
     @property
     def n_times(self) -> int:
         return self.times.size
-
-    def field_at(self, k: int, boundary_kind: str = DIRICHLET_DATA) -> Field:
-        return Field(self.grid, self.values[k].copy(), boundary_kind)
-
-    def initial(self) -> Field:
-        return self.field_at(0)
-
-    def terminal(self) -> Field:
-        return self.field_at(-1)

@@ -30,7 +30,7 @@ from .forward import (
     simulate_ensemble,
     simulate_path,
 )
-from .grid import Field, build_grid, inner_product, norm_h
+from .grid import Field, build_grid, inner_product, norm_h, sup_norm_h
 from .operators import (
     OperatorSpec,
     SpaceMeanOperator,
@@ -169,7 +169,7 @@ def derivative_process_errors(spec, base, zeta, noise) -> dict[float, float]:
     for eps in (1e-2, 1e-3):
         bumped = simulate_path(spec, SingularControl(base.cumulative + eps * zeta.cumulative), noise)
         diff = (bumped.values - base_path.values) / eps - tangent.values
-        errors[eps] = float(np.max(np.sqrt(spec.grid.h * np.sum(diff[:, 1:-1] ** 2, axis=1))))
+        errors[eps] = sup_norm_h(diff[:, 1:-1], spec.grid.h)
     return errors
 
 

@@ -103,8 +103,6 @@ DEFAULTS = {
     "check_necessary": {"convention": "price-floor"},
     "directional_derivative_J": {"epsilons": (0.1, 0.01, 0.001)},
     "extract_policy": {"convention": "price-floor", "max_rate": None},
-    "performance_J": {"chunk_size": 2048},
-    "performance_Js": {"chunk_size": 2048},
     "psor.solve_obstacle_psor": {"side": "lower"},
     "simulate_ensemble": {"chunk_size": 2048},
     "skorokhod_residual": {"side": "lower"},

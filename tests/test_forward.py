@@ -335,18 +335,22 @@ def _ensemble_outputs(spec, control, n_paths, chunk_size):
     return [summary.mean_path.values, summary.terminal_values, summary.min_location]
 
 
+def _chunked(chunk_size):
+    """J's estimators take no chunk_size: a size other than None is given to their engine."""
+    engine = _monte_carlo if chunk_size is None else partial(_monte_carlo, chunk_size=chunk_size)
+    return mock.patch.object(control_module, "_monte_carlo", engine)
+
+
 def _performance_outputs(spec, control, n_paths, chunk_size):
-    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}  # None: the default
-    estimate = performance_J(spec, control, n_paths, seed=11, **chunking)
+    with _chunked(chunk_size):
+        estimate = performance_J(spec, control, n_paths, seed=11)
     return [estimate.estimate, estimate.stderr]
 
 
 def _derivative_outputs(spec, control, n_paths, chunk_size):
-    # directional_derivative_J has no chunk_size: a size other than None is given to its engine
-    zeta = ControlPerturbation.from_control(control)
+    zeta = ControlPerturbation(control.cumulative.copy())
     p = FieldPath(spec.grid, spec.times, np.ones((spec.n_steps + 1, spec.grid.n_total)))
-    engine = _monte_carlo if chunk_size is None else partial(_monte_carlo, chunk_size=chunk_size)
-    with mock.patch.object(control_module, "_monte_carlo", engine):
+    with _chunked(chunk_size):
         cmp = directional_derivative_J(spec, control, zeta, p, n_paths, seed=11, epsilons=(1e-2,))
     return [cmp.adjoint_formula, cmp.adjoint_stderr, *cmp.finite_difference[1e-2]]
 
@@ -396,15 +400,15 @@ def test_ensemble_worker_count_does_not_change_results(monkeypatch, outputs, n_p
 @pytest.mark.parametrize(
     "run",
     [
-        lambda spec, xi, chunk: performance_J(spec, xi, 4, 11, chunk_size=chunk),
-        lambda spec, xi, chunk: performance_Js(spec, [xi, xi], 4, 11, chunk_size=chunk),
+        lambda spec, xi, chunk: performance_J(spec, xi, 4, 11),  # chunk: given to the engine
+        lambda spec, xi, chunk: performance_Js(spec, [xi, xi], 4, 11),
         lambda spec, xi, chunk: simulate_ensemble(spec, xi, 4, 11, chunk_size=chunk),
     ],
     ids=["performance_J", "performance_Js", "simulate_ensemble"],
 )
 def test_nonpositive_chunk_size_is_rejected(run, chunk_size):
     spec = make_spec()
-    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"), _chunked(chunk_size):
         run(spec, zero_control(spec), chunk_size)
 
 
@@ -605,11 +609,12 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
 
     monkeypatch.setattr(forward, "_install", install_traced)
 
-    def traced_peak(workers, n_paths, **chunking):
+    def traced_peak(workers, n_paths, chunk_size=None):
         monkeypatch.setenv("SMC_WORKERS", workers)
         tracemalloc.start()
         try:
-            performance_J(spec, control, n_paths, seed=3, **chunking)
+            with _chunked(chunk_size):
+                performance_J(spec, control, n_paths, seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -780,7 +785,8 @@ def test_bundles_are_whole_blocks_shared_among_the_workers(
     monkeypatch.setenv("SMC_WORKERS", workers)
     seen = _record_bundles(monkeypatch)
     spec = make_spec(n_steps=2)
-    performance_J(spec, zero_control(spec), n_paths, seed=0, chunk_size=chunk_size)
+    with _chunked(chunk_size):
+        performance_J(spec, zero_control(spec), n_paths, seed=0)
     assert seen == [bundles]
     firsts = [first for first, _ in bundles]
     assert firsts == sorted(firsts) and all(first % 128 == 0 for first in firsts)
@@ -909,7 +915,8 @@ def test_worker_count_never_moves_a_monte_carlo_bit(
 
     def outputs(chunk_size=forward._DEFAULT_CHUNK):
         (rewards,) = _monte_carlo(spec, [_rewards_pass(spec, control)], n_paths, 5, chunk_size)
-        j = performance_J(spec, control, n_paths, 5, chunk_size)
+        with _chunked(chunk_size):
+            j = performance_J(spec, control, n_paths, 5)
         summary = simulate_ensemble(spec, control, n_paths, 5, chunk_size)
         path = summary.mean_path
         arrays = (np.concatenate(rewards), j.estimate, j.stderr, path.values, path.times)

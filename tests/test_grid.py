@@ -94,4 +94,3 @@ def test_field_path_shape_checks():
         FieldPath(g, times, np.zeros((3, 4)))
     path = FieldPath(g, times, np.zeros((3, g.n_total)))
     assert path.n_times == 3
-    assert path.terminal().values.shape == (g.n_total,)

@@ -17,6 +17,7 @@ from smc import forward, suites
 from smc.backward import penalization_rate, solve_reflected
 from smc.cli import main
 from smc.config import load_config, parse_config
+from smc.control import policy_adjoint
 from smc import errors
 from smc.errors import ConfigError, NanDetectedError, ParseError, ValidationError
 from smc.forward import worker_count
@@ -605,6 +606,63 @@ def test_cli_subcommand_checks_pinned(tmp_path, command):
         assert (check["passed"], check["detail"]) == (passed, detail)
 
 
+# stdout of each subcommand on _harvest_config(), "<out>" standing for its --out directory,
+# and the phases its runmeta.json times
+CLI_STDOUT = {
+    "simulate": (0, ["simulate"], ["simulated 8 paths; positivity=True; outputs in <out>"]),
+    "adjoint": (1, ["adjoint"], ["adjoint solved at levels [256, 512, 1024, 2048]; outputs in <out>"]),
+    "policy": (0, ["policy"], [
+        "[PASS] threshold-slack: value=0 tolerance=1e-06  (convention price-floor)",
+        "[PASS] complementarity: value=0 tolerance=1e-06",
+        "[PASS] variational-inequality: value=0 tolerance=1e-06"
+        "  (degenerate coefficient fallback: False)",
+    ]),
+    "rate": (1, ["rate"], [
+        "levels [256, 512, 1024, 2048]",
+        "energies ['4.3454e-04', '1.6945e-04', '5.9435e-05', '1.9257e-05']",
+        "log-log slope -1.5000",
+    ]),
+    "derivcheck": (0, ["derivcheck"], [
+        "[PASS] derivative-process-ratio: value=9.99914 tolerance=20"
+        "  (errors 2.239e-06 / 2.239e-07)",
+        "[PASS] directional-derivative-gap: value=0.000188305 tolerance=0.00063942"
+        "  (adjoint -0.013804, finite difference -0.013616)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STDOUT))
+def test_cli_subcommand_stdout_and_runmeta_pinned(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--config", _harvest_config(tmp_path), "--out", str(out)])
+    expected_code, phases, lines = CLI_STDOUT[command]
+    assert code == expected_code
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines).replace("<out>", str(out))
+    assert sorted(json.loads((out / "runmeta.json").read_text())["timings"]) == phases
+
+
+def test_cli_verify_prints_its_report_and_times_each_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "operators", "--config", _harvest_config(tmp_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    lines = [CheckResult(**check).line() for check in report["checks"]]
+    lines.append("suite 'operators': all 3 checks passed")
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+    timings = json.loads((out / "runmeta.json").read_text())["timings"]
+    assert sorted(timings) == sorted(fn.__name__ for fn in suites.SUITES["operators"])
+
+
+def test_cli_adjoint_writes_the_reflected_solve(tmp_path):
+    cfg, out = _harvest_config(tmp_path), tmp_path / "adjoint"
+    assert main(["adjoint", "--config", cfg, "--out", str(out)]) == 1  # the known Skorokhod FAIL
+    config = load_config(cfg)
+    adjoint = policy_adjoint(config.problem, config.control.convention)
+    solution = solve_reflected(adjoint.backward, list(config.backward.levels))
+    for name, path in [("adjoint_p", solution.y), ("reflection_eta", solution.eta)]:
+        values = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1, usecols=2)
+        np.testing.assert_array_equal(values, path.values.ravel())
+
+
 def test_cli_verify_operators_suite(tmp_path, capsys):
     code = main(["verify", "operators", "--out", str(tmp_path / "v")])
     assert code == 0
@@ -616,8 +674,11 @@ def test_cli_verify_operators_suite(tmp_path, capsys):
     assert report["all_passed"] is True
 
 
-def test_cli_verify_unknown_suite(tmp_path):
+def test_cli_verify_unknown_suite(tmp_path, capsys):
     assert main(["verify", "nope", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: unknown suite 'nope'; choose from {sorted(suites.SUITES)}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_all_suite_covers_every_check():
