@@ -31,6 +31,7 @@ from .forward import (
     ControlPerturbation,
     NoisePath,
     SingularControl,
+    seed_problem,
     simulate_ensemble,
     worker_count,
 )
@@ -268,8 +269,9 @@ def _run(config: RunConfig | None, args) -> int:
         echo, config_hash = config.raw, config.config_hash
         seed = getattr(args, "seed", None)  # verify takes no --seed
         seed = config.mc.seed if seed is None else seed
-        if seed < 0:
-            raise ConfigError("seed must be >= 0", "--seed")
+        paths = getattr(args, "paths", None)  # simulate and derivcheck take --paths
+        if problem := seed_problem(seed, config.mc.n_paths if paths is None else paths):
+            raise ConfigError(problem, "--seed")
         seeds = {"root": seed}
         out_dir, formats = config.outputs.directory, config.outputs.formats
     out_dir = args.out if args.out is not None else out_dir

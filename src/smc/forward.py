@@ -325,12 +325,110 @@ class NoisePath:
 
     @classmethod
     def generate(cls, seed: int, n_steps: int, dt: float) -> "NoisePath":
-        return cls(_path_increments(seed, n_steps, dt), int(seed), float(dt))
+        increments = np.random.default_rng(seed).standard_normal(n_steps) * math.sqrt(dt)
+        return cls(increments, int(seed), float(dt))
 
 
-def _path_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
-    """The Brownian increments of the path with this seed: sqrt(dt) times standard normals."""
-    return np.random.default_rng(seed).standard_normal(n_steps) * math.sqrt(dt)
+def _chain(first: int, multiplier: int, steps: int) -> list[tuple[int, int]]:
+    """Each hash step's (xor constant, multiplier): the constant before and after its update."""
+    pairs = []
+    for _ in range(steps):
+        pairs.append((first, first * multiplier & 0xFFFFFFFF))
+        first = pairs[-1][1]
+    return pairs
+
+
+# numpy's SeedSequence, as default_rng(s) runs it: s in little-endian 32-bit words, hashed into a
+# four-word pool by 16 steps of one constant chain, and the pool hashed out by 8 steps of another
+_SEED_END = 2**128  # below it a seed has at most the pool's four words
+_POOL_STEPS = _chain(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_STEPS = _chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hash(words: np.ndarray, xor: int, multiplier: int) -> np.ndarray:
+    words = (words ^ xor) * multiplier  # uint32: wraps as the C hash does
+    return words ^ words >> 16
+
+
+def _pcg64_states(first: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``default_rng(s)``, for s = first .. first + count - 1 < 2**128.
+
+    The seeds are hashed side by side as numpy hashes each one; a word a seed lacks hashes as 0,
+    so four words suit every seed below 2**128.  The pool's output is four uint64 words: the
+    seed and the stream of PCG64's two-step seeding, run here on Python ints.
+    """
+    seeds = range(first, first + count)
+    words = np.array([[s >> 32 * w & 0xFFFFFFFF for s in seeds] for w in range(4)], np.uint32)
+    steps = iter(_POOL_STEPS)
+    pool = [_hash(word, *next(steps)) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * _hash(pool[src], *next(steps))
+                pool[dst] = mixed ^ mixed >> 16
+    out = [_hash(pool[i % 4], *step).astype(np.uint64) for i, step in enumerate(_OUTPUT_STEPS)]
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*[(out[i] | out[i + 1] << 32).tolist()
+                                                   for i in (0, 2, 4, 6)]):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULTIPLIER + inc) % 2**128
+        states.append((state, inc))
+    return states
+
+
+def _draw_noise(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
+    """The (n_steps, n_paths) increments whose column p is ``NoisePath.generate(seed + p)``'s.
+
+    One PCG64 takes each path's seeded state in turn and draws into a row of a _BLOCK-path
+    buffer, which is scaled and written into its columns.
+    """
+    noise = np.empty((n_steps, n_paths))
+    bits = np.random.PCG64(0)
+    normal, state = np.random.Generator(bits).standard_normal, bits.state
+    block = np.empty((min(_BLOCK, n_paths), n_steps))
+    for lo in range(0, n_paths, _BLOCK):
+        rows = block[: min(_BLOCK, n_paths - lo)]
+        for row, (pcg_state, inc) in zip(rows, _pcg64_states(seed + lo, len(rows))):
+            state["state"] = {"state": pcg_state, "inc": inc}
+            bits.state = state
+            normal(out=row)
+        noise[:, lo : lo + len(rows)] = np.multiply(rows, math.sqrt(dt), out=rows).T
+    return noise
+
+
+_held_noise: dict = {}  # the last Monte Carlo call's noise, under (seed, n_paths, n_steps, dt)
+# most bytes of noise the calling process keeps: criterion 09's 10 000 x 96 paths (7.7 MB) fit;
+# criterion 08's 10 000 x 200 (16 MB), a quarter of a 64 MB process, is drawn bundle by bundle
+_NOISE_BUDGET = 8 * 2**20
+
+
+def _ensemble_noise(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray | None:
+    """Read-only :func:`_draw_noise`, kept for the next call on the same paths.
+
+    A call on other paths drops the kept array before it draws its own, so one call's noise
+    is held at a time: n_paths * n_steps * 8 bytes.  A draw larger than _NOISE_BUDGET is not
+    made or kept (None).
+    """
+    key = (seed, n_paths, n_steps, dt)
+    if key not in _held_noise:
+        _held_noise.clear()
+        if n_paths * n_steps * 8 > _NOISE_BUDGET:
+            return None
+        noise = _draw_noise(*key)
+        noise.flags.writeable = False
+        _held_noise[key] = noise
+    return _held_noise[key]
+
+
+def seed_problem(seed: int, n_paths: int) -> str | None:
+    """Why the path seeds seed .. seed + n_paths - 1 cannot drive an ensemble, or None."""
+    if seed < 0:
+        return "seed must be >= 0"
+    if seed + n_paths > _SEED_END:
+        return "path seeds must stay below 2**128 (seed + n_paths - 1 reaches it)"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +609,32 @@ def _monte_carlo(
 ) -> list[tuple]:
     """Run every (control, reduce) pass over shared noise, one path bundle at a time.
 
-    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  A bundle is a
-    run of ``max(1, chunk_size // _BLOCK)`` or fewer whole ``_BLOCK``-path blocks counted from
+    Path p is driven by the increments of ``NoisePath.generate(seed + p)``, which the calling
+    process draws once into one read-only (n_steps, n_paths) array, or finds kept from the
+    last call on the same paths (:func:`_ensemble_noise`); past the array's byte budget, each
+    bundle draws its own columns instead.  A bundle is a run of
+    ``max(1, chunk_size // _BLOCK)`` or fewer whole ``_BLOCK``-path blocks counted from
     ``seed``, in the fewest bundles that allows, rounded up to a multiple of the workers but
-    at most one per block.  A bundle draws its noise once, and each pass reduces ``iterate_states``
-    over it to ``reduce(first_seed, states)``; bundles may run on parallel workers.  The
-    result holds, per pass, its bundle reductions in seed order.  A non-finite state raises
-    the error of the earliest (pass, step, path seed), and each distinct warning is issued once.
+    at most one per block.  A bundle reads its columns of the array in place, and each pass
+    reduces ``iterate_states`` over them to ``reduce(first_seed, states)``; bundles may run on
+    parallel workers.  The result holds, per pass, its bundle reductions in seed order.  A
+    non-finite state raises the error of the earliest (pass, step, path seed), and each
+    distinct warning is issued once.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if problem := seed_problem(seed, n_paths):
+        raise ConfigError(problem, "seed")
+    noise = _ensemble_noise(seed, n_paths, spec.n_steps, spec.dt)
 
     def run(bundle: tuple[int, int]) -> list | tuple:
         first, count = bundle
-        dw = np.empty((spec.n_steps, count))
-        for p in range(count):
-            dw[:, p] = _path_increments(first + p, spec.n_steps, spec.dt)
+        if noise is None:
+            dw = _draw_noise(first, count, spec.n_steps, spec.dt)
+        else:
+            dw = noise[:, first - seed : first - seed + count]
         reductions = []
         for xi, reduce in passes:
             try:

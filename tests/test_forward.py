@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import tracemalloc
 import warnings
 from functools import partial
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from smc import control as control_module
 from smc import forward, suites
 from smc.control import _rewards_pass, directional_derivative_J, performance_J, performance_Js
-from smc.errors import InadmissiblePerturbationError, NanDetectedError
+from smc.errors import ConfigError, InadmissiblePerturbationError, NanDetectedError
 from smc.forward import (
     ControlPerturbation,
     NoisePath,
@@ -185,6 +186,100 @@ def test_noise_path_reproducible():
     b = NoisePath.generate(42, 100, 0.01)
     np.testing.assert_array_equal(a.increments, b.increments)
     assert np.var(NoisePath.generate(7, 20000, 0.25).increments) == pytest.approx(0.25, rel=0.05)
+
+
+def _generated(first, count, n_steps, dt):
+    """The (n_steps, count) increments of NoisePath.generate, one path at a time."""
+    paths = [NoisePath.generate(first + p, n_steps, dt).increments for p in range(count)]
+    return np.stack(paths, axis=1)
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**128 - 1]
+_RANDOM_SEEDS = [random.Random(31).getrandbits(bits) for bits in range(1, 129)]
+_RANDOM_SEEDS += [random.Random(bits).getrandbits(128) for bits in range(72)]
+
+
+@pytest.mark.parametrize("n_steps, dt", [(96, 1 / 96), (5, 0.3)])
+def test_bundle_noise_is_default_rng_byte_for_byte(n_steps, dt):
+    # one-path bundles at the word edges of SeedSequence and at 200 random seeds of 1-128 bits,
+    # then bundles that cross 2**32, 2**64 and a 128-path block, and one that ends at 2**128 - 1
+    for seed in _EDGE_SEEDS + _RANDOM_SEEDS:
+        want = _generated(seed, 1, n_steps, dt)
+        assert forward._draw_noise(seed, 1, n_steps, dt).tobytes() == want.tobytes(), seed
+    for first, count in [(2**32 - 70, 140), (2**64 - 3, 6), (2**128 - 130, 130), (20250, 300)]:
+        want = _generated(first, count, n_steps, dt)
+        assert forward._draw_noise(first, count, n_steps, dt).tobytes() == want.tobytes(), first
+
+
+def test_held_noise_never_shows_in_a_result():
+    # paths A, B, A, then A on fewer paths and on another time grid: every call, warm or
+    # not, gives the bits it gives drawn cold
+    spec = make_spec(beta=0.3, alpha=0.2, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=12)
+
+    def j(spec, n_paths, seed):
+        xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+        estimate = performance_J(spec, xi, n_paths, seed)
+        return np.array([estimate.estimate, estimate.stderr]).tobytes()
+
+    def ensemble(spec, n_paths, seed):
+        summary = simulate_ensemble(spec, zero_control(spec), n_paths, seed)
+        return summary.mean_path.values.tobytes() + summary.terminal_values.tobytes()
+
+    a, finer = (spec, 130, 4), (dataclasses.replace(spec, n_steps=13), 130, 4)
+    calls = [(j, a), (ensemble, a), (j, (spec, 130, 5)), (j, a), (ensemble, (spec, 129, 4)),
+             (j, finer), (ensemble, a)]
+    forward._held_noise.clear()
+    warm = [call(*args) for call, args in calls]
+    assert len(forward._held_noise) == 1
+    cold = []
+    for call, args in calls:
+        forward._held_noise.clear()
+        cold.append(call(*args))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_draw_past_the_budget_is_made_per_bundle_with_the_same_bits(monkeypatch, workers):
+    monkeypatch.setenv("SMC_WORKERS", workers)
+    spec = make_spec(beta=0.3, alpha=0.2, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=12)
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+
+    def outputs():
+        forward._held_noise.clear()
+        (j,) = performance_Js(spec, [control], 300, 7)
+        summary = simulate_ensemble(spec, control, 300, 7, chunk_size=128)
+        arrays = (j.estimate, j.stderr, summary.mean_path.values, summary.terminal_values)
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    held = outputs()
+    assert list(forward._held_noise) == [(7, 300, 12, spec.dt)]
+    monkeypatch.setattr(forward, "_NOISE_BUDGET", 300 * 12 * 8 - 1)
+    assert outputs() == held
+    assert not forward._held_noise
+
+
+def test_held_noise_is_read_only_and_a_noise_path_owns_its_increments():
+    spec = make_spec(beta=0.3, n_steps=6)
+    performance_J(spec, zero_control(spec), 5, 40)
+    (noise,) = forward._held_noise.values()
+    assert noise.shape == (6, 5) and not noise.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        noise[0, 0] = 0.0
+    path = NoisePath.generate(42, spec.n_steps, spec.dt)
+    assert path.increments.tobytes() == noise[:, 2].tobytes()
+    assert path.increments.flags.writeable and path.increments.flags.owndata
+    path.increments[:] = 0.0
+    assert noise[:, 2].tobytes() == NoisePath.generate(42, 6, spec.dt).increments.tobytes()
+
+
+def test_path_seeds_end_below_2_128():
+    spec = make_spec(beta=0.3, n_steps=4)
+    top = simulate_ensemble(spec, zero_control(spec), 3, 2**128 - 3)
+    path = simulate_path(spec, zero_control(spec), NoisePath.generate(2**128 - 1, 4, spec.dt))
+    assert top.terminal_values[2].tobytes() == path.values[-1].tobytes()
+    for n_paths, seed in [(4, 2**128 - 3), (1, 2**128), (1, -1)]:
+        with pytest.raises(ConfigError):
+            simulate_ensemble(spec, zero_control(spec), n_paths, seed)
 
 
 def test_determinism_bitwise():
@@ -901,6 +996,7 @@ def test_nan_error_is_the_earliest_of_all_bundles(monkeypatch, fails, offender):
 def test_worker_count_never_moves_a_monte_carlo_bit(
     n_paths, chunk_size, other_chunk_size, workers
 ):
+    forward._held_noise.clear()  # each example's first call draws cold, the others reuse it
     grid = build_grid(0.0, 1.0, 8)
     spec = make_spec(
         grid=grid,

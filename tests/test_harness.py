@@ -229,6 +229,9 @@ def _problem_with(section, key, value):
         (["rate", "--levels", "4,8"], {}, "--levels"),
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
+        (["simulate", "--seed", str(2**128 - 8), "--paths", "9"], {}, "--seed"),
+        (["policy", "--seed", str(2**128 - 1)], {}, "--seed"),
+        (["simulate"], {"mc": {"n_paths": 8, "seed": 2**128 - 8}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
         (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
@@ -247,6 +250,7 @@ def _problem_with(section, key, value):
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
+         "seed-range-reaches-2-128", "policy-seed-range-reaches-2-128", "mc-seed-past-2-128",
          "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
          "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
          "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
@@ -486,6 +490,14 @@ def test_smc_workers_default_and_parsed(monkeypatch):
     for value, expected in [("", allowed), ("3", 3), (" 2 ", 2)]:
         monkeypatch.setenv("SMC_WORKERS", value)
         assert worker_count() == expected
+
+
+def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
+    config, out = _write_config(tmp_path, minimal_config()), tmp_path / "top"
+    argv = ["simulate", "--config", config, "--seed", str(2**128 - 8), "--paths", "8"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / f"terminal_seed{2**128 - 1}.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
