@@ -112,10 +112,12 @@ def _levels(config: RunConfig, args) -> list[int]:
     return levels
 
 
-def _paths(config: RunConfig, args) -> int:
+def _paths(config: RunConfig, args, seed: int) -> int:
     n_paths = args.paths if args.paths is not None else config.mc.n_paths
     if n_paths < 1:
         raise ConfigError("path count must be >= 1", "--paths")
+    if problem := seed_problem(seed, n_paths):
+        raise ConfigError(problem, "--seed")
     return n_paths
 
 
@@ -126,7 +128,7 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
 
 
 def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args)
+    n_paths = _paths(config, args, seed)
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     summary = simulate_ensemble(spec, control, n_paths, seed)
@@ -211,7 +213,7 @@ def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
 
 
 def _cmd_derivcheck(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args)
+    n_paths = _paths(config, args, seed)
     spec = config.problem
     rng = np.random.default_rng(seed)
     base = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)
@@ -269,9 +271,8 @@ def _run(config: RunConfig | None, args) -> int:
         echo, config_hash = config.raw, config.config_hash
         seed = getattr(args, "seed", None)  # verify takes no --seed
         seed = config.mc.seed if seed is None else seed
-        paths = getattr(args, "paths", None)  # simulate and derivcheck take --paths
-        if problem := seed_problem(seed, config.mc.n_paths if paths is None else paths):
-            raise ConfigError(problem, "--seed")
+        if seed < 0:
+            raise ConfigError("seed must be >= 0", "--seed")
         seeds = {"root": seed}
         out_dir, formats = config.outputs.directory, config.outputs.formats
     out_dir = args.out if args.out is not None else out_dir

@@ -230,7 +230,6 @@ def _problem_with(section, key, value):
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
         (["simulate", "--seed", str(2**128 - 8), "--paths", "9"], {}, "--seed"),
-        (["policy", "--seed", str(2**128 - 1)], {}, "--seed"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": 2**128 - 8}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
@@ -250,7 +249,7 @@ def _problem_with(section, key, value):
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "seed-range-reaches-2-128", "policy-seed-range-reaches-2-128", "mc-seed-past-2-128",
+         "seed-range-reaches-2-128", "mc-seed-past-2-128",
          "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
          "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
          "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
@@ -498,6 +497,10 @@ def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0
     assert (out / f"terminal_seed{2**128 - 1}.csv").exists()
     assert capsys.readouterr().err == ""
+    # a subcommand that draws no ensemble takes any seed >= 0: its checks run (exit 0 or 1)
+    argv = ["rate", "--config", config, "--seed", str(2**128), "--out", str(tmp_path / "rate")]
+    assert main(argv) in (0, 1)
+    assert (tmp_path / "rate" / "report.json").exists()
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
