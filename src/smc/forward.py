@@ -17,13 +17,18 @@ and the vectorized ensemble kernel reproduces single-path runs bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import select
+import signal
+import sys
 import traceback
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -49,6 +54,7 @@ ENV_WORKERS = "SMC_WORKERS"
 # most paths per Monte Carlo bundle; two bundles in flight hold what one 4096-path bundle held
 _DEFAULT_CHUNK = 2048
 _BLOCK = 128  # paths per block: ensembles sum blocks, so no result shows how bundles cut paths
+_INDEX_BYTES = 8  # one item index on a worker queue: below PIPE_BUF, so written and read whole
 
 
 def worker_count() -> int:
@@ -63,32 +69,151 @@ def worker_count() -> int:
     return int(raw)
 
 
-_task: Callable | None = None  # in a forked pool worker, what ``_apply`` applies to an item
-
-
-def _install(fn: Callable) -> None:
-    globals()["_task"] = fn
-
-
-def _apply(item) -> tuple:
+def _apply(fn: Callable, item) -> tuple:
+    """(result, error, traceback, warning messages) of ``fn(item)``, in a worker."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = (_task(item), None, None)
-        except Exception as exc:  # sent back, with its traceback, for the caller to raise
+            outcome = (fn(item), None, None)
+        except BaseException as exc:  # sent back, with its traceback, for the caller to raise
             outcome = (None, exc, traceback.format_exc())
     return (*outcome, [w.message for w in caught])
 
 
+def _pickled(index: int, outcome: tuple) -> bytes:
+    try:
+        return pickle.dumps((index, outcome))
+    except Exception as exc:  # an unpicklable result or error: its pickling error goes instead
+        return pickle.dumps((index, (None, exc, traceback.format_exc(), [])))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """Exactly ``size`` bytes from ``fd``; EOFError if the writer ends first."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            raise EOFError
+        got += n
+    return data
+
+
+def _serve(fn: Callable, items: Sequence, tasks: int, results: int, inherited) -> NoReturn:
+    """A forked worker: apply ``fn`` to each item index read from ``tasks`` until it ends.
+
+    Each outcome goes to ``results`` as an 8-byte length and a pickle of (index, outcome).
+    The ``inherited`` descriptors are the caller's, closed first.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while record := os.read(tasks, _INDEX_BYTES):  # one record per read: writes are atomic
+            index = int.from_bytes(record, "little")
+            payload = _pickled(index, _apply(fn, items[index]))
+            os.write(results, len(payload).to_bytes(8, "little"))
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(results, view):]
+        code = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):  # what the worker printed: os._exit drops it
+            with contextlib.suppress(Exception):
+                stream.flush()
+        os._exit(code)
+
+
+def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
+    """Each item's ``_apply`` outcome, from ``workers`` children forked here, in input order.
+
+    The children share one queue of item indices, a pipe that this process tops up without
+    blocking as they drain it, and each sends its outcomes back on a pipe of its own.  A child
+    ends when the queue is closed and empty; one that dies first raises RuntimeError here.  On
+    every way out, each child left is killed if the call failed, and reaped.
+    """
+    tasks, queue = os.pipe()
+    os.set_blocking(queue, False)
+    children: dict[int, int] = {}  # each child's result pipe -> its pid
+    outcomes: list = [None] * len(items)
+    handed, pending, finished = 0, len(items), False
+
+    def hand_out() -> None:
+        nonlocal handed, queue
+        try:
+            while handed < len(items):
+                os.write(queue, handed.to_bytes(_INDEX_BYTES, "little"))
+                handed += 1
+        except BlockingIOError:  # the queue is full: the next outcome makes room
+            return
+        os.close(queue)  # every index is out: a child that finds the queue empty ends
+        queue = -1
+
+    for stream in (sys.stdout, sys.stderr):  # or the children print the buffers again
+        stream.flush()
+    try:
+        for _ in range(workers):
+            reader, writer = os.pipe()
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve(fn, items, tasks, writer, (queue, reader))
+                children[reader] = pid
+            except BaseException:
+                os.close(reader)
+                raise
+            finally:
+                os.close(writer)
+        poller = select.poll()
+        for reader in children:
+            poller.register(reader, select.POLLIN)
+        hand_out()
+        while pending:
+            if not children:
+                raise RuntimeError(f"worker processes ended with {pending} items unfinished")
+            for reader, _ in poller.poll():
+                try:
+                    size = int.from_bytes(_read(reader, 8), "little")
+                    index, outcome = pickle.loads(_read(reader, size))
+                except EOFError:  # the child is gone: it ended on an empty queue, or died
+                    pid = children[reader]
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[reader]
+                    poller.unregister(reader)
+                    os.close(reader)
+                    if code < 0:
+                        death = f"was killed by {signal.Signals(-code).name}"
+                    elif code > 0:
+                        death = f"exited with status {code}"
+                    else:
+                        continue
+                    raise RuntimeError(f"worker process {pid} {death}") from None
+                outcomes[index] = outcome
+                pending -= 1
+                if queue >= 0:
+                    hand_out()
+        finished = True
+    finally:
+        for fd in (tasks, queue):
+            if fd >= 0:
+                os.close(fd)
+        for reader, pid in children.items():
+            if not finished:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
+    return outcomes
+
+
 def map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply ``fn`` to items on up to ``worker_count()`` forked processes, in input order."""
+    """Apply ``fn`` to items on up to ``worker_count()`` forked processes, in input order.
+
+    Children are forked per call, so they inherit ``fn`` as it is now, lambdas and all; only
+    item indices go out.  The caller runs no item: its peak memory stays the caller's own.
+    """
     workers = min(worker_count(), len(items))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: not for serial
-    from multiprocessing import get_context
-    # forked per call: workers inherit fn as it is now, lambdas and all, which spawn cannot pickle
-    with ProcessPoolExecutor(workers, get_context("fork"), _install, (fn,)) as pool:
-        outcomes = list(pool.map(_apply, items))
+    outcomes = _fork_map(fn, items, workers)
     for _, error, trace, caught in outcomes:
         for message in caught:
             warnings.warn(message, stacklevel=2)

@@ -59,10 +59,6 @@ class RunReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, check: CheckResult) -> CheckResult:
-        self.checks.append(check)
-        return check
-
     def deterministic_payload(self) -> dict:
         return {
             "config": self.config_echo,

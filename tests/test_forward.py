@@ -1,9 +1,16 @@
+import contextlib
 import dataclasses
+import json
 import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -684,25 +691,24 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
     # mirrors the benchmark's peak-RSS bound: using every core must not cost memory.  The
     # parallel run has three default chunks, so two are in flight and a larger default
     # chunk (up to the whole run) would show.  Chunks run in forked workers, which inherit
-    # this wrapper: each one traces its own peak into tmp_path, and the bound covers the
-    # caller plus every worker.
+    # the wrapped bundle function: each one traces its own peak into tmp_path, and the bound
+    # covers the caller plus every worker.
     spec = suites.harvesting_benchmark()
     control = SingularControl.constant_rate(1.0, spec.times, spec.grid.n_cells)
-    install = forward._install
+    map_ordered, restarted = forward.map_ordered, set()
 
-    def install_traced(fn):
-        tracemalloc.stop()  # in the worker: forget what the caller traced before the fork
-        tracemalloc.start()
-
+    def map_traced(fn, items):
         def traced(item):
+            if os.getpid() not in restarted:  # a worker's first item: forget the caller's trace
+                restarted.add(os.getpid())
+                tracemalloc.stop()
+                tracemalloc.start()
             try:
                 return fn(item)
             finally:
                 (tmp_path / str(os.getpid())).write_text(str(tracemalloc.get_traced_memory()[1]))
 
-        install(traced)
-
-    monkeypatch.setattr(forward, "_install", install_traced)
+        return map_ordered(traced, items)
 
     def traced_peak(workers, n_paths, chunk_size=None):
         monkeypatch.setenv("SMC_WORKERS", workers)
@@ -715,10 +721,103 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
             tracemalloc.stop()
 
     serial = traced_peak("1", 4096, chunk_size=4096)
+    restarted.add(os.getpid())  # the caller runs no bundle; if it did, its trace stays whole
+    monkeypatch.setattr(forward, "map_ordered", map_traced)
     caller = traced_peak("2", 3 * forward._DEFAULT_CHUNK)
     workers = [int(path.read_text()) for path in tmp_path.iterdir()]
     assert len(workers) == 2
     assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``: a hang fails, not stalls."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)  # forked children do not inherit the timer
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "die, named",
+    [(partial(os._exit, 3), "exited with status 3"), (_kill_self, "was killed by SIGKILL")],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_worker_that_dies_raises_in_the_caller_and_leaves_no_process(monkeypatch, die, named):
+    monkeypatch.setenv("SMC_WORKERS", "2")
+
+    def bundle(item):
+        if item == 1:
+            die()
+        return item
+
+    with _deadline(1.0), pytest.raises(RuntimeError, match=named):
+        forward.map_ordered(bundle, [0, 1, 2, 3])
+    with pytest.raises(ChildProcessError):  # every worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(monkeypatch):
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    with _deadline(5.0), pytest.raises(Exception, match="pickle") as err:
+        forward.map_ordered(lambda item: (lambda: item), [0, 1])  # a local lambda: no pickle
+    trace = str(err.value.__cause__)
+    assert trace.startswith("in a worker process:\nTraceback") and "pickle" in trace
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_ordered_hands_out_more_indices_than_one_pipe_holds(monkeypatch):
+    # 20 000 eight-byte indices fill a 64 KiB pipe more than twice over
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    items = range(20_000)
+    assert forward.map_ordered(lambda item: 3 * item, items) == [3 * item for item in items]
+
+
+def test_a_parallel_estimate_forks_its_workers_and_starts_no_thread(monkeypatch):
+    spec = make_spec(beta=0.2, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=4)
+    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    serial = performance_J(spec, control, 300, seed=1)
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    no_thread = mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread"))
+    with _deadline(10.0), no_thread:
+        parallel = performance_J(spec, control, 300, seed=1)
+    assert len(forks) == 2  # 300 paths: two bundles, one per worker
+    assert (parallel.estimate, parallel.stderr) == (serial.estimate, serial.stderr)
+
+
+def test_a_parallel_cli_run_imports_no_process_pool(tmp_path):
+    # numpy.testing, which scipy imports, brings in the concurrent.futures package itself;
+    # ProcessPoolExecutor lives in concurrent.futures.process, which imports multiprocessing
+    root = Path(__file__).parents[1]
+    script = f"""
+import json, os, sys
+from smc.cli import main
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+code = main(["simulate", "--config", {str(root / "configs" / "harvest.json")!r},
+             "--paths", "300", "--out", {str(tmp_path)!r}])
+pools = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+print(json.dumps([code, len(forks), pools]))
+"""
+    env = {**os.environ, "SMC_WORKERS": "2", "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, 2, []]
 
 
 def test_ensemble_nan_reports_offending_seed():
@@ -981,6 +1080,57 @@ def test_nan_error_is_the_earliest_of_all_bundles(monkeypatch, fails, offender):
             _monte_carlo(spec, passes, 300, 0, 300)
         errors.append((err.value.step, err.value.seed))
     assert errors == [offender] * 3
+
+
+def _stacked_states(first, states):
+    """A bundle's states, (n_steps + 1, n_total, paths): its reduction in the property below."""
+    return np.stack([u for _, u in states])
+
+
+@settings(max_examples=100)
+@given(
+    width=st.integers(1, 600),
+    n_cells=st.integers(2, 12),
+    n_steps=st.integers(1, 5),
+    coefficients=st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 0.4)),
+    model=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 2.0)),
+    stepping=st.sampled_from(["implicit", "crank-nicolson"]),
+    seed=st.integers(0, 2**64),
+    workers=st.sampled_from(["1", "2"]),
+    data=st.data(),
+)
+@example(width=600, n_cells=6, n_steps=3, coefficients=(0.5, 0.2, 0.1), model=(0.3, 0.2, 1.0),
+         stepping="implicit", seed=7, workers="1", data=None)  # one 600-path bundle: the sweep
+def test_a_single_path_is_its_ensemble_column_bit_for_bit(
+    width, n_cells, n_steps, coefficients, model, stepping, seed, workers, data
+):
+    # one worker runs a bundle of every path, which crosses SWEEP_MIN_PATHS from 512 on;
+    # two cut the paths into narrower bundles
+    second_order, first_order, theta = coefficients
+    alpha, beta, rate = model
+    grid = build_grid(0.0, 1.0, n_cells)
+    spec = make_spec(
+        grid=grid,
+        op=OperatorSpec(second_order, first_order, theta),
+        horizon=0.05 * n_steps,
+        n_steps=n_steps,
+        alpha=alpha,
+        beta=beta,
+        stepping=stepping,
+        initial=Field.from_function(grid, lambda x: 1.0 + x * (1.0 - x)),
+        boundary=(1.0, 0.5),
+    )
+    mask = np.arange(n_cells) % 3 != seed % 3  # a control that charges some rows only
+    control = SingularControl.constant_rate(rate, spec.times, n_cells).masked(mask)
+    with mock.patch.dict(os.environ, {"SMC_WORKERS": workers}):
+        (bundles,) = _monte_carlo(spec, [(control, _stacked_states)], width, seed)
+    ensemble = np.concatenate(bundles, axis=2)
+    picks = {0, width - 1}
+    if data is not None:
+        picks.add(data.draw(st.integers(0, width - 1)))
+    for p in sorted(picks):
+        path = simulate_path(spec, control, NoisePath.generate(seed + p, n_steps, spec.dt))
+        assert path.values.tobytes() == ensemble[:, :, p].tobytes(), p
 
 
 @settings(max_examples=12)
