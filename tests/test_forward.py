@@ -1097,12 +1097,11 @@ def _stacked_states(first, states):
     stepping=st.sampled_from(["implicit", "crank-nicolson"]),
     seed=st.integers(0, 2**64),
     workers=st.sampled_from(["1", "2"]),
-    data=st.data(),
 )
 @example(width=600, n_cells=6, n_steps=3, coefficients=(0.5, 0.2, 0.1), model=(0.3, 0.2, 1.0),
-         stepping="implicit", seed=7, workers="1", data=None)  # one 600-path bundle: the sweep
+         stepping="implicit", seed=7, workers="1")  # one 600-path bundle: the sweep
 def test_a_single_path_is_its_ensemble_column_bit_for_bit(
-    width, n_cells, n_steps, coefficients, model, stepping, seed, workers, data
+    width, n_cells, n_steps, coefficients, model, stepping, seed, workers
 ):
     # one worker runs a bundle of every path, which crosses SWEEP_MIN_PATHS from 512 on;
     # two cut the paths into narrower bundles
@@ -1125,10 +1124,7 @@ def test_a_single_path_is_its_ensemble_column_bit_for_bit(
     with mock.patch.dict(os.environ, {"SMC_WORKERS": workers}):
         (bundles,) = _monte_carlo(spec, [(control, _stacked_states)], width, seed)
     ensemble = np.concatenate(bundles, axis=2)
-    picks = {0, width - 1}
-    if data is not None:
-        picks.add(data.draw(st.integers(0, width - 1)))
-    for p in sorted(picks):
+    for p in sorted({0, seed % width, width - 1}):  # the ends and one column the seed picks
         path = simulate_path(spec, control, NoisePath.generate(seed + p, n_steps, spec.dt))
         assert path.values.tobytes() == ensemble[:, :, p].tobytes(), p
 
