@@ -180,6 +180,8 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     xi_inc = spec.singular[0].increments if spec.singular is not None else None
     depends_on_y = spec.driver is not None or spec.singular is not None
     barrier = None if spec.obstacle is None else sign * spec.obstacle
+    penalty = dt * n  # the penalized diagonal's weight, and its pull toward the barrier
+    pull = None if barrier is None else penalty * barrier
 
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = sign * spec.terminal.values
@@ -198,13 +200,15 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
                 coefficient = np.asarray(spec.singular[1](t, x_int, sign * y), dtype=float)
                 rhs += sign * coefficient * xi_inc[k]
             if active is not None and active.any():
-                rhs += dt * n * np.where(active, barrier, 0.0)
-                rhs[...] = stepper.solve(rhs, dt * n * active)
+                rhs += np.where(active, pull, 0.0)
+                rhs[...] = stepper.solve(rhs, penalty * active)
             else:  # a zero penalty: the factored matrix gives gtsv's bits
                 stepper.solve_in_place(rhs)
-            low, high = rhs.min(), rhs.max()
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
+            # a finite sum means finite rows; only a sum past the float range needs min and max
+            if depends_on_y or not math.isfinite(np.add.reduce(rhs)):
+                low, high = rhs.min(), rhs.max()
+                if not (math.isfinite(low) and math.isfinite(high)):
+                    raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
             active_new = None if barrier is None else rhs < barrier
             stable = active_new is None or bool((active_new == active).all())
             close = not depends_on_y or np.abs(np.subtract(rhs, y, out=work), out=work).max() <= (
@@ -218,7 +222,8 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
                 f"semi-smooth iteration stalled at step {k} (level {n}, "
                 f"cap {_MAX_FIXED_POINT_ITERS})"
             )
-        values[k, 1:-1] = y
+        if y is not targets[0]:
+            values[k, 1:-1] = y
 
     if sign < 0.0:  # map the upper side back; at +1.0 the pass would change no bit
         values *= sign

@@ -173,6 +173,7 @@ def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     )
     rep = policy.report
     tol = rep.TOLERANCE
+    increments = policy.xi_hat.increments
     checks = [
         CheckResult(
             "threshold-slack", rep.threshold_violation_max, tol, rep.threshold_pass,
@@ -181,7 +182,7 @@ def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
         CheckResult("complementarity", rep.complementarity_residual, tol, rep.complementarity_pass),
         CheckResult(
             "variational-inequality", rep.vi_residual, tol, rep.vi_pass,
-            f"degenerate coefficient fallback: {policy.degenerate_coefficient}",
+            f"contact set: {np.count_nonzero(increments)} of {increments.size} step-node cells",
         ),
     ]
     paths = {

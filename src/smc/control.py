@@ -53,8 +53,6 @@ PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example co
 _SIDES = {PRICE_FLOOR: LOWER, PRICE_CAP: UPPER}  # convention -> reflection side of the adjoint
 CONVENTIONS = tuple(_SIDES)
 
-_COEFFICIENT_FLOOR = 1e-10  # |dH1/du| at or below this cannot convert reflection to control
-
 
 def _side(convention: str) -> str:
     """The reflection side of the convention's adjoint; an unknown convention raises."""
@@ -281,7 +279,6 @@ class PolicyResult:
     p: FieldPath
     report: MPReport
     solution: BackwardSolution
-    degenerate_coefficient: bool
 
 
 def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
@@ -295,44 +292,35 @@ def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
     return AdjointSpec(backward=backward)
 
 
-# a non-finite adjoint gives NaN rates and residuals, which the MPReport fails, not warnings
+# a non-finite adjoint gives NaN residuals, which the MPReport fails, not warnings
 @np.errstate(over="ignore", invalid="ignore")
 def extract_policy(
     spec: ProblemSpec,
     levels: list[int],
     convention: str = PRICE_FLOOR,
-    max_rate: float | None = None,
+    *,
+    max_rate: float,
 ) -> PolicyResult:
     """Extract the threshold harvest policy from the reflected adjoint.
 
     The adjoint is solved as a reflected backward problem with obstacle
-    h10/lambda0 (reflection side set by the convention), the reflection
-    measure is mapped to control increments by dividing by the singular
-    coefficient magnitude |dH1/du| = |h10 - lambda0 p| of the raw penalized
-    solution where that magnitude exceeds 1e-10; if the coefficient
-    is degenerate on the charged set the raw reflection measure is returned
-    and flagged.  The returned adjoint path is clipped to the admissible
-    side of the threshold for t < T, which enforces the discrete
-    complementarity identity exactly.
-
-    ``max_rate`` optionally caps lambda0 * dxi per step (the state stays
-    positive only while lambda0 * dxi < 1).
+    h10/lambda0 (reflection side set by the convention).  The policy charges
+    the admissibility cap, lambda0 * dxi = ``max_rate`` per step, on the
+    contact set: every (step, node) where the top level's reflection
+    increment is positive.  ``max_rate`` must lie in (0, 1), since the state
+    stays positive only while lambda0 * dxi < 1.  The returned adjoint path
+    is clipped to the admissible side of the threshold for t < T, which
+    enforces the discrete complementarity identity exactly.
     """
+    if not 0.0 < max_rate < 1.0:
+        raise ValueError(f"max_rate must lie in (0, 1), got {max_rate!r}")
     reflected = policy_adjoint(spec, convention).backward
     solution = solve_reflected(reflected, levels)
 
     p = solution.y.values.copy()
     p_int = p[:-1, 1:-1]  # (n_steps, n_cells): the left endpoint of every step
     deta = np.diff(solution.eta.values[:, 1:-1], axis=0)
-    coeff = np.abs(spec.singular_slope(p_int))
-    charged = deta > 0.0
-    usable = charged & (coeff > _COEFFICIENT_FLOOR)
-    fallback = charged & ~usable
-    rate = np.zeros_like(deta)
-    rate[usable] = deta[usable] / coeff[usable]
-    rate[fallback] = deta[fallback]
-    if max_rate is not None:
-        rate = np.minimum(rate, max_rate / spec.lambda0)
+    rate = np.where(deta > 0.0, max_rate / spec.lambda0, 0.0)
     clip = np.maximum if reflected.reflection_side == LOWER else np.minimum
     clip(p_int, reflected.obstacle, out=p_int)
 
@@ -343,7 +331,6 @@ def extract_policy(
         p=p_path,
         report=check_necessary(p_path, xi_hat, spec, convention=convention),
         solution=solution,
-        degenerate_coefficient=bool(fallback.any()),
     )
 
 

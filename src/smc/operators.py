@@ -136,7 +136,9 @@ class TridiagonalStepper:
         if self._factors is None:
             b[...] = self.solve(b, 0.0)
         elif b.ndim == 1 or b.shape[1] < self.SWEEP_MIN_PATHS:
-            b[...] = dgttrs(*self._factors, b, overwrite_b=1)[0]
+            x = dgttrs(*self._factors, b, overwrite_b=1)[0]
+            if x is not b:  # a 1-D b is solved in place; a narrow bundle comes back F-ordered
+                b[...] = x
         else:
             _substitute(b, *self._sweep_factors)
         return b

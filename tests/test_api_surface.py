@@ -6,7 +6,7 @@ field of a result record is a fact someone may read.  Adding one, dropping
 one, or changing what it defaults to must edit this file, where a reviewer
 sees it.  perfbench calls
 ``performance_J``, ``directional_derivative_J(..., epsilons=)``,
-``extract_policy(..., convention=, max_rate=)`` and
+``extract_policy(..., convention=, max_rate=)`` (``max_rate`` required) and
 ``solve_obstacle_psor(..., side=)``, so those entries also guard the
 benchmark's calls.
 """
@@ -102,7 +102,7 @@ DEFAULTS = {
     "assemble_adjoint": {"xi": None},
     "check_necessary": {"convention": "price-floor"},
     "directional_derivative_J": {"epsilons": (0.1, 0.01, 0.001)},
-    "extract_policy": {"convention": "price-floor", "max_rate": None},
+    "extract_policy": {"convention": "price-floor"},
     "psor.solve_obstacle_psor": {"side": "lower"},
     "simulate_ensemble": {"chunk_size": 2048},
     "skorokhod_residual": {"side": "lower"},
@@ -190,7 +190,6 @@ RESULT_FIELDS = {
         "p": "FieldPath",
         "report": "MPReport",
         "solution": "BackwardSolution",
-        "degenerate_coefficient": "bool",
     },
     "JEstimate": {"estimate": "float", "stderr": "float"},
     "DerivativeComparison": {

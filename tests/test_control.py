@@ -226,7 +226,7 @@ def test_check_necessary_keeps_a_nan_at_a_later_step(convention):
 
 def test_extract_policy_inactive_cap():
     spec = harvest_spec(alpha=0.0, beta=0.1, g0=0.05, h10=1.0, lambda0=1.0)
-    pol = extract_policy(spec, [16, 64, 256], convention=PRICE_CAP)
+    pol = extract_policy(spec, [16, 64, 256], convention=PRICE_CAP, max_rate=0.9)
     assert pol.xi_hat.cumulative[-1].sum() == 0.0
     adj = assemble_adjoint(spec)
     free, _ = solve_penalized(adj.backward, 256)
@@ -271,15 +271,15 @@ def test_extract_policy_floor_benchmark_report():
     assert charged.min() >= 20 and charged.max() <= 39
 
 
-@pytest.mark.parametrize("max_rate", [None, 0.9])
+@pytest.mark.parametrize("max_rate", [0.9])
 @pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
 def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
-    # at lambda0 = 1.5, lambda0 * (h10 / lambda0) need not round back to h10:
-    # the policy's coefficient must be the solver's dH1/du bit for bit, step by step
+    # the oracle is the former rule, reflection increment over |dH1/du| capped at
+    # max_rate / lambda0, step by step: on a charged cell the quotient is dt n_top / lambda0,
+    # far above the cap, so charging the cap on the contact set keeps every bit
     spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
     pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=convention, max_rate=max_rate)
     eta, p_raw = pol.solution.eta.values, pol.solution.y.values
-    assert not pol.degenerate_coefficient
     rates, p_clipped = [], p_raw.copy()
     clip = np.maximum if convention == PRICE_FLOOR else np.minimum
     for k in range(spec.n_steps):
@@ -288,15 +288,25 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
         charged = deta > 0.0
         rate = np.zeros_like(deta)
         rate[charged] = deta[charged] / coeff[charged]
-        if max_rate is not None:
-            rate = np.minimum(rate, max_rate / spec.lambda0)
-        rates.append(rate)
+        rates.append(np.minimum(rate, max_rate / spec.lambda0))
         p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], spec.h10[1:-1] / spec.lambda0)
     expected = SingularControl.from_increments(np.array(rates))  # the same cumulative sum
     assert expected.cumulative[-1].sum() > 0.0
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
     np.testing.assert_array_equal(pol.p.values, p_clipped)
     assert not np.array_equal(pol.p.values, p_raw)  # the clip binds somewhere
+
+
+@pytest.mark.parametrize("max_rate", [0.0, 1.0, 1.5, float("nan")])
+def test_extract_policy_rejects_a_rate_outside_the_unit_interval(max_rate):
+    spec = harvest_spec()
+    with pytest.raises(ValueError, match=r"max_rate must lie in \(0, 1\)"):
+        extract_policy(spec, [16, 64], max_rate=max_rate)
+
+
+def test_extract_policy_requires_max_rate():
+    with pytest.raises(TypeError, match="max_rate"):
+        extract_policy(harvest_spec(), [16, 64])
 
 
 def test_overflowing_backward_solves_are_typed_and_warn_nothing():
@@ -324,7 +334,7 @@ def test_policy_optimality_fails_a_nan_residual_that_is_not_the_first(monkeypatc
     # lambda0 = 1e308 on the benchmark: the complementarity residual is NaN, the others 0.0,
     # so Python's max over the three reads 0.0 while the report fails
     spec, policy = suites.benchmark_policy()
-    report = extract_policy(dataclasses.replace(spec, lambda0=1e308), [4, 8]).report
+    report = extract_policy(dataclasses.replace(spec, lambda0=1e308), [4, 8], max_rate=0.9).report
     assert np.isnan(report.complementarity_residual) and not report.all_pass
     assert max(report.threshold_violation_max, report.complementarity_residual) == 0.0
     nan_policy = dataclasses.replace(policy, report=report)
@@ -340,7 +350,7 @@ def test_unknown_convention_is_rejected():
     p = _paths_of_constant(spec, 0.5)
     calls = [
         lambda: policy_adjoint(spec, "bogus"),
-        lambda: extract_policy(spec, [16, 64], convention="bogus"),
+        lambda: extract_policy(spec, [16, 64], convention="bogus", max_rate=0.9),
         lambda: check_necessary(p, xi, spec, convention="bogus"),
     ]
     for call in calls:

@@ -630,7 +630,7 @@ CLI_STDOUT = {
         "[PASS] threshold-slack: value=0 tolerance=1e-06  (convention price-floor)",
         "[PASS] complementarity: value=0 tolerance=1e-06",
         "[PASS] variational-inequality: value=0 tolerance=1e-06"
-        "  (degenerate coefficient fallback: False)",
+        "  (contact set: 100 of 1440 step-node cells)",
     ]),
     "rate": (1, ["rate"], [
         "levels [256, 512, 1024, 2048]",
