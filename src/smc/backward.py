@@ -204,11 +204,9 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
                 rhs[...] = stepper.solve(rhs, penalty * active)
             else:  # a zero penalty: the factored matrix gives gtsv's bits
                 stepper.solve_in_place(rhs)
-            # a finite sum means finite rows; only a sum past the float range needs min and max
-            if depends_on_y or not math.isfinite(np.add.reduce(rhs)):
-                low, high = rhs.min(), rhs.max()
-                if not (math.isfinite(low) and math.isfinite(high)):
-                    raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
+            low, high = rhs.min(), rhs.max()
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise NanDetectedError(f"non-finite solution at step {k} (level {n})", step=k)
             active_new = None if barrier is None else rhs < barrier
             stable = active_new is None or bool((active_new == active).all())
             close = not depends_on_y or np.abs(np.subtract(rhs, y, out=work), out=work).max() <= (

@@ -306,11 +306,7 @@ class ProblemSpec:
             price = float(self.h10[0])
         elif u_interior.ndim == 2:
             price = price[:, None]
-        values = np.multiply(price, u_interior, out=out)
-        # x - 0.0 is x for every double; a cost of -0.0 still subtracts, since -0.0 - -0.0 is +0.0
-        if self.cost == 0.0 and math.copysign(1.0, self.cost) > 0.0:
-            return values
-        return np.subtract(values, self.cost, out=out)
+        return np.subtract(np.multiply(price, u_interior, out=out), self.cost, out=out)
 
     def gain_values(self, u_interior: np.ndarray, out=None) -> np.ndarray:
         """Control gain -lambda0 * u at interior nodes (state jump per unit of control)."""

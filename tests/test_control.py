@@ -271,12 +271,12 @@ def test_extract_policy_floor_benchmark_report():
     assert charged.min() >= 20 and charged.max() <= 39
 
 
-@pytest.mark.parametrize("max_rate", [0.9])
+@pytest.mark.parametrize("max_rate", [0.9])  # one value, kept so the test ids stay
 @pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
 def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
     # the oracle is the former rule, reflection increment over |dH1/du| capped at
     # max_rate / lambda0, step by step: on a charged cell the quotient is dt n_top / lambda0,
-    # far above the cap, so charging the cap on the contact set keeps every bit
+    # far above the cap at these levels, so charging the cap on the contact set keeps every bit
     spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
     pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=convention, max_rate=max_rate)
     eta, p_raw = pol.solution.eta.values, pol.solution.y.values
@@ -295,6 +295,22 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
     np.testing.assert_array_equal(pol.p.values, p_clipped)
     assert not np.array_equal(pol.p.values, p_raw)  # the clip binds somewhere
+
+
+@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
+def test_extract_policy_charges_the_cap_on_the_contact_set_at_low_levels(convention):
+    # at levels [4, 8], dt n_top / lambda0 lies below the cap: the former quotient charged
+    # less there, the contact-set rule charges max_rate / lambda0 wherever deta > 0
+    spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
+    max_rate = 0.9
+    pol = extract_policy(spec, [4, 8], convention=convention, max_rate=max_rate)
+    deta = np.diff(pol.solution.eta.values[:, 1:-1], axis=0)
+    contact = deta > 0.0
+    assert 0 < contact.sum() < contact.size
+    cap = max_rate / spec.lambda0
+    expected = SingularControl.from_increments(np.where(contact, cap, 0.0))
+    np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
+    assert spec.dt * 8 / spec.lambda0 < cap  # the regime where the two rules part
 
 
 @pytest.mark.parametrize("max_rate", [0.0, 1.0, 1.5, float("nan")])
