@@ -206,21 +206,34 @@ _RANDOM_SEEDS = [random.Random(31).getrandbits(bits) for bits in range(1, 129)]
 _RANDOM_SEEDS += [random.Random(bits).getrandbits(128) for bits in range(72)]
 
 
+def _default_rng_words(seed):
+    """default_rng(seed)'s PCG64 state and increment, as the kept words hold them."""
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    return [word for v in (state["state"], state["inc"]) for word in (v >> 64, v & 2**64 - 1)]
+
+
 @pytest.mark.parametrize("n_steps, dt", [(96, 1 / 96), (5, 0.3)])
 def test_bundle_noise_is_default_rng_byte_for_byte(n_steps, dt):
     # one-path bundles at the word edges of SeedSequence and at 200 random seeds of 1-128 bits,
     # then bundles that cross 2**32, 2**64 and a 128-path block, and one that ends at 2**128 - 1
+    for seed in _EDGE_SEEDS:
+        assert forward._pcg64_words(seed, 1).tolist() == [_default_rng_words(seed)], seed
     for seed in _EDGE_SEEDS + _RANDOM_SEEDS:
         want = _generated(seed, 1, n_steps, dt)
-        assert forward._draw_noise(seed, 1, n_steps, dt).tobytes() == want.tobytes(), seed
+        got = forward._draw_noise(forward._pcg64_words(seed, 1), n_steps, dt)
+        assert got.tobytes() == want.tobytes(), seed
     for first, count in [(2**32 - 70, 140), (2**64 - 3, 6), (2**128 - 130, 130), (20250, 300)]:
+        words = forward._path_words(first, count)
         want = _generated(first, count, n_steps, dt)
-        assert forward._draw_noise(first, count, n_steps, dt).tobytes() == want.tobytes(), first
+        assert forward._draw_noise(words, n_steps, dt).tobytes() == want.tobytes(), first
+        rows = slice(count // 3, count)  # a bundle that starts inside the words
+        got = forward._draw_noise(words[rows], n_steps, dt)
+        assert got.tobytes() == np.ascontiguousarray(want[:, rows]).tobytes(), first
 
 
-def test_held_noise_never_shows_in_a_result():
+def test_kept_words_never_show_in_a_result():
     # paths A, B, A, then A on fewer paths and on another time grid: every call, warm or
-    # not, gives the bits it gives drawn cold
+    # not, gives the bits it gives hashed cold
     spec = make_spec(beta=0.3, alpha=0.2, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=12)
 
     def j(spec, n_paths, seed):
@@ -235,48 +248,47 @@ def test_held_noise_never_shows_in_a_result():
     a, finer = (spec, 130, 4), (dataclasses.replace(spec, n_steps=13), 130, 4)
     calls = [(j, a), (ensemble, a), (j, (spec, 130, 5)), (j, a), (ensemble, (spec, 129, 4)),
              (j, finer), (ensemble, a)]
-    forward._held_noise.clear()
+    forward._kept_words.clear()
     warm = [call(*args) for call, args in calls]
-    assert len(forward._held_noise) == 1
+    assert len(forward._kept_words) == 1
     cold = []
     for call, args in calls:
-        forward._held_noise.clear()
+        forward._kept_words.clear()
         cold.append(call(*args))
     assert warm == cold
+    words = forward._kept_words[(4, 130)]
+    assert j(*finer) == cold[5]
+    assert list(forward._kept_words) == [(4, 130)] and forward._kept_words[(4, 130)] is words
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_draw_past_the_budget_is_made_per_bundle_with_the_same_bits(monkeypatch, workers):
-    monkeypatch.setenv("SMC_WORKERS", workers)
-    spec = make_spec(beta=0.3, alpha=0.2, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=12)
-    control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
-
-    def outputs():
-        forward._held_noise.clear()
-        (j,) = performance_Js(spec, [control], 300, 7)
-        summary = simulate_ensemble(spec, control, 300, 7, chunk_size=128)
-        arrays = (j.estimate, j.stderr, summary.mean_path.values, summary.terminal_values)
-        return [np.asarray(a).tobytes() for a in arrays]
-
-    held = outputs()
-    assert list(forward._held_noise) == [(7, 300, 12, spec.dt)]
-    monkeypatch.setattr(forward, "_NOISE_BUDGET", 300 * 12 * 8 - 1)
-    assert outputs() == held
-    assert not forward._held_noise
-
-
-def test_held_noise_is_read_only_and_a_noise_path_owns_its_increments():
+def test_kept_words_are_read_only_and_a_noise_path_owns_its_increments():
     spec = make_spec(beta=0.3, n_steps=6)
     performance_J(spec, zero_control(spec), 5, 40)
-    (noise,) = forward._held_noise.values()
-    assert noise.shape == (6, 5) and not noise.flags.writeable
+    (words,) = forward._kept_words.values()
+    assert words.shape == (5, 4) and words.dtype == np.uint64 and not words.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        noise[0, 0] = 0.0
+        words[0, 0] = 0
     path = NoisePath.generate(42, spec.n_steps, spec.dt)
-    assert path.increments.tobytes() == noise[:, 2].tobytes()
+    assert words[2].tolist() == _default_rng_words(42)
+    assert path.increments.tobytes() == forward._draw_noise(words[2:3], 6, spec.dt).tobytes()
     assert path.increments.flags.writeable and path.increments.flags.owndata
-    path.increments[:] = 0.0
-    assert noise[:, 2].tobytes() == NoisePath.generate(42, 6, spec.dt).increments.tobytes()
+
+
+def test_a_parallel_call_keeps_32_bytes_a_path_in_the_caller(monkeypatch):
+    # the workers draw their own noise: the caller keeps each path's PCG64 words, not its
+    # n_steps * 8 bytes of increments
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    spec = make_spec(beta=0.3, alpha=0.2, grid=build_grid(0.0, 1.0, 8), n_steps=200)
+    n_paths = 2000
+    tracemalloc.start()
+    try:
+        performance_J(spec, zero_control(spec), n_paths, 11)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < n_paths * spec.n_steps * 8 / 4, traced
+    (words,) = forward._kept_words.values()
+    assert words.nbytes == 32 * n_paths and not words.flags.writeable
 
 
 def test_path_seeds_end_below_2_128():
@@ -512,6 +524,49 @@ def test_nonpositive_chunk_size_is_rejected(run, chunk_size):
     spec = make_spec()
     with pytest.raises(ValueError, match="chunk_size must be >= 1"), _chunked(chunk_size):
         run(spec, zero_control(spec), chunk_size)
+
+
+def _problem_with(**kw):
+    return lambda: make_spec(**kw)
+
+
+def _backward_with(**kw):
+    return lambda: dataclasses.replace(suites.active_obstacle_spec(20, 5), **kw)
+
+
+def _nan_field(n_cells, kind):
+    """A field on n_cells interior nodes, 1.0 inside and 0.0 on a zero boundary, NaN at one node."""
+    grid = build_grid(0.0, 1.0, n_cells)
+    values = np.ones(grid.n_total)
+    if kind == "dirichlet-zero":
+        values[[0, -1]] = 0.0
+    values[5] = np.nan
+    return Field(grid, values, kind)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (_problem_with(horizon=np.nan), "horizon"),
+        (_problem_with(alpha=np.nan), "alpha"),
+        (_problem_with(beta=np.inf), "beta"),
+        (_problem_with(lambda0=np.inf), "lambda0"),
+        (_problem_with(cost=np.nan), "cost"),
+        (_problem_with(boundary=(np.nan, 1.0)), "boundary data"),
+        (_problem_with(h10=lambda x: np.where(x > 0.5, np.nan, 1.0)), "h10"),
+        (_problem_with(g0=np.inf), "g0"),
+        (_problem_with(initial=_nan_field(30, "dirichlet-data")), "initial state"),
+        (_backward_with(horizon=np.inf), "horizon"),
+        (_backward_with(terminal=_nan_field(20, "dirichlet-zero")), "terminal values"),
+        (_backward_with(obstacle=np.where(np.arange(20) == 4, np.nan, 0.0)), "obstacle"),
+    ],
+    ids=["horizon", "alpha", "beta", "lambda0", "cost", "boundary", "h10", "g0", "initial",
+         "backward-horizon", "backward-terminal", "backward-obstacle"],
+)
+def test_non_finite_problem_data_is_rejected(build, name):
+    # a non-finite datum passes every positivity test; unchecked, it ends in a NaN estimate
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        build()
 
 
 def _reference_states(spec, control, dw):
@@ -1142,7 +1197,7 @@ def test_a_single_path_is_its_ensemble_column_bit_for_bit(
 def test_worker_count_never_moves_a_monte_carlo_bit(
     n_paths, chunk_size, other_chunk_size, workers
 ):
-    forward._held_noise.clear()  # each example's first call draws cold, the others reuse it
+    forward._kept_words.clear()  # each example's first call hashes cold, the others reuse it
     grid = build_grid(0.0, 1.0, 8)
     spec = make_spec(
         grid=grid,
