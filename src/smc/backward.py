@@ -39,7 +39,7 @@ from .errors import (
     NonCauchyError,
     TerminalConsistencyError,
 )
-from .forward import CRANK_NICOLSON, SingularControl, _require_finite
+from .forward import CRANK_NICOLSON, SingularControl
 from .grid import Field, FieldPath, Grid, sup_norm_h
 from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
@@ -84,7 +84,8 @@ class BackwardSpec:
     time_scheme: str = BACKWARD_EULER
 
     def __post_init__(self):
-        _require_finite(self.horizon, "horizon")
+        if not np.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.horizon <= 0.0 or self.n_steps < 1:
             raise ValueError("horizon must be positive and n_steps >= 1")
         sign = _side_sign(self.reflection_side)
@@ -94,7 +95,8 @@ class BackwardSpec:
             raise ValueError("crank-nicolson stepping supports unconstrained solves only")
         if not self.terminal.grid.same_as(self.grid):
             raise GridMismatchError("terminal field grid differs from problem grid")
-        _require_finite(self.terminal.values, "terminal values")
+        if not np.isfinite(self.terminal.values).all():
+            raise ValueError("terminal values must be finite")
         if self.singular is not None:
             control, _ = self.singular
             expected = (self.n_steps + 1, self.grid.n_cells)
@@ -107,7 +109,8 @@ class BackwardSpec:
             expected = (self.grid.n_cells,)
             if obstacle.shape != expected:
                 raise GridMismatchError(f"obstacle shape {obstacle.shape} != {expected}")
-            _require_finite(obstacle, "obstacle")
+            if not np.isfinite(obstacle).all():
+                raise ValueError("obstacle must be finite")
             object.__setattr__(self, "obstacle", obstacle)
         if self.obstacle is not None and not self.allow_terminal_violation:
             gap = sign * (self.terminal.interior - self.obstacle)

@@ -294,9 +294,11 @@ class ProblemSpec:
             raise ValueError("harvest price h10 must be positive")
         if np.any(self.g0 <= 0.0):
             raise ValueError("terminal price g0 must be positive")
-        ends = initial.values[[0, -1]] if self.boundary is None else self.boundary
-        left, right = map(float, ends)
-        _require_finite((left, right), "boundary data")
+        if self.boundary is None:
+            left, right = map(float, initial.values[[0, -1]])
+        else:
+            left, right = map(float, self.boundary)
+            _require_finite((left, right), "boundary data")
         if left < 0.0 or right < 0.0:
             raise ValueError("boundary data must be nonnegative")
         object.__setattr__(self, "boundary", (left, right))
@@ -481,7 +483,6 @@ _POOL_STEPS = _chain(0x43B0D7E5, 0x931E8875, 16)
 _OUTPUT_STEPS = _chain(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_LOW_WORD = 2**64 - 1
 
 
 def _hash(words: np.ndarray, xor: int, multiplier: int) -> np.ndarray:
@@ -489,13 +490,12 @@ def _hash(words: np.ndarray, xor: int, multiplier: int) -> np.ndarray:
     return words ^ words >> 16
 
 
-def _pcg64_words(first: int, count: int) -> np.ndarray:
-    """The PCG64 words of ``default_rng(s)``, for s = first .. first + count - 1 < 2**128.
+def _pcg64_states(first: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``default_rng(s)``, for s = first .. first + count - 1 < 2**128.
 
-    Row p is seed first + p's (state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1),
-    uint64.  The seeds are hashed side by side as numpy hashes each one; a word a seed lacks
-    hashes as 0, so four words suit every seed below 2**128.  The pool's output is four uint64
-    words: the seed and the stream of PCG64's two-step seeding, run here on Python ints.
+    The seeds are hashed side by side as numpy hashes each one; a word a seed lacks hashes as 0,
+    so four words suit every seed below 2**128.  The pool's output is four uint64 words: the
+    seed and the stream of PCG64's two-step seeding, run here on Python ints.
     """
     seeds = range(first, first + count)
     words = np.array([[s >> 32 * w & 0xFFFFFFFF for s in seeds] for w in range(4)], np.uint32)
@@ -507,52 +507,29 @@ def _pcg64_words(first: int, count: int) -> np.ndarray:
                 mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * _hash(pool[src], *next(steps))
                 pool[dst] = mixed ^ mixed >> 16
     out = [_hash(pool[i % 4], *step).astype(np.uint64) for i, step in enumerate(_OUTPUT_STEPS)]
-    rows = []
+    states = []
     for seed_hi, seed_lo, inc_hi, inc_lo in zip(*[(out[i] | out[i + 1] << 32).tolist()
                                                    for i in (0, 2, 4, 6)]):
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
         state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULTIPLIER + inc) % 2**128
-        rows.append((state >> 64, state & _LOW_WORD, inc >> 64, inc & _LOW_WORD))
-    return np.array(rows, np.uint64)
+        states.append((state, inc))
+    return states
 
 
-_kept_words: dict = {}  # the last Monte Carlo call's path words, under (seed, n_paths)
+def _draw_noise(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
+    """The (n_steps, n_paths) increments whose column p is ``NoisePath.generate(seed + p)``'s.
 
-
-def _path_words(seed: int, n_paths: int) -> np.ndarray:
-    """Read-only (n_paths, 4) :func:`_pcg64_words` of the path seeds, hashed a block at a time.
-
-    The words are kept for the next call on the same paths, whatever its time grid; a call on
-    other paths drops them first, so one call's words are held at a time: 32 bytes a path.
+    One PCG64 takes each path's seeded state in turn and draws into a row of a _BLOCK-path
+    buffer, which is scaled and written into its columns.
     """
-    key = (seed, n_paths)
-    if key not in _kept_words:
-        _kept_words.clear()
-        words = np.empty((n_paths, 4), np.uint64)
-        for lo in range(0, n_paths, _BLOCK):
-            words[lo : lo + _BLOCK] = _pcg64_words(seed + lo, min(_BLOCK, n_paths - lo))
-        words.flags.writeable = False
-        _kept_words[key] = words
-    return _kept_words[key]
-
-
-def _draw_noise(words: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """The (n_steps, len(words)) increments whose column p is drawn from the PCG64 words[p].
-
-    On words[p] = ``_pcg64_words(s, 1)[0]``, column p is ``NoisePath.generate(s)``'s.  One
-    PCG64 takes each path's state in turn and draws into a row of a _BLOCK-path buffer, which
-    is scaled and written into its columns.
-    """
-    n_paths = len(words)
     noise = np.empty((n_steps, n_paths))
     bits = np.random.PCG64(0)
     normal, state = np.random.Generator(bits).standard_normal, bits.state
     block = np.empty((min(_BLOCK, n_paths), n_steps))
     for lo in range(0, n_paths, _BLOCK):
         rows = block[: min(_BLOCK, n_paths - lo)]
-        seeded = words[lo : lo + len(rows)].tolist()
-        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(rows, seeded):
-            state["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+        for row, (pcg_state, inc) in zip(rows, _pcg64_states(seed + lo, len(rows))):
+            state["state"] = {"state": pcg_state, "inc": inc}
             bits.state = state
             normal(out=row)
         noise[:, lo : lo + len(rows)] = np.multiply(rows, math.sqrt(dt), out=rows).T
@@ -746,16 +723,14 @@ def _monte_carlo(
 ) -> list[tuple]:
     """Run every (control, reduce) pass over shared noise, one path bundle at a time.
 
-    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  The calling
-    process hashes the path seeds into their PCG64 words once, or finds them kept from the last
-    call on the same paths (:func:`_path_words`).  A bundle is a run of
-    ``max(1, chunk_size // _BLOCK)`` or fewer whole ``_BLOCK``-path blocks counted from
+    Path p is driven by the increments of ``NoisePath.generate(seed + p)``.  A bundle is a
+    run of ``max(1, chunk_size // _BLOCK)`` or fewer whole ``_BLOCK``-path blocks counted from
     ``seed``, in the fewest bundles that allows, rounded up to a multiple of the workers but
-    at most one per block.  A bundle draws its own columns from its rows of the words, and
-    each pass reduces ``iterate_states`` over them to ``reduce(first_seed, states)``; bundles
-    may run on parallel workers.  The result holds, per pass, its bundle reductions in seed
-    order.  A non-finite state raises the error of the earliest (pass, step, path seed), and
-    each distinct warning is issued once.
+    at most one per block.  A bundle draws its own columns (:func:`_draw_noise`) where it
+    runs, so the calling process keeps no noise, and each pass reduces ``iterate_states`` over
+    them to ``reduce(first_seed, states)``; bundles may run on parallel workers.  The result
+    holds, per pass, its bundle reductions in seed order.  A non-finite state raises the error
+    of the earliest (pass, step, path seed), and each distinct warning is issued once.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -763,11 +738,10 @@ def _monte_carlo(
         raise ValueError("chunk_size must be >= 1")
     if problem := seed_problem(seed, n_paths):
         raise ConfigError(problem, "seed")
-    words = _path_words(seed, n_paths)
 
     def run(bundle: tuple[int, int]) -> list | tuple:
         first, count = bundle
-        dw = _draw_noise(words[first - seed : first - seed + count], spec.n_steps, spec.dt)
+        dw = _draw_noise(first, count, spec.n_steps, spec.dt)
         reductions = []
         for xi, reduce in passes:
             try:

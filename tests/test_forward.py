@@ -206,10 +206,10 @@ _RANDOM_SEEDS = [random.Random(31).getrandbits(bits) for bits in range(1, 129)]
 _RANDOM_SEEDS += [random.Random(bits).getrandbits(128) for bits in range(72)]
 
 
-def _default_rng_words(seed):
-    """default_rng(seed)'s PCG64 state and increment, as the kept words hold them."""
+def _default_rng_state(seed):
+    """default_rng(seed)'s PCG64 (state, inc)."""
     state = np.random.default_rng(seed).bit_generator.state["state"]
-    return [word for v in (state["state"], state["inc"]) for word in (v >> 64, v & 2**64 - 1)]
+    return state["state"], state["inc"]
 
 
 @pytest.mark.parametrize("n_steps, dt", [(96, 1 / 96), (5, 0.3)])
@@ -217,78 +217,37 @@ def test_bundle_noise_is_default_rng_byte_for_byte(n_steps, dt):
     # one-path bundles at the word edges of SeedSequence and at 200 random seeds of 1-128 bits,
     # then bundles that cross 2**32, 2**64 and a 128-path block, and one that ends at 2**128 - 1
     for seed in _EDGE_SEEDS:
-        assert forward._pcg64_words(seed, 1).tolist() == [_default_rng_words(seed)], seed
+        assert forward._pcg64_states(seed, 1) == [_default_rng_state(seed)], seed
     for seed in _EDGE_SEEDS + _RANDOM_SEEDS:
         want = _generated(seed, 1, n_steps, dt)
-        got = forward._draw_noise(forward._pcg64_words(seed, 1), n_steps, dt)
-        assert got.tobytes() == want.tobytes(), seed
+        assert forward._draw_noise(seed, 1, n_steps, dt).tobytes() == want.tobytes(), seed
     for first, count in [(2**32 - 70, 140), (2**64 - 3, 6), (2**128 - 130, 130), (20250, 300)]:
-        words = forward._path_words(first, count)
         want = _generated(first, count, n_steps, dt)
-        assert forward._draw_noise(words, n_steps, dt).tobytes() == want.tobytes(), first
-        rows = slice(count // 3, count)  # a bundle that starts inside the words
-        got = forward._draw_noise(words[rows], n_steps, dt)
-        assert got.tobytes() == np.ascontiguousarray(want[:, rows]).tobytes(), first
+        assert forward._draw_noise(first, count, n_steps, dt).tobytes() == want.tobytes(), first
 
 
-def test_kept_words_never_show_in_a_result():
-    # paths A, B, A, then A on fewer paths and on another time grid: every call, warm or
-    # not, gives the bits it gives hashed cold
-    spec = make_spec(beta=0.3, alpha=0.2, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=12)
-
-    def j(spec, n_paths, seed):
-        xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
-        estimate = performance_J(spec, xi, n_paths, seed)
-        return np.array([estimate.estimate, estimate.stderr]).tobytes()
-
-    def ensemble(spec, n_paths, seed):
-        summary = simulate_ensemble(spec, zero_control(spec), n_paths, seed)
-        return summary.mean_path.values.tobytes() + summary.terminal_values.tobytes()
-
-    a, finer = (spec, 130, 4), (dataclasses.replace(spec, n_steps=13), 130, 4)
-    calls = [(j, a), (ensemble, a), (j, (spec, 130, 5)), (j, a), (ensemble, (spec, 129, 4)),
-             (j, finer), (ensemble, a)]
-    forward._kept_words.clear()
-    warm = [call(*args) for call, args in calls]
-    assert len(forward._kept_words) == 1
-    cold = []
-    for call, args in calls:
-        forward._kept_words.clear()
-        cold.append(call(*args))
-    assert warm == cold
-    words = forward._kept_words[(4, 130)]
-    assert j(*finer) == cold[5]
-    assert list(forward._kept_words) == [(4, 130)] and forward._kept_words[(4, 130)] is words
-
-
-def test_kept_words_are_read_only_and_a_noise_path_owns_its_increments():
-    spec = make_spec(beta=0.3, n_steps=6)
-    performance_J(spec, zero_control(spec), 5, 40)
-    (words,) = forward._kept_words.values()
-    assert words.shape == (5, 4) and words.dtype == np.uint64 and not words.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        words[0, 0] = 0
-    path = NoisePath.generate(42, spec.n_steps, spec.dt)
-    assert words[2].tolist() == _default_rng_words(42)
-    assert path.increments.tobytes() == forward._draw_noise(words[2:3], 6, spec.dt).tobytes()
+def test_a_noise_path_owns_its_increments():
+    path, drawn = NoisePath.generate(42, 6, 0.1), forward._draw_noise(40, 5, 6, 0.1)
+    assert path.increments.tobytes() == drawn[:, 2].tobytes()
     assert path.increments.flags.writeable and path.increments.flags.owndata
+    path.increments[:] = 0.0
+    assert drawn[:, 2].tobytes() == NoisePath.generate(42, 6, 0.1).increments.tobytes()
 
 
-def test_a_parallel_call_keeps_32_bytes_a_path_in_the_caller(monkeypatch):
-    # the workers draw their own noise: the caller keeps each path's PCG64 words, not its
-    # n_steps * 8 bytes of increments
+def test_a_parallel_call_keeps_no_noise_in_the_caller(monkeypatch):
+    # the workers draw their own noise: the caller never holds n_steps * 8 bytes a path, during
+    # the call or after it
     monkeypatch.setenv("SMC_WORKERS", "2")
     spec = make_spec(beta=0.3, alpha=0.2, grid=build_grid(0.0, 1.0, 8), n_steps=200)
     n_paths = 2000
     tracemalloc.start()
     try:
         performance_J(spec, zero_control(spec), n_paths, 11)
-        traced = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traced < n_paths * spec.n_steps * 8 / 4, traced
-    (words,) = forward._kept_words.values()
-    assert words.nbytes == 32 * n_paths and not words.flags.writeable
+    assert peak < n_paths * spec.n_steps * 8 / 4, peak
+    assert kept < n_paths * 8, kept
 
 
 def test_path_seeds_end_below_2_128():
@@ -1197,7 +1156,6 @@ def test_a_single_path_is_its_ensemble_column_bit_for_bit(
 def test_worker_count_never_moves_a_monte_carlo_bit(
     n_paths, chunk_size, other_chunk_size, workers
 ):
-    forward._kept_words.clear()  # each example's first call hashes cold, the others reuse it
     grid = build_grid(0.0, 1.0, 8)
     spec = make_spec(
         grid=grid,
