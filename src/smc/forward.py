@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import pickle
 import select
@@ -714,6 +715,15 @@ class EnsembleSummary:
     seed: int
 
 
+def _check_run(n_paths: int, seed: int, chunk_size: int) -> None:
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if problem := seed_problem(seed, n_paths):
+        raise ConfigError(problem, "seed")
+
+
 def _monte_carlo(
     spec: ProblemSpec,
     passes: Sequence[tuple[SingularControl, Callable[[int, Iterator], object]]],
@@ -732,12 +742,7 @@ def _monte_carlo(
     holds, per pass, its bundle reductions in seed order.  A non-finite state raises the error
     of the earliest (pass, step, path seed), and each distinct warning is issued once.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if problem := seed_problem(seed, n_paths):
-        raise ConfigError(problem, "seed")
+    _check_run(n_paths, seed, chunk_size)
 
     def run(bundle: tuple[int, int]) -> list | tuple:
         first, count = bundle
@@ -768,20 +773,45 @@ def _monte_carlo(
     return list(zip(*results))
 
 
+def _shared_floats(shape: tuple[int, ...], n_paths: int) -> np.ndarray:
+    """A zero float array in an anonymous shared mapping, so forked workers' writes reach here.
+
+    The byte count is a Python int, so no size wraps; one the system refuses is a ConfigError
+    naming ``n_paths``.
+    """
+    nbytes = 8 * math.prod(int(n) for n in shape)
+    try:
+        mapping = mmap.mmap(-1, nbytes)
+    except (OSError, MemoryError, OverflowError) as exc:
+        raise ConfigError(f"{n_paths} paths need {nbytes} bytes of output, which cannot be "
+                          f"mapped: {exc}", "n_paths") from exc
+    return np.frombuffer(mapping, dtype=float).reshape(shape)
+
+
 # a block sum of finite states may overflow to inf, or to NaN past inf - inf: simulate_ensemble
 # reports it
 @np.errstate(over="ignore", invalid="ignore")
-def _summarize_bundle(first: int, states: Iterator) -> tuple:
-    """Per-block state sums per step, terminal states, and the (value, step, node, seed) minimum."""
-    sums, key = [], (np.inf, 0, 1, first)
+def _summarize_bundle(
+    sums: np.ndarray, terminals: np.ndarray, seed: int, first: int, states: Iterator
+) -> tuple:
+    """The bundle's (value, step, node, seed) minimum; its block sums and terminals go in place.
+
+    The bundle's paths start ``first - seed`` paths, a whole number of blocks, into the run:
+    step k's per-block state sums go into their columns of ``sums[k]``, and the terminal
+    states into their rows of ``terminals``.
+    """
+    offset, key = first - seed, (np.inf, 0, 1, first)
     for k, u in states:
-        sums.append(np.add.reduceat(u, np.arange(0, u.shape[1], _BLOCK), axis=1))
+        starts = np.arange(0, u.shape[1], _BLOCK)
+        blocks = sums[k, :, offset // _BLOCK : offset // _BLOCK + len(starts)]
+        np.add.reduceat(u, starts, axis=1, out=blocks)
         interior = u[1:-1]
         m = float(interior.min())
         if m < key[0]:
             node, path = np.unravel_index(int(np.argmin(interior)), interior.shape)
             key = (m, k, int(node) + 1, first + int(path))
-    return np.stack(sums), u.T.copy(), key
+    terminals[offset : offset + u.shape[1]] = u.T
+    return key
 
 
 def simulate_ensemble(
@@ -798,20 +828,29 @@ def simulate_ensemble(
     (seed, time, node) location, the first in step, node and seed order, are
     reported either way.  Bundles of paths may run on parallel workers; the
     mean adds fixed blocks of paths, so no output depends on chunks or workers.
-    Finite states whose sum overflows raise NanDetectedError at the first such step.
+    Each bundle writes its block sums and terminal states in place, into two
+    shared mappings made here before any worker forks, and sends back only
+    its minimum; the block-sum mapping is released once summed, and the
+    terminal one is ``terminal_values``, this call's own.  Output that cannot
+    be mapped raises ConfigError naming n_paths; finite states whose sum
+    overflows raise NanDetectedError at the first such step.
     """
-    passes = [(control, _summarize_bundle)]
-    (bundles,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
-    block_sums, terminals, keys = zip(*bundles)
+    _check_run(n_paths, seed, chunk_size)
+    n_total = spec.grid.n_total
+    sums = _shared_floats((spec.n_steps + 1, n_total, -(-n_paths // _BLOCK)), n_paths)
+    terminals = _shared_floats((n_paths, n_total), n_paths)
+    passes = [(control, partial(_summarize_bundle, sums, terminals, seed))]
+    (keys,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
     min_value, step, node, path_seed = min(keys)
     with np.errstate(over="ignore", invalid="ignore"):
-        state_sum = np.concatenate(block_sums, axis=2).sum(axis=2)
+        state_sum = sums.sum(axis=2)
+    del passes, sums  # the sums mapping's last references: it is unmapped here
     if not np.isfinite(state_sum).all():
         k = int(np.argmax(~np.isfinite(state_sum).all(axis=1)))
         raise NanDetectedError(f"state sum over the paths overflows at step {k}", step=k)
     return EnsembleSummary(
         mean_path=FieldPath(spec.grid, spec.times, state_sum / n_paths),
-        terminal_values=np.vstack(terminals),
+        terminal_values=terminals,
         positivity=bool(min_value > 0.0),
         min_value=min_value,
         min_location=(path_seed, step, node),

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -741,6 +743,60 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
     workers = [int(path.read_text()) for path in tmp_path.iterdir()]
     assert len(workers) == 2
     assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
+
+
+def test_ensemble_workers_send_back_no_per_path_arrays(monkeypatch, tmp_path):
+    # each bundle writes its block sums and terminal states into the caller's shared mappings,
+    # so a worker pickles back its bundle's minimum alone, however many paths the bundle has.
+    # Forked workers inherit the wrapped pickler: each writes its payload sizes into tmp_path.
+    spec = suites.harvesting_benchmark()
+    control = SingularControl.constant_rate(1.0, spec.times, spec.grid.n_cells)
+    pickled = forward._pickled
+
+    def recorded(index, outcome):
+        payload = pickled(index, outcome)
+        (tmp_path / f"{os.getpid()}-{index}").write_text(str(len(payload)))
+        return payload
+
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    monkeypatch.setattr(forward, "_pickled", recorded)
+    n_paths = 3 * forward._DEFAULT_CHUNK
+    summary = simulate_ensemble(spec, control, n_paths, seed=3)
+    sizes = [int(path.read_text()) for path in tmp_path.iterdir()]
+    assert len(sizes) == 4  # four 1536-path bundles, two per worker
+    assert max(sizes) < 4096, sizes
+    assert summary.terminal_values.shape == (n_paths, spec.grid.n_total)
+
+
+def test_each_ensemble_call_owns_its_outputs(monkeypatch):
+    # the outputs live in mappings made per call: one kept across calls would let the next call
+    # write over the results the last one handed out
+    spec = make_spec(beta=0.3, n_steps=8)
+    shared_floats, made = forward._shared_floats, []
+
+    def recorded(shape, n_paths):
+        array = shared_floats(shape, n_paths)
+        made.append(weakref.ref(array))
+        return array
+
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    monkeypatch.setattr(forward, "_shared_floats", recorded)
+    first = simulate_ensemble(spec, zero_control(spec), 300, seed=5)
+    second = simulate_ensemble(spec, zero_control(spec), 300, seed=5)
+    # per call, the block sums are released before it returns; the terminals are handed out
+    assert [ref() is None for ref in made] == [True, False, True, False]
+    assert made[1]() is first.terminal_values and made[3]() is second.terminal_values
+    for a, b in [(first.terminal_values, second.terminal_values),
+                 (first.mean_path.values, second.mean_path.values)]:
+        assert not np.shares_memory(a, b)
+        assert a.tobytes() == b.tobytes()
+    kept = pickle.loads(pickle.dumps(second))
+    assert kept.terminal_values.tobytes() == second.terminal_values.tobytes()
+    assert kept.mean_path.values.tobytes() == second.mean_path.values.tobytes()
+    assert (kept.min_value, kept.min_location) == (second.min_value, second.min_location)
+    assert first.terminal_values.flags.writeable  # as a stacked array is
+    first.terminal_values[0, 0] = -1.0
+    assert second.terminal_values[0, 0] == kept.terminal_values[0, 0] != -1.0
 
 
 def _kill_self():

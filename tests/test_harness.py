@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -262,6 +264,20 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("n_paths", [10**15, 10**20])
+def test_cli_huge_path_count_ends_typed_and_at_once(tmp_path, n_paths):
+    # the ensemble's outputs are mapped before any path runs, so a size no system maps (10**20
+    # paths is past ssize_t) is refused at once, as a config error, not run until killed
+    root = Path(__file__).parents[1]
+    argv = ["simulate", "--config", str(root / "configs" / "harvest.json"),
+            "--paths", str(n_paths), "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=20)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("configuration error: n_paths: ") and run.stderr.count("\n") == 1
 
 
 _HARVEST = json.loads((Path(__file__).parents[1] / "configs" / "harvest.json").read_text())

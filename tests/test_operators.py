@@ -389,6 +389,48 @@ def test_green_identity_with_drift():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
+def _paired_fields(data, n_cells):
+    """A grid of ``n_cells`` interior nodes with a random span, and two zero-boundary fields."""
+    x_min, width = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(1e-3, 100.0))
+    g = build_grid(x_min, x_min + width, n_cells)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    f, p = (Field.from_interior(g, rng.standard_normal(n_cells) * data.draw(st.floats(1e-3, 1e3)))
+            for _ in range(2))
+    return g, rng, f, p
+
+
+def _duality_gap(direct, adjoint, weights, f, p) -> tuple[float, float]:
+    """|<direct f, p> - <f, adjoint p>| and its rounding bound, from |weights| |f| against |p|."""
+    gap = abs(inner_product(direct(f), p) - inner_product(f, adjoint(p)))
+    scale = f.grid.h * np.abs(p.interior) @ (np.abs(weights) @ np.abs(f.interior))
+    return gap, 16.0 * f.grid.n_total * np.finfo(float).eps * scale
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n_cells=st.integers(2, 200))
+def test_green_identity_holds_for_any_nodal_coefficients(data, n_cells):
+    g, rng, f, p = _paired_fields(data, n_cells)
+    op = OperatorSpec(
+        second_order=rng.uniform(0.0, data.draw(st.floats(0.0, 100.0)), n_cells),
+        first_order=rng.uniform(-1.0, 1.0, n_cells) * data.draw(st.floats(0.0, 100.0)),
+        theta=g.width / 2.0,
+    )
+    gap, bound = _duality_gap(lambda u: apply_a(u, op), lambda u: apply_a_star(u, op),
+                              operator_matrix(op, g), f, p)
+    assert gap <= bound, (gap, bound)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n_cells=st.integers(2, 200))
+def test_space_mean_duality_holds_for_any_window(data, n_cells):
+    g, _, f, p = _paired_fields(data, n_cells)
+    theta = data.draw(st.floats(0.0, g.width, exclude_min=True, exclude_max=True))
+    weights = SpaceMeanOperator(g, theta).matrix[1:-1, 1:-1]
+    gap, bound = _duality_gap(lambda u: space_mean(u, theta),
+                              lambda u: space_mean_adjoint(u, theta), weights, f, p)
+    assert gap <= bound, (gap, bound)
+
+
 def test_adjoint_matrix_is_transpose():
     g = build_grid(0.0, 1.0, 30)
     rng = np.random.default_rng(4)
