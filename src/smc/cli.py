@@ -31,7 +31,6 @@ from .forward import (
     ControlPerturbation,
     NoisePath,
     SingularControl,
-    seed_problem,
     simulate_ensemble,
     worker_count,
 )
@@ -112,12 +111,10 @@ def _levels(config: RunConfig, args) -> list[int]:
     return levels
 
 
-def _paths(config: RunConfig, args, seed: int) -> int:
+def _paths(config: RunConfig, args) -> int:
     n_paths = args.paths if args.paths is not None else config.mc.n_paths
     if n_paths < 1:
         raise ConfigError("path count must be >= 1", "--paths")
-    if problem := seed_problem(seed, n_paths):
-        raise ConfigError(problem, "--seed")
     return n_paths
 
 
@@ -128,7 +125,7 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
 
 
 def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args, seed)
+    n_paths = _paths(config, args)
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     summary = simulate_ensemble(spec, control, n_paths, seed)
@@ -214,7 +211,7 @@ def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
 
 
 def _cmd_derivcheck(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args, seed)
+    n_paths = _paths(config, args)
     spec = config.problem
     rng = np.random.default_rng(seed)
     base = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)

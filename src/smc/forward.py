@@ -468,82 +468,20 @@ class NoisePath:
         return cls(increments, int(seed), float(dt))
 
 
-def _chain(first: int, multiplier: int, steps: int) -> list[tuple[int, int]]:
-    """Each hash step's (xor constant, multiplier): the constant before and after its update."""
-    pairs = []
-    for _ in range(steps):
-        pairs.append((first, first * multiplier & 0xFFFFFFFF))
-        first = pairs[-1][1]
-    return pairs
-
-
-# numpy's SeedSequence, as default_rng(s) runs it: s in little-endian 32-bit words, hashed into a
-# four-word pool by 16 steps of one constant chain, and the pool hashed out by 8 steps of another
-_SEED_END = 2**128  # below it a seed has at most the pool's four words
-_POOL_STEPS = _chain(0x43B0D7E5, 0x931E8875, 16)
-_OUTPUT_STEPS = _chain(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-
-
-def _hash(words: np.ndarray, xor: int, multiplier: int) -> np.ndarray:
-    words = (words ^ xor) * multiplier  # uint32: wraps as the C hash does
-    return words ^ words >> 16
-
-
-def _pcg64_states(first: int, count: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of ``default_rng(s)``, for s = first .. first + count - 1 < 2**128.
-
-    The seeds are hashed side by side as numpy hashes each one; a word a seed lacks hashes as 0,
-    so four words suit every seed below 2**128.  The pool's output is four uint64 words: the
-    seed and the stream of PCG64's two-step seeding, run here on Python ints.
-    """
-    seeds = range(first, first + count)
-    words = np.array([[s >> 32 * w & 0xFFFFFFFF for s in seeds] for w in range(4)], np.uint32)
-    steps = iter(_POOL_STEPS)
-    pool = [_hash(word, *next(steps)) for word in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * _hash(pool[src], *next(steps))
-                pool[dst] = mixed ^ mixed >> 16
-    out = [_hash(pool[i % 4], *step).astype(np.uint64) for i, step in enumerate(_OUTPUT_STEPS)]
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*[(out[i] | out[i + 1] << 32).tolist()
-                                                   for i in (0, 2, 4, 6)]):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULTIPLIER + inc) % 2**128
-        states.append((state, inc))
-    return states
-
-
 def _draw_noise(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
     """The (n_steps, n_paths) increments whose column p is ``NoisePath.generate(seed + p)``'s.
 
-    One PCG64 takes each path's seeded state in turn and draws into a row of a _BLOCK-path
-    buffer, which is scaled and written into its columns.
+    Each path's ``default_rng`` draws into a row of a _BLOCK-path buffer, which is scaled and
+    written into its columns.
     """
     noise = np.empty((n_steps, n_paths))
-    bits = np.random.PCG64(0)
-    normal, state = np.random.Generator(bits).standard_normal, bits.state
     block = np.empty((min(_BLOCK, n_paths), n_steps))
     for lo in range(0, n_paths, _BLOCK):
         rows = block[: min(_BLOCK, n_paths - lo)]
-        for row, (pcg_state, inc) in zip(rows, _pcg64_states(seed + lo, len(rows))):
-            state["state"] = {"state": pcg_state, "inc": inc}
-            bits.state = state
-            normal(out=row)
+        for i, row in enumerate(rows):
+            np.random.default_rng(seed + lo + i).standard_normal(out=row)
         noise[:, lo : lo + len(rows)] = np.multiply(rows, math.sqrt(dt), out=rows).T
     return noise
-
-
-def seed_problem(seed: int, n_paths: int) -> str | None:
-    """Why the path seeds seed .. seed + n_paths - 1 cannot drive an ensemble, or None."""
-    if seed < 0:
-        return "seed must be >= 0"
-    if seed + n_paths > _SEED_END:
-        return "path seeds must stay below 2**128 (seed + n_paths - 1 reaches it)"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +658,8 @@ def _check_run(n_paths: int, seed: int, chunk_size: int) -> None:
         raise ValueError("n_paths must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if problem := seed_problem(seed, n_paths):
-        raise ConfigError(problem, "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0", "seed")
 
 
 def _monte_carlo(
@@ -831,14 +769,20 @@ def simulate_ensemble(
     Each bundle writes its block sums and terminal states in place, into two
     shared mappings made here before any worker forks, and sends back only
     its minimum; the block-sum mapping is released once summed, and the
-    terminal one is ``terminal_values``, this call's own.  Output that cannot
-    be mapped raises ConfigError naming n_paths; finite states whose sum
+    terminal one is ``terminal_values``, this call's own.  Output beyond
+    physical memory, or that cannot be mapped, raises ConfigError naming
+    n_paths before anything is mapped or forked; finite states whose sum
     overflows raise NanDetectedError at the first such step.
     """
     _check_run(n_paths, seed, chunk_size)
     n_total = spec.grid.n_total
-    sums = _shared_floats((spec.n_steps + 1, n_total, -(-n_paths // _BLOCK)), n_paths)
-    terminals = _shared_floats((n_paths, n_total), n_paths)
+    shapes = [(spec.n_steps + 1, n_total, -(-n_paths // _BLOCK)), (n_paths, n_total)]
+    nbytes = 8 * sum(math.prod(map(int, shape)) for shape in shapes)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"{n_paths} paths need {nbytes} bytes of output, more than the "
+                          f"{memory} bytes of physical memory", "n_paths")
+    sums, terminals = (_shared_floats(shape, n_paths) for shape in shapes)
     passes = [(control, partial(_summarize_bundle, sums, terminals, seed))]
     (keys,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)
     min_value, step, node, path_seed = min(keys)

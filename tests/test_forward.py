@@ -35,7 +35,7 @@ from smc.forward import (
     simulate_ensemble,
     simulate_path,
 )
-from smc.grid import Field, FieldPath, build_grid
+from smc.grid import DIRICHLET_DATA, Field, FieldPath, build_grid
 from smc.operators import OperatorSpec, TridiagonalStepper
 
 
@@ -203,27 +203,19 @@ def _generated(first, count, n_steps, dt):
     return np.stack(paths, axis=1)
 
 
-_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**128 - 1]
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**128 - 1, 2**128, 2**128 + 1, 2**200]
 _RANDOM_SEEDS = [random.Random(31).getrandbits(bits) for bits in range(1, 129)]
 _RANDOM_SEEDS += [random.Random(bits).getrandbits(128) for bits in range(72)]
 
 
-def _default_rng_state(seed):
-    """default_rng(seed)'s PCG64 (state, inc)."""
-    state = np.random.default_rng(seed).bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
 @pytest.mark.parametrize("n_steps, dt", [(96, 1 / 96), (5, 0.3)])
 def test_bundle_noise_is_default_rng_byte_for_byte(n_steps, dt):
-    # one-path bundles at the word edges of SeedSequence and at 200 random seeds of 1-128 bits,
-    # then bundles that cross 2**32, 2**64 and a 128-path block, and one that ends at 2**128 - 1
-    for seed in _EDGE_SEEDS:
-        assert forward._pcg64_states(seed, 1) == [_default_rng_state(seed)], seed
+    # one-path bundles at the word edges of SeedSequence, past 2**128, and at 200 random seeds
+    # of 1-128 bits, then bundles that cross 2**32, 2**64, a 128-path block and 2**128
     for seed in _EDGE_SEEDS + _RANDOM_SEEDS:
         want = _generated(seed, 1, n_steps, dt)
         assert forward._draw_noise(seed, 1, n_steps, dt).tobytes() == want.tobytes(), seed
-    for first, count in [(2**32 - 70, 140), (2**64 - 3, 6), (2**128 - 130, 130), (20250, 300)]:
+    for first, count in [(2**32 - 70, 140), (2**64 - 3, 6), (2**128 - 130, 260), (20250, 300)]:
         want = _generated(first, count, n_steps, dt)
         assert forward._draw_noise(first, count, n_steps, dt).tobytes() == want.tobytes(), first
 
@@ -252,14 +244,70 @@ def test_a_parallel_call_keeps_no_noise_in_the_caller(monkeypatch):
     assert kept < n_paths * 8, kept
 
 
-def test_path_seeds_end_below_2_128():
+def test_path_seeds_run_past_2_128():
+    # default_rng takes any seed >= 0: an ensemble may start below 2**128 and end past it
     spec = make_spec(beta=0.3, n_steps=4)
-    top = simulate_ensemble(spec, zero_control(spec), 3, 2**128 - 3)
-    path = simulate_path(spec, zero_control(spec), NoisePath.generate(2**128 - 1, 4, spec.dt))
-    assert top.terminal_values[2].tobytes() == path.values[-1].tobytes()
-    for n_paths, seed in [(4, 2**128 - 3), (1, 2**128), (1, -1)]:
-        with pytest.raises(ConfigError):
-            simulate_ensemble(spec, zero_control(spec), n_paths, seed)
+    top = simulate_ensemble(spec, zero_control(spec), 5, 2**128 - 3)
+    for p in (2, 3, 4):
+        noise = NoisePath.generate(2**128 - 3 + p, 4, spec.dt)
+        path = simulate_path(spec, zero_control(spec), noise)
+        assert top.terminal_values[p].tobytes() == path.values[-1].tobytes(), p
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        simulate_ensemble(spec, zero_control(spec), 1, -1)
+
+
+@settings(max_examples=80)
+@given(
+    data=st.data(),
+    n_cells=st.integers(2, 12),
+    n_steps=st.integers(1, 12),
+    horizon=st.floats(1e-3, 2.0),
+    model=st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0)),
+    max_rate=st.floats(0.0, 0.99),
+    boundary=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+def test_implicit_steps_keep_the_state_positive_under_the_certificate(
+    data, n_cells, n_steps, horizon, model, max_rate, boundary
+):
+    """An implicit step keeps every interior state positive when the certificate holds.
+
+    M = I - dt A is an M-matrix where |b| <= 2a/h, so M^-1 >= 0 with a positive diagonal; the
+    space mean has no negative weight.  From a positive state with nonnegative boundary data
+    and alpha >= 0, the right-hand side u_k (1 + beta dB_k - lambda0 dxi_k) + dt alpha G u_k
+    + boundary terms is then positive whenever 1 + beta dB_k - lambda0 dxi_k > 0 at every node:
+    here lambda0 dxi_k <= max_rate < 1 and |beta dB_k| <= 0.999 (1 - max_rate).
+    Crank-Nicolson is outside the certificate: its explicit half step has a negative diagonal
+    once dt a / h**2 > 1, so it is not drawn.
+    """
+    alpha, beta, lambda0 = model
+    grid = build_grid(0.0, 1.0, n_cells)
+    second_order = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_cells,
+                                               max_size=n_cells)))
+    transport = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_cells,
+                                            max_size=n_cells)))
+    initial = np.array(data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n_cells + 2,
+                                          max_size=n_cells + 2)))
+    initial[[0, -1]] = boundary
+    spec = make_spec(
+        grid=grid,
+        op=OperatorSpec(second_order, transport * 2.0 * second_order / grid.h, 0.2),
+        horizon=horizon,
+        n_steps=n_steps,
+        alpha=alpha,
+        beta=beta,
+        lambda0=lambda0,
+        stepping="implicit",
+        initial=Field(grid, initial, DIRICHLET_DATA),
+        boundary=boundary,
+    )
+    row = st.lists(st.floats(0.0, 1.0), min_size=n_cells, max_size=n_cells)
+    charged = data.draw(st.lists(row, min_size=n_steps, max_size=n_steps))
+    control = SingularControl.from_increments(np.array(charged) * max_rate / lambda0)
+    bound = 0.999 * (1.0 - max_rate) / max(abs(beta), 1e-3)
+    db = [bound * t for t in data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_steps,
+                                                max_size=n_steps))]
+    path = simulate_path(spec, control, NoisePath(np.array(db), 0, spec.dt))
+    assert (path.values[:, 1:-1] > 0.0).all()
 
 
 def test_determinism_bitwise():
@@ -766,6 +814,25 @@ def test_ensemble_workers_send_back_no_per_path_arrays(monkeypatch, tmp_path):
     assert len(sizes) == 4  # four 1536-path bundles, two per worker
     assert max(sizes) < 4096, sizes
     assert summary.terminal_values.shape == (n_paths, spec.grid.n_total)
+
+
+def test_an_ensemble_beyond_physical_memory_is_refused_before_anything_is_mapped(monkeypatch):
+    # 32 nodes and 9 states: n paths map 8 * (9 * 32 * ceil(n / 128) + 32 * n) bytes, against
+    # a physical memory patched down to 64 pages of 4 KiB (262144 B)
+    spec = make_spec(beta=0.3, n_steps=8)
+    pages = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(forward.os, "sysconf", pages.__getitem__)
+    refused = mock.Mock(side_effect=AssertionError("nothing may be mapped or forked"))
+    with mock.patch.object(forward.mmap, "mmap", refused), mock.patch.object(os, "fork", refused):
+        with pytest.raises(ConfigError, match="274432 bytes of output") as err:
+            simulate_ensemble(spec, zero_control(spec), 1000, seed=0)
+    assert err.value.field == "n_paths" and refused.call_count == 0
+    assert simulate_ensemble(spec, zero_control(spec), 900, seed=0).n_paths == 900  # 248832 B
+    # below the limit, a mapping the system refuses ends the same way
+    with mock.patch.object(forward.mmap, "mmap", side_effect=OSError(12, "no memory")):
+        with pytest.raises(ConfigError, match="cannot be mapped") as err:
+            simulate_ensemble(spec, zero_control(spec), 900, seed=0)
+    assert err.value.field == "n_paths"
 
 
 def test_each_ensemble_call_owns_its_outputs(monkeypatch):

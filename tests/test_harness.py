@@ -231,8 +231,7 @@ def _problem_with(section, key, value):
         (["rate", "--levels", "4,8"], {}, "--levels"),
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
-        (["simulate", "--seed", str(2**128 - 8), "--paths", "9"], {}, "--seed"),
-        (["simulate"], {"mc": {"n_paths": 8, "seed": 2**128 - 8}}, "mc.seed"),
+        (["simulate"], {"mc": {"n_paths": 8, "seed": 2**128 - 8}}, "mc.seed"),  # past int64
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
         (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
@@ -251,7 +250,7 @@ def _problem_with(section, key, value):
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "seed-range-reaches-2-128", "mc-seed-past-2-128",
+         "mc-seed-past-2-128",
          "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
          "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
          "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
@@ -266,10 +265,14 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, f
     assert field in err
 
 
-@pytest.mark.parametrize("n_paths", [10**15, 10**20])
+# harvest.json's terminal states alone, 62 nodes of 8 bytes a path, outgrow physical memory
+_PAST_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (8 * 62) + 1
+
+
+@pytest.mark.parametrize("n_paths", [10**15, 10**20, pytest.param(_PAST_MEMORY, id="past-memory")])
 def test_cli_huge_path_count_ends_typed_and_at_once(tmp_path, n_paths):
-    # the ensemble's outputs are mapped before any path runs, so a size no system maps (10**20
-    # paths is past ssize_t) is refused at once, as a config error, not run until killed
+    # output beyond physical memory (10**7 paths on an 8.4 GB host; 10**20 is past ssize_t) is
+    # refused before anything is mapped, as a config error, not run until killed
     root = Path(__file__).parents[1]
     argv = ["simulate", "--config", str(root / "configs" / "harvest.json"),
             "--paths", str(n_paths), "--out", str(tmp_path)]
@@ -507,14 +510,21 @@ def test_smc_workers_default_and_parsed(monkeypatch):
         assert worker_count() == expected
 
 
-def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
-    config, out = _write_config(tmp_path, minimal_config()), tmp_path / "top"
-    argv = ["simulate", "--config", config, "--seed", str(2**128 - 8), "--paths", "8"]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert (out / f"terminal_seed{2**128 - 1}.csv").exists()
-    assert capsys.readouterr().err == ""
-    # a subcommand that draws no ensemble takes any seed >= 0: its checks run (exit 0 or 1)
-    argv = ["rate", "--config", config, "--seed", str(2**128), "--out", str(tmp_path / "rate")]
+def test_cli_simulate_runs_path_seeds_past_2_128(tmp_path, capsys):
+    # default_rng takes any seed >= 0, so path seeds cross 2**128 from --seed, and cross the
+    # top of the config's 64-bit integer range from mc.seed
+    config = _write_config(tmp_path, minimal_config())
+    flag = ["simulate", "--config", config, "--seed", str(2**128 - 8), "--paths", "16"]
+    (tmp_path / "mc").mkdir()
+    raw = minimal_config(mc={"n_paths": 16, "seed": 2**63 - 8})
+    in_config = ["simulate", "--config", _write_config(tmp_path / "mc", raw)]
+    for argv, last in [(flag, 2**128 + 7), (in_config, 2**63 + 7)]:
+        out = tmp_path / str(last)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (out / f"terminal_seed{last}.csv").exists()
+        assert capsys.readouterr().err == ""
+    # a subcommand that draws no ensemble takes such a seed too: its checks run (exit 0 or 1)
+    argv = ["rate", "--config", config, "--seed", str(2**200), "--out", str(tmp_path / "rate")]
     assert main(argv) in (0, 1)
     assert (tmp_path / "rate" / "report.json").exists()
 
