@@ -510,6 +510,18 @@ def test_smc_workers_default_and_parsed(monkeypatch):
         assert worker_count() == expected
 
 
+def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
+    config, out = _write_config(tmp_path, minimal_config()), tmp_path / "top"
+    argv = ["simulate", "--config", config, "--seed", str(2**128 - 8), "--paths", "8"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / f"terminal_seed{2**128 - 1}.csv").exists()
+    assert capsys.readouterr().err == ""
+    # a subcommand that draws no ensemble takes any seed >= 0: its checks run (exit 0 or 1)
+    argv = ["rate", "--config", config, "--seed", str(2**128), "--out", str(tmp_path / "rate")]
+    assert main(argv) in (0, 1)
+    assert (tmp_path / "rate" / "report.json").exists()
+
+
 def test_cli_simulate_runs_path_seeds_past_2_128(tmp_path, capsys):
     # default_rng takes any seed >= 0, so path seeds cross 2**128 from --seed, and cross the
     # top of the config's 64-bit integer range from mc.seed
