@@ -79,7 +79,7 @@ class _Checker:
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def get(self, key: str, kind, default=None, require=False):
+    def get(self, key: str, kind, default=None, require=False, int64=True):
         self.seen.add(key)
         if key not in self.data:
             if require:
@@ -90,7 +90,7 @@ class _Checker:
         bool_as_number = kind in (int, float) and isinstance(value, bool)
         if kind is float and isinstance(value, (int, float)) and not bool_as_number:
             value = _float(value, self._at(key))
-        if kind is int and isinstance(value, int) and value not in _INT_RANGE:
+        if int64 and kind is int and isinstance(value, int) and value not in _INT_RANGE:
             raise ValidationError("integer out of the 64-bit range", self._at(key))
         if kind is not None and (bool_as_number or not isinstance(value, kind)):
             raise ValidationError(
@@ -302,7 +302,7 @@ def parse_config(raw: dict) -> RunConfig:
     n_paths, seed = 1000, 12345
     if mc_node is not None:
         n_paths = mc_node.get("n_paths", int, default=n_paths)
-        seed = mc_node.get("seed", int, require=True)
+        seed = mc_node.get("seed", int, require=True, int64=False)  # path seeds are unbounded
         mc_node.reject_unknown()
         if n_paths < 1:
             raise ValidationError("n_paths must be >= 1", "mc.n_paths")

@@ -55,7 +55,6 @@ ENV_WORKERS = "SMC_WORKERS"
 # most paths per Monte Carlo bundle; two bundles in flight hold what one 4096-path bundle held
 _DEFAULT_CHUNK = 2048
 _BLOCK = 128  # paths per block: ensembles sum blocks, so no result shows how bundles cut paths
-_INDEX_BYTES = 8  # one item index on a worker queue: below PIPE_BUF, so written and read whole
 
 
 def worker_count() -> int:
@@ -99,18 +98,18 @@ def _read(fd: int, size: int) -> bytearray:
     return data
 
 
-def _serve(fn: Callable, items: Sequence, tasks: int, results: int, inherited) -> NoReturn:
-    """A forked worker: apply ``fn`` to each item index read from ``tasks`` until it ends.
+def _serve(fn: Callable, items: Sequence, share: range, results: int, inherited) -> NoReturn:
+    """A forked worker: apply ``fn`` to the items its ``share`` of indices names, in order.
 
     Each outcome goes to ``results`` as an 8-byte length and a pickle of (index, outcome).
-    The ``inherited`` descriptors are the caller's, closed first.
+    The ``inherited`` descriptors, the caller's ends of this and the earlier children's result
+    pipes, are closed first.
     """
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        while record := os.read(tasks, _INDEX_BYTES):  # one record per read: writes are atomic
-            index = int.from_bytes(record, "little")
+        for index in share:
             payload = _pickled(index, _apply(fn, items[index]))
             os.write(results, len(payload).to_bytes(8, "little"))
             view = memoryview(payload)
@@ -127,36 +126,22 @@ def _serve(fn: Callable, items: Sequence, tasks: int, results: int, inherited) -
 def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
     """Each item's ``_apply`` outcome, from ``workers`` children forked here, in input order.
 
-    The children share one queue of item indices, a pipe that this process tops up without
-    blocking as they drain it, and each sends its outcomes back on a pipe of its own.  A child
-    ends when the queue is closed and empty; one that dies first raises RuntimeError here.  On
-    every way out, each child left is killed if the call failed, and reaped.
+    Child w's share is fixed when it is forked: items w, w + workers, w + 2 * workers, ...,
+    run in order.  Each child sends its outcomes back on a pipe of its own and ends when its
+    share is done; one that dies first raises RuntimeError here.  On every way out, each child
+    left is killed if the call failed, and reaped.
     """
-    tasks, queue = os.pipe()
-    os.set_blocking(queue, False)
     children: dict[int, int] = {}  # each child's result pipe -> its pid
     outcomes: list = [None] * len(items)
-    handed, pending, finished = 0, len(items), False
-
-    def hand_out() -> None:
-        nonlocal handed, queue
-        try:
-            while handed < len(items):
-                os.write(queue, handed.to_bytes(_INDEX_BYTES, "little"))
-                handed += 1
-        except BlockingIOError:  # the queue is full: the next outcome makes room
-            return
-        os.close(queue)  # every index is out: a child that finds the queue empty ends
-        queue = -1
-
+    pending, finished = len(items), False
     for stream in (sys.stdout, sys.stderr):  # or the children print the buffers again
         stream.flush()
     try:
-        for _ in range(workers):
+        for w in range(workers):
             reader, writer = os.pipe()
             try:
                 if (pid := os.fork()) == 0:
-                    _serve(fn, items, tasks, writer, (queue, reader))
+                    _serve(fn, items, range(w, len(items), workers), writer, (reader, *children))
                 children[reader] = pid
             except BaseException:
                 os.close(reader)
@@ -166,7 +151,6 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
         poller = select.poll()
         for reader in children:
             poller.register(reader, select.POLLIN)
-        hand_out()
         while pending:
             if not children:
                 raise RuntimeError(f"worker processes ended with {pending} items unfinished")
@@ -174,7 +158,7 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
                 try:
                     size = int.from_bytes(_read(reader, 8), "little")
                     index, outcome = pickle.loads(_read(reader, size))
-                except EOFError:  # the child is gone: it ended on an empty queue, or died
+                except EOFError:  # the child is gone: it finished its share, or died
                     pid = children[reader]
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     del children[reader]
@@ -189,13 +173,8 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
                     raise RuntimeError(f"worker process {pid} {death}") from None
                 outcomes[index] = outcome
                 pending -= 1
-                if queue >= 0:
-                    hand_out()
         finished = True
     finally:
-        for fd in (tasks, queue):
-            if fd >= 0:
-                os.close(fd)
         for reader, pid in children.items():
             if not finished:
                 with contextlib.suppress(ProcessLookupError):
@@ -208,8 +187,8 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
 def map_ordered(fn: Callable, items: Sequence) -> list:
     """Apply ``fn`` to items on up to ``worker_count()`` forked processes, in input order.
 
-    Children are forked per call, so they inherit ``fn`` as it is now, lambdas and all; only
-    item indices go out.  The caller runs no item: its peak memory stays the caller's own.
+    Children are forked per call, so they inherit ``fn`` and the items, lambdas and all, and
+    each runs a fixed share.  The caller runs no item: its peak memory stays the caller's own.
     """
     workers = min(worker_count(), len(items))
     if workers <= 1 or not hasattr(os, "fork"):

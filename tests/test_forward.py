@@ -916,7 +916,8 @@ def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(
 
 
 def test_map_ordered_hands_out_more_indices_than_one_pipe_holds(monkeypatch):
-    # 20 000 eight-byte indices fill a 64 KiB pipe more than twice over
+    # each worker sends 10 000 outcomes of about 35 bytes, five times what its 64 KiB result
+    # pipe holds, so the caller must read while the workers write
     monkeypatch.setenv("SMC_WORKERS", "2")
     items = range(20_000)
     assert forward.map_ordered(lambda item: 3 * item, items) == [3 * item for item in items]
@@ -1276,6 +1277,7 @@ def test_a_single_path_is_its_ensemble_column_bit_for_bit(
 @example(n_paths=700, chunk_size=300, other_chunk_size=128, workers=2)
 @example(n_paths=700, chunk_size=240, other_chunk_size=1, workers=2)
 @example(n_paths=400, chunk_size=400, other_chunk_size=129, workers=3)
+@example(n_paths=384, chunk_size=128, other_chunk_size=256, workers=2)  # shares of 2 and 1
 def test_worker_count_never_moves_a_monte_carlo_bit(
     n_paths, chunk_size, other_chunk_size, workers
 ):

@@ -231,7 +231,7 @@ def _problem_with(section, key, value):
         (["rate", "--levels", "4,8"], {}, "--levels"),
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
-        (["simulate"], {"mc": {"n_paths": 8, "seed": 2**128 - 8}}, "mc.seed"),  # past int64
+        (["simulate"], {"mc": {"n_paths": 8, "seed": True}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
         (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
@@ -250,8 +250,7 @@ def _problem_with(section, key, value):
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "mc-seed-past-2-128",
-         "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
+         "mc-seed-bool", "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
          "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
          "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
          "stepping-explicit", "stepping-bogus"],
@@ -523,18 +522,20 @@ def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
 
 
 def test_cli_simulate_runs_path_seeds_past_2_128(tmp_path, capsys):
-    # default_rng takes any seed >= 0, so path seeds cross 2**128 from --seed, and cross the
-    # top of the config's 64-bit integer range from mc.seed
+    # default_rng takes any seed >= 0, so path seeds cross 2**128 from --seed and from mc.seed
+    # alike, and both runs draw the same paths
     config = _write_config(tmp_path, minimal_config())
     flag = ["simulate", "--config", config, "--seed", str(2**128 - 8), "--paths", "16"]
     (tmp_path / "mc").mkdir()
-    raw = minimal_config(mc={"n_paths": 16, "seed": 2**63 - 8})
+    raw = minimal_config(mc={"n_paths": 16, "seed": 2**128 - 8})
     in_config = ["simulate", "--config", _write_config(tmp_path / "mc", raw)]
-    for argv, last in [(flag, 2**128 + 7), (in_config, 2**63 + 7)]:
-        out = tmp_path / str(last)
+    terminals = []
+    for name, argv in [("flag", flag), ("config", in_config)]:
+        out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
-        assert (out / f"terminal_seed{last}.csv").exists()
+        terminals.append((out / f"terminal_seed{2**128 + 7}.csv").read_bytes())
         assert capsys.readouterr().err == ""
+    assert terminals[0] == terminals[1]
     # a subcommand that draws no ensemble takes such a seed too: its checks run (exit 0 or 1)
     argv = ["rate", "--config", config, "--seed", str(2**200), "--out", str(tmp_path / "rate")]
     assert main(argv) in (0, 1)
