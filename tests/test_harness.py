@@ -232,6 +232,8 @@ def _problem_with(section, key, value):
         (["adjoint", "--levels", "0,4"], {}, "--levels"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": -1}}, "mc.seed"),
         (["simulate"], {"mc": {"n_paths": 8, "seed": True}}, "mc.seed"),
+        # a seed past 2**128 runs as a JSON integer, but its float form is refused, not rounded
+        (["simulate"], {"mc": {"n_paths": 8, "seed": float(2**128 - 8)}}, "mc.seed"),
         (["policy"], {"backward": {"backend": "regression"}}, "backward.backend"),
         (["policy"], {"control": {"convention": "bogus"}}, "control.convention"),
         (["simulate"], _problem_with("time", "n_steps", True), "problem.time.n_steps"),
@@ -250,10 +252,10 @@ def _problem_with(section, key, value):
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
-         "mc-seed-bool", "backward-backend", "unknown-convention", "n-steps-bool", "x-max-huge",
-         "x-max-past-float", "g0-past-float", "n-cells-past-int64", "horizon-infinite",
-         "x-min-infinite", "alpha-nan", "second-order-huge", "first-order-huge",
-         "stepping-explicit", "stepping-bogus"],
+         "mc-seed-bool", "mc-seed-past-2-128", "backward-backend", "unknown-convention",
+         "n-steps-bool", "x-max-huge", "x-max-past-float", "g0-past-float", "n-cells-past-int64",
+         "horizon-infinite", "x-min-infinite", "alpha-nan", "second-order-huge",
+         "first-order-huge", "stepping-explicit", "stepping-bogus"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
