@@ -18,8 +18,10 @@ Exit codes: 0 success, 1 failed checks, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -255,11 +257,27 @@ def _cmd_verify(name: str, timer: PhaseTimer) -> _Outcome:
     return _Outcome(checks, {}, [check.line() for check in checks] + [last])
 
 
+def _make_directory(out_dir: str, field: str) -> list[Path]:
+    """Make ``out_dir`` and its missing parents, and return those it made, deepest first.
+
+    One that cannot be made is a ConfigError at ``field``, raised before any handler runs.
+    """
+    path = Path(out_dir)
+    missing = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise ConfigError(f"cannot make output directory {out_dir!r}: {exc}", field) from exc
+    return missing
+
+
 def _run(config: RunConfig | None, args) -> int:
     """Time the subcommand's handler, persist its report and fields, print, pick the exit code.
 
     Without a config (``verify`` only) the report is the builtin one.  ``verify``
     times each check as a phase; any other subcommand is one phase named after it.
+    The output directory is made before the handler runs; the directories made are removed
+    again if the handler fails.
     """
     if config is None:
         echo, config_hash = {"suite": args.suite}, "builtin"
@@ -274,12 +292,19 @@ def _run(config: RunConfig | None, args) -> int:
         seeds = {"root": seed}
         out_dir, formats = config.outputs.directory, config.outputs.formats
     out_dir = args.out if args.out is not None else out_dir
+    made = _make_directory(out_dir, "--out" if args.out is not None else "outputs.directory")
     timer = PhaseTimer()
-    if args.command == "verify":
-        outcome = _cmd_verify(args.suite, timer)
-    else:
-        with timer.time(args.command):
-            outcome = args.handler(config, args, seed, out_dir)
+    try:
+        if args.command == "verify":
+            outcome = _cmd_verify(args.suite, timer)
+        else:
+            with timer.time(args.command):
+                outcome = args.handler(config, args, seed, out_dir)
+    except BaseException:  # a run that ends in its handler leaves no directory it made
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     report = RunReport(echo, config_hash, describe_version(), outcome.checks, seeds, timer.phases)
     persist(report, outcome.paths, out_dir, formats)
     for line in outcome.lines:

@@ -340,6 +340,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"configuration file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}")
+    # a directory, bytes that are not UTF-8, nesting past the recursion limit, an integer past
+    # Python's digit limit, or invalid JSON
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path} as JSON: {exc}")
     return parse_config(raw)

@@ -79,42 +79,27 @@ def _apply(fn: Callable, item) -> tuple:
     return (*outcome, [w.message for w in caught])
 
 
-def _pickled(index: int, outcome: tuple) -> bytes:
+def _pickled(outcome: tuple) -> bytes:
     try:
-        return pickle.dumps((index, outcome))
+        return pickle.dumps(outcome)
     except Exception as exc:  # an unpicklable result or error: its pickling error goes instead
-        return pickle.dumps((index, (None, exc, traceback.format_exc(), [])))
-
-
-def _read(fd: int, size: int) -> bytearray:
-    """Exactly ``size`` bytes from ``fd``; EOFError if the writer ends first."""
-    data = bytearray(size)
-    view, got = memoryview(data), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            raise EOFError
-        got += n
-    return data
+        return pickle.dumps((None, exc, traceback.format_exc(), []))
 
 
 def _serve(fn: Callable, items: Sequence, share: range, results: int, inherited) -> NoReturn:
     """A forked worker: apply ``fn`` to the items its ``share`` of indices names, in order.
 
-    Each outcome goes to ``results`` as an 8-byte length and a pickle of (index, outcome).
-    The ``inherited`` descriptors, the caller's ends of this and the earlier children's result
-    pipes, are closed first.
+    Once the share is done, the list of its pickled outcomes goes to ``results`` as one pickle,
+    and the worker exits.  The ``inherited`` descriptors, the caller's ends of this and the
+    earlier children's result pipes, are closed first.
     """
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        for index in share:
-            payload = _pickled(index, _apply(fn, items[index]))
-            os.write(results, len(payload).to_bytes(8, "little"))
-            view = memoryview(payload)
-            while view:
-                view = view[os.write(results, view):]
+        view = memoryview(pickle.dumps([_pickled(_apply(fn, items[i])) for i in share]))
+        while view:
+            view = view[os.write(results, view):]
         code = 0
     finally:
         for stream in (sys.stdout, sys.stderr):  # what the worker printed: os._exit drops it
@@ -127,13 +112,13 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
     """Each item's ``_apply`` outcome, from ``workers`` children forked here, in input order.
 
     Child w's share is fixed when it is forked: items w, w + workers, w + 2 * workers, ...,
-    run in order.  Each child sends its outcomes back on a pipe of its own and ends when its
-    share is done; one that dies first raises RuntimeError here.  On every way out, each child
-    left is killed if the call failed, and reaped.
+    run in order.  Each child sends its share's outcomes back as one message on a pipe of its
+    own, read here as it comes, and ends; the caller reaps it at the end of its pipe and places
+    the outcomes.  One that dies first raises RuntimeError here at once.  A call that fails
+    kills each child left, and every child is reaped.
     """
-    children: dict[int, int] = {}  # each child's result pipe -> its pid
+    children: dict[int, tuple] = {}  # each child's result pipe -> (w, its pid, bytes read)
     outcomes: list = [None] * len(items)
-    pending, finished = len(items), False
     for stream in (sys.stdout, sys.stderr):  # or the children print the buffers again
         stream.flush()
     try:
@@ -142,7 +127,7 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
             try:
                 if (pid := os.fork()) == 0:
                     _serve(fn, items, range(w, len(items), workers), writer, (reader, *children))
-                children[reader] = pid
+                children[reader] = (w, pid, bytearray())
             except BaseException:
                 os.close(reader)
                 raise
@@ -151,34 +136,26 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
         poller = select.poll()
         for reader in children:
             poller.register(reader, select.POLLIN)
-        while pending:
-            if not children:
-                raise RuntimeError(f"worker processes ended with {pending} items unfinished")
+        while children:
             for reader, _ in poller.poll():
-                try:
-                    size = int.from_bytes(_read(reader, 8), "little")
-                    index, outcome = pickle.loads(_read(reader, size))
-                except EOFError:  # the child is gone: it finished its share, or died
-                    pid = children[reader]
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del children[reader]
-                    poller.unregister(reader)
-                    os.close(reader)
-                    if code < 0:
-                        death = f"was killed by {signal.Signals(-code).name}"
-                    elif code > 0:
-                        death = f"exited with status {code}"
-                    else:
-                        continue
-                    raise RuntimeError(f"worker process {pid} {death}") from None
-                outcomes[index] = outcome
-                pending -= 1
-        finished = True
+                w, pid, message = children[reader]
+                if data := os.read(reader, 1 << 16):
+                    message.extend(data)
+                    continue
+                # the end of the pipe: the child finished its share, or died
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[reader]
+                poller.unregister(reader)
+                os.close(reader)
+                if code or not message:  # an os._exit(0) in fn ends a child before it sends
+                    death = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                             else f"exited with status {code}")
+                    raise RuntimeError(f"worker process {pid} {death}")
+                outcomes[w::workers] = map(pickle.loads, pickle.loads(message))
     finally:
-        for reader, pid in children.items():
-            if not finished:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
+        for reader, (_, pid, _) in children.items():  # left only when the call failed
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(reader)
     return outcomes

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -799,11 +800,11 @@ def test_ensemble_workers_send_back_no_per_path_arrays(monkeypatch, tmp_path):
     # Forked workers inherit the wrapped pickler: each writes its payload sizes into tmp_path.
     spec = suites.harvesting_benchmark()
     control = SingularControl.constant_rate(1.0, spec.times, spec.grid.n_cells)
-    pickled = forward._pickled
+    pickled, counter = forward._pickled, itertools.count()
 
-    def recorded(index, outcome):
-        payload = pickled(index, outcome)
-        (tmp_path / f"{os.getpid()}-{index}").write_text(str(len(payload)))
+    def recorded(outcome):
+        payload = pickled(outcome)
+        (tmp_path / f"{os.getpid()}-{next(counter)}").write_text(str(len(payload)))
         return payload
 
     monkeypatch.setenv("SMC_WORKERS", "2")
@@ -887,15 +888,24 @@ def _deadline(seconds):
 
 
 @pytest.mark.parametrize(
-    "die, named",
-    [(partial(os._exit, 3), "exited with status 3"), (_kill_self, "was killed by SIGKILL")],
-    ids=["exit-3", "sigkill"],
+    "die, named, dying",
+    [
+        (partial(os._exit, 3), "exited with status 3", 1),
+        (_kill_self, "was killed by SIGKILL", 1),
+        # worker 1 runs items 1 and 3: item 3 ends it after it finished its first item
+        (partial(os._exit, 4), "exited with status 4", 3),
+        (_kill_self, "was killed by SIGKILL", 3),
+        (partial(os._exit, 0), "exited with status 0", 3),  # before it sent its outcomes
+    ],
+    ids=["exit-3", "sigkill", "exit-4-second-item", "sigkill-second-item", "exit-0-second-item"],
 )
-def test_a_worker_that_dies_raises_in_the_caller_and_leaves_no_process(monkeypatch, die, named):
+def test_a_worker_that_dies_raises_in_the_caller_and_leaves_no_process(
+    monkeypatch, die, named, dying
+):
     monkeypatch.setenv("SMC_WORKERS", "2")
 
     def bundle(item):
-        if item == 1:
+        if item == dying:
             die()
         return item
 
@@ -911,6 +921,34 @@ def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(
         forward.map_ordered(lambda item: (lambda: item), [0, 1])  # a local lambda: no pickle
     trace = str(err.value.__cause__)
     assert trace.startswith("in a worker process:\nTraceback") and "pickle" in trace
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_ordered_leaves_no_descriptor_open(monkeypatch):
+    # a success, a worker error and a dying worker each close every pipe end they opened
+    monkeypatch.setenv("SMC_WORKERS", "2")
+
+    def bundle(item):
+        if item == "raise":
+            raise ValueError("in the bundle")
+        if item == "die":
+            os._exit(3)
+        return item
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    with _deadline(5.0):
+        assert forward.map_ordered(bundle, [0, 1, 2]) == [0, 1, 2]
+        assert open_fds() == before
+        with pytest.raises(ValueError, match="in the bundle"):
+            forward.map_ordered(bundle, [0, "raise", 2])
+        assert open_fds() == before
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            forward.map_ordered(bundle, [0, 1, 2, "die"])
+        assert open_fds() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -119,6 +119,30 @@ def test_parse_error_on_bad_json(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"schema_version": ' + b"9" * 5000 + b"}",
+    ],
+    ids=["directory", "not-utf-8", "nested-past-the-recursion-limit", "integer-past-4300-digits"],
+)
+def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys, content):
+    # a file that cannot be read as JSON is a ParseError; a permission-denied file is one too,
+    # but cannot be made unreadable to root, so it is not tested here
+    path = tmp_path / "run.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read {path} as JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_levels_validation():
     raw = minimal_config(backward={"levels": [4, 4, 8]})
     with pytest.raises(ValidationError) as err:
@@ -250,20 +274,27 @@ def _problem_with(section, key, value):
          "problem.operator.first_order"),
         (["simulate"], _problem_with("modes", "stepping", "explicit"), "problem.modes.stepping"),
         (["simulate"], _problem_with("modes", "stepping", "bogus"), "problem.modes.stepping"),
+        # an output directory that cannot be made ends the run before its handler
+        (["policy", "--out", "/dev/null/x"], {}, "--out"),
+        (["simulate"], {"outputs": {"directory": "/dev/null"}}, "outputs.directory"),
+        (["simulate"], {"outputs": {"directory": "out\u0000x"}}, "outputs.directory"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
          "mc-seed-bool", "mc-seed-past-2-128", "backward-backend", "unknown-convention",
          "n-steps-bool", "x-max-huge", "x-max-past-float", "g0-past-float", "n-cells-past-int64",
          "horizon-infinite", "x-min-infinite", "alpha-nan", "second-order-huge",
-         "first-order-huge", "stepping-explicit", "stepping-bogus"],
+         "first-order-huge", "stepping-explicit", "stepping-bogus", "out-under-a-file",
+         "directory-is-a-file", "directory-with-nul"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
-def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, sections, field):
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, sections, field):
+    monkeypatch.chdir(tmp_path)  # the relative output directory, made before the handler runs
     code = main([*argv, "--config", _write_config(tmp_path, minimal_config(**sections))])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+    assert os.listdir(tmp_path) == ["run.json"]  # a refused run leaves no directory behind
 
 
 # harvest.json's terminal states alone, 62 nodes of 8 bytes a path, outgrow physical memory
