@@ -263,8 +263,8 @@ def _make_directory(out_dir: str, field: str) -> list[Path]:
     One that cannot be made is a ConfigError at ``field``, raised before any handler runs.
     """
     path = Path(out_dir)
-    missing = [p for p in (path, *path.parents) if not p.exists()]
     try:
+        missing = [p for p in (path, *path.parents) if not p.exists()]
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise ConfigError(f"cannot make output directory {out_dir!r}: {exc}", field) from exc

@@ -278,13 +278,15 @@ def _problem_with(section, key, value):
         (["policy", "--out", "/dev/null/x"], {}, "--out"),
         (["simulate"], {"outputs": {"directory": "/dev/null"}}, "outputs.directory"),
         (["simulate"], {"outputs": {"directory": "out\u0000x"}}, "outputs.directory"),
+        # a name past NAME_MAX makes Path.exists raise, not return False
+        (["simulate"], {"outputs": {"directory": "x" * 300}}, "outputs.directory"),
     ],
     ids=["paths-0", "seed-negative", "rate-two-levels", "level-0", "mc-seed-negative",
          "mc-seed-bool", "mc-seed-past-2-128", "backward-backend", "unknown-convention",
          "n-steps-bool", "x-max-huge", "x-max-past-float", "g0-past-float", "n-cells-past-int64",
          "horizon-infinite", "x-min-infinite", "alpha-nan", "second-order-huge",
          "first-order-huge", "stepping-explicit", "stepping-bogus", "out-under-a-file",
-         "directory-is-a-file", "directory-with-nul"],
+         "directory-is-a-file", "directory-with-nul", "directory-name-too-long"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, sections, field):

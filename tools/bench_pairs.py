@@ -6,9 +6,9 @@ Usage, from the root of a checkout:
         --workload derivative-mc --seed 0
 
 The parent (``--parent``, default HEAD) is extracted with ``git archive`` into a
-scratch directory; the change is this checkout's working tree, or ``--change REV``
-extracted the same way.  Each pair runs ``python3 perfbench/run.py --workload W
---seed S --seconds T`` once on each side, in that side's directory: odd pairs
+temporary directory; the change is this checkout's working tree.  Each pair runs
+``python3 perfbench/run.py --workload W --seed S --seconds T`` once on each side,
+in that side's directory, with T the ``run_seconds`` of BENCHMARK.json: odd pairs
 parent first, even pairs change first.  The last line of each run's standard
 output is its JSON result.  ``BENCH_<label>_pairs.json`` holds a note, a summary
 per workload and seed (for each end-to-end metric of BENCHMARK.json: each side's
@@ -118,26 +118,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default BENCHMARK.json's run_seconds")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--change", default=None,
-                        help="git revision of the change side; default this working tree")
-    parser.add_argument("--scratch", default=None,
-                        help="directory for the extracted checkouts; default a temporary one")
     parser.add_argument("--note", default="", help="appended to the generated note")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2: quartiles need two runs a side")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    seconds = benchmark["run_seconds"]
 
-    with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
-        checkouts = {"parent": extract(args.parent, Path(scratch, "parent"))}
-        if args.change is None:
-            checkouts["change"] = ROOT
-        else:
-            checkouts["change"] = extract(args.change, Path(scratch, "change"))
+    with tempfile.TemporaryDirectory() as scratch:
+        checkouts = {"parent": extract(args.parent, Path(scratch, "parent")), "change": ROOT}
         runs = []
         for workload in args.workload:
             for pair in range(1, args.pairs + 1):
@@ -150,10 +140,9 @@ def main(argv: list[str] | None = None) -> int:
                           f"correct {record['correct']}", file=sys.stderr, flush=True)
 
     parent = git("rev-parse", "--short", args.parent).decode().strip()
-    change = "the working tree" if args.change is None else args.change
     note = (f"alternating parent/change pairs of `python3 perfbench/run.py --workload W --seed "
             f"{args.seed} --seconds {seconds:g}` ({args.pairs} pairs a workload), each side run "
-            f"in its own directory (parent: {parent}; change: {change}), odd pairs parent first, "
+            f"in its own directory (parent: {parent}; change: the working tree), odd pairs parent first, "
             f"even pairs change first, on {platform.machine()} with Python "
             f"{platform.python_version()}. "
             f"Quartiles are linear, as numpy's default percentiles. {args.note}").strip()
