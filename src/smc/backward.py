@@ -2,12 +2,13 @@
 
 The target system, stated for the lower reflection side, is
 
-    dY = -A Y dt - F(t, Y) dt + Z dB - eta(dt, x),
+    dY = -A* Y dt - F(t, Y) dt + Z dB - eta(dt, x),
     Y(T) = phi,    Y >= L,    integral of (Y - L) against eta(dt, x) dx = 0,
 
-with eta nonnegative and nondecreasing.  A space-mean term of the forward
-equation reaches the adjoint's F through its dual weight w(x), pointwise in
-Y (see :func:`smc.control.assemble_adjoint`).  The penalized approximation at
+with eta nonnegative and nondecreasing and A* the adjoint of the forward
+generator.  A space-mean term of the forward equation reaches the adjoint's F
+through its dual weight w(x), pointwise in Y (see
+:func:`smc.control.assemble_adjoint`).  The penalized approximation at
 level n replaces the constraint by the drift n (Y - L)^- and is stepped
 implicitly in both the generator and the penalty; the nonsmooth negative
 part is handled by a semi-smooth active-set fixed point per step.  The
@@ -37,15 +38,13 @@ from .errors import (
     NanDetectedError,
     NoConvergenceError,
     NonCauchyError,
-    TerminalConsistencyError,
 )
-from .forward import CRANK_NICOLSON, SingularControl
+from .forward import CRANK_NICOLSON, IMPLICIT, SingularControl
 from .grid import Field, FieldPath, Grid, sup_norm_h
 from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
 LOWER = "lower"
 UPPER = "upper"
-BACKWARD_EULER = "backward-euler"
 
 _SIGNS = {LOWER: 1.0, UPPER: -1.0}  # reflection side -> the sign that makes it a lower side
 _MAX_FIXED_POINT_ITERS = 100  # active-set iterations per step before NoConvergenceError
@@ -67,7 +66,8 @@ class BackwardSpec:
     interior nodes, one array for every time, or None for an unconstrained solve.
     ``singular`` optionally couples a nondecreasing control to the drift:
     the pair (control, coefficient) adds coefficient(t, x_int, y) * dxi_k to
-    the backward step.  Homogeneous Dirichlet boundary throughout.
+    the backward step.  Every step solves with A*, the adjoint of ``op``'s generator; a
+    terminal value past the obstacle is taken as given.  Homogeneous Dirichlet boundary.
     """
 
     grid: Grid
@@ -79,17 +79,15 @@ class BackwardSpec:
     obstacle: np.ndarray | None = None
     reflection_side: str = LOWER
     singular: tuple[SingularControl, Callable] | None = None
-    use_adjoint_operator: bool = False
-    allow_terminal_violation: bool = False
-    time_scheme: str = BACKWARD_EULER
+    time_scheme: str = IMPLICIT
 
     def __post_init__(self):
         if not np.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
         if self.horizon <= 0.0 or self.n_steps < 1:
             raise ValueError("horizon must be positive and n_steps >= 1")
-        sign = _side_sign(self.reflection_side)
-        if self.time_scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
+        _side_sign(self.reflection_side)  # an unknown side raises
+        if self.time_scheme not in (IMPLICIT, CRANK_NICOLSON):
             raise ValueError(f"unknown time scheme {self.time_scheme!r}")
         if self.time_scheme == CRANK_NICOLSON and self.obstacle is not None:
             raise ValueError("crank-nicolson stepping supports unconstrained solves only")
@@ -112,13 +110,6 @@ class BackwardSpec:
             if not np.isfinite(obstacle).all():
                 raise ValueError("obstacle must be finite")
             object.__setattr__(self, "obstacle", obstacle)
-        if self.obstacle is not None and not self.allow_terminal_violation:
-            gap = sign * (self.terminal.interior - self.obstacle)
-            if np.min(gap) < -1e-12:
-                raise TerminalConsistencyError(
-                    f"terminal data violates the obstacle by {-float(np.min(gap)):.3e} "
-                    f"on the {self.reflection_side} side"
-                )
 
     @property
     def dt(self) -> float:
@@ -157,7 +148,7 @@ class BackwardSolution:
 def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     """Solve the level-n penalized backward equation.
 
-    Each step solves (I - dt A + dt n diag(active)) y = rhs with the active
+    Each step solves (I - dt A* + dt n diag(active)) y = rhs with the active
     set {y < L} iterated until it stabilizes; without an obstacle no node is
     active.  The data are multiplied by the side's sign, so the loop solves a
     lower-side problem.  The driver and the singular coefficient are evaluated
@@ -170,13 +161,13 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     sign = _side_sign(spec.reflection_side)
     grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
     crank = spec.time_scheme == CRANK_NICOLSON
-    lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=spec.use_adjoint_operator)
+    lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=True)
     lo_a, up_a = lo_a[1:], up_a[:-1]
     implicit_dt = (0.5 if crank else 1.0) * dt
-    stepper = TridiagonalStepper(spec.op, grid, implicit_dt, spec.use_adjoint_operator)
+    stepper = TridiagonalStepper(spec.op, grid, implicit_dt, adjoint=True)
     known, spare, work = (np.empty(grid.n_cells) for _ in range(3))
 
-    def explicit_half(y_int: np.ndarray) -> np.ndarray:  # y + 0.5 dt A y, into ``known``
+    def explicit_half(y_int: np.ndarray) -> np.ndarray:  # y + 0.5 dt A* y, into ``known``
         np.multiply(di_a, y_int, known)
         np.add(known[1:], np.multiply(lo_a, y_int[:-1], work[1:]), known[1:])
         np.add(known[:-1], np.multiply(up_a, y_int[1:], work[:-1]), known[:-1])

@@ -276,8 +276,8 @@ def _run(config: RunConfig | None, args) -> int:
 
     Without a config (``verify`` only) the report is the builtin one.  ``verify``
     times each check as a phase; any other subcommand is one phase named after it.
-    The output directory is made before the handler runs; the directories made are removed
-    again if the handler fails.
+    The output directory is made before the handler runs, and removed again if the handler
+    fails; a file that cannot be written there is a ConfigError.
     """
     if config is None:
         echo, config_hash = {"suite": args.suite}, "builtin"
@@ -292,7 +292,8 @@ def _run(config: RunConfig | None, args) -> int:
         seeds = {"root": seed}
         out_dir, formats = config.outputs.directory, config.outputs.formats
     out_dir = args.out if args.out is not None else out_dir
-    made = _make_directory(out_dir, "--out" if args.out is not None else "outputs.directory")
+    field = "--out" if args.out is not None else "outputs.directory"
+    made = _make_directory(out_dir, field)
     timer = PhaseTimer()
     try:
         if args.command == "verify":
@@ -306,7 +307,10 @@ def _run(config: RunConfig | None, args) -> int:
                 directory.rmdir()
         raise
     report = RunReport(echo, config_hash, describe_version(), outcome.checks, seeds, timer.phases)
-    persist(report, outcome.paths, out_dir, formats)
+    try:
+        persist(report, outcome.paths, out_dir, formats)
+    except OSError as exc:  # say, a directory holds an output file's name
+        raise ConfigError(f"cannot write to output directory {out_dir!r}: {exc}", field) from exc
     for line in outcome.lines:
         print(line)
     return 0 if report.all_passed else 1

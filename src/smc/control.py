@@ -101,7 +101,6 @@ def assemble_adjoint(spec: ProblemSpec, xi: SingularControl | None = None) -> Ad
         terminal=terminal,
         driver=driver,
         singular=singular,
-        use_adjoint_operator=True,
     )
     return AdjointSpec(backward=backward)
 
@@ -287,7 +286,6 @@ def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
         assemble_adjoint(spec).backward,
         obstacle=spec.h10[1:-1] / spec.lambda0,
         reflection_side=_side(convention),
-        allow_terminal_violation=True,
     )
     return AdjointSpec(backward=backward)
 

@@ -57,10 +57,6 @@ class DegenerateFitError(ToolkitError):
     """All penalization energies sit below the numerical floor (inactive obstacle)."""
 
 
-class TerminalConsistencyError(ToolkitError):
-    """Terminal data violates the obstacle on the chosen reflection side."""
-
-
 class ConfigError(ToolkitError):
     """Base class for configuration problems; carries the offending field path."""
 

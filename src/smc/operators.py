@@ -78,18 +78,11 @@ def operator_tridiagonal(
     """
     a, b = op.resolve(grid)
     h = grid.h
-    if not adjoint:
-        lower = a / h**2 - b / (2.0 * h)
-        diag = -2.0 * a / h**2
-        upper = a / h**2 + b / (2.0 * h)
-        return lower, diag, upper
-    direct_lower, diag, direct_upper = operator_tridiagonal(op, grid, adjoint=False)
-    lower = np.empty_like(diag)
-    upper = np.empty_like(diag)
-    lower[1:] = direct_upper[:-1]
-    upper[:-1] = direct_lower[1:]
-    lower[0] = direct_upper[0]
-    upper[-1] = direct_lower[-1]
+    lower = a / h**2 - b / (2.0 * h)
+    diag = -2.0 * a / h**2
+    upper = a / h**2 + b / (2.0 * h)
+    if adjoint:  # the transpose: A*[i, i - 1] = A[i - 1, i] and A*[i, i + 1] = A[i + 1, i]
+        lower, upper = np.append(upper[:1], upper[:-1]), np.append(lower[1:], lower[-1:])
     return lower, diag, upper
 
 
@@ -169,27 +162,13 @@ def operator_matrix(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> np.n
     return mat
 
 
-def boundary_coupling(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> tuple[float, float]:
-    """Stencil weights tying the first/last interior row to the boundary nodes.
+def boundary_coupling(op: OperatorSpec, grid: Grid) -> tuple[float, float]:
+    """Stencil weights of A tying the first/last interior row to the boundary nodes.
 
     They are the band entries ``lower[0]`` and ``upper[-1]``, outside the interior block.
     """
-    lower, _, upper = operator_tridiagonal(op, grid, adjoint)
+    lower, _, upper = operator_tridiagonal(op, grid)
     return float(lower[0]), float(upper[-1])
-
-
-def apply_a_values(values: np.ndarray, op: OperatorSpec, grid: Grid) -> np.ndarray:
-    """A applied to nodal values (full vector in, full vector out, zero boundary rows).
-
-    ``values`` may be shape (n_total,) or (n_total, n_paths).
-    """
-    a, b = op.resolve(grid)
-    if values.ndim == 2:
-        a = a[:, None]
-        b = b[:, None]
-    out = np.zeros_like(values)
-    interior_generator(values, a, b, grid.h**2, 2.0 * grid.h, out[1:-1], np.empty_like(out[1:-1]))
-    return out
 
 
 def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float, out, scratch):
@@ -211,8 +190,13 @@ def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float, out, s
 
 
 def apply_a(field: Field, op: OperatorSpec) -> Field:
-    """Central-difference discretization of A u = a u'' + b u'."""
-    return Field(field.grid, apply_a_values(field.values, op, field.grid), DIRICHLET_ZERO)
+    """Central-difference discretization of A u = a u'' + b u' (zero boundary rows)."""
+    grid = field.grid
+    a, b = op.resolve(grid)
+    out = np.zeros_like(field.values)
+    scratch = np.empty_like(out[1:-1])
+    interior_generator(field.values, a, b, grid.h**2, 2.0 * grid.h, out[1:-1], scratch)
+    return Field(grid, out, DIRICHLET_ZERO)
 
 
 def apply_a_star(field: Field, op: OperatorSpec) -> Field:

@@ -5,9 +5,10 @@ solved as a linear complementarity problem
 
     y >= L,   (M y - rhs) >= 0,   (y - L) . (M y - rhs) = 0,
 
-with M = I - dt*A on interior nodes, by projected successive over-relaxation
-in red-black ordering.  Nothing here shares solution machinery with the
-penalized path; only the grid and operator stencils are common data.
+with M = I - dt*A* on interior nodes (A*, as in every backward step), by
+projected successive over-relaxation in red-black ordering.  Nothing here shares
+solution machinery with the penalized path; only the grid and operator stencils
+are common data.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def solve_obstacle_psor(
     n_steps: int,
     side: str = LOWER,
 ) -> FieldPath:
-    """Backward obstacle solve, one projected-SOR LCP per implicit Euler step.
+    """Backward obstacle solve, one projected-SOR LCP per implicit Euler step of A*.
 
     ``obstacle`` is the barrier L at the interior nodes, for every time.
     Upper-side problems are solved by negation; any other side raises
@@ -88,7 +89,7 @@ def solve_obstacle_psor(
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
 
-    lo_a, di_a, up_a = operator_tridiagonal(op, grid)
+    lo_a, di_a, up_a = operator_tridiagonal(op, grid, adjoint=True)
     m_lower = -dt * lo_a
     m_diag = 1.0 - dt * di_a
     m_upper = -dt * up_a

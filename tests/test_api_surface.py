@@ -82,9 +82,7 @@ DEFAULTS = {
         "obstacle": None,
         "reflection_side": "lower",
         "singular": None,
-        "use_adjoint_operator": False,
-        "allow_terminal_violation": False,
-        "time_scheme": "backward-euler",
+        "time_scheme": "implicit",
     },
     "Field": {"boundary_kind": "dirichlet-zero"},
     "OperatorSpec": {"second_order": 0.0, "first_order": 0.0, "theta": 0.1},

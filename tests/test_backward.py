@@ -25,10 +25,9 @@ from smc.errors import (
     NanDetectedError,
     NoConvergenceError,
     SingularSystemError,
-    TerminalConsistencyError,
     ToolkitError,
 )
-from smc.forward import SingularControl
+from smc.forward import ProblemSpec, SingularControl
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec
 from smc.psor import solve_obstacle_psor
@@ -104,6 +103,41 @@ def test_unreflected_heat_decay():
     expected = np.exp(-np.pi**2 * 0.1 / 2.0) * np.sin(np.pi * grid.nodes)
     assert np.max(np.abs(y.values[0] - expected)) <= 2e-3
     assert np.all(z.values == 0.0)
+
+
+DRIFT_OP = OperatorSpec(second_order=0.5, first_order=1.0, theta=0.1)
+
+
+def test_a_backward_step_solves_with_the_adjoint_generator():
+    # with a drift, A* differs from A: one unconstrained step is the dense solve with A*
+    grid = build_grid(0.0, 1.0, 40)
+    terminal = Field.from_interior(grid, np.random.default_rng(3).standard_normal(grid.n_cells))
+    spec = BackwardSpec(grid=grid, op=DRIFT_OP, horizon=0.01, n_steps=1, terminal=terminal)
+    step = np.eye(grid.n_cells) - spec.dt * operators.operator_matrix(DRIFT_OP, grid, adjoint=True)
+    expected = np.linalg.solve(step, terminal.interior)
+    y, _ = solve_penalized(spec, 1)
+    np.testing.assert_allclose(y.values[0, 1:-1], expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30)
+@given(second_order=st.floats(0.0, 1e3), n_cells=st.integers(2, 200), width=st.floats(0.1, 10.0))
+def test_adjoint_bands_are_the_direct_bands_without_a_drift(second_order, n_cells, width):
+    # constant a and b = 0: A* is A bit for bit, so on such an operator a backward solve,
+    # PSOR too, gives the bits of stepping A
+    grid = build_grid(0.0, width, n_cells)
+    op = OperatorSpec(second_order=second_order, first_order=0.0, theta=0.05)
+    direct = operators.operator_tridiagonal(op, grid)
+    adjoint = operators.operator_tridiagonal(op, grid, adjoint=True)
+    assert [band.tobytes() for band in adjoint] == [band.tobytes() for band in direct]
+
+
+def test_backward_euler_is_not_a_time_scheme():
+    # the implicit step has one name, the forward one
+    grid = build_grid(0.0, 1.0, 10)
+    kw = dict(grid=grid, op=OP, horizon=0.1, n_steps=4, terminal=sine_terminal(grid))
+    assert BackwardSpec(**kw).time_scheme == "implicit"
+    with pytest.raises(ValueError, match="unknown time scheme 'backward-euler'"):
+        BackwardSpec(time_scheme="backward-euler", **kw)
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -280,28 +314,23 @@ def test_non_finite_driver_is_typed_error():
     assert err.value.step == spec.n_steps - 1
 
 
-def test_terminal_consistency_guard():
-    grid = build_grid(0.0, 1.0, 30)
-    with pytest.raises(TerminalConsistencyError):
-        BackwardSpec(
-            grid=grid,
-            op=OP,
-            horizon=0.1,
-            n_steps=10,
-            terminal=sine_terminal(grid),
-            obstacle=np.full(grid.n_cells, 2.0),
-            reflection_side="lower",
-        )
-    BackwardSpec(
-        grid=grid,
-        op=OP,
-        horizon=0.1,
-        n_steps=10,
-        terminal=sine_terminal(grid),
-        obstacle=np.full(grid.n_cells, 2.0),
-        reflection_side="lower",
-        allow_terminal_violation=True,
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_terminal_value_past_the_obstacle_is_taken_as_given(side):
+    # the terminal sine sits 0.02 past the obstacle 1.02 sine: PSOR projects it at the first
+    # step, the penalized ladder pulls it across, and the two agree at criterion 06's bound
+    base = suites.active_obstacle_spec(n_cells=50, n_steps=200)
+    sign = 1.0 if side == "lower" else -1.0
+    spec = dataclasses.replace(
+        base,
+        terminal=Field(base.grid, sign * base.terminal.values, "dirichlet-zero"),
+        obstacle=sign * 1.02 * np.sin(np.pi * base.grid.interior),
+        reflection_side=side,
     )
+    assert np.min(sign * (spec.terminal.interior - spec.obstacle)) < -0.019
+    oracle = solve_obstacle_psor(spec.grid, spec.op, spec.terminal, spec.obstacle,
+                                 spec.horizon, spec.n_steps, side=side)
+    sol = solve_reflected(spec, [1024, 2048, 4096, 8192])
+    assert np.max(np.abs(sol.y.values - oracle.values)) <= 5e-3
 
 
 def test_obstacle_is_one_interior_array():
@@ -351,6 +380,22 @@ def test_penalized_error_against_psor_halves_per_level_doubling():
             for n in (1024, 2048, 4096)]
     ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
     assert all(1.9 <= ratio <= 2.1 for ratio in ratios), ratios
+
+
+def test_psor_checks_a_drifted_adjoint_at_criterion_06_bound():
+    # the policy adjoint on criterion 06's 50 x 200 grid, with a drift and alpha = 0 (so no
+    # driver): PSOR and the penalized ladder step the same A*.  A PSOR that stepped A would
+    # differ by 0.152 here, so the bound tells the two generators apart.
+    grid = build_grid(0.0, 1.0, 50)
+    problem = ProblemSpec(
+        grid=grid, op=DRIFT_OP, horizon=0.5, n_steps=200, alpha=0.0,
+        h10=lambda x: 1e-3 + 0.6 * np.sin(np.pi * x), g0=lambda x: 1e-3 + np.sin(np.pi * x),
+    )
+    spec = policy_adjoint(problem, PRICE_FLOOR).backward
+    oracle = solve_obstacle_psor(spec.grid, spec.op, spec.terminal, spec.obstacle,
+                                 spec.horizon, spec.n_steps, side=spec.reflection_side)
+    sol = solve_reflected(spec, [256, 512, 1024, 2048])
+    assert np.max(np.abs(sol.y.values - oracle.values)) <= 5e-3
 
 
 def test_penalized_violation_scales_inversely_with_level():
@@ -424,12 +469,9 @@ def _reference_penalized_values(spec, n):
     sign = 1.0 if spec.reflection_side == "lower" else -1.0
     grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
     crank = spec.time_scheme == "crank-nicolson"
-    lo_a, di_a, up_a = operators.operator_tridiagonal(
-        spec.op, grid, adjoint=spec.use_adjoint_operator
-    )
-    stepper = operators.TridiagonalStepper(
-        spec.op, grid, (0.5 if crank else 1.0) * dt, spec.use_adjoint_operator
-    )
+    lo_a, di_a, up_a = operators.operator_tridiagonal(spec.op, grid, adjoint=True)
+    implicit_dt = (0.5 if crank else 1.0) * dt
+    stepper = operators.TridiagonalStepper(spec.op, grid, implicit_dt, adjoint=True)
 
     def explicit_half(y_int):
         out = di_a * y_int
@@ -578,7 +620,7 @@ def test_unconstrained_solve_is_never_penalized(side):
     terminal[7] = -1e301
     spec = BackwardSpec(grid=grid, op=OP, horizon=0.3, n_steps=40, reflection_side=side,
                         terminal=Field(grid, sign * terminal, "dirichlet-zero"))
-    stepper = operators.TridiagonalStepper(spec.op, grid, spec.dt)
+    stepper = operators.TridiagonalStepper(spec.op, grid, spec.dt, adjoint=True)
     plain = np.zeros((spec.n_steps + 1, grid.n_total))
     plain[-1] = terminal
     for k in range(spec.n_steps - 1, -1, -1):
@@ -613,8 +655,7 @@ def _random_obstacle_spec(n_cells, n_steps, side, seed, terminal_shift=0.0):
     terminal[1:-1] = rng.uniform(-1.0, 1.0, grid.n_cells) + terminal_shift
     return BackwardSpec(grid=grid, op=OP, horizon=rng.uniform(0.01, 0.5), n_steps=n_steps,
                         terminal=Field(grid, terminal, "dirichlet-zero"),
-                        obstacle=rng.uniform(-1.0, 1.0, grid.n_cells), reflection_side=side,
-                        allow_terminal_violation=True)
+                        obstacle=rng.uniform(-1.0, 1.0, grid.n_cells), reflection_side=side)
 
 
 @settings(max_examples=25)
@@ -704,7 +745,6 @@ def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, scale
         terminal=sine_terminal(grid),
         driver=driver,
         obstacle=obstacle,
-        allow_terminal_violation=True,
     )
     upper = dataclasses.replace(  # the negated problem: data, barrier and conjugate driver
         lower,

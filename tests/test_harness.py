@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from smc import forward, suites
 from smc.backward import penalization_rate, solve_reflected
 from smc.cli import main
-from smc.config import load_config, parse_config
-from smc.control import policy_adjoint
+from smc.config import canonical_hash, load_config, parse_config
+from smc.control import CONVENTIONS, policy_adjoint
 from smc import errors
 from smc.errors import ConfigError, NanDetectedError, ParseError, ValidationError
 from smc.forward import worker_count
@@ -101,6 +101,69 @@ def test_pocket_terminal_price_loads_and_is_read_at_the_nodes():
     x = problem.grid.nodes
     expected = 0.5 + 2.0 * np.exp(-(((x - 0.4) / 0.2) ** 2))
     np.testing.assert_array_equal(problem.g0, expected)
+
+
+_REAL = dict(allow_nan=False, allow_infinity=False)
+
+
+def _price():
+    """A price as a number or a pocket, positive at every node."""
+    number = st.floats(0.01, 10.0, **_REAL)
+    pocket = st.fixed_dictionaries({
+        "kind": st.just("pocket"), "base": number, "amplitude": st.floats(0.0, 5.0, **_REAL),
+        "center": st.floats(-2.0, 2.0, **_REAL), "width": st.floats(0.01, 1.0, **_REAL),
+    })
+    return st.one_of(number, pocket)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A configuration drawn over the documented leaves, valid by construction."""
+    x_min = draw(st.floats(-5.0, 5.0, **_REAL))
+    width = draw(st.floats(0.5, 10.0, **_REAL))
+    x_max = x_min + width
+    return {
+        "schema_version": 1,
+        "problem": {
+            "grid": {"x_min": x_min, "x_max": x_max, "n_cells": draw(st.integers(2, 64))},
+            "operator": {
+                "second_order": draw(st.floats(0.0, 2.0, **_REAL)),
+                "first_order": draw(st.floats(-2.0, 2.0, **_REAL)),
+                "theta": draw(st.floats(0.01, 0.9, **_REAL)) * (x_max - x_min),
+            },
+            "time": {"horizon": draw(st.floats(0.01, 2.0, **_REAL)),
+                     "n_steps": draw(st.integers(1, 200))},
+            "model": {"alpha": draw(st.floats(-1.0, 1.0, **_REAL)),
+                      "beta": draw(st.floats(-1.0, 1.0, **_REAL)),
+                      "lambda0": draw(st.floats(0.1, 5.0, **_REAL))},
+            "modes": {"stepping": draw(st.sampled_from([forward.IMPLICIT,
+                                                        forward.CRANK_NICOLSON]))},
+            "prices": {"h10": draw(_price()), "g0": draw(_price()),
+                       "cost": draw(st.floats(-1.0, 1.0, **_REAL))},
+        },
+        "backward": {"levels": sorted(draw(st.sets(st.integers(1, 2**20), min_size=1,
+                                                   max_size=5)))},
+        "control": {"convention": draw(st.sampled_from(CONVENTIONS)),
+                    "max_rate": draw(st.floats(0.01, 0.99, **_REAL))},
+        "mc": {"n_paths": draw(st.integers(1, 10**6)), "seed": draw(st.integers(0, 2**200))},
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=_valid_configs())
+def test_a_config_and_its_report_echo_reproduce_the_problem(raw):
+    # parse -> JSON -> parse keeps the hash and the problem data; the report's echo keeps both
+    first = parse_config(raw)
+    echo = RunReport(first.raw, first.config_hash, "v0").deterministic_payload()["config"]
+    for text in (json.dumps(raw), json.dumps(echo, indent=2, sort_keys=True)):
+        again = parse_config(json.loads(text))
+        assert again.config_hash == first.config_hash == canonical_hash(json.loads(text))
+        for name in ("h10", "g0"):
+            assert getattr(again.problem, name).tobytes() == getattr(first.problem, name).tobytes()
+        assert again.problem.grid.nodes.tobytes() == first.problem.grid.nodes.tobytes()
+        assert again.problem.dt == first.problem.dt
+        sections = ("backward", "control", "mc")
+        assert [getattr(again, n) for n in sections] == [getattr(first, n) for n in sections]
 
 
 def test_readme_example_is_the_shipped_config():
@@ -297,6 +360,24 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
     assert os.listdir(tmp_path) == ["run.json"]  # a refused run leaves no directory behind
+
+
+@pytest.mark.parametrize("blocked, use_flag", [("report.json", True), ("mean_path.csv", False)])
+def test_an_output_file_that_cannot_be_written_exits_2_with_one_line(
+    tmp_path, capsys, blocked, use_flag
+):
+    # a directory holds the file's name: the run computes, then its write fails
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    raw = minimal_config()
+    raw["outputs"]["directory"] = str(out)
+    argv = ["simulate", "--paths", "2", "--config", _write_config(tmp_path, raw)]
+    code = main([*argv, "--out", str(out)] if use_flag else argv)
+    err = capsys.readouterr().err
+    field = "--out" if use_flag else "outputs.directory"
+    assert code == 2
+    assert err.startswith(f"configuration error: {field}: cannot write to output directory ")
+    assert err.count("\n") == 1
 
 
 # harvest.json's terminal states alone, 62 nodes of 8 bytes a path, outgrow physical memory
@@ -776,3 +857,13 @@ def test_all_suite_covers_every_check():
     grouped = {fn for name, fns in SUITES.items() if name != "all" for fn in fns}
     assert set(SUITES["all"]) == grouped
     assert len(SUITES["all"]) == 11
+
+
+def test_criterion_01_result_does_not_depend_on_its_wall_time(monkeypatch):
+    # a host that takes 0.06 s, not 0.04 s, writes the same report.json bytes
+    results = []
+    for elapsed in (0.04, 0.06):
+        clock = iter([100.0, 100.0 + elapsed])
+        monkeypatch.setattr("smc.suites.time.perf_counter", lambda: next(clock))
+        results.append(suites.check_penalization_rate())
+    assert results[0] == results[1]
