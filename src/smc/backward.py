@@ -41,7 +41,7 @@ from .errors import (
 )
 from .forward import CRANK_NICOLSON, IMPLICIT, SingularControl
 from .grid import Field, FieldPath, Grid, sup_norm_h
-from .operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
+from .operators import OperatorSpec, TridiagonalStepper
 
 LOWER = "lower"
 UPPER = "upper"
@@ -161,10 +161,8 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     sign = _side_sign(spec.reflection_side)
     grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
     crank = spec.time_scheme == CRANK_NICOLSON
-    lo_a, di_a, up_a = operator_tridiagonal(spec.op, grid, adjoint=True)
-    lo_a, up_a = lo_a[1:], up_a[:-1]
-    implicit_dt = (0.5 if crank else 1.0) * dt
-    stepper = TridiagonalStepper(spec.op, grid, implicit_dt, adjoint=True)
+    stepper = TridiagonalStepper(spec.op, grid, (0.5 if crank else 1.0) * dt, adjoint=True)
+    lo_a, di_a, up_a = stepper.bands
     known, spare, work = (np.empty(grid.n_cells) for _ in range(3))
 
     def explicit_half(y_int: np.ndarray) -> np.ndarray:  # y + 0.5 dt A* y, into ``known``

@@ -44,7 +44,6 @@ from .operators import (
     OperatorSpec,
     TridiagonalStepper,
     _space_mean_operator,
-    boundary_coupling,
     interior_generator,
 )
 
@@ -462,10 +461,9 @@ class _Kernel:
         self.generator = (a, b, grid.h**2, 2.0 * grid.h)
         shape = (grid.n_cells,) if n_paths is None else (grid.n_cells, n_paths)
         self.forcing, self.scratch = np.empty(shape), np.empty(shape)
-        self.implicit_weight = 1.0 if spec.stepping == IMPLICIT else 0.5
         self.half_step = np.empty(shape) if spec.stepping == CRANK_NICOLSON else None
-        self.stepper = TridiagonalStepper(spec.op, grid, self.implicit_weight * self.dt)
-        self.w_left, self.w_right = boundary_coupling(spec.op, grid)
+        weight = 1.0 if spec.stepping == IMPLICIT else 0.5
+        self.stepper = TridiagonalStepper(spec.op, grid, weight * self.dt)
 
     def _forcing(self, x: np.ndarray, db, *jumps) -> np.ndarray:
         """dt * drift(x) + vol(x) * db + factor * increment per jump, in the forcing buffer.
@@ -499,9 +497,9 @@ class _Kernel:
             half_step = interior_generator(x, *self.generator, self.half_step, self.scratch)
             np.add(new, np.multiply(0.5 * self.dt, half_step, out=half_step), out=new)
         if boundary is not None:
-            c = self.implicit_weight * self.dt
-            new[0] += c * self.w_left * boundary[0]
-            new[-1] += c * self.w_right * boundary[1]
+            c, (left, right) = self.stepper.c, self.stepper.coupling
+            new[0] += c * left * boundary[0]
+            new[-1] += c * right * boundary[1]
         self.stepper.solve_in_place(new)
         out[0], out[-1] = boundary or (0.0, 0.0)
         return out
@@ -585,13 +583,18 @@ def iterate_states(
         yield k + 1, u
 
 
-def simulate_path(spec: ProblemSpec, control: SingularControl, noise: NoisePath) -> FieldPath:
-    """Simulate one path driven by the given noise increments."""
+def _noise_increments(spec: ProblemSpec, noise: NoisePath) -> np.ndarray:
+    """``noise``'s increments; GridMismatchError unless it has one per step of ``spec``'s dt."""
     if noise.increments.shape != (spec.n_steps,):
         raise GridMismatchError("noise path length does not match the time grid")
     if not np.isclose(noise.dt, spec.dt, rtol=1e-12, atol=0.0):
         raise GridMismatchError("noise path dt does not match the time grid")
-    for _, u in iterate_states(spec, control, noise.increments):
+    return noise.increments
+
+
+def simulate_path(spec: ProblemSpec, control: SingularControl, noise: NoisePath) -> FieldPath:
+    """Simulate one path driven by the given noise increments."""
+    for _, u in iterate_states(spec, control, _noise_increments(spec, noise)):
         pass
     return FieldPath(spec.grid, spec.times, u.base)  # the path whose rows were the states
 
@@ -772,12 +775,12 @@ def derivative_process(
     gain(u) * dzeta plus the linearized jump term -lambda0 * z * dxi.
     """
     check_admissible_direction(base_control, perturbation)
+    dw = _noise_increments(spec, noise)
     values = np.empty((spec.n_steps + 1, spec.grid.n_total))
     values[0] = 0.0
     kernel = _Kernel(spec, path=values)
     xi_inc = base_control.increments
     zeta_inc = perturbation.increments
-    dw = noise.increments
     for k, u in iterate_states(spec, base_control, dw):
         if k < spec.n_steps:
             kernel.tangent_step(k, u, values[k], dw[k], xi_inc[k], zeta_inc[k])

@@ -89,11 +89,13 @@ def operator_tridiagonal(
 class TridiagonalStepper:
     """Solver for the implicit step (I - c A) y = rhs on interior nodes (A* if ``adjoint``).
 
-    The matrix is factored once with LAPACK ``gttrf``.  If no rows were
-    interchanged, unpenalized solves reuse the factors: a numpy row sweep for
-    bundles of ``SWEEP_MIN_PATHS`` columns or more, ``gttrs`` otherwise.  Both
-    repeat ``gtsv``'s elimination step for step, so the bits equal the one
-    ``gtsv`` call that :meth:`solve` makes.  Callers check for non-finite values.
+    It keeps what it is built from: the weight ``c``, the interior ``bands`` (lower, diag,
+    upper) of A or A*, and the ``coupling`` entries that tie the first and last interior
+    rows to the left and right boundary nodes.  The matrix is factored once with LAPACK
+    ``gttrf``.  If no rows were interchanged, unpenalized solves reuse the factors: a numpy
+    row sweep for bundles of ``SWEEP_MIN_PATHS`` columns or more, ``gttrs`` otherwise.  Both
+    repeat ``gtsv``'s elimination step for step, so the bits equal the one ``gtsv`` call
+    that :meth:`solve` makes.  Callers check for non-finite values.
     """
 
     # the sweep's few numpy calls per row cost more than gttrs below this
@@ -102,9 +104,10 @@ class TridiagonalStepper:
 
     def __init__(self, op: OperatorSpec, grid: Grid, c: float, adjoint: bool = False):
         lower, diag, upper = operator_tridiagonal(op, grid, adjoint)
-        self.lower = -c * lower[1:]
-        self.diag = 1.0 - c * diag
-        self.upper = -c * upper[:-1]
+        self.c = c
+        self.coupling = float(lower[0]), float(upper[-1])
+        self.bands = lower[1:], diag, upper[:-1]
+        self.lower, self.diag, self.upper = -c * lower[1:], 1.0 - c * diag, -c * upper[:-1]
         self._factors = None
         if grid.n_cells < 3:  # scipy's gttrf wrapper rejects 2 rows; gtsv solves them
             return
@@ -160,15 +163,6 @@ def operator_matrix(op: OperatorSpec, grid: Grid, adjoint: bool = False) -> np.n
     mat[np.arange(1, n), np.arange(n - 1)] = lower[1:]
     mat[np.arange(n - 1), np.arange(1, n)] = upper[:-1]
     return mat
-
-
-def boundary_coupling(op: OperatorSpec, grid: Grid) -> tuple[float, float]:
-    """Stencil weights of A tying the first/last interior row to the boundary nodes.
-
-    They are the band entries ``lower[0]`` and ``upper[-1]``, outside the interior block.
-    """
-    lower, _, upper = operator_tridiagonal(op, grid)
-    return float(lower[0]), float(upper[-1])
 
 
 def interior_generator(values: np.ndarray, a, b, h2: float, two_h: float, out, scratch):

@@ -133,33 +133,33 @@ def persist(
     ``report.json`` is written when ``formats`` lists "json", the field-path
     CSVs when it lists "csv"; the manifest lists exactly the files written.
     Returns the manifest path.  Rerunning an identical configuration
-    overwrites every artifact with byte-identical content.
+    overwrites every artifact with byte-identical content.  An old manifest is
+    removed first, and a failed write removes every file this call wrote.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-
-    artifacts: list[Path] = []
-    if "json" in formats:
-        report_path = out / "report.json"
-        _write_json(report_path, report.deterministic_payload())
-        artifacts.append(report_path)
-
-    if "csv" in formats:
-        for name, field_path in sorted(paths.items()):
-            csv_path = out / f"{name}.csv"
-            write_field_path_csv(csv_path, field_path)
-            artifacts.append(csv_path)
-
-    manifest = {
-        "config_hash": report.config_hash,
-        "files": [
-            {"name": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
-            for p in artifacts
-        ],
-    }
     manifest_path = out / "manifest.json"
-    _write_json(manifest_path, manifest)
+    manifest_path.unlink(missing_ok=True)
+    written: list[Path] = []
 
-    if report.timings:
-        _write_json(out / "runmeta.json", {"timings": report.timings})
+    def write(path: Path, writer, payload) -> None:
+        written.append(path)  # before the write: a partial file is removed too
+        writer(path, payload)
+
+    try:
+        if "json" in formats:
+            write(out / "report.json", _write_json, report.deterministic_payload())
+        if "csv" in formats:
+            for name, field_path in sorted(paths.items()):
+                write(out / f"{name}.csv", write_field_path_csv, field_path)
+        files = [{"name": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
+                 for p in written]
+        if report.timings:
+            write(out / "runmeta.json", _write_json, {"timings": report.timings})
+        write(manifest_path, _write_json, {"config_hash": report.config_hash, "files": files})
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):  # say, the directory that blocked the write
+                path.unlink(missing_ok=True)
+        raise
     return manifest_path

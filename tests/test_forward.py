@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 from smc import control as control_module
 from smc import forward, suites
 from smc.control import _rewards_pass, directional_derivative_J, performance_J, performance_Js
-from smc.errors import ConfigError, InadmissiblePerturbationError, NanDetectedError
+from smc.errors import (
+    ConfigError,
+    GridMismatchError,
+    InadmissiblePerturbationError,
+    NanDetectedError,
+)
 from smc.forward import (
     ControlPerturbation,
     NoisePath,
@@ -37,7 +42,7 @@ from smc.forward import (
     simulate_path,
 )
 from smc.grid import DIRICHLET_DATA, Field, FieldPath, build_grid
-from smc.operators import OperatorSpec, TridiagonalStepper
+from smc.operators import OperatorSpec, TridiagonalStepper, operator_tridiagonal
 
 
 def make_spec(**kw):
@@ -1382,13 +1387,26 @@ def _reference_advance(kernel, x, forcing, boundary=None):
         a, b, h2, two_h = kernel.generator
         generator = a * (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h2 + b * (x[2:] - x[:-2]) / two_h
         np.add(new, 0.5 * kernel.dt * generator, out=new)
-    if boundary is not None:
-        c = kernel.implicit_weight * kernel.dt
-        new[0] += c * kernel.w_left * boundary[0]
-        new[-1] += c * kernel.w_right * boundary[1]
+    if boundary is not None:  # the weights from the bands themselves, not from the kernel
+        lower, _, upper = operator_tridiagonal(kernel.spec.op, kernel.spec.grid)
+        c = (0.5 if kernel.spec.stepping == "crank-nicolson" else 1.0) * kernel.dt
+        new[0] += c * lower[0] * boundary[0]
+        new[-1] += c * upper[-1] * boundary[1]
     kernel.stepper.solve_in_place(new)
     out[0], out[-1] = boundary or (0.0, 0.0)
     return out
+
+
+@pytest.mark.parametrize("stepping", ["implicit", "crank-nicolson"])
+def test_each_boundary_value_enters_through_its_own_band_entry(stepping):
+    # a drift makes the left and right entries differ, so unequal data shows a swap; the
+    # reference loop below pins the boundary at -0.0, where any weight gives a zero
+    spec = make_spec(op=OperatorSpec(0.5, 3.0, 0.1), horizon=0.05, stepping=stepping,
+                     boundary=(1.0, 2.0))
+    kernel = forward._Kernel(spec)
+    u = spec.initial.values
+    want = _reference_advance(kernel, u, 0.0, spec.boundary)
+    assert kernel._advance(u, 0.0, spec.boundary).tobytes() == want.tobytes()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1485,6 +1503,20 @@ def test_derivative_admissibility_guard():
     noise = NoisePath.generate(1, spec.n_steps, spec.dt)
     with pytest.raises(InadmissiblePerturbationError):
         derivative_process(spec, base, zeta, noise)
+
+
+@pytest.mark.parametrize("run", ["simulate_path", "derivative_process"])
+@pytest.mark.parametrize("extra_steps, dt_factor", [(5, 1.0), (-5, 1.0), (0, 2.0)],
+                         ids=["5 steps too long", "5 steps short", "twice the dt"])
+def test_a_noise_path_off_the_time_grid_is_a_grid_mismatch(run, extra_steps, dt_factor):
+    spec = suites.linear_sensitivity_benchmark()
+    noise = NoisePath.generate(3, spec.n_steps + extra_steps, dt_factor * spec.dt)
+    base = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    with pytest.raises(GridMismatchError, match="noise path .* does not match the time grid"):
+        if run == "simulate_path":
+            simulate_path(spec, base, noise)
+        else:
+            derivative_process(spec, base, ControlPerturbation(base.cumulative), noise)
 
 
 def fd_error(spec, base, zeta, noise, eps):

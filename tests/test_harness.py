@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -378,6 +379,29 @@ def test_an_output_file_that_cannot_be_written_exits_2_with_one_line(
     assert code == 2
     assert err.startswith(f"configuration error: {field}: cannot write to output directory ")
     assert err.count("\n") == 1
+
+
+def test_a_failed_rerun_leaves_no_manifest_that_disagrees_with_its_files(tmp_path, capsys):
+    # the rerun writes report.json, then fails at mean_path.csv: the old manifest, whose
+    # report.json digest the new report would break, and the new report are both gone
+    out = tmp_path / "out"
+    argv = ["simulate", "--paths", "2", "--config", _write_config(tmp_path, minimal_config()),
+            "--out", str(out)]
+    assert main(argv) == 0
+    before = set(os.listdir(out))
+    (out / "mean_path.csv").unlink()
+    (out / "mean_path.csv").mkdir()
+    assert main([*argv, "--seed", "7"]) == 2
+    assert set(os.listdir(out)) == before - {"manifest.json", "report.json"}
+    (out / "mean_path.csv").rmdir()
+    assert main([*argv, "--seed", "7"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {entry["name"] for entry in manifest["files"]}
+    assert listed == before - {"manifest.json", "runmeta.json"}
+    for entry in manifest["files"]:
+        data = (out / entry["name"]).read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (entry["sha256"], entry["bytes"])
+    capsys.readouterr()
 
 
 # harvest.json's terminal states alone, 62 nodes of 8 bytes a path, outgrow physical memory

@@ -142,6 +142,22 @@ def test_stepper_matches_solve_banded_bitwise(bands, width):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_stepper_keeps_the_bands_and_coupling_of_operator_tridiagonal_bitwise(adjoint):
+    # with a drift A* is not A, so each side's bands and boundary entries are its own
+    g = build_grid(0.0, 1.0, 40)
+    op = OperatorSpec(second_order=0.3 + 0.2 * np.sin(g.interior), first_order=0.7)
+    c = 0.7e-3
+    lower, diag, upper = operator_tridiagonal(op, g, adjoint)
+    other = operator_tridiagonal(op, g, not adjoint)
+    assert not np.array_equal(lower, other[0]) and not np.array_equal(upper, other[2])
+    stepper = TridiagonalStepper(op, g, c, adjoint)
+    assert stepper.c == c
+    want = [lower[1:], diag, upper[:-1]]
+    assert [band.tobytes() for band in stepper.bands] == [band.tobytes() for band in want]
+    assert np.array(stepper.coupling).tobytes() == np.array([lower[0], upper[-1]]).tobytes()
+
+
 # (second_order, first_order, c): the derivative benchmark's forward band, the
 # adjoint band with drift, and Crank-Nicolson's half weight c = dt/2
 STEP_BANDS = {

@@ -8,8 +8,11 @@ The parent (``--parent``, default HEAD) is extracted with ``git archive`` into a
 temporary directory; the change is this checkout's working tree.  In each tree,
 with that tree's ``src`` on ``PYTHONPATH`` and at ``SMC_WORKERS`` 1 and 2, it runs
 ``python3 -m smc.cli`` for each of ``simulate --paths 64``, ``adjoint``,
-``policy``, ``rate``, ``derivcheck --paths 64`` and ``verify operators`` on the
-tree's ``configs/harvest.json``, each into its own ``--out`` directory.
+``policy``, ``rate``, ``derivcheck --paths 64``, ``verify operators``,
+``verify forward`` and ``verify backward`` on the tree's ``configs/harvest.json``,
+each into its own ``--out`` directory.  The two last are the runs that step
+Crank-Nicolson, forward and backward, penalize an obstacle and call the
+projected-SOR solver, so the comparison covers every implicit-step solver.
 
 It compares each run's exit code, its standard output (its ``--out`` directory
 written as ``<out>``) and every file it wrote, byte for byte, except:
@@ -43,6 +46,8 @@ COMMANDS = {
     "rate": ["rate"],
     "derivcheck": ["derivcheck", "--paths", "64"],
     "verify-operators": ["verify", "operators"],
+    "verify-forward": ["verify", "forward"],
+    "verify-backward": ["verify", "backward"],
 }
 WORKERS = (1, 2)
 SKIPPED = {"runmeta.json"}
