@@ -12,7 +12,8 @@ Subcommands:
 A subcommand's handler only computes its checks, field paths and lines to
 print; :func:`_run` times it, persists the report, prints and picks the exit code.
 
-Exit codes: 0 success, 1 failed checks, 2 configuration errors.
+Exit codes: 0 success, 1 failed checks, 2 configuration errors (running out of memory
+among them).
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
 
 def _cmd_adjoint(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
-    adjoint = policy_adjoint(config.problem, config.control.convention)
+    adjoint = policy_adjoint(config.problem)
     solution = solve_reflected(adjoint.backward, levels)
     diag = solution.diagnostics
     bound = suites.SKOROKHOD_BOUND * max(diag.skorokhod_scale, 1e-30)
@@ -164,20 +165,12 @@ def _cmd_adjoint(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
 
 
 def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    policy = extract_policy(
-        config.problem,
-        _levels(config, args),
-        convention=config.control.convention,
-        max_rate=config.control.max_rate,
-    )
+    policy = extract_policy(config.problem, _levels(config, args), max_rate=config.control.max_rate)
     rep = policy.report
     tol = rep.TOLERANCE
     increments = policy.xi_hat.increments
     checks = [
-        CheckResult(
-            "threshold-slack", rep.threshold_violation_max, tol, rep.threshold_pass,
-            f"convention {rep.convention}",
-        ),
+        CheckResult("threshold-slack", rep.threshold_violation_max, tol, rep.threshold_pass),
         CheckResult("complementarity", rep.complementarity_residual, tol, rep.complementarity_pass),
         CheckResult(
             "variational-inequality", rep.vi_residual, tol, rep.vi_pass,
@@ -194,7 +187,7 @@ def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
 
 def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
-    adjoint = policy_adjoint(config.problem, config.control.convention)
+    adjoint = policy_adjoint(config.problem)
     study = penalization_rate(adjoint.backward, levels)
     low, high = suites.RATE_BAND
     slope = CheckResult(
@@ -318,12 +311,20 @@ def _run(config: RunConfig | None, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    config = None
     try:
         worker_count()  # a malformed SMC_WORKERS fails here, before any work
         config = load_config(args.config) if args.config is not None else None
         return _run(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's _ArrayMemoryError too
+        sizes = "" if config is None else (
+            f" at problem.grid.n_cells {config.problem.grid.n_cells}"
+            f" and problem.time.n_steps {config.problem.n_steps}"
+        )
+        print(f"configuration error: out of memory{sizes}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from .backward import levels_problem
-from .control import CONVENTIONS, PRICE_FLOOR
 from .errors import ParseError, ValidationError
 from .forward import CRANK_NICOLSON, IMPLICIT, ProblemSpec
 from .grid import DIRICHLET_ZERO, Field, build_grid
@@ -34,7 +33,6 @@ class BackwardConfig:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    convention: str
     max_rate: float
 
 
@@ -287,12 +285,8 @@ def parse_config(raw: dict) -> RunConfig:
         backward_node.reject_unknown()
 
     control_node = root.sub("control")
-    convention = PRICE_FLOOR
     max_rate = 0.9
     if control_node is not None:
-        convention = control_node.get("convention", str, default=convention)
-        if convention not in CONVENTIONS:
-            raise ValidationError(f"unknown convention {convention!r}", "control.convention")
         max_rate = control_node.get("max_rate", float, default=max_rate)
         if not 0 < max_rate < 1:
             raise ValidationError("max_rate must lie in (0, 1)", "control.max_rate")
@@ -325,7 +319,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(
         problem=spec,
         backward=BackwardConfig(levels=levels),
-        control=ControlConfig(convention=convention, max_rate=max_rate),
+        control=ControlConfig(max_rate=max_rate),
         mc=MonteCarloConfig(n_paths=n_paths, seed=seed),
         outputs=OutputConfig(directory=directory, formats=formats),
         raw=raw,

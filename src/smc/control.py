@@ -17,16 +17,10 @@ control couples only through dH1/du = h10 - lambda0 * p
 (``ProblemSpec.singular_slope``): the adjoint differential carries
 -(dH1/du) xi(dt, x), so each backward step adds (dH1/du) dxi.
 
-Threshold conventions.  The model's own worked optimality condition pins the
-adjoint to the price cap p <= h10/lambda0 and harvests where p reaches the
-cap from above ("price-cap").  The general first-order condition
-gain * p + h1 <= 0 evaluates, for positive stock, to the opposite
-inequality p >= h10/lambda0 ("price-floor"): harvesting is profitable
-exactly where the marginal future value of stock sits below the unit
-harvest revenue.  Both conventions are implemented; measured performance
-(see the verification suites) shows the price-floor policy dominates its
-stress family while the price-cap policy harvests value-destroying regions,
-so price-floor is the default.
+Threshold side.  The first-order condition gain * p + h1 <= 0 evaluates, for
+positive stock, to p >= h10/lambda0: the adjoint is reflected from below at
+that price floor, and harvesting is profitable exactly where the marginal
+future value of stock sits below the unit harvest revenue.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .backward import LOWER, UPPER, BackwardSolution, BackwardSpec, _side_sign, solve_reflected
+from .backward import BackwardSolution, BackwardSpec, solve_reflected
 from .forward import (
     ControlPerturbation,
     ProblemSpec,
@@ -48,17 +42,7 @@ from .forward import (
 from .grid import Field, FieldPath
 from .operators import space_mean_dual_weight
 
-PRICE_FLOOR = "price-floor"  # admissible region p >= h10/lambda0, general condition
-PRICE_CAP = "price-cap"  # admissible region p <= h10/lambda0, worked-example condition
-_SIDES = {PRICE_FLOOR: LOWER, PRICE_CAP: UPPER}  # convention -> reflection side of the adjoint
-CONVENTIONS = tuple(_SIDES)
-
-
-def _side(convention: str) -> str:
-    """The reflection side of the convention's adjoint; an unknown convention raises."""
-    if convention not in _SIDES:
-        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    return _SIDES[convention]
+PRICE_FLOOR = "price-floor"  # the one threshold side: p >= h10/lambda0
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +191,13 @@ def performance_J(spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: in
 class MPReport:
     """Residuals of the first-order optimality system on (p, xi), with pass flags.
 
-    ``threshold_violation_max`` is the largest violation of the side-signed
-    threshold slack (price-floor: h10 - lambda0 p <= 0 off the harvest set;
-    price-cap: lambda0 p - h10 <= 0).  Each residual passes at or below
+    ``threshold_violation_max`` is the largest violation of the threshold
+    slack h10 - lambda0 p <= 0.  Each residual passes at or below
     ``TOLERANCE``.
     """
 
     TOLERANCE: ClassVar[float] = 1e-6
 
-    convention: str
     threshold_violation_max: float
     complementarity_residual: float
     vi_residual: float
@@ -239,28 +221,21 @@ class MPReport:
 
 # residuals of a non-finite adjoint are NaN or inf, reported in the MPReport, not warned
 @np.errstate(over="ignore", invalid="ignore")
-def check_necessary(
-    p: FieldPath,
-    xi: SingularControl,
-    spec: ProblemSpec,
-    convention: str = PRICE_FLOOR,
-) -> MPReport:
+def check_necessary(p: FieldPath, xi: SingularControl, spec: ProblemSpec) -> MPReport:
     """Evaluate the threshold slack, complementarity, and the discrete
     variational inequality along an (adjoint, control) pair.
 
     Quantities are evaluated at time nodes t_k, k < n_steps, pairing each
     control increment with the adjoint at the step's left endpoint.
     """
-    sign = -_side_sign(_side(convention))  # slack > 0 where p is on the wrong side of h10/lambda0
     h = spec.grid.h
     inc = xi.increments
-    slack = sign * (spec.lambda0 * p.values[:-1, 1:-1] - spec.h10[1:-1])  # (n_steps, n_cells)
+    slack = spec.h10[1:-1] - spec.lambda0 * p.values[:-1, 1:-1]  # > 0 where p is under the floor
     comp = 0.0
     for slack_k, inc_k in zip(slack, inc):
         comp += h * float(np.dot(slack_k, inc_k))
     # numpy's maxima keep a NaN wherever it sits; Python's max drops one that comes second
     return MPReport(
-        convention=convention,
         threshold_violation_max=float(np.max(slack, initial=0.0)) + 0.0,
         complementarity_residual=abs(comp),
         vi_residual=float(np.max(np.abs(np.maximum(slack / spec.lambda0, -inc)))),
@@ -280,13 +255,9 @@ class PolicyResult:
     solution: BackwardSolution
 
 
-def policy_adjoint(spec: ProblemSpec, convention: str) -> AdjointSpec:
-    """The adjoint reflected at h10/lambda0 on the convention's side, from any terminal price."""
-    backward = replace(
-        assemble_adjoint(spec).backward,
-        obstacle=spec.h10[1:-1] / spec.lambda0,
-        reflection_side=_side(convention),
-    )
+def policy_adjoint(spec: ProblemSpec) -> AdjointSpec:
+    """The adjoint reflected from below at h10/lambda0, from any terminal price."""
+    backward = replace(assemble_adjoint(spec).backward, obstacle=spec.h10[1:-1] / spec.lambda0)
     return AdjointSpec(backward=backward)
 
 
@@ -302,32 +273,33 @@ def extract_policy(
     """Extract the threshold harvest policy from the reflected adjoint.
 
     The adjoint is solved as a reflected backward problem with obstacle
-    h10/lambda0 (reflection side set by the convention).  The policy charges
-    the admissibility cap, lambda0 * dxi = ``max_rate`` per step, on the
-    contact set: every (step, node) where the top level's reflection
-    increment is positive.  ``max_rate`` must lie in (0, 1), since the state
-    stays positive only while lambda0 * dxi < 1.  The returned adjoint path
-    is clipped to the admissible side of the threshold for t < T, which
+    h10/lambda0 from below; ``convention`` names that one side and takes no
+    other value.  The policy charges the admissibility cap, lambda0 * dxi =
+    ``max_rate`` per step, on the contact set: every (step, node) where the
+    top level's reflection increment is positive.  ``max_rate`` must lie in
+    (0, 1), since the state stays positive only while lambda0 * dxi < 1.  The
+    returned adjoint path is clipped up to the threshold for t < T, which
     enforces the discrete complementarity identity exactly.
     """
+    if convention != PRICE_FLOOR:
+        raise ValueError(f"unknown convention {convention!r}; the one side is {PRICE_FLOOR!r}")
     if not 0.0 < max_rate < 1.0:
         raise ValueError(f"max_rate must lie in (0, 1), got {max_rate!r}")
-    reflected = policy_adjoint(spec, convention).backward
+    reflected = policy_adjoint(spec).backward
     solution = solve_reflected(reflected, levels)
 
     p = solution.y.values.copy()
     p_int = p[:-1, 1:-1]  # (n_steps, n_cells): the left endpoint of every step
     deta = np.diff(solution.eta.values[:, 1:-1], axis=0)
     rate = np.where(deta > 0.0, max_rate / spec.lambda0, 0.0)
-    clip = np.maximum if reflected.reflection_side == LOWER else np.minimum
-    clip(p_int, reflected.obstacle, out=p_int)
+    np.maximum(p_int, reflected.obstacle, out=p_int)
 
     xi_hat = SingularControl.from_increments(rate)
     p_path = FieldPath(spec.grid, spec.times, p)
     return PolicyResult(
         xi_hat=xi_hat,
         p=p_path,
-        report=check_necessary(p_path, xi_hat, spec, convention=convention),
+        report=check_necessary(p_path, xi_hat, spec),
         solution=solution,
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
@@ -30,13 +31,25 @@ from .grid import FieldPath
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named verification with its value, tolerance, and verdict."""
+    """One named verification with its value, tolerance, and verdict.
+
+    A value or tolerance that is not finite fails the check, whatever verdict was passed in.
+    """
 
     name: str
     value: float
     tolerance: float
     passed: bool
     detail: str = ""
+
+    def __post_init__(self):
+        # an overflowed figure proves nothing: no check passes on it, and the detail says which
+        bad = [name for name in ("value", "tolerance") if not math.isfinite(getattr(self, name))]
+        if bad:
+            note = f"{' and '.join(bad)} not finite"
+            if not self.detail.endswith(note):  # a CheckResult rebuilt from report.json has it
+                object.__setattr__(self, "detail", "; ".join(filter(None, [self.detail, note])))
+            object.__setattr__(self, "passed", False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

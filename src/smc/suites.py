@@ -15,7 +15,6 @@ import numpy as np
 
 from .backward import BackwardSpec, penalization_rate, solve_penalized, solve_reflected
 from .control import (
-    PRICE_FLOOR,
     assemble_adjoint,
     directional_derivative_J,
     extract_policy,
@@ -157,7 +156,7 @@ def stress_family(spec: ProblemSpec, xi_hat: SingularControl) -> dict[str, Singu
 def benchmark_policy():
     """The harvesting benchmark and its extracted policy (criteria 09 and 10)."""
     spec = harvesting_benchmark()
-    policy = extract_policy(spec, POLICY_LEVELS, convention=PRICE_FLOOR, max_rate=POLICY_MAX_RATE)
+    policy = extract_policy(spec, POLICY_LEVELS, max_rate=POLICY_MAX_RATE)
     return spec, policy
 
 

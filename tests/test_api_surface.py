@@ -98,7 +98,6 @@ DEFAULTS = {
         "cost": 0.0,
     },
     "assemble_adjoint": {"xi": None},
-    "check_necessary": {"convention": "price-floor"},
     "directional_derivative_J": {"epsilons": (0.1, 0.01, 0.001)},
     "extract_policy": {"convention": "price-floor"},
     "psor.solve_obstacle_psor": {"side": "lower"},
@@ -154,7 +153,7 @@ def test_cli_flags_are_pinned():
 RUN_CONFIG_FIELDS = {
     "problem": "ProblemSpec",
     "backward": {"levels": "tuple[int, ...]"},
-    "control": {"convention": "str", "max_rate": "float"},
+    "control": {"max_rate": "float"},
     "mc": {"n_paths": "int", "seed": "int"},
     "outputs": {"directory": "str", "formats": "tuple[str, ...]"},
     "raw": "dict",
@@ -178,7 +177,6 @@ def test_run_config_fields_are_pinned():
 # the fields of every public result record, in declaration order, with their annotations
 RESULT_FIELDS = {
     "MPReport": {
-        "convention": "str",
         "threshold_violation_max": "float",
         "complementarity_residual": "float",
         "vi_residual": "float",

@@ -18,7 +18,7 @@ from smc.backward import (
 )
 from smc import operators
 from smc.cli import main
-from smc.control import PRICE_CAP, PRICE_FLOOR, assemble_adjoint, policy_adjoint
+from smc.control import assemble_adjoint, policy_adjoint
 from smc.errors import (
     DegenerateFitError,
     GridMismatchError,
@@ -391,7 +391,7 @@ def test_psor_checks_a_drifted_adjoint_at_criterion_06_bound():
         grid=grid, op=DRIFT_OP, horizon=0.5, n_steps=200, alpha=0.0,
         h10=lambda x: 1e-3 + 0.6 * np.sin(np.pi * x), g0=lambda x: 1e-3 + np.sin(np.pi * x),
     )
-    spec = policy_adjoint(problem, PRICE_FLOOR).backward
+    spec = policy_adjoint(problem).backward
     oracle = solve_obstacle_psor(spec.grid, spec.op, spec.terminal, spec.obstacle,
                                  spec.horizon, spec.n_steps, side=spec.reflection_side)
     sol = solve_reflected(spec, [256, 512, 1024, 2048])
@@ -539,7 +539,7 @@ def _reference_cases():
         "obstacle-4096": lambda side: (spec(side, obstacle=floor), 4096),
         "obstacle-driver": lambda side: (spec(side, obstacle=floor, driver=driver), 64),
         "policy": lambda side: (
-            policy_adjoint(harvest, PRICE_FLOOR if side == "lower" else PRICE_CAP).backward,
+            dataclasses.replace(policy_adjoint(harvest).backward, reflection_side=side),
             512,
         ),
         "adjoint": lambda side: (

@@ -7,7 +7,6 @@ import pytest
 from smc import suites
 from smc.backward import solve_penalized, solve_reflected
 from smc.control import (
-    PRICE_CAP,
     PRICE_FLOOR,
     assemble_adjoint,
     check_necessary,
@@ -171,10 +170,10 @@ def _paths_of_constant(spec, value):
 
 
 def test_check_necessary_all_pass_inactive():
-    spec = harvest_spec(h10=2.0)
+    spec = harvest_spec(h10=0.5)
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
-    p = _paths_of_constant(spec, 0.5)  # below cap threshold 2.0
-    rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
+    p = _paths_of_constant(spec, 2.0)  # above the floor threshold 0.5
+    rep = check_necessary(p, xi, spec)
     assert rep.threshold_violation_max == 0.0
     assert rep.complementarity_residual == 0.0
     assert rep.vi_residual == 0.0
@@ -184,10 +183,10 @@ def test_check_necessary_all_pass_inactive():
 def test_check_necessary_constructed_violation():
     spec = harvest_spec(h10=1.0, lambda0=1.0)
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
-    vals = np.full((spec.n_steps + 1, spec.grid.n_total), 0.2)
-    vals[5, 7] = 1.0 / 1.0 + 0.1  # one node above the cap threshold
+    vals = np.full((spec.n_steps + 1, spec.grid.n_total), 2.0)
+    vals[5, 7] = 1.0 / 1.0 - 0.1  # one node below the floor threshold
     p = FieldPath(spec.grid, spec.times, vals)
-    rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
+    rep = check_necessary(p, xi, spec)
     assert rep.threshold_violation_max == pytest.approx(0.1, rel=1e-12)
     assert rep.complementarity_residual == 0.0
     assert not rep.threshold_pass
@@ -198,14 +197,13 @@ def test_check_necessary_floor_slack_counts_an_adjoint_below_the_price():
     spec = harvest_spec(h10=1.0, lambda0=1.0)
     xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     p = _paths_of_constant(spec, 0.5)
-    rep = check_necessary(p, xi, spec, convention=PRICE_FLOOR)
-    # price-floor slack h10 - lambda0 p = 0.5 > 0: violation under the floor sign
+    rep = check_necessary(p, xi, spec)
+    # slack h10 - lambda0 p = 0.5 > 0: a violation of the floor
     assert rep.threshold_violation_max == pytest.approx(0.5, rel=1e-12)
     assert not rep.threshold_pass
 
 
-@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
-def test_check_necessary_keeps_a_nan_at_a_later_step(convention):
+def test_check_necessary_keeps_a_nan_at_a_later_step():
     # p on the threshold makes every slack 0, so only the NaN can fail the report; folded
     # step by step with Python's max, it fell out and the report passed
     spec = harvest_spec(h10=1.0, lambda0=1.0)
@@ -214,7 +212,7 @@ def test_check_necessary_keeps_a_nan_at_a_later_step(convention):
     vals[40, 7] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_necessary(FieldPath(spec.grid, spec.times, vals), xi, spec, convention)
+        rep = check_necessary(FieldPath(spec.grid, spec.times, vals), xi, spec)
     assert np.isnan(rep.threshold_violation_max) and np.isnan(rep.vi_residual)
     assert not rep.threshold_pass and not rep.vi_pass and not rep.all_pass
 
@@ -224,9 +222,10 @@ def test_check_necessary_keeps_a_nan_at_a_later_step(convention):
 # ---------------------------------------------------------------------------
 
 
-def test_extract_policy_inactive_cap():
-    spec = harvest_spec(alpha=0.0, beta=0.1, g0=0.05, h10=1.0, lambda0=1.0)
-    pol = extract_policy(spec, [16, 64, 256], convention=PRICE_CAP, max_rate=0.9)
+def test_extract_policy_inactive_floor():
+    # the heat flow from terminal 1 keeps p above 0.036 at every interior node before T
+    spec = harvest_spec(alpha=0.0, beta=0.1, g0=1.0, h10=0.01, lambda0=1.0)
+    pol = extract_policy(spec, [16, 64, 256], max_rate=0.9)
     assert pol.xi_hat.cumulative[-1].sum() == 0.0
     adj = assemble_adjoint(spec)
     free, _ = solve_penalized(adj.backward, 256)
@@ -234,17 +233,18 @@ def test_extract_policy_inactive_cap():
     assert pol.report.all_pass
 
 
-def test_extract_policy_active_cap_terminal_layer():
-    # terminal value twice the cap threshold: the cap binds near T and the
-    # policy charges the first backward steps
-    spec = harvest_spec(alpha=0.0, beta=0.1, g0=2.0, h10=1.0, lambda0=1.0)
-    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=PRICE_CAP, max_rate=0.5)
+def test_extract_policy_active_floor_terminal_layer():
+    # terminal value below the floor on the price pocket: the floor binds near T, the term
+    # alpha w p lifts the adjoint off it further back, and the policy charges the last steps
+    spec = harvest_spec(alpha=10.0, beta=0.1, g0=0.5, lambda0=1.0,
+                        h10=lambda x: 0.01 + np.exp(-(((x - 0.5) / 0.2) ** 2)))
+    pol = extract_policy(spec, [512, 1024, 2048, 4096], max_rate=0.5)
     inc = pol.xi_hat.increments
     assert inc[-1].max() > 0.0
     assert inc[: spec.n_steps // 2].max() == 0.0
-    interior_band = np.abs(spec.grid.interior - 0.5) < 0.3
+    interior_band = np.abs(spec.grid.interior - 0.5) < 0.15
     last = pol.p.values[spec.n_steps - 1, 1:-1]
-    np.testing.assert_allclose(last[interior_band], 1.0, atol=1e-6)
+    np.testing.assert_allclose(last[interior_band], spec.h10[1:-1][interior_band], atol=1e-6)
     assert pol.report.vi_residual <= 1e-6
     assert pol.report.threshold_violation_max <= 1e-12
     assert pol.report.complementarity_residual <= 1e-9
@@ -262,7 +262,7 @@ def test_extract_policy_floor_benchmark_report():
         g0=2.0,
         initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
     )
-    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=PRICE_FLOOR, max_rate=0.9)
+    pol = extract_policy(spec, [512, 1024, 2048, 4096], max_rate=0.9)
     assert pol.report.all_pass
     assert pol.xi_hat.cumulative[-1].sum() > 0.0
     assert spec.lambda0 * pol.xi_hat.increments.max() <= 0.9 + 1e-12
@@ -271,17 +271,15 @@ def test_extract_policy_floor_benchmark_report():
     assert charged.min() >= 20 and charged.max() <= 39
 
 
-@pytest.mark.parametrize("max_rate", [0.9])  # one value, kept so the test ids stay
-@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
-def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
+def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one():
     # the oracle is the former rule, reflection increment over |dH1/du| capped at
     # max_rate / lambda0, step by step: on a charged cell the quotient is dt n_top / lambda0,
     # far above the cap at these levels, so charging the cap on the contact set keeps every bit
     spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
-    pol = extract_policy(spec, [512, 1024, 2048, 4096], convention=convention, max_rate=max_rate)
+    max_rate = 0.9
+    pol = extract_policy(spec, [512, 1024, 2048, 4096], max_rate=max_rate)
     eta, p_raw = pol.solution.eta.values, pol.solution.y.values
     rates, p_clipped = [], p_raw.copy()
-    clip = np.maximum if convention == PRICE_FLOOR else np.minimum
     for k in range(spec.n_steps):
         deta = eta[k + 1, 1:-1] - eta[k, 1:-1]
         coeff = np.abs(spec.singular_slope(p_raw[k, 1:-1]))
@@ -289,7 +287,7 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
         rate = np.zeros_like(deta)
         rate[charged] = deta[charged] / coeff[charged]
         rates.append(np.minimum(rate, max_rate / spec.lambda0))
-        p_clipped[k, 1:-1] = clip(p_raw[k, 1:-1], spec.h10[1:-1] / spec.lambda0)
+        p_clipped[k, 1:-1] = np.maximum(p_raw[k, 1:-1], spec.h10[1:-1] / spec.lambda0)
     expected = SingularControl.from_increments(np.array(rates))  # the same cumulative sum
     assert expected.cumulative[-1].sum() > 0.0
     np.testing.assert_array_equal(pol.xi_hat.cumulative, expected.cumulative)
@@ -297,13 +295,12 @@ def test_policy_rate_divides_by_dh1_du_at_lambda0_off_one(convention, max_rate):
     assert not np.array_equal(pol.p.values, p_raw)  # the clip binds somewhere
 
 
-@pytest.mark.parametrize("convention", [PRICE_FLOOR, PRICE_CAP])
-def test_extract_policy_charges_the_cap_on_the_contact_set_at_low_levels(convention):
+def test_extract_policy_charges_the_cap_on_the_contact_set_at_low_levels():
     # at levels [4, 8], dt n_top / lambda0 lies below the cap: the former quotient charged
     # less there, the contact-set rule charges max_rate / lambda0 wherever deta > 0
     spec = dataclasses.replace(suites.harvesting_benchmark(), lambda0=1.5)
     max_rate = 0.9
-    pol = extract_policy(spec, [4, 8], convention=convention, max_rate=max_rate)
+    pol = extract_policy(spec, [4, 8], max_rate=max_rate)
     deta = np.diff(pol.solution.eta.values[:, 1:-1], axis=0)
     contact = deta > 0.0
     assert 0 < contact.sum() < contact.size
@@ -327,7 +324,7 @@ def test_extract_policy_requires_max_rate():
 
 def test_overflowing_backward_solves_are_typed_and_warn_nothing():
     adjoint = assemble_adjoint(harvest_spec(alpha=1e308)).backward  # the driver overflows
-    reflected = policy_adjoint(harvest_spec(h10=1e306), PRICE_FLOOR).backward  # finite levels
+    reflected = policy_adjoint(harvest_spec(h10=1e306)).backward  # finite levels
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NanDetectedError, match="non-finite solution at step"):
@@ -339,10 +336,10 @@ def test_overflowing_backward_solves_are_typed_and_warn_nothing():
 def test_necessary_conditions_of_an_overflowing_adjoint_fail_without_a_warning():
     spec = harvest_spec(lambda0=2.0)
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
-    p = _paths_of_constant(spec, 1e308)  # lambda0 * p overflows to inf
+    p = _paths_of_constant(spec, -1e308)  # lambda0 * p overflows to -inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_necessary(p, xi, spec, convention=PRICE_CAP)
+        rep = check_necessary(p, xi, spec)
     assert rep.threshold_violation_max == np.inf and not rep.all_pass
 
 
@@ -361,17 +358,11 @@ def test_policy_optimality_fails_a_nan_residual_that_is_not_the_first(monkeypatc
 
 
 def test_unknown_convention_is_rejected():
+    # price-floor is the one threshold side; the keyword stays for callers that name it
     spec = harvest_spec()
-    xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
-    p = _paths_of_constant(spec, 0.5)
-    calls = [
-        lambda: policy_adjoint(spec, "bogus"),
-        lambda: extract_policy(spec, [16, 64], convention="bogus", max_rate=0.9),
-        lambda: check_necessary(p, xi, spec, convention="bogus"),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="unknown convention 'bogus'"):
-            call()
+    with pytest.raises(ValueError, match="unknown convention 'price-cap'"):
+        extract_policy(spec, [16, 64], convention="price-cap", max_rate=0.9)
+    assert extract_policy(spec, [16, 64], convention=PRICE_FLOOR, max_rate=0.9).report.all_pass
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,7 @@ from smc import forward, suites
 from smc.backward import penalization_rate, solve_reflected
 from smc.cli import main
 from smc.config import canonical_hash, load_config, parse_config
-from smc.control import CONVENTIONS, policy_adjoint
+from smc.control import policy_adjoint
 from smc import errors
 from smc.errors import ConfigError, NanDetectedError, ParseError, ValidationError
 from smc.forward import worker_count
@@ -52,7 +53,7 @@ def test_minimal_config_defaults():
     cfg = parse_config(minimal_config())
     assert cfg.problem.dt == pytest.approx(0.002)
     assert cfg.backward.levels == (4, 16, 64, 256)
-    assert cfg.control.convention == "price-floor"
+    assert cfg.control.max_rate == 0.9
     assert cfg.mc.seed == 7
 
 
@@ -144,8 +145,7 @@ def _valid_configs(draw):
         },
         "backward": {"levels": sorted(draw(st.sets(st.integers(1, 2**20), min_size=1,
                                                    max_size=5)))},
-        "control": {"convention": draw(st.sampled_from(CONVENTIONS)),
-                    "max_rate": draw(st.floats(0.01, 0.99, **_REAL))},
+        "control": {"max_rate": draw(st.floats(0.01, 0.99, **_REAL))},
         "mc": {"n_paths": draw(st.integers(1, 10**6)), "seed": draw(st.integers(0, 2**200))},
     }
 
@@ -227,6 +227,21 @@ def _tiny_report():
         checks=[CheckResult("demo", 0.5, 1.0, True, "ok")],
         seeds={"root": 1},
     )
+
+
+@pytest.mark.parametrize(
+    "value, tolerance, note",
+    [(0.5, math.inf, "tolerance not finite"), (math.nan, 1.0, "value not finite"),
+     (-math.inf, math.nan, "value and tolerance not finite")],
+    ids=["inf-tolerance", "nan-value", "both"],
+)
+def test_a_check_on_a_non_finite_figure_fails_and_says_which(value, tolerance, note):
+    check = CheckResult("gap", value, tolerance, True, "adjoint 1")
+    assert not check.passed and check.detail == f"adjoint 1; {note}"
+    assert check.line().startswith("[FAIL] gap: ")
+    assert CheckResult("gap", value, tolerance, True).detail == note
+    rebuilt = CheckResult(**json.loads(json.dumps(vars(check))))  # as from report.json
+    assert (rebuilt.passed, rebuilt.detail) == (False, check.detail)
 
 
 def _tiny_path():
@@ -511,6 +526,38 @@ def test_overflowing_policy_input_warns_nothing(tmp_path, leaf, command, code, e
     assert _run(tmp_path, raw, command) == (code, err, [])
 
 
+def test_derivcheck_fails_against_an_overflowed_bound(tmp_path):
+    # cost 1e300 overflows the gap's standard error: the gap, 1.1e285, passed against inf
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["prices"]["cost"] = 1e300
+    code, _, _ = _run(tmp_path, raw, "derivcheck", "--paths", "64")
+    assert code == 1
+    ratio, gap = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert ratio["passed"] and not gap["passed"]
+    assert gap["tolerance"] == math.inf and gap["detail"].endswith("; tolerance not finite")
+
+
+def test_out_of_memory_is_one_configuration_error_line(tmp_path):
+    # 8000 cells build the space mean through dense 8001 x 8001 arrays, past a 2.5 GB
+    # address-space limit set on the child alone; this ended in a 51-line traceback, exit 1
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["grid"]["n_cells"], raw["problem"]["time"]["n_steps"] = 8000, 4
+    argv = ["simulate", "--paths", "8", "--config", _write_config(tmp_path, raw),
+            "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+    run = subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=60, preexec_fn=limit_address_space)
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert run.stderr == (
+        "configuration error: out of memory at problem.grid.n_cells 8000 and "
+        "problem.time.n_steps 4\n"
+    )
+
+
 def test_pocket_price_far_off_center_loads_without_a_warning(tmp_path):
     raw = copy.deepcopy(_HARVEST)
     raw["problem"]["prices"]["h10"]["center"] = 1e308  # the pocket's exponent overflows
@@ -545,6 +592,7 @@ _CONSTANT_PRICE = {"kind": "constant", "value": 2.0}
         ("backward", {"tolerances": {"threshold": 1e-6, "complementarity": 1e-6, "vi": 1e-6}},
          "backward.tolerances: unknown key"),
         ("control", {"coefficient_floor": 1e-10}, "control.coefficient_floor: unknown key"),
+        ("control", {"convention": "price-floor"}, "control.convention: unknown key"),
         ("suite", "operators", "suite: unknown key"),
         ("modes", {"drift": "mean-drift"}, "problem.modes.drift: unknown key"),
         ("modes", {"noise": "pointwise-noise"}, "problem.modes.noise: unknown key"),
@@ -552,8 +600,8 @@ _CONSTANT_PRICE = {"kind": "constant", "value": 2.0}
         ("modes", {"revenue": "proportional"}, "problem.modes.revenue: unknown key"),
     ],
     ids=["initial-constant", "initial-bump", "initial-values", "h10-constant", "g0-constant",
-         "backward-tolerances", "coefficient-floor", "suite", "modes-drift", "modes-noise",
-         "modes-control-gain", "modes-revenue"],
+         "backward-tolerances", "coefficient-floor", "convention", "suite", "modes-drift",
+         "modes-noise", "modes-control-gain", "modes-revenue"],
 )
 def test_deleted_config_key_exits_2_naming_its_path(tmp_path, capsys, section, value, message):
     raw = minimal_config()
@@ -747,7 +795,7 @@ def _harvest_config(tmp_path, n_paths=8):
         "g0": 2.0,
     }
     raw["backward"] = {"levels": [256, 512, 1024, 2048]}
-    raw["control"] = {"convention": "price-floor", "max_rate": 0.5}
+    raw["control"] = {"max_rate": 0.5}
     raw["mc"]["n_paths"] = n_paths
     raw["outputs"] = {"directory": str(tmp_path / "pol"), "formats": ["csv", "json"]}
     return _write_config(tmp_path, raw)
@@ -806,7 +854,7 @@ CLI_STDOUT = {
     "simulate": (0, ["simulate"], ["simulated 8 paths; positivity=True; outputs in <out>"]),
     "adjoint": (1, ["adjoint"], ["adjoint solved at levels [256, 512, 1024, 2048]; outputs in <out>"]),
     "policy": (0, ["policy"], [
-        "[PASS] threshold-slack: value=0 tolerance=1e-06  (convention price-floor)",
+        "[PASS] threshold-slack: value=0 tolerance=1e-06",
         "[PASS] complementarity: value=0 tolerance=1e-06",
         "[PASS] variational-inequality: value=0 tolerance=1e-06"
         "  (contact set: 100 of 1440 step-node cells)",
@@ -850,7 +898,7 @@ def test_cli_adjoint_writes_the_reflected_solve(tmp_path):
     cfg, out = _harvest_config(tmp_path), tmp_path / "adjoint"
     assert main(["adjoint", "--config", cfg, "--out", str(out)]) == 1  # the known Skorokhod FAIL
     config = load_config(cfg)
-    adjoint = policy_adjoint(config.problem, config.control.convention)
+    adjoint = policy_adjoint(config.problem)
     solution = solve_reflected(adjoint.backward, list(config.backward.levels))
     for name, path in [("adjoint_p", solution.y), ("reflection_eta", solution.eta)]:
         values = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1, usecols=2)
