@@ -228,8 +228,8 @@ def _cmd_derivcheck(config: RunConfig, args, seed: int, out_dir: str) -> _Outcom
             gap,
             suites.SIGMA_BOUND * comb,
             gap <= suites.SIGMA_BOUND * comb,
-            f"adjoint {cmp.adjoint_formula:.6f}, "
-            f"finite difference {cmp.finite_difference[1e-3][0]:.6f}",
+            f"adjoint {cmp.adjoint_formula:.6g}, "
+            f"finite difference {cmp.finite_difference[1e-3][0]:.6g}",
         ),
     ]
     return _Outcome(checks, {}, [check.line() for check in checks])

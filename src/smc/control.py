@@ -35,10 +35,12 @@ from .forward import (
     ControlPerturbation,
     ProblemSpec,
     SingularControl,
+    _check_control,
     _monte_carlo,
     check_admissible_direction,
     perturbed_control,
 )
+from .errors import GridMismatchError
 from .grid import Field, FieldPath
 from .operators import space_mean_dual_weight
 
@@ -100,6 +102,8 @@ class JEstimate:
     stderr: float
 
 
+# an overflowed mean or error is reported as inf or NaN, which a CheckResult fails, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Monte Carlo mean of per-path values and its standard error (0 for one path)."""
     n = values.size
@@ -187,6 +191,14 @@ def performance_J(spec: ProblemSpec, xi: SingularControl, n_paths: int, seed: in
 # ---------------------------------------------------------------------------
 
 
+def _check_pair(spec: ProblemSpec, p: FieldPath, xi: SingularControl) -> None:
+    """GridMismatchError unless the control and the adjoint path both fit ``spec``'s grids."""
+    _check_control(spec, xi)
+    expected = (spec.n_steps + 1, spec.grid.n_total)
+    if p.values.shape != expected:
+        raise GridMismatchError(f"adjoint path shape {p.values.shape} does not match {expected}")
+
+
 @dataclass(frozen=True)
 class MPReport:
     """Residuals of the first-order optimality system on (p, xi), with pass flags.
@@ -228,6 +240,7 @@ def check_necessary(p: FieldPath, xi: SingularControl, spec: ProblemSpec) -> MPR
     Quantities are evaluated at time nodes t_k, k < n_steps, pairing each
     control increment with the adjoint at the step's left endpoint.
     """
+    _check_pair(spec, p, xi)
     h = spec.grid.h
     inc = xi.increments
     slack = spec.h10[1:-1] - spec.lambda0 * p.values[:-1, 1:-1]  # > 0 where p is under the floor
@@ -331,6 +344,7 @@ def directional_derivative_J(
     along base paths; the finite differences reuse the identical Gaussian
     increments for base and perturbed controls.
     """
+    _check_pair(spec, p, xi)
     check_admissible_direction(xi, zeta)
     passes = [_rewards_pass(spec, xi, p.values, zeta.increments)]
     passes += [_rewards_pass(spec, perturbed_control(xi, zeta, eps)) for eps in epsilons]

@@ -149,6 +149,7 @@ def norm_h(f: Field) -> float:
     return float(np.sqrt(f.grid.h) * np.linalg.norm(f.interior))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm is inf, for its caller to fail
 def sup_norm_h(rows: np.ndarray, h: float) -> float:
     """sup_t ||v(t)||_H of a path's interior rows: the max over rows of sqrt(h sum v^2)."""
     return float(np.max(np.sqrt(h * np.sum(rows**2, axis=1))))

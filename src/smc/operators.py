@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +28,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from .errors import InvalidThetaError, SingularSystemError
 from .grid import DIRICHLET_DATA, DIRICHLET_ZERO, Field, Grid
 
-ArrayLike = Union[float, np.ndarray]
+ArrayLike = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -240,10 +239,10 @@ class SpaceMeanOperator:
     The operator integrates the piecewise-linear interpolant of the nodal
     values over the window clipped to the domain and divides by the full
     window volume 2*theta, so partially covered windows are sub-averages.
-    The weights are assembled once into a CSR matrix.  Application is
-    vectorized over a trailing path axis and sums each row's window weights
-    in a fixed order, so a column's result does not depend on how many
-    columns are averaged together.
+    The weights' one stored form is a CSR matrix, built by :func:`_window_averages`
+    on 256-column slabs of the identity.  Application is vectorized over a trailing
+    path axis and sums each row's window weights in a fixed order, so a column's
+    result does not depend on how many columns are averaged together.
     """
 
     def __init__(self, grid: Grid, theta: float):
@@ -251,10 +250,12 @@ class SpaceMeanOperator:
             raise InvalidThetaError(f"theta must be positive, got {theta}")
         self.grid = grid
         self.theta = float(theta)
-        # dense matrix over all nodes; column j is the image of the j-th hat value
-        self.matrix = _window_averages(grid, self.theta, np.eye(grid.n_total))
-        self.matrix.setflags(write=False)
-        self._csr = scipy.sparse.csr_array(self.matrix)
+        n = grid.n_total  # column j of the slab at a is the image of the (a + j)-th hat value
+        slabs = (np.eye(n, min(256, n - a), -a) for a in range(0, n, 256))
+        blocks = [scipy.sparse.csr_array(_window_averages(grid, self.theta, s)) for s in slabs]
+        self._csr = scipy.sparse.hstack(blocks, format="csr")
+        for weights in (self._csr.data, self._csr.indices, self._csr.indptr):
+            weights.setflags(write=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Average nodal values; works on (n_total,) or (n_total, n_paths) arrays."""
@@ -269,9 +270,8 @@ class SpaceMeanOperator:
         The spacing is uniform, so the adjoint of the interior block is its
         plain transpose; boundary rows of the result are zero.
         """
-        interior_block = self.matrix[1:-1, 1:-1]
         out = np.zeros_like(values)
-        out[1:-1] = interior_block.T @ values[1:-1]
+        out[1:-1] = self._csr[1:-1, 1:-1].T @ values[1:-1]
         return out
 
 

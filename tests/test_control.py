@@ -15,7 +15,7 @@ from smc.control import (
     performance_J,
     policy_adjoint,
 )
-from smc.errors import NanDetectedError, NonCauchyError
+from smc.errors import GridMismatchError, NanDetectedError, NonCauchyError
 from smc.forward import ControlPerturbation, ProblemSpec, SingularControl
 from smc.grid import Field, FieldPath, build_grid
 from smc.operators import OperatorSpec, space_mean_dual_weight
@@ -215,6 +215,22 @@ def test_check_necessary_keeps_a_nan_at_a_later_step():
         rep = check_necessary(FieldPath(spec.grid, spec.times, vals), xi, spec)
     assert np.isnan(rep.threshold_violation_max) and np.isnan(rep.vi_residual)
     assert not rep.threshold_pass and not rep.vi_pass and not rep.all_pass
+
+
+def test_check_necessary_rejects_an_adjoint_path_of_another_time_grid():
+    # a 48-row p against a 96-step control ended in a bare numpy broadcast ValueError
+    spec = harvest_spec(n_steps=96)
+    xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
+    short = harvest_spec(n_steps=47)
+    with pytest.raises(GridMismatchError, match=r"adjoint path shape \(48, 42\)"):
+        check_necessary(_paths_of_constant(short, 2.0), xi, spec)
+
+
+def test_check_necessary_rejects_a_control_of_another_grid():
+    spec = harvest_spec()
+    xi = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells - 1)
+    with pytest.raises(GridMismatchError, match="control shape"):
+        check_necessary(_paths_of_constant(spec, 2.0), xi, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +434,15 @@ def test_directional_derivative_matches_finite_difference():
     est, err = cmp.finite_difference[1e-3]
     comb = np.sqrt(cmp.adjoint_stderr**2 + err**2)
     assert abs(cmp.adjoint_formula - est) <= 3.0 * comb
+
+
+@pytest.mark.parametrize("rows", [21, 81])
+def test_directional_derivative_rejects_an_adjoint_path_of_another_time_grid(rows):
+    # a longer path was read row by row as if it were the spec's (a wrong value, no error);
+    # a shorter one ended in an IndexError inside a Monte Carlo worker
+    spec = harvest_spec(horizon=0.1, n_steps=40)
+    xi = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)
+    zeta = ControlPerturbation.from_increments(np.full((spec.n_steps, spec.grid.n_cells), 1e-3))
+    p = _paths_of_constant(harvest_spec(horizon=0.1, n_steps=rows - 1), 1.0)
+    with pytest.raises(GridMismatchError, match=rf"adjoint path shape \({rows}, 42\)"):
+        directional_derivative_J(spec, xi, zeta, p, n_paths=4, seed=1, epsilons=(1e-2,))

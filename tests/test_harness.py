@@ -537,24 +537,53 @@ def test_derivcheck_fails_against_an_overflowed_bound(tmp_path):
     assert gap["tolerance"] == math.inf and gap["detail"].endswith("; tolerance not finite")
 
 
-def test_out_of_memory_is_one_configuration_error_line(tmp_path):
-    # 8000 cells build the space mean through dense 8001 x 8001 arrays, past a 2.5 GB
-    # address-space limit set on the child alone; this ended in a 51-line traceback, exit 1
-    raw = copy.deepcopy(_HARVEST)
-    raw["problem"]["grid"]["n_cells"], raw["problem"]["time"]["n_steps"] = 8000, 4
-    argv = ["simulate", "--paths", "8", "--config", _write_config(tmp_path, raw),
-            "--out", str(tmp_path / "out")]
+def _cli(tmp_path, raw, *argv, address_space=None) -> subprocess.CompletedProcess:
+    """``python -m smc.cli <argv>`` on ``raw`` in a child, its address space limited if given."""
+    argv = [*argv, "--config", _write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    run = subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
-                         text=True, timeout=60, preexec_fn=limit_address_space)
+    return subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60,
+                          preexec_fn=None if address_space is None else limit_address_space)
+
+
+@pytest.mark.parametrize("leaf, value", [
+    pytest.param(("prices", "cost"), 1e300, id="cost"),
+    pytest.param(("initial", "amplitude"), 1e300, id="amplitude"),
+    pytest.param(("boundary", "left"), 1e300, id="boundary-left"),
+    pytest.param(("model", "alpha"), 1e6, id="alpha"),
+])
+def test_overflowing_derivcheck_writes_no_warning(tmp_path, leaf, value):
+    # np.std's and sup_norm_h's overflow warnings wrote 2 to 5 stderr lines before the result
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"][leaf[0]][leaf[1]] = value
+    run = _cli(tmp_path, raw, "derivcheck", "--paths", "64")
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) <= 1 and "Warning" not in run.stderr
+
+
+def test_eight_thousand_cells_simulate_within_the_address_space_limit(tmp_path):
+    # the space mean is built in 256-column slabs: no dense 8001 x 8001 array under 2.5 GB,
+    # where the dense build ended in the out-of-memory line, exit 2
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["grid"]["n_cells"], raw["problem"]["time"]["n_steps"] = 8000, 4
+    run = _cli(tmp_path, raw, "simulate", "--paths", "8", address_space=2_500_000_000)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_out_of_memory_is_one_configuration_error_line(tmp_path):
+    # 10^8 steps of backward paths do not fit a 2.5 GB address-space limit set on the child
+    # alone; the MemoryError is one configuration-error line, not a traceback
+    raw = copy.deepcopy(_HARVEST)
+    raw["problem"]["time"]["n_steps"] = 100_000_000
+    run = _cli(tmp_path, raw, "adjoint", address_space=2_500_000_000)
     assert run.returncode == 2 and "Traceback" not in run.stderr
     assert run.stderr == (
-        "configuration error: out of memory at problem.grid.n_cells 8000 and "
-        "problem.time.n_steps 4\n"
+        "configuration error: out of memory at problem.grid.n_cells 60 and "
+        "problem.time.n_steps 100000000\n"
     )
 
 
@@ -819,7 +848,7 @@ CLI_PINNED_CHECKS = {
         ("derivative-process-ratio", 9.99913513263839, 20.0, True,
          "errors 2.239e-06 / 2.239e-07"),
         ("directional-derivative-gap", 3.762852372483742e-05, 0.00012236246369383123, True,
-         "adjoint -0.013884, finite difference -0.013921"),
+         "adjoint -0.0138837, finite difference -0.0139213"),
     ]),
     "adjoint": (1, [
         ("skorokhod-residual", 0.03943919984691388, 0.0003211241866811209, False,
@@ -868,7 +897,7 @@ CLI_STDOUT = {
         "[PASS] derivative-process-ratio: value=9.99914 tolerance=20"
         "  (errors 2.239e-06 / 2.239e-07)",
         "[PASS] directional-derivative-gap: value=0.000188305 tolerance=0.00063942"
-        "  (adjoint -0.013804, finite difference -0.013616)",
+        "  (adjoint -0.013804, finite difference -0.0136156)",
     ]),
 }
 

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
@@ -85,12 +86,31 @@ def test_space_mean_linearity():
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-14)
 
 
+def _dense_space_mean(g, theta):
+    """The dense reference: the window averages of every column of the identity at once."""
+    return _window_averages(g, theta, np.eye(g.n_total))
+
+
 def test_space_mean_matrix_matches_apply():
     g = build_grid(0.0, 1.0, 60)
     op = SpaceMeanOperator(g, 0.07)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(g.n_total)
-    np.testing.assert_allclose(op.matrix @ v, op.apply(v), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(_dense_space_mean(g, 0.07) @ v, op.apply(v), rtol=1e-12, atol=1e-15)
+
+
+def test_slab_built_space_mean_is_the_dense_reference_byte_for_byte():
+    # both benchmark grids, two grids of several 256-column slabs, then random windows
+    rng = np.random.default_rng(42)
+    cases = [(0.0, 1.0, 60, 0.1), (0.0, 1.0, 60, 0.05), (0.0, 1.0, 600, 0.1), (0.0, 1.0, 511, 0.3)]
+    cases += [(-0.5, 1.5, int(rng.integers(2, 700)), float(rng.uniform(0.0, 2.0))) for _ in range(40)]
+    for x_min, x_max, n_cells, theta in cases:
+        g = build_grid(x_min, x_max, n_cells)
+        want = scipy.sparse.csr_array(_dense_space_mean(g, theta))
+        csr = SpaceMeanOperator(g, theta)._csr
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(csr, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), (n_cells, theta, name)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4097])
@@ -282,7 +302,8 @@ def test_space_mean_operator_shared_per_grid_and_theta():
     shared = operators._space_mean_operator(build_grid(0.0, 1.0, 40), 0.1)
     assert shared is operators._space_mean_operator(g, 0.1)
     assert shared is not operators._space_mean_operator(g, 0.2)
-    assert not shared.matrix.flags.writeable
+    for weights in (shared._csr.data, shared._csr.indices, shared._csr.indptr):
+        assert not weights.flags.writeable
     want = SpaceMeanOperator(g, 0.1).apply(f.values)
     np.testing.assert_array_equal(space_mean(f, 0.1).values, want)
 
@@ -441,7 +462,7 @@ def test_green_identity_holds_for_any_nodal_coefficients(data, n_cells):
 def test_space_mean_duality_holds_for_any_window(data, n_cells):
     g, _, f, p = _paired_fields(data, n_cells)
     theta = data.draw(st.floats(0.0, g.width, exclude_min=True, exclude_max=True))
-    weights = SpaceMeanOperator(g, theta).matrix[1:-1, 1:-1]
+    weights = _dense_space_mean(g, theta)[1:-1, 1:-1]
     gap, bound = _duality_gap(lambda u: space_mean(u, theta),
                               lambda u: space_mean_adjoint(u, theta), weights, f, p)
     assert gap <= bound, (gap, bound)
