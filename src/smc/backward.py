@@ -2,7 +2,7 @@
 
 The target system, stated for the lower reflection side, is
 
-    dY = -A* Y dt - F(t, Y) dt + Z dB - eta(dt, x),
+    dY = -A* Y dt - F(Y) dt + Z dB - eta(dt, x),
     Y(T) = phi,    Y >= L,    integral of (Y - L) against eta(dt, x) dx = 0,
 
 with eta nonnegative and nondecreasing and A* the adjoint of the forward
@@ -61,12 +61,13 @@ def _side_sign(side: str) -> float:
 class BackwardSpec:
     """Data of one reflected backward problem on the grid.
 
-    ``driver`` has signature F(t, x_int, y) -> array over interior
-    nodes and must be Lipschitz in y.  ``obstacle`` is the barrier L at the
+    ``driver`` has signature F(y) -> array over interior nodes, y being Y at
+    the interior nodes, and must be Lipschitz in y; a driver that reads the
+    nodes closes over ``grid.interior``.  ``obstacle`` is the barrier L at the
     interior nodes, one array for every time, or None for an unconstrained solve.
     ``singular`` optionally couples a nondecreasing control to the drift:
-    the pair (control, coefficient) adds coefficient(t, x_int, y) * dxi_k to
-    the backward step.  Every step solves with A*, the adjoint of ``op``'s generator; a
+    the pair (control, coefficient) adds coefficient(y) * dxi_k to the
+    backward step.  Every step solves with A*, the adjoint of ``op``'s generator; a
     terminal value past the obstacle is taken as given.  Homogeneous Dirichlet boundary.
     """
 
@@ -159,7 +160,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     if n < 1:
         raise ValueError("penalization level must be >= 1")
     sign = _side_sign(spec.reflection_side)
-    grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
+    grid, dt = spec.grid, spec.dt
     crank = spec.time_scheme == CRANK_NICOLSON
     stepper = TridiagonalStepper(spec.op, grid, (0.5 if crank else 1.0) * dt, adjoint=True)
     lo_a, di_a, up_a = stepper.bands
@@ -181,7 +182,6 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = sign * spec.terminal.values
     for k in range(spec.n_steps - 1, -1, -1):
-        t = times[k]
         y = y_prev_int = values[k + 1, 1:-1]
         active = None if barrier is None else y < barrier
         known_rhs = explicit_half(y_prev_int) if crank else y_prev_int
@@ -190,9 +190,9 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
             rhs = targets[i % 2]
             np.copyto(rhs, known_rhs)
             if spec.driver is not None:
-                rhs += dt * (sign * np.asarray(spec.driver(t, x_int, sign * y), dtype=float))
+                rhs += dt * (sign * np.asarray(spec.driver(sign * y), dtype=float))
             if xi_inc is not None:
-                coefficient = np.asarray(spec.singular[1](t, x_int, sign * y), dtype=float)
+                coefficient = np.asarray(spec.singular[1](sign * y), dtype=float)
                 rhs += sign * coefficient * xi_inc[k]
             if active is not None and active.any():
                 rhs += np.where(active, pull, 0.0)
@@ -220,7 +220,7 @@ def solve_penalized(spec: BackwardSpec, n: int) -> tuple[FieldPath, FieldPath]:
 
     if sign < 0.0:  # map the upper side back; at +1.0 the pass would change no bit
         values *= sign
-    y_path = FieldPath(grid, times, values)
+    y_path = FieldPath(grid, spec.times, values)
     return y_path, _zero_path(y_path)
 
 

@@ -61,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, config_required=True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="override the output directory")
-        return p
-
     for name, handler, help_text in [
         ("simulate", _cmd_simulate, "run a forward ensemble"),
         ("adjoint", _cmd_adjoint, "solve the reflected adjoint"),
@@ -74,10 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("rate", _cmd_rate, "penalization-rate study"),
         ("derivcheck", _cmd_derivcheck, "derivative consistency checks"),
     ]:
-        p = add(name, help_text)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        if name in ("simulate", "derivcheck"):
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        p.add_argument("--out", default=None, help="override the output directory")
+        if name in ("simulate", "derivcheck"):  # the subcommands that draw noise
+            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
             p.add_argument("--paths", type=int, default=None, help="override the path count")
         else:
             p.add_argument(
@@ -85,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="override penalization levels (comma-separated integers)",
             )
-    verify = add("verify", "run a named verification suite", config_required=False)
+    verify = sub.add_parser("verify", help="run a named verification suite")
+    verify.add_argument("--out", default=None, help="override the output directory")
     verify.add_argument(
         "suite",
         nargs="?",
@@ -127,8 +124,8 @@ def _control_path(spec, control: SingularControl) -> FieldPath:
     return FieldPath(spec.grid, spec.times, values)
 
 
-def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args)
+def _cmd_simulate(config: RunConfig, args, out_dir: str) -> _Outcome:
+    n_paths, seed = _paths(config, args), args.seed
     spec = config.problem
     control = SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
     summary = simulate_ensemble(spec, control, n_paths, seed)
@@ -147,7 +144,7 @@ def _cmd_simulate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     return _Outcome([positivity], paths, [line])
 
 
-def _cmd_adjoint(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
+def _cmd_adjoint(config: RunConfig, args, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
     adjoint = policy_adjoint(config.problem)
     solution = solve_reflected(adjoint.backward, levels)
@@ -164,7 +161,7 @@ def _cmd_adjoint(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     return _Outcome([residual], paths, [f"adjoint solved at levels {levels}; outputs in {out_dir}"])
 
 
-def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
+def _cmd_policy(config: RunConfig, args, out_dir: str) -> _Outcome:
     policy = extract_policy(config.problem, _levels(config, args), max_rate=config.control.max_rate)
     rep = policy.report
     tol = rep.TOLERANCE
@@ -185,7 +182,7 @@ def _cmd_policy(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     return _Outcome(checks, paths, [check.line() for check in checks])
 
 
-def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
+def _cmd_rate(config: RunConfig, args, out_dir: str) -> _Outcome:
     levels = _levels(config, args)
     adjoint = policy_adjoint(config.problem)
     study = penalization_rate(adjoint.backward, levels)
@@ -205,8 +202,8 @@ def _cmd_rate(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
     return _Outcome([slope], {}, lines)
 
 
-def _cmd_derivcheck(config: RunConfig, args, seed: int, out_dir: str) -> _Outcome:
-    n_paths = _paths(config, args)
+def _cmd_derivcheck(config: RunConfig, args, out_dir: str) -> _Outcome:
+    n_paths, seed = _paths(config, args), args.seed
     spec = config.problem
     rng = np.random.default_rng(seed)
     base = SingularControl.constant_rate(0.05, spec.times, spec.grid.n_cells)
@@ -267,22 +264,23 @@ def _make_directory(out_dir: str, field: str) -> list[Path]:
 def _run(config: RunConfig | None, args) -> int:
     """Time the subcommand's handler, persist its report and fields, print, pick the exit code.
 
-    Without a config (``verify`` only) the report is the builtin one.  ``verify``
-    times each check as a phase; any other subcommand is one phase named after it.
+    ``verify`` reads no config: its report is the builtin one, and it times each check
+    as a phase.  Any other subcommand is one phase named after it, and its report
+    records a root seed only if it draws noise.
     The output directory is made before the handler runs, and removed again if the handler
     fails; a file that cannot be written there is a ConfigError.
     """
     if config is None:
         echo, config_hash = {"suite": args.suite}, "builtin"
-        seed, seeds = None, {"builtin-benchmarks": "fixed in smc.suites"}
+        seeds = {"builtin-benchmarks": "fixed in smc.suites"}
         out_dir, formats = "out", ("csv", "json")
     else:
-        echo, config_hash = config.raw, config.config_hash
-        seed = getattr(args, "seed", None)  # verify takes no --seed
-        seed = config.mc.seed if seed is None else seed
-        if seed < 0:
-            raise ConfigError("seed must be >= 0", "--seed")
-        seeds = {"root": seed}
+        echo, config_hash, seeds = config.raw, config.config_hash, {}
+        if hasattr(args, "seed"):  # a subcommand that draws noise: its handler reads args.seed
+            args.seed = config.mc.seed if args.seed is None else args.seed
+            if args.seed < 0:
+                raise ConfigError("seed must be >= 0", "--seed")
+            seeds = {"root": args.seed}
         out_dir, formats = config.outputs.directory, config.outputs.formats
     out_dir = args.out if args.out is not None else out_dir
     field = "--out" if args.out is not None else "outputs.directory"
@@ -293,7 +291,7 @@ def _run(config: RunConfig | None, args) -> int:
             outcome = _cmd_verify(args.suite, timer)
         else:
             with timer.time(args.command):
-                outcome = args.handler(config, args, seed, out_dir)
+                outcome = args.handler(config, args, out_dir)
     except BaseException:  # a run that ends in its handler leaves no directory it made
         for directory in made:
             with contextlib.suppress(OSError):
@@ -314,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     config = None
     try:
         worker_count()  # a malformed SMC_WORKERS fails here, before any work
-        config = load_config(args.config) if args.config is not None else None
+        config = None if args.command == "verify" else load_config(args.config)
         return _run(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .forward import (
     ProblemSpec,
     SingularControl,
     _check_control,
+    _check_memory,
     _monte_carlo,
     check_admissible_direction,
     perturbed_control,
@@ -69,15 +70,11 @@ def assemble_adjoint(spec: ProblemSpec, xi: SingularControl | None = None) -> Ad
     grid = spec.grid
     weight = space_mean_dual_weight(grid, spec.op.theta).interior.copy()
     alpha = spec.alpha
-
-    def driver(t, x, p):
-        return alpha * weight * p
-
     terminal_values = np.zeros(grid.n_total)
     terminal_values[1:-1] = spec.g0[1:-1]
     terminal = Field(grid, terminal_values)
 
-    singular = None if xi is None else (xi, lambda t, x, p: spec.singular_slope(p))
+    singular = None if xi is None else (xi, spec.singular_slope)
 
     backward = BackwardSpec(
         grid=grid,
@@ -85,7 +82,7 @@ def assemble_adjoint(spec: ProblemSpec, xi: SingularControl | None = None) -> Ad
         horizon=spec.horizon,
         n_steps=spec.n_steps,
         terminal=terminal,
-        driver=driver,
+        driver=lambda p: alpha * weight * p,
         singular=singular,
     )
     return AdjointSpec(backward=backward)
@@ -170,6 +167,7 @@ def performance_Js(
     spec: ProblemSpec, controls: list[SingularControl], n_paths: int, seed: int
 ) -> list[JEstimate]:
     """:func:`performance_J` of every control on common paths, drawing their noise once."""
+    _check_memory(n_paths, 8 * len(controls) * n_paths)
     passes = [_rewards_pass(spec, xi) for xi in controls]
     return [
         JEstimate(*_mean_stderr(np.concatenate(chunks)))
@@ -346,6 +344,7 @@ def directional_derivative_J(
     """
     _check_pair(spec, p, xi)
     check_admissible_direction(xi, zeta)
+    _check_memory(n_paths, 8 * (2 + len(epsilons)) * n_paths)
     passes = [_rewards_pass(spec, xi, p.values, zeta.increments)]
     passes += [_rewards_pass(spec, perturbed_control(xi, zeta, eps)) for eps in epsilons]
     base, *perturbed = _monte_carlo(spec, passes, n_paths, seed)

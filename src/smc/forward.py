@@ -612,6 +612,14 @@ class EnsembleSummary:
     seed: int
 
 
+def _check_memory(n_paths: int, nbytes: int) -> None:
+    """ConfigError naming n_paths if a run's ``nbytes`` of output outgrow physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"{n_paths} paths need {nbytes} bytes of output, more than the "
+                          f"{memory} bytes of physical memory", "n_paths")
+
+
 def _check_run(n_paths: int, seed: int, chunk_size: int) -> None:
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -736,11 +744,7 @@ def simulate_ensemble(
     _check_run(n_paths, seed, chunk_size)
     n_total = spec.grid.n_total
     shapes = [(spec.n_steps + 1, n_total, -(-n_paths // _BLOCK)), (n_paths, n_total)]
-    nbytes = 8 * sum(math.prod(map(int, shape)) for shape in shapes)
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > memory:
-        raise ConfigError(f"{n_paths} paths need {nbytes} bytes of output, more than the "
-                          f"{memory} bytes of physical memory", "n_paths")
+    _check_memory(n_paths, 8 * sum(math.prod(map(int, shape)) for shape in shapes))
     sums, terminals = (_shared_floats(shape, n_paths) for shape in shapes)
     passes = [(control, partial(_summarize_bundle, sums, terminals, seed))]
     (keys,) = _monte_carlo(spec, passes, n_paths, seed, chunk_size)

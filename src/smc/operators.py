@@ -267,11 +267,14 @@ class SpaceMeanOperator:
     def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
         """Exact adjoint under the interior h-weighted inner product.
 
-        The spacing is uniform, so the adjoint of the interior block is its
-        plain transpose; boundary rows of the result are zero.
+        The spacing is uniform, so the adjoint of the interior block is its plain
+        transpose: the CSR's transpose, a view that copies no weight, meets the values
+        with zeroed boundary rows, and boundary rows of the result are zero.
         """
-        out = np.zeros_like(values)
-        out[1:-1] = self._csr[1:-1, 1:-1].T @ values[1:-1]
+        interior = values.copy()
+        interior[[0, -1]] = 0.0
+        out = self._csr.T @ interior
+        out[[0, -1]] = 0.0
         return out
 
 

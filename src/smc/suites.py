@@ -402,7 +402,7 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
     )
     cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, 4242)
     sweep = ", ".join(
-        f"eps={eps:g}: {fd:.6f}" for eps, (fd, _) in sorted(cmp.finite_difference.items())
+        f"eps={eps:g}: {fd:.6g}" for eps, (fd, _) in sorted(cmp.finite_difference.items())
     )
     return CheckResult(
         name="directional-derivative-duality",
@@ -410,8 +410,8 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
         tolerance=SIGMA_BOUND,
         passed=bool(gap <= SIGMA_BOUND * comb),
         detail=(
-            f"adjoint {cmp.adjoint_formula:.6f} vs common-noise difference at eps=1e-3 "
-            f"{cmp.finite_difference[1e-3][0]:.6f} ({n_paths} paths); sweep {sweep}"
+            f"adjoint {cmp.adjoint_formula:.6g} vs common-noise difference at eps=1e-3 "
+            f"{cmp.finite_difference[1e-3][0]:.6g} ({n_paths} paths); sweep {sweep}"
         ),
     )
 

@@ -126,11 +126,11 @@ def test_defaulted_parameters_are_pinned():
 # the flags each subcommand's handler reads, help excluded
 CLI_FLAGS = {
     "simulate": ["--config", "--out", "--paths", "--seed"],
-    "adjoint": ["--config", "--levels", "--out", "--seed"],
-    "policy": ["--config", "--levels", "--out", "--seed"],
-    "rate": ["--config", "--levels", "--out", "--seed"],
+    "adjoint": ["--config", "--levels", "--out"],
+    "policy": ["--config", "--levels", "--out"],
+    "rate": ["--config", "--levels", "--out"],
     "derivcheck": ["--config", "--out", "--paths", "--seed"],
-    "verify": ["--config", "--out"],
+    "verify": ["--out"],
 }
 
 

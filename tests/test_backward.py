@@ -212,7 +212,7 @@ def test_levels_are_solved_in_the_calling_process(monkeypatch):
     # a worker process would append to its own copy of the list, which the caller never sees
     pids = []
 
-    def driver(t, x, y):
+    def driver(y):
         pids.append(os.getpid())
         return np.zeros_like(y)
 
@@ -307,7 +307,7 @@ def test_non_finite_driver_is_typed_error():
         n_steps=base.n_steps,
         terminal=base.terminal,
         obstacle=base.obstacle,
-        driver=lambda t, x, y: np.full_like(y, np.nan),
+        driver=lambda y: np.full_like(y, np.nan),
     )
     with pytest.raises(NanDetectedError) as err:
         solve_penalized(spec, 8)
@@ -467,7 +467,7 @@ def _reference_penalized_values(spec, n):
     The side's sign is applied to the data inline; no obstacle is a barrier at -inf.
     """
     sign = 1.0 if spec.reflection_side == "lower" else -1.0
-    grid, dt, times, x_int = spec.grid, spec.dt, spec.times, spec.grid.interior
+    grid, dt = spec.grid, spec.dt
     crank = spec.time_scheme == "crank-nicolson"
     lo_a, di_a, up_a = operators.operator_tridiagonal(spec.op, grid, adjoint=True)
     implicit_dt = (0.5 if crank else 1.0) * dt
@@ -485,16 +485,15 @@ def _reference_penalized_values(spec, n):
     values = np.zeros((spec.n_steps + 1, grid.n_total))
     values[-1] = sign * spec.terminal.values
     for k in range(spec.n_steps - 1, -1, -1):
-        t = times[k]
         y = y_prev_int = values[k + 1, 1:-1]
         known = y_prev_int + explicit_half(y_prev_int) if crank else y_prev_int
         active = y < barrier
         for _ in range(backward._MAX_FIXED_POINT_ITERS):
             rhs = known.copy()
             if spec.driver is not None:
-                rhs += dt * (sign * np.asarray(spec.driver(t, x_int, sign * y), dtype=float))
+                rhs += dt * (sign * np.asarray(spec.driver(sign * y), dtype=float))
             if xi_inc is not None:
-                coefficient = np.asarray(spec.singular[1](t, x_int, sign * y), dtype=float)
+                coefficient = np.asarray(spec.singular[1](sign * y), dtype=float)
                 rhs += sign * coefficient * xi_inc[k]
             if active.any():
                 rhs += dt * n * np.where(active, barrier, 0.0)
@@ -526,8 +525,8 @@ def _reference_cases():
         return BackwardSpec(grid=grid, op=OP, horizon=0.3, n_steps=40, reflection_side=side,
                             terminal=Field(grid, sign * terminal, "dirichlet-zero"), **kw)
 
-    def driver(t, x, y):
-        return 0.8 * np.sin(3.0 * y) + x
+    def driver(y):
+        return 0.8 * np.sin(3.0 * y) + grid.interior
 
     floor = 0.6 * np.sin(np.pi * grid.interior)
     harvest = suites.harvesting_benchmark()
@@ -734,8 +733,8 @@ def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, scale
     grid = build_grid(0.0, 1.0, 12)
     obstacle = amplitude * np.sin(np.pi * grid.interior) + tilt * (grid.interior - 0.5)
 
-    def driver(t, x, y):
-        return scale * np.sin(3.0 * y) + x
+    def driver(y):
+        return scale * np.sin(3.0 * y) + grid.interior
 
     lower = BackwardSpec(
         grid=grid,
@@ -749,7 +748,7 @@ def test_reflected_diagnostics_are_the_public_gap_pairing(amplitude, tilt, scale
     upper = dataclasses.replace(  # the negated problem: data, barrier and conjugate driver
         lower,
         terminal=Field(grid, -lower.terminal.values),
-        driver=lambda t, x, y: -driver(t, x, -y),
+        driver=lambda y: -driver(-y),
         obstacle=-obstacle,
         reflection_side="upper",
     )

@@ -71,7 +71,7 @@ def test_adjoint_driver_uses_dual_weight():
     grid = spec.grid
     w = space_mean_dual_weight(grid, spec.op.theta).interior
     p = np.linspace(0.5, 1.5, grid.n_cells)
-    out = adj.backward.driver(0.0, grid.interior, p)
+    out = adj.backward.driver(p)
     np.testing.assert_allclose(out, 1.0 * w * p, rtol=1e-14)
     inner = np.abs(grid.interior - 0.5) < 0.5 - spec.op.theta - grid.h
     np.testing.assert_allclose(w[inner], 1.0, atol=1e-14)
@@ -85,14 +85,13 @@ def test_adjoint_singular_coefficient_signs():
     coeff = spec.singular_slope(p)
     np.testing.assert_allclose(coeff, 2.0 - 1.5 * 0.5, rtol=1e-14)
     _, fn = adj.backward.singular
-    np.testing.assert_allclose(fn(0.0, spec.grid.interior, p), coeff, rtol=1e-14)
+    np.testing.assert_allclose(fn(p), coeff, rtol=1e-14)
 
 
 def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du():
     spec = harvest_spec(h10=2.0, lambda0=1.5)
     xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     adj = assemble_adjoint(spec, xi=xi)
-    x = spec.grid.interior
     p = np.linspace(0.25, 1.25, spec.grid.n_cells)
     p[0] = 0.5
     # H1 = gain(u) * p + h1(u) is affine in u, so its unit u-difference is dH1/du
@@ -102,7 +101,7 @@ def test_singular_coefficient_is_the_solver_coefficient_and_dh1_du():
     quotient = gain_step * p + h1_step
     np.testing.assert_array_equal(spec.singular_slope(p), quotient)
     _, fn = adj.backward.singular
-    np.testing.assert_array_equal(fn(0.05, x, p), quotient)
+    np.testing.assert_array_equal(fn(p), quotient)
     assert quotient[0] == 1.25  # h10 = 2, lambda0 = 1.5, p = 0.5
 
 

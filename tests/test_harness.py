@@ -419,20 +419,22 @@ def test_a_failed_rerun_leaves_no_manifest_that_disagrees_with_its_files(tmp_pat
     capsys.readouterr()
 
 
-# harvest.json's terminal states alone, 62 nodes of 8 bytes a path, outgrow physical memory
-_PAST_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (8 * 62) + 1
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# per path of harvest.json, simulate keeps its terminal state, 62 nodes of 8 bytes, and
+# derivcheck the 8-byte values of its adjoint formula, its base J and three perturbed J
+_BYTES_A_PATH = {"simulate": 8 * 62, "derivcheck": 8 * 5}
 
 
-@pytest.mark.parametrize("n_paths", [10**15, 10**20, pytest.param(_PAST_MEMORY, id="past-memory")])
-def test_cli_huge_path_count_ends_typed_and_at_once(tmp_path, n_paths):
-    # output beyond physical memory (10**7 paths on an 8.4 GB host; 10**20 is past ssize_t) is
-    # refused before anything is mapped, as a config error, not run until killed
-    root = Path(__file__).parents[1]
-    argv = ["simulate", "--config", str(root / "configs" / "harvest.json"),
-            "--paths", str(n_paths), "--out", str(tmp_path)]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    run = subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
-                         text=True, timeout=20)
+@pytest.mark.parametrize("n_paths", [10**15, 10**20, "past-memory"])
+@pytest.mark.parametrize("command", sorted(_BYTES_A_PATH))
+def test_cli_huge_path_count_ends_typed_and_at_once(tmp_path, command, n_paths):
+    # output beyond physical memory (10**7 simulate paths on an 8.4 GB host; 10**20 is past
+    # ssize_t) is refused before any bundle list is built or anything is mapped, as a config
+    # error, not run until the address-space limit ends it as out of memory
+    if n_paths == "past-memory":
+        n_paths = _MEMORY // _BYTES_A_PATH[command] + 1
+    run = _cli(tmp_path, _HARVEST, command, "--paths", str(n_paths), address_space=2_500_000_000,
+               timeout=20)
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("configuration error: n_paths: ") and run.stderr.count("\n") == 1
 
@@ -537,7 +539,7 @@ def test_derivcheck_fails_against_an_overflowed_bound(tmp_path):
     assert gap["tolerance"] == math.inf and gap["detail"].endswith("; tolerance not finite")
 
 
-def _cli(tmp_path, raw, *argv, address_space=None) -> subprocess.CompletedProcess:
+def _cli(tmp_path, raw, *argv, address_space=None, timeout=60) -> subprocess.CompletedProcess:
     """``python -m smc.cli <argv>`` on ``raw`` in a child, its address space limited if given."""
     argv = [*argv, "--config", _write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -546,7 +548,7 @@ def _cli(tmp_path, raw, *argv, address_space=None) -> subprocess.CompletedProces
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run([sys.executable, "-m", "smc.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=60,
+                          text=True, timeout=timeout,
                           preexec_fn=None if address_space is None else limit_address_space)
 
 
@@ -648,17 +650,23 @@ def test_deleted_config_key_exits_2_naming_its_path(tmp_path, capsys, section, v
         ["verify", "operators", "--seed", "3"],
         ["verify", "operators", "--paths", "5"],
         ["verify", "operators", "--levels", "4,8"],
+        ["verify", "operators", "--config", "configs/harvest.json"],
         ["simulate", "--levels", "4,8"],
         ["derivcheck", "--levels", "4,8"],
         ["adjoint", "--paths", "5"],
         ["policy", "--paths", "5"],
         ["rate", "--paths", "5"],
+        ["adjoint", "--seed", "3"],
+        ["policy", "--seed", "3"],
+        ["rate", "--seed", "3"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    # verify reads no config, and only the subcommands that draw noise read a seed
+    config = [] if argv[0] == "verify" else ["--config", _write_config(tmp_path, minimal_config())]
     with pytest.raises(SystemExit) as exit_:
-        main([*argv, "--config", _write_config(tmp_path, minimal_config())])
+        main([*argv, *config])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
@@ -732,10 +740,6 @@ def test_cli_simulate_runs_path_seeds_up_to_2_128(tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0
     assert (out / f"terminal_seed{2**128 - 1}.csv").exists()
     assert capsys.readouterr().err == ""
-    # a subcommand that draws no ensemble takes any seed >= 0: its checks run (exit 0 or 1)
-    argv = ["rate", "--config", config, "--seed", str(2**128), "--out", str(tmp_path / "rate")]
-    assert main(argv) in (0, 1)
-    assert (tmp_path / "rate" / "report.json").exists()
 
 
 def test_cli_simulate_runs_path_seeds_past_2_128(tmp_path, capsys):
@@ -753,10 +757,6 @@ def test_cli_simulate_runs_path_seeds_past_2_128(tmp_path, capsys):
         terminals.append((out / f"terminal_seed{2**128 + 7}.csv").read_bytes())
         assert capsys.readouterr().err == ""
     assert terminals[0] == terminals[1]
-    # a subcommand that draws no ensemble takes such a seed too: its checks run (exit 0 or 1)
-    argv = ["rate", "--config", config, "--seed", str(2**200), "--out", str(tmp_path / "rate")]
-    assert main(argv) in (0, 1)
-    assert (tmp_path / "rate" / "report.json").exists()
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
@@ -914,13 +914,28 @@ def test_cli_subcommand_stdout_and_runmeta_pinned(tmp_path, capsys, command):
 
 def test_cli_verify_prints_its_report_and_times_each_check(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["verify", "operators", "--config", _harvest_config(tmp_path), "--out", str(out)]) == 0
+    assert main(["verify", "operators", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     lines = [CheckResult(**check).line() for check in report["checks"]]
     lines.append("suite 'operators': all 3 checks passed")
     assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
     timings = json.loads((out / "runmeta.json").read_text())["timings"]
     assert sorted(timings) == sorted(fn.__name__ for fn in suites.SUITES["operators"])
+
+
+def test_only_a_run_that_draws_noise_records_a_seed(tmp_path):
+    # policy's outputs depend on no seed, so its report names none; verify reads no config and
+    # writes the builtin report
+    cfg = _harvest_config(tmp_path)
+    for argv in (["simulate", "--config", cfg], ["policy", "--config", cfg], ["verify", "operators"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    reports = {name: json.loads((tmp_path / name / "report.json").read_text())
+               for name in ("simulate", "policy", "verify")}
+    assert reports["simulate"]["seeds"] == {"root": 7}
+    assert reports["policy"]["seeds"] == {}
+    verify = reports["verify"]
+    assert (verify["config"], verify["config_hash"]) == ({"suite": "operators"}, "builtin")
+    assert json.loads((tmp_path / "verify" / "manifest.json").read_text())["config_hash"] == "builtin"
 
 
 def test_cli_adjoint_writes_the_reflected_solve(tmp_path):

@@ -113,6 +113,25 @@ def test_slab_built_space_mean_is_the_dense_reference_byte_for_byte():
             assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), (n_cells, theta, name)
 
 
+def test_space_mean_adjoint_is_the_interior_block_transpose_byte_for_byte():
+    # the whole CSR's transpose, on values whose boundary rows are zeroed, adds each column's
+    # weights in the order the sliced interior block's transpose does; both benchmark grids,
+    # then random windows, on one vector and a three-path bundle, boundary values ignored
+    rng = np.random.default_rng(43)
+    cases = [(0.0, 1.0, 60, 0.1), (0.0, 1.0, 60, 0.05)]
+    cases += [(-0.5, 1.5, int(rng.integers(2, 700)), float(rng.uniform(0.0, 2.0))) for _ in range(40)]
+    for x_min, x_max, n_cells, theta in cases:
+        g = build_grid(x_min, x_max, n_cells)
+        op = SpaceMeanOperator(g, theta)
+        for values in (rng.standard_normal(g.n_total), rng.standard_normal((g.n_total, 3))):
+            want = np.zeros_like(values)
+            want[1:-1] = op._csr[1:-1, 1:-1].T @ values[1:-1]
+            given = values.copy()
+            got = op.apply_adjoint(values)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (n_cells, theta)
+            assert values.tobytes() == given.tobytes()
+
+
 @pytest.mark.parametrize("width", [1, 2, 4097])
 def test_space_mean_bundle_columns_match_vector_apply(width):
     g = build_grid(0.0, 1.0, 60)
