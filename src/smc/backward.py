@@ -92,7 +92,7 @@ class BackwardSpec:
             raise ValueError(f"unknown time scheme {self.time_scheme!r}")
         if self.time_scheme == CRANK_NICOLSON and self.obstacle is not None:
             raise ValueError("crank-nicolson stepping supports unconstrained solves only")
-        if not self.terminal.grid.same_as(self.grid):
+        if self.terminal.grid != self.grid:
             raise GridMismatchError("terminal field grid differs from problem grid")
         if not np.isfinite(self.terminal.values).all():
             raise ValueError("terminal values must be finite")
@@ -126,7 +126,6 @@ class SolutionDiagnostics:
     skorokhod_residual: float
     skorokhod_scale: float
     min_gap: float
-    levels: tuple[int, ...]
     cauchy_gaps: tuple[float, ...]
 
 
@@ -303,7 +302,6 @@ def solve_reflected(spec: BackwardSpec, levels: list[int]) -> BackwardSolution:
         # sup_t ||Y||_H * ||eta(T)||_H, the scale of relative complementarity checks
         skorokhod_scale=sup_norm_h(y_path.values[:, 1:-1], h) * sup_norm_h(eta_values[-1:, 1:-1], h),
         min_gap=np.inf if gap is None else float(np.min(gap[:-1])),
-        levels=tuple(levels),
         cauchy_gaps=tuple(gaps),
     )
     return BackwardSolution(y=y_path, eta=eta_path, diagnostics=diag)
@@ -342,7 +340,6 @@ def _pairing(gap: np.ndarray | None, y_path: FieldPath, eta_path: FieldPath) -> 
 
 @dataclass(frozen=True)
 class RateStudy:
-    levels: tuple[int, ...]
     energies: tuple[float, ...]
     slope: float
 
@@ -375,4 +372,4 @@ def penalization_rate(spec: BackwardSpec, levels: list[int]) -> RateStudy:
     if max(energies) < 1e-24:
         raise DegenerateFitError("all penalization energies below floor (obstacle inactive)")
     slope = float(np.polyfit(np.log(np.asarray(levels, float)), np.log(energies), 1)[0])
-    return RateStudy(tuple(levels), tuple(energies), slope)
+    return RateStudy(tuple(energies), slope)

@@ -155,7 +155,7 @@ def _cmd_adjoint(config: RunConfig, args, out_dir: str) -> _Outcome:
         value=abs(diag.skorokhod_residual),
         tolerance=bound,
         passed=abs(diag.skorokhod_residual) <= bound,
-        detail=f"levels {diag.levels}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
+        detail=f"levels {tuple(levels)}, gaps {['%.2e' % g for g in diag.cauchy_gaps]}",
     )
     paths = {"adjoint_p": solution.y, "reflection_eta": solution.eta}
     return _Outcome([residual], paths, [f"adjoint solved at levels {levels}; outputs in {out_dir}"])
@@ -192,10 +192,10 @@ def _cmd_rate(config: RunConfig, args, out_dir: str) -> _Outcome:
         value=study.slope,
         tolerance=high,
         passed=bool(low <= study.slope <= high),
-        detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(study.levels, study.energies)),
+        detail="; ".join(f"E_{n}={e:.3e}" for n, e in zip(levels, study.energies)),
     )
     lines = [
-        f"levels {list(study.levels)}",
+        f"levels {levels}",
         f"energies {[f'{e:.4e}' for e in study.energies]}",
         f"log-log slope {study.slope:.4f}",
     ]

@@ -25,6 +25,7 @@ future value of stock sits below the unit harvest revenue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -340,8 +341,12 @@ def directional_derivative_J(
 
     The adjoint formula averages sum over steps of (gain * p + h1) dzeta h
     along base paths; the finite differences reuse the identical Gaussian
-    increments for base and perturbed controls.
+    increments for base and perturbed controls.  Each epsilon must be finite
+    and nonzero.
     """
+    for eps in epsilons:
+        if eps == 0.0 or not math.isfinite(eps):
+            raise ValueError(f"epsilon {eps!r} must be finite and nonzero")
     _check_pair(spec, p, xi)
     check_admissible_direction(xi, zeta)
     _check_memory(n_paths, 8 * (2 + len(epsilons)) * n_paths)

@@ -56,16 +56,21 @@ _DEFAULT_CHUNK = 2048
 _BLOCK = 128  # paths per block: ensembles sum blocks, so no result shows how bundles cut paths
 
 
+def _allowed_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Worker cap from SMC_WORKERS: the allowed CPUs if unset or empty, else a positive integer."""
+    """Workers a call uses: the allowed CPUs, or fewer if SMC_WORKERS, a positive integer, asks."""
     raw = os.environ.get(ENV_WORKERS, "").strip()
     if not raw:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return _allowed_cpus()
     if not raw.isdecimal() or int(raw) < 1:
         raise ConfigError(f"must be a positive integer, got {raw!r}", ENV_WORKERS)
-    return int(raw)
+    return min(int(raw), _allowed_cpus())
 
 
 def _apply(fn: Callable, item) -> tuple:
@@ -113,8 +118,9 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
     Child w's share is fixed when it is forked: items w, w + workers, w + 2 * workers, ...,
     run in order.  Each child sends its share's outcomes back as one message on a pipe of its
     own, read here as it comes, and ends; the caller reaps it at the end of its pipe and places
-    the outcomes.  One that dies first raises RuntimeError here at once.  A call that fails
-    kills each child left, and every child is reaped.
+    the outcomes.  One that dies first raises RuntimeError here at once.  A pipe or fork that
+    the system refuses is a ConfigError naming SMC_WORKERS.  A call that fails kills each
+    child left, and every child is reaped.
     """
     children: dict[int, tuple] = {}  # each child's result pipe -> (w, its pid, bytes read)
     outcomes: list = [None] * len(items)
@@ -122,16 +128,21 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list[tuple]:
         stream.flush()
     try:
         for w in range(workers):
-            reader, writer = os.pipe()
             try:
-                if (pid := os.fork()) == 0:
-                    _serve(fn, items, range(w, len(items), workers), writer, (reader, *children))
-                children[reader] = (w, pid, bytearray())
-            except BaseException:
-                os.close(reader)
-                raise
-            finally:
-                os.close(writer)
+                reader, writer = os.pipe()
+                try:
+                    if (pid := os.fork()) == 0:
+                        share = range(w, len(items), workers)
+                        _serve(fn, items, share, writer, (reader, *children))
+                    children[reader] = (w, pid, bytearray())
+                except BaseException:
+                    os.close(reader)
+                    raise
+                finally:
+                    os.close(writer)
+            except OSError as exc:  # EAGAIN, ENOMEM, EMFILE: no child or pipe to be had
+                raise ConfigError(f"cannot start worker {w + 1} of {workers}: {exc}",
+                                  ENV_WORKERS) from exc
         poller = select.poll()
         for reader in children:
             poller.register(reader, select.POLLIN)
@@ -231,7 +242,7 @@ class ProblemSpec:
         if initial is None:
             initial = Field(self.grid, np.ones(self.grid.n_total), DIRICHLET_DATA)
             object.__setattr__(self, "initial", initial)
-        if not initial.grid.same_as(self.grid):
+        if initial.grid != self.grid:
             raise GridMismatchError("initial field grid differs from problem grid")
         _require_finite(initial.values, "initial state")
         if np.any(initial.interior <= 0.0):
@@ -411,16 +422,15 @@ def perturbed_control(
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Gaussian increments of one Brownian path, reproducible from the seed."""
+    """Gaussian increments of one Brownian path and their step; :meth:`generate` draws them."""
 
     increments: np.ndarray
-    seed: int
     dt: float
 
     @classmethod
     def generate(cls, seed: int, n_steps: int, dt: float) -> "NoisePath":
         increments = np.random.default_rng(seed).standard_normal(n_steps) * math.sqrt(dt)
-        return cls(increments, int(seed), float(dt))
+        return cls(increments, float(dt))
 
 
 def _draw_noise(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
@@ -601,15 +611,13 @@ def simulate_path(spec: ProblemSpec, control: SingularControl, noise: NoisePath)
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Monte Carlo summary of a forward ensemble."""
+    """Monte Carlo summary of a forward ensemble; one terminal row per path."""
 
     mean_path: FieldPath
     terminal_values: np.ndarray
     positivity: bool
     min_value: float
     min_location: tuple[int, int, int]  # (path seed, time index, node index)
-    n_paths: int
-    seed: int
 
 
 def _check_memory(n_paths: int, nbytes: int) -> None:
@@ -761,8 +769,6 @@ def simulate_ensemble(
         positivity=bool(min_value > 0.0),
         min_value=min_value,
         min_location=(path_seed, step, node),
-        n_paths=n_paths,
-        seed=seed,
     )
 
 

@@ -55,15 +55,13 @@ class Grid:
     def width(self) -> float:
         return self.x_max - self.x_min
 
-    def same_as(self, other: "Grid") -> bool:
+    def __eq__(self, other: object) -> bool:
         return (
-            self.n_cells == other.n_cells
+            isinstance(other, Grid)
+            and self.n_cells == other.n_cells
             and self.x_min == other.x_min
             and self.x_max == other.x_max
         )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Grid) and self.same_as(other)
 
     def __hash__(self) -> int:
         return hash((self.x_min, self.x_max, self.n_cells))
@@ -139,7 +137,7 @@ class Field:
 
 def inner_product(f: Field, g: Field) -> float:
     """Discrete L2(D) pairing: h times the sum of f*g over interior nodes."""
-    if not f.grid.same_as(g.grid):
+    if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
     return float(f.grid.h * np.dot(f.interior, g.interior))
 

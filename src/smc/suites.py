@@ -135,6 +135,7 @@ POLICY_LEVELS = [512, 1024, 2048, 4096]
 POLICY_MAX_RATE = 0.9
 POLICY_SEED = 20_250
 POLICY_PATHS = 10_000
+DIRECTIONAL_PATHS = 10_000
 
 
 def stress_family(spec: ProblemSpec, xi_hat: SingularControl) -> dict[str, SingularControl]:
@@ -291,43 +292,29 @@ def check_dualities() -> CheckResult:
     )
 
 
-def _forward_heat_error(n_cells: int, n_steps: int) -> float:
+def _heat_errors(n_cells: int, n_steps: int) -> tuple[float, float]:
+    """Max errors of the forward and backward Crank-Nicolson heat solves of a sine over 0.1."""
     grid = build_grid(0.0, 1.0, n_cells)
-    spec = ProblemSpec(
-        grid=grid,
-        op=HEAT_OP,
-        horizon=0.1,
-        n_steps=n_steps,
-        stepping="crank-nicolson",
-        initial=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        boundary=(0.0, 0.0),
-    )
+    sine = Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero")
+    common = dict(grid=grid, op=HEAT_OP, horizon=0.1, n_steps=n_steps)
+    forward = ProblemSpec(**common, stepping="crank-nicolson", initial=sine, boundary=(0.0, 0.0))
+    backward = BackwardSpec(**common, terminal=sine, time_scheme="crank-nicolson")
     control = SingularControl.zeros(n_steps + 1, n_cells)
-    path = simulate_path(spec, control, NoisePath.generate(0, n_steps, spec.dt))
     expected = np.exp(-np.pi**2 * 0.1 / 2.0) * np.sin(np.pi * grid.nodes)
-    return float(np.max(np.abs(path.values[-1] - expected)))
 
+    def error(values: np.ndarray) -> float:  # each solve's path is freed once its row is read
+        return float(np.max(np.abs(values - expected)))
 
-def _backward_heat_error(n_cells: int, n_steps: int) -> float:
-    grid = build_grid(0.0, 1.0, n_cells)
-    spec = BackwardSpec(
-        grid=grid,
-        op=HEAT_OP,
-        horizon=0.1,
-        n_steps=n_steps,
-        terminal=Field.from_function(grid, lambda x: np.sin(np.pi * x), "dirichlet-zero"),
-        time_scheme="crank-nicolson",
+    noise = NoisePath.generate(0, n_steps, forward.dt)
+    return (
+        error(simulate_path(forward, control, noise).values[-1]),
+        error(solve_penalized(backward, 1)[0].values[0]),
     )
-    y, _ = solve_penalized(spec, 1)
-    expected = np.exp(-np.pi**2 * 0.1 / 2.0) * np.sin(np.pi * grid.nodes)
-    return float(np.max(np.abs(y.values[0] - expected)))
 
 
 def check_analytic_oracle() -> CheckResult:
-    f1 = _forward_heat_error(200, 4000)
-    b1 = _backward_heat_error(200, 4000)
-    f2 = _forward_heat_error(401, 8000)
-    b2 = _backward_heat_error(401, 8000)
+    f1, b1 = _heat_errors(200, 4000)
+    f2, b2 = _heat_errors(401, 8000)
     value = max(f1, b1)
     ratio = min(f1 / f2, b1 / b2)
     return CheckResult(
@@ -393,14 +380,14 @@ def check_derivative_process() -> CheckResult:
     )
 
 
-def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
+def check_directional_derivative() -> CheckResult:
     spec = linear_sensitivity_benchmark()
     rng = np.random.default_rng(77)
     base = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     zeta = ControlPerturbation.from_increments(
         rng.uniform(0.0, 1.0, (spec.n_steps, spec.grid.n_cells)) * spec.dt * 5.0
     )
-    cmp, gap, comb = directional_derivative_gap(spec, base, zeta, n_paths, 4242)
+    cmp, gap, comb = directional_derivative_gap(spec, base, zeta, DIRECTIONAL_PATHS, 4242)
     sweep = ", ".join(
         f"eps={eps:g}: {fd:.6g}" for eps, (fd, _) in sorted(cmp.finite_difference.items())
     )
@@ -411,7 +398,7 @@ def check_directional_derivative(n_paths: int = 10_000) -> CheckResult:
         passed=bool(gap <= SIGMA_BOUND * comb),
         detail=(
             f"adjoint {cmp.adjoint_formula:.6g} vs common-noise difference at eps=1e-3 "
-            f"{cmp.finite_difference[1e-3][0]:.6g} ({n_paths} paths); sweep {sweep}"
+            f"{cmp.finite_difference[1e-3][0]:.6g} ({DIRECTIONAL_PATHS} paths); sweep {sweep}"
         ),
     )
 
@@ -445,10 +432,10 @@ def check_policy_optimality(n_paths: int = POLICY_PATHS) -> CheckResult:
     )
 
 
-def check_positivity(n_paths: int = POLICY_PATHS) -> CheckResult:
+def check_positivity() -> CheckResult:
     spec, policy = benchmark_policy()
     max_step = float(spec.lambda0 * policy.xi_hat.increments.max())
-    summary = simulate_ensemble(spec, policy.xi_hat, n_paths, POLICY_SEED)
+    summary = simulate_ensemble(spec, policy.xi_hat, POLICY_PATHS, POLICY_SEED)
     seed, k, node = summary.min_location
     return CheckResult(
         name="state-positivity",
@@ -456,7 +443,7 @@ def check_positivity(n_paths: int = POLICY_PATHS) -> CheckResult:
         tolerance=0.0,
         passed=bool(summary.positivity and max_step < 1.0),
         detail=(
-            f"min over {n_paths} paths of the harvested state; "
+            f"min over {POLICY_PATHS} paths of the harvested state; "
             f"attained at (seed {seed}, t index {k}, node {node}); "
             f"max lambda0*dxi per step {max_step:.3f} < 1"
         ),

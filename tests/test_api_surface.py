@@ -199,8 +199,6 @@ RESULT_FIELDS = {
         "positivity": "bool",
         "min_value": "float",
         "min_location": "tuple[int, int, int]",
-        "n_paths": "int",
-        "seed": "int",
     },
     "BackwardSolution": {
         "y": "FieldPath",
@@ -211,10 +209,9 @@ RESULT_FIELDS = {
         "skorokhod_residual": "float",
         "skorokhod_scale": "float",
         "min_gap": "float",
-        "levels": "tuple[int, ...]",
         "cauchy_gaps": "tuple[float, ...]",
     },
-    "RateStudy": {"levels": "tuple[int, ...]", "energies": "tuple[float, ...]", "slope": "float"},
+    "RateStudy": {"energies": "tuple[float, ...]", "slope": "float"},
     "CoercivityReport": {"alpha": "float", "lam": "float", "satisfied": "bool", "gamma": "float"},
 }
 

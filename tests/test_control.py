@@ -1,9 +1,11 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from smc import control as control_module
 from smc import suites
 from smc.backward import solve_penalized, solve_reflected
 from smc.control import (
@@ -445,3 +447,16 @@ def test_directional_derivative_rejects_an_adjoint_path_of_another_time_grid(row
     p = _paths_of_constant(harvest_spec(horizon=0.1, n_steps=rows - 1), 1.0)
     with pytest.raises(GridMismatchError, match=rf"adjoint path shape \({rows}, 42\)"):
         directional_derivative_J(spec, xi, zeta, p, n_paths=4, seed=1, epsilons=(1e-2,))
+
+
+@pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+def test_directional_derivative_refuses_a_zero_or_non_finite_epsilon(monkeypatch, eps):
+    # a zero epsilon divided by zero (NaN, or a RuntimeWarning raised as an error); a NaN one
+    # failed inside SingularControl with a message that named no epsilon
+    spec = suites.linear_sensitivity_benchmark()
+    xi = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
+    zeta = ControlPerturbation.from_increments(np.full((spec.n_steps, spec.grid.n_cells), 1e-3))
+    p, _ = solve_penalized(assemble_adjoint(spec, xi=xi).backward, 1)
+    monkeypatch.setattr(control_module, "_monte_carlo", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=rf"epsilon {eps!r} must be finite and nonzero"):
+        directional_derivative_J(spec, xi, zeta, p, n_paths=64, seed=0, epsilons=(1e-2, eps))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from smc import control as control_module
 from smc import forward, suites
+from smc.cli import main
 from smc.control import _rewards_pass, directional_derivative_J, performance_J, performance_Js
 from smc.errors import (
     ConfigError,
@@ -64,6 +66,20 @@ def make_spec(**kw):
 
 def zero_control(spec):
     return SingularControl.zeros(spec.n_steps + 1, spec.grid.n_cells)
+
+
+def _cpus_as_workers():
+    """Let SMC_WORKERS, where set, name the allowed CPUs: a fork test forks on any host."""
+    allowed = forward._allowed_cpus
+    return mock.patch.object(
+        forward, "_allowed_cpus", lambda: int(os.environ.get("SMC_WORKERS") or allowed())
+    )
+
+
+@pytest.fixture
+def cpus_as_workers():
+    with _cpus_as_workers():
+        yield
 
 
 def _exploding_spec(**kw):
@@ -234,7 +250,7 @@ def test_a_noise_path_owns_its_increments():
     assert drawn[:, 2].tobytes() == NoisePath.generate(42, 6, 0.1).increments.tobytes()
 
 
-def test_a_parallel_call_keeps_no_noise_in_the_caller(monkeypatch):
+def test_a_parallel_call_keeps_no_noise_in_the_caller(monkeypatch, cpus_as_workers):
     # the workers draw their own noise: the caller never holds n_steps * 8 bytes a path, during
     # the call or after it
     monkeypatch.setenv("SMC_WORKERS", "2")
@@ -312,7 +328,7 @@ def test_implicit_steps_keep_the_state_positive_under_the_certificate(
     bound = 0.999 * (1.0 - max_rate) / max(abs(beta), 1e-3)
     db = [bound * t for t in data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_steps,
                                                 max_size=n_steps))]
-    path = simulate_path(spec, control, NoisePath(np.array(db), 0, spec.dt))
+    path = simulate_path(spec, control, NoisePath(np.array(db), spec.dt))
     assert (path.values[:, 1:-1] > 0.0).all()
 
 
@@ -337,6 +353,7 @@ def test_ensemble_columns_match_per_path_runs():
     spec = make_spec(beta=0.25, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
     control = zero_control(spec)
     summary = simulate_ensemble(spec, control, n_paths=5, seed=40)
+    assert summary.terminal_values.shape[0] == 5  # one terminal row per path: the path count
     for p in range(5):
         path = simulate_path(spec, control, NoisePath.generate(40 + p, spec.n_steps, spec.dt))
         np.testing.assert_array_equal(summary.terminal_values[p], path.values[-1])
@@ -508,7 +525,9 @@ def _engine_per_path_outputs(spec, control, n_paths, chunk_size):
         "engine",
     ],
 )
-def test_ensemble_worker_count_does_not_change_results(monkeypatch, outputs, n_paths, chunk_sizes):
+def test_ensemble_worker_count_does_not_change_results(
+    monkeypatch, cpus_as_workers, outputs, n_paths, chunk_sizes
+):
     spec = make_spec(beta=0.2, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
     control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     runs = []
@@ -757,7 +776,9 @@ def test_engine_increments_and_spans_follow_the_cumulative_control(data, n_steps
         SingularControl(decreasing)
 
 
-def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(monkeypatch, tmp_path):
+def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(
+    monkeypatch, cpus_as_workers, tmp_path
+):
     # mirrors the benchmark's peak-RSS bound: using every core must not cost memory.  The
     # parallel run has three default chunks, so two are in flight and a larger default
     # chunk (up to the whole run) would show.  Chunks run in forked workers, which inherit
@@ -799,7 +820,7 @@ def test_parallel_default_chunks_hold_no_more_memory_than_one_4096_path_chunk(mo
     assert caller + sum(workers) <= 1.15 * serial, (caller, workers, serial)
 
 
-def test_ensemble_workers_send_back_no_per_path_arrays(monkeypatch, tmp_path):
+def test_ensemble_workers_send_back_no_per_path_arrays(monkeypatch, cpus_as_workers, tmp_path):
     # each bundle writes its block sums and terminal states into the caller's shared mappings,
     # so a worker pickles back its bundle's minimum alone, however many paths the bundle has.
     # Forked workers inherit the wrapped pickler: each writes its payload sizes into tmp_path.
@@ -833,7 +854,8 @@ def test_an_ensemble_beyond_physical_memory_is_refused_before_anything_is_mapped
         with pytest.raises(ConfigError, match="274432 bytes of output") as err:
             simulate_ensemble(spec, zero_control(spec), 1000, seed=0)
     assert err.value.field == "n_paths" and refused.call_count == 0
-    assert simulate_ensemble(spec, zero_control(spec), 900, seed=0).n_paths == 900  # 248832 B
+    summary = simulate_ensemble(spec, zero_control(spec), 900, seed=0)  # 248832 B
+    assert summary.terminal_values.shape[0] == 900
     # below the limit, a mapping the system refuses ends the same way
     with mock.patch.object(forward.mmap, "mmap", side_effect=OSError(12, "no memory")):
         with pytest.raises(ConfigError, match="cannot be mapped") as err:
@@ -841,7 +863,7 @@ def test_an_ensemble_beyond_physical_memory_is_refused_before_anything_is_mapped
     assert err.value.field == "n_paths"
 
 
-def test_each_ensemble_call_owns_its_outputs(monkeypatch):
+def test_each_ensemble_call_owns_its_outputs(monkeypatch, cpus_as_workers):
     # the outputs live in mappings made per call: one kept across calls would let the next call
     # write over the results the last one handed out
     spec = make_spec(beta=0.3, n_steps=8)
@@ -905,7 +927,7 @@ def _deadline(seconds):
     ids=["exit-3", "sigkill", "exit-4-second-item", "sigkill-second-item", "exit-0-second-item"],
 )
 def test_a_worker_that_dies_raises_in_the_caller_and_leaves_no_process(
-    monkeypatch, die, named, dying
+    monkeypatch, cpus_as_workers, die, named, dying
 ):
     monkeypatch.setenv("SMC_WORKERS", "2")
 
@@ -920,7 +942,9 @@ def test_a_worker_that_dies_raises_in_the_caller_and_leaves_no_process(
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(monkeypatch):
+def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(
+    monkeypatch, cpus_as_workers
+):
     monkeypatch.setenv("SMC_WORKERS", "2")
     with _deadline(5.0), pytest.raises(Exception, match="pickle") as err:
         forward.map_ordered(lambda item: (lambda: item), [0, 1])  # a local lambda: no pickle
@@ -930,7 +954,7 @@ def test_an_unpicklable_result_comes_back_as_an_error_with_the_worker_traceback(
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_map_ordered_leaves_no_descriptor_open(monkeypatch):
+def test_map_ordered_leaves_no_descriptor_open(monkeypatch, cpus_as_workers):
     # a success, a worker error and a dying worker each close every pipe end they opened
     monkeypatch.setenv("SMC_WORKERS", "2")
 
@@ -958,7 +982,7 @@ def test_map_ordered_leaves_no_descriptor_open(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_map_ordered_hands_out_more_indices_than_one_pipe_holds(monkeypatch):
+def test_map_ordered_hands_out_more_indices_than_one_pipe_holds(monkeypatch, cpus_as_workers):
     # each worker sends 10 000 outcomes of about 35 bytes, five times what its 64 KiB result
     # pipe holds, so the caller must read while the workers write
     monkeypatch.setenv("SMC_WORKERS", "2")
@@ -966,7 +990,7 @@ def test_map_ordered_hands_out_more_indices_than_one_pipe_holds(monkeypatch):
     assert forward.map_ordered(lambda item: 3 * item, items) == [3 * item for item in items]
 
 
-def test_a_parallel_estimate_forks_its_workers_and_starts_no_thread(monkeypatch):
+def test_a_parallel_estimate_forks_its_workers_and_starts_no_thread(monkeypatch, cpus_as_workers):
     spec = make_spec(beta=0.2, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), n_steps=4)
     control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
     serial = performance_J(spec, control, 300, seed=1)
@@ -980,6 +1004,68 @@ def test_a_parallel_estimate_forks_its_workers_and_starts_no_thread(monkeypatch)
     assert (parallel.estimate, parallel.stderr) == (serial.estimate, serial.stderr)
 
 
+def _refused_on_second_call(call: str, errno_: int):
+    """``os.<call>`` as it is, but raising OSError(errno_) on its second call."""
+    real, calls = getattr(os, call), []
+
+    def refusing():
+        calls.append(call)
+        if len(calls) == 2:
+            raise OSError(errno_, os.strerror(errno_))
+        return real()
+
+    return refusing
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+@pytest.mark.parametrize(
+    "call, errno_", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork", "pipe"]
+)
+def test_a_refused_fork_or_pipe_is_a_config_error_that_leaves_no_child(
+    monkeypatch, cpus_as_workers, capsys, tmp_path, call, errno_
+):
+    # the second worker cannot be started: the first is killed and reaped, its pipe closed
+    monkeypatch.setenv("SMC_WORKERS", "2")
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, call, _refused_on_second_call(call, errno_))
+    with _deadline(10.0), pytest.raises(ConfigError, match="cannot start worker 2 of 2") as err:
+        forward.map_ordered(lambda item: item, range(4))
+    assert err.value.field == "SMC_WORKERS"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    monkeypatch.setattr(os, call, _refused_on_second_call(call, errno_))
+    config = Path(__file__).parents[1] / "configs" / "harvest.json"
+    argv = ["simulate", "--config", str(config), "--paths", "300", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "configuration error: SMC_WORKERS: cannot start worker 2 of 2: "
+    ), lines
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_call_forks_no_more_children_than_allowed_cpus(monkeypatch):
+    # 64 workers asked for: the workers, so the bundles and the children, follow the CPUs;
+    # _fork_map is replaced by an in-process map, so no process starts here
+    monkeypatch.setenv("SMC_WORKERS", "64")
+    asked = []
+
+    def in_process(fn, items, workers):
+        asked.append((workers, len(items)))
+        return [forward._apply(fn, item) for item in items]
+
+    monkeypatch.setattr(forward, "_fork_map", in_process)
+    spec = make_spec(beta=0.2, n_steps=2)
+    performance_J(spec, zero_control(spec), 64 * 128, seed=0)  # four default 2048-path chunks
+    allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(64, allowed)
+    assert asked == ([(workers, min(64, -(-4 // workers) * workers))] if workers > 1 else [])
+
+
+@pytest.mark.skipif(forward._allowed_cpus() < 2, reason="forks two workers: needs two CPUs")
 def test_a_parallel_cli_run_imports_no_process_pool(tmp_path):
     # numpy.testing, which scipy imports, brings in the concurrent.futures package itself;
     # ProcessPoolExecutor lives in concurrent.futures.process, which imports multiprocessing
@@ -1008,7 +1094,7 @@ def test_ensemble_nan_reports_offending_seed():
     assert err.value.seed in (100, 101, 102)
 
 
-def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch):
+def test_ensemble_nan_error_crosses_from_workers_unchanged(monkeypatch, cpus_as_workers):
     # all three one-block bundles fail at the same step; the lowest path seed wins
     spec = _exploding_spec()
     errors = []
@@ -1047,7 +1133,7 @@ def test_ensemble_sum_overflow_is_a_typed_error(initial, beta, n_steps, n_paths,
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
+def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, cpus_as_workers, beta):
     # named for the explicit scheme, whose one warning was its stability bound; that scheme and
     # its warning are gone, so an exploding ensemble of many small bundles now warns nothing
     spec = _exploding_spec(beta=beta)
@@ -1076,7 +1162,7 @@ def test_exploding_explicit_ensemble_warns_only_cfl(monkeypatch, beta):
     ],
 )  # each id names beta, n_paths, seed and offender
 def test_split_chunk_nan_error_is_the_serial_one(
-    monkeypatch, alpha, beta, n_paths, seed, offender
+    monkeypatch, cpus_as_workers, alpha, beta, n_paths, seed, offender
 ):
     spec = _exploding_spec(alpha=alpha, beta=beta)
     errors = []
@@ -1091,7 +1177,7 @@ def test_split_chunk_nan_error_is_the_serial_one(
     assert errors[0][3] == offender
 
 
-def test_worker_warning_reaches_the_caller(monkeypatch):
+def test_worker_warning_reaches_the_caller(monkeypatch, cpus_as_workers):
     # each of the three bundles warns in its worker, then blows up: the caller hears the
     # warning once, and the error is the serial one
     spec = _exploding_spec()
@@ -1110,7 +1196,7 @@ def test_worker_warning_reaches_the_caller(monkeypatch):
     assert outcomes == [("non-finite state at step 226 (path seed 0)", ["bundle reduced"])] * 3
 
 
-def test_split_run_error_keeps_the_warnings_before_it(monkeypatch):
+def test_split_run_error_keeps_the_warnings_before_it(monkeypatch, cpus_as_workers):
     # a pass that fails after it warned: a parallel run warns as a serial run does
     spec = _exploding_spec()
 
@@ -1155,7 +1241,7 @@ def _record_bundles(monkeypatch) -> list:
     ],
 )
 def test_bundles_are_whole_blocks_shared_among_the_workers(
-    monkeypatch, workers, n_paths, chunk_size, bundles
+    monkeypatch, cpus_as_workers, workers, n_paths, chunk_size, bundles
 ):
     monkeypatch.setenv("SMC_WORKERS", workers)
     seen = _record_bundles(monkeypatch)
@@ -1181,7 +1267,7 @@ def test_bundles_are_whole_blocks_shared_among_the_workers(
     ids=["900-by-300", "one-default-chunk", "no-noise"],
 )
 def test_split_chunks_keep_ensembles_byte_identical(
-    monkeypatch, beta, n_paths, chunking, bundle_counts
+    monkeypatch, cpus_as_workers, beta, n_paths, chunking, bundle_counts
 ):
     spec = make_spec(beta=beta, alpha=0.3, op=OperatorSpec(0.1, 0.0, 0.2), stepping="implicit")
     control = SingularControl.constant_rate(0.1, spec.times, spec.grid.n_cells)
@@ -1204,7 +1290,9 @@ def test_split_chunks_keep_ensembles_byte_identical(
         ({(5, 1): 4, (200, 1): 4}, (5, 1, 4)),  # the same step and node: the lower seed
     ],
 )
-def test_split_chunk_minimum_is_the_whole_chunks_choice(monkeypatch, lows, location):
+def test_split_chunk_minimum_is_the_whole_chunks_choice(
+    monkeypatch, cpus_as_workers, lows, location
+):
     # two paths, in two bundles of a 300-path run at every worker count, reach the same
     # minimum 0.5 at (path seed, step) -> node; every other state is 1.  One bundle reports
     # the first step at its minimum, then the node-major argmin: so must the ensemble.
@@ -1235,7 +1323,7 @@ def test_split_chunk_minimum_is_the_whole_chunks_choice(monkeypatch, lows, locat
         ({(1, 5): 1, (0, 200): 2}, (2, 200)),  # the first control fails first, if later
     ],
 )
-def test_nan_error_is_the_earliest_of_all_bundles(monkeypatch, fails, offender):
+def test_nan_error_is_the_earliest_of_all_bundles(monkeypatch, cpus_as_workers, fails, offender):
     # (control, path seed) -> step from which that path is NaN, in a 300-path run of two
     # controls that has two or three bundles at 1-3 workers; a single bundle would stop at
     # the first control that fails, at its first failing step and lowest seed there
@@ -1302,7 +1390,7 @@ def test_a_single_path_is_its_ensemble_column_bit_for_bit(
     )
     mask = np.arange(n_cells) % 3 != seed % 3  # a control that charges some rows only
     control = SingularControl.constant_rate(rate, spec.times, n_cells).masked(mask)
-    with mock.patch.dict(os.environ, {"SMC_WORKERS": workers}):
+    with _cpus_as_workers(), mock.patch.dict(os.environ, {"SMC_WORKERS": workers}):
         (bundles,) = _monte_carlo(spec, [(control, _stacked_states)], width, seed)
     ensemble = np.concatenate(bundles, axis=2)
     for p in sorted({0, seed % width, width - 1}):  # the ends and one column the seed picks
@@ -1344,12 +1432,12 @@ def test_worker_count_never_moves_a_monte_carlo_bit(
         path = summary.mean_path
         arrays = (np.concatenate(rewards), j.estimate, j.stderr, path.values, path.times)
         arrays += (summary.terminal_values, summary.positivity, summary.min_value)
-        arrays += (summary.min_location, summary.n_paths, summary.seed)
+        arrays += (summary.min_location, summary.terminal_values.shape)
         return [np.asarray(a).tobytes() for a in arrays]
 
     with mock.patch.dict(os.environ, {"SMC_WORKERS": "1"}):
         serial = outputs()
-    with mock.patch.dict(os.environ, {"SMC_WORKERS": str(workers)}):
+    with _cpus_as_workers(), mock.patch.dict(os.environ, {"SMC_WORKERS": str(workers)}):
         assert outputs(chunk_size) == serial
         assert outputs(other_chunk_size) == serial
 

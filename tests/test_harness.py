@@ -729,7 +729,8 @@ def test_smc_workers_default_and_parsed(monkeypatch):
         allowed = os.cpu_count() or 1
     monkeypatch.delenv("SMC_WORKERS", raising=False)
     assert worker_count() == allowed
-    for value, expected in [("", allowed), ("3", 3), (" 2 ", 2)]:
+    monkeypatch.setattr(forward, "_allowed_cpus", lambda: 4)  # SMC_WORKERS asks for no more
+    for value, expected in [("", 4), ("3", 3), (" 2 ", 2), ("5", 4)]:
         monkeypatch.setenv("SMC_WORKERS", value)
         assert worker_count() == expected
 

@@ -13,8 +13,13 @@ parent first, even pairs change first.  The last line of each run's standard
 output is its JSON result.  ``BENCH_<label>_pairs.json`` holds a note, a summary
 per workload and seed (for each end-to-end metric of BENCHMARK.json: each side's
 median, quartiles and range, the change's and the parent's wins, the parent's
-quartile range and whether the change stays within the metric's bound) and every
-run.  Quartiles are linear, as numpy's default percentiles.  Standard library only.
+quartile range, whether the change stays within the metric's bound, and whether a
+claimed gain would count) and every run.  A gain counts (``gain_resolved``) when
+every run is correct, the change fails no more operations than the parent, the
+change wins at least 9 of every 10 pairs run (a tie, or a pair missing the
+metric, counts for neither side), and its median beats the parent's in the
+metric's ``better`` direction by more than the parent's quartile range.
+Quartiles are linear, as numpy's default percentiles.  Standard library only.
 """
 
 from __future__ import annotations
@@ -76,17 +81,20 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's spread, the wins of each side over the pairs, the bound check."""
+    """Per metric: each side's spread and wins over the pairs, the bound and gain checks."""
     pairs: dict[int, dict] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
+    failed = {side: sum(run.get("failed", 0) for run in runs if run["side"] == side)
+              for side in SIDES}
     summary = {
         "pairs": len(pairs),
         "correct": all(run["correct"] for run in runs),
-        "failed_ops": sum(run.get("failed", 0) for run in runs),
+        "failed_ops": sum(failed.values()),
         "attempted_ops": {side: sum(r.get("attempted", 0) for r in runs if r["side"] == side)
                           for side in SIDES},
     }
+    claimable = summary["correct"] and failed["change"] <= failed["parent"]
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         both = [p for p in pairs.values() if all(name in p.get(s, {}) for s in SIDES)]
@@ -98,16 +106,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         diff = change["median"] - parent["median"]
         relative = diff / parent["median"] if parent["median"] else 0.0
         worse = relative if lower else -relative
+        change_wins = sum(gain > 0 for gain in gains)
         summary[name] = {
             "parent": parent,
             "change": change,
-            "change_wins": sum(gain > 0 for gain in gains),
+            "change_wins": change_wins,
             "parent_wins": sum(gain < 0 for gain in gains),
             "median_diff": diff,
             "parent_iqr": parent["q3"] - parent["q1"],
             "relative_change": relative,
             "bound": metric["bound"],
             "within_bound": worse <= metric["bound"],
+            "gain_resolved": (claimable and 10 * change_wins >= 9 * len(pairs)
+                              and (-diff if lower else diff) > parent["q3"] - parent["q1"]),
         }
     return summary
 
